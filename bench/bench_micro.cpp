@@ -1,12 +1,14 @@
 // Microbenchmarks (google-benchmark): hot-path costs of the building
-// blocks -- message codecs, lock-manager operations, probe handling, and
-// oracle cycle checks.  These are the per-operation costs behind the
-// experiment tables.
+// blocks -- message codecs, lock-manager operations, probe handling (basic
+// model and DDB controller), a whole T5-shaped DDB episode, and oracle cycle
+// checks.  These are the per-operation costs behind the experiment tables.
 #include <benchmark/benchmark.h>
 
 #include "core/basic_process.h"
 #include "core/messages.h"
+#include "ddb/cluster.h"
 #include "ddb/lock_manager.h"
+#include "ddb/workload.h"
 #include "graph/generators.h"
 #include "graph/wait_for_graph.h"
 
@@ -81,6 +83,7 @@ void BM_LockAcquireRelease(benchmark::State& state) {
 BENCHMARK(BM_LockAcquireRelease);
 
 void BM_LockContendedQueue(benchmark::State& state) {
+  std::vector<ddb::WaitEdge> edges;
   for (auto _ : state) {
     state.PauseTiming();
     ddb::LockManager lm;
@@ -91,11 +94,83 @@ void BM_LockContendedQueue(benchmark::State& state) {
       benchmark::DoNotOptimize(lm.acquire(ResourceId{1}, TransactionId{t},
                                           ddb::LockMode::kWrite, SiteId{0}));
     }
-    benchmark::DoNotOptimize(lm.wait_edges());
+    lm.wait_edges(edges);
+    benchmark::DoNotOptimize(edges.data());
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_LockContendedQueue)->Range(4, 256)->Complexity();
+
+void BM_DdbHandleProbe(benchmark::State& state) {
+  // One meaningful probe of a foreign computation at a warmed-up DDB
+  // controller: stale-floor pruning, the section-6.5 black-edge check,
+  // intra-reachability, labelling and one forwarded probe.  Local picture
+  // at S0: t1 holds r0 and waits for r1@S1; t2, forwarded from S1, is
+  // queued on r0 behind t1.
+  ddb::DdbOptions options;
+  options.initiation = ddb::DdbInitiation::kManual;
+  options.abort_victim = false;
+  std::uint64_t sink = 0;
+  ddb::Controller c(
+      SiteId{0}, 2, [&sink](SiteId, BytesView b) { sink += b.size(); },
+      [](ResourceId r) { return SiteId{r.value() % 2}; }, options, nullptr);
+  const TransactionId t1{1};
+  const TransactionId t2{2};
+  (void)c.lock(t1, ResourceId{0}, ddb::LockMode::kWrite);
+  (void)c.lock(t1, ResourceId{1}, ddb::LockMode::kWrite);
+  if (!c.on_message(SiteId{1},
+                    ddb::encode_small(ddb::RemoteLockRequestMsg{
+                                          t2, ResourceId{0},
+                                          ddb::LockMode::kWrite})
+                        .view())
+           .ok()) {
+    state.SkipWithError("request delivery failed");
+    return;
+  }
+  const ddb::InterEdge edge{AgentId{t2, SiteId{1}}, AgentId{t2, SiteId{0}}};
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    ++seq;
+    const ddb::DdbFrame probe = ddb::encode_small(
+        ddb::DdbProbeMsg{ddb::DdbProbeTag{SiteId{1}, seq}, seq, edge, false});
+    benchmark::DoNotOptimize(c.on_message(SiteId{1}, probe.view()));
+  }
+  benchmark::DoNotOptimize(sink);
+  if (c.stats().meaningful_probes != seq) {
+    state.SkipWithError("probes were not meaningful");
+  }
+}
+BENCHMARK(BM_DdbHandleProbe);
+
+void BM_DdbT5Episode(benchmark::State& state) {
+  // One whole T5 episode (EXPERIMENTS.md T5 at hot set 16: 4 sites, 24
+  // transactions of 3 locks, 80% writes, delayed initiation T = 2 ms, victim
+  // abort and retry), construction and teardown included: the unit of work
+  // of the end-to-end benchmark in perfbench/.
+  ddb::DdbOptions options;
+  options.initiation = ddb::DdbInitiation::kDelayed;
+  options.initiation_delay = SimTime::ms(2);
+  options.abort_victim = true;
+  ddb::TxnScriptConfig cfg;
+  cfg.locks_per_txn = 3;
+  cfg.write_fraction = 0.8;
+  cfg.hot_set = 16;
+  cfg.hold_time = SimTime::ms(2);
+  cfg.max_retries = 25;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    ddb::Cluster db({.n_sites = 4,
+                     .n_resources = cfg.hot_set,
+                     .options = options,
+                     .seed = 1});
+    ddb::TxnWorkload workload(db, cfg, 10);
+    workload.start(24);
+    (void)db.simulator().run();
+    events += db.simulator().stats().events_processed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_DdbT5Episode);
 
 void BM_OracleDarkCycle(benchmark::State& state) {
   const auto scenario = graph::make_ring_with_tails(

@@ -51,9 +51,10 @@ SUITES = {
 }
 
 # Benchmarks whose regressions gate CI (prefix match).  These are the ones
-# dominated by the hot paths PR 1 and the sharded-engine PR optimized, plus
-# the epoll transport's small-frame throughput (the event-loop PR); the
-# macro detection-wave numbers are tracked but too workload-shaped to gate.
+# dominated by the optimized hot paths: the simulator event loop, the probe
+# codecs, the epoll transport's small-frame throughput, and the DDB
+# controller's probe path and whole T5 episode (flat DDB state); the macro
+# detection-wave numbers are tracked but too workload-shaped to gate.
 DEFAULT_HOT = [
     "BM_SimMessageChurn",
     "BM_SimBatchedChurn",
@@ -61,6 +62,8 @@ DEFAULT_HOT = [
     "BM_EncodeProbe",
     "BM_DecodeProbe",
     "BM_NetEpollTcpSmallFrames",
+    "BM_DdbHandleProbe",
+    "BM_DdbT5Episode",
 ]
 
 

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "ddb/cycle_finder.h"
+
 namespace cmh::check {
 
 DdbSystem::DdbSystem(DdbScenario scenario) : scenario_(std::move(scenario)) {
@@ -144,14 +146,11 @@ std::vector<TransactionId> DdbSystem::oracle_deadlocked() const {
   // requests -- a request issued but not yet queued at the owner will wait
   // on the owner's current conflicting holders/waiters, and grey edges are
   // dark (they make cycles permanent too).
-  std::unordered_map<TransactionId, std::vector<TransactionId>> adj;
-  std::set<TransactionId> nodes;
+  std::vector<ddb::WaitEdge> edges;
+  std::vector<ddb::WaitEdge> site_edges;
   for (const auto& c : controllers_) {
-    for (const auto& [w, b] : c->intra_edges()) {
-      adj[w].push_back(b);
-      nodes.insert(w);
-      nodes.insert(b);
-    }
+    c->intra_edges(site_edges);
+    edges.insert(edges.end(), site_edges.begin(), site_edges.end());
   }
   for (const auto& [txn, state] : txns_) {
     if (state.finished) continue;
@@ -163,33 +162,13 @@ std::vector<TransactionId> DdbSystem::oracle_deadlocked() const {
       if (owner.locks().holds(resource, txn)) continue;    // grant in flight
       for (const TransactionId blocker :
            owner.locks().blockers(resource, txn, mode)) {
-        adj[txn].push_back(blocker);
-        nodes.insert(txn);
-        nodes.insert(blocker);
+        edges.emplace_back(txn, blocker);
       }
     }
   }
-  std::vector<TransactionId> result;
-  for (const TransactionId t : nodes) {
-    std::set<TransactionId> seen;
-    std::deque<TransactionId> frontier{t};
-    bool cycle = false;
-    while (!frontier.empty() && !cycle) {
-      const TransactionId u = frontier.front();
-      frontier.pop_front();
-      const auto it = adj.find(u);
-      if (it == adj.end()) continue;
-      for (const TransactionId v : it->second) {
-        if (v == t) {
-          cycle = true;
-          break;
-        }
-        if (seen.insert(v).second) frontier.push_back(v);
-      }
-    }
-    if (cycle) result.push_back(t);
-  }
-  return result;
+  ddb::CycleFinder finder;
+  const auto on_cycle = finder.on_cycle(edges);
+  return {on_cycle.begin(), on_cycle.end()};
 }
 
 std::uint64_t DdbSystem::fingerprint() {

@@ -1,33 +1,24 @@
 // Sorted flat set with small-buffer storage.
 //
-// Elements live in one contiguous sorted array: inline up to InlineN, on the
-// heap beyond.  Lookup is binary search, iteration is a linear scan of
+// Elements live in one contiguous sorted SmallVector: inline up to InlineN,
+// on the heap beyond.  Lookup is binary search, iteration is a linear scan of
 // contiguous memory, and steady-state mutation never allocates once capacity
 // has reached the working-set size -- exactly the access pattern of the
 // per-process edge sets (probe fan-out iterates them on every forwarded
 // probe, and typical degrees are tiny).
-//
-// Restricted to trivially-copyable, default-constructible element types so
-// growth and shifting stay simple copies; every id/edge type in this
-// codebase qualifies.
 // cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <initializer_list>
-#include <memory>
-#include <type_traits>
+
+#include "common/small_vector.h"
 
 namespace cmh {
 
 template <typename T, std::size_t InlineN = 8>
 class FlatSet {
-  static_assert(std::is_trivially_copyable_v<T>);
-  static_assert(std::is_default_constructible_v<T>);
-  static_assert(InlineN > 0);
-
  public:
   using value_type = T;
   using const_iterator = const T*;
@@ -38,28 +29,12 @@ class FlatSet {
     for (const T& v : init) insert(v);
   }
 
-  FlatSet(const FlatSet& other) { assign(other.data_, other.size_); }
+  [[nodiscard]] std::size_t size() const { return items_.size(); }
+  [[nodiscard]] bool empty() const { return items_.empty(); }
+  [[nodiscard]] const_iterator begin() const { return items_.begin(); }
+  [[nodiscard]] const_iterator end() const { return items_.end(); }
 
-  FlatSet& operator=(const FlatSet& other) {
-    if (this != &other) assign(other.data_, other.size_);
-    return *this;
-  }
-
-  FlatSet(FlatSet&& other) noexcept { steal(other); }
-
-  FlatSet& operator=(FlatSet&& other) noexcept {
-    if (this != &other) steal(other);
-    return *this;
-  }
-
-  ~FlatSet() = default;
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] const_iterator begin() const { return data_; }
-  [[nodiscard]] const_iterator end() const { return data_ + size_; }
-
-  void clear() { size_ = 0; }
+  void clear() { items_.clear(); }
 
   [[nodiscard]] bool contains(const T& v) const {
     const T* pos = std::lower_bound(begin(), end(), v);
@@ -68,13 +43,9 @@ class FlatSet {
 
   /// Inserts `v` at its sorted position; returns false if already present.
   bool insert(const T& v) {
-    T* pos = std::lower_bound(data_, data_ + size_, v);
-    if (pos != data_ + size_ && *pos == v) return false;
-    const std::size_t idx = static_cast<std::size_t>(pos - data_);
-    if (size_ == cap_) grow();  // invalidates pos
-    std::copy_backward(data_ + idx, data_ + size_, data_ + size_ + 1);
-    data_[idx] = v;
-    ++size_;
+    const T* pos = std::lower_bound(begin(), end(), v);
+    if (pos != end() && *pos == v) return false;
+    items_.insert(pos, v);
     return true;
   }
 
@@ -85,59 +56,18 @@ class FlatSet {
 
   /// Removes `v`; returns false if absent.
   bool erase(const T& v) {
-    T* pos = std::lower_bound(data_, data_ + size_, v);
-    if (pos == data_ + size_ || !(*pos == v)) return false;
-    std::copy(pos + 1, data_ + size_, pos);
-    --size_;
+    const T* pos = std::lower_bound(begin(), end(), v);
+    if (pos == end() || !(*pos == v)) return false;
+    items_.erase(pos);
     return true;
   }
 
   friend bool operator==(const FlatSet& a, const FlatSet& b) {
-    return a.size_ == b.size_ && std::equal(a.begin(), a.end(), b.begin());
+    return a.items_ == b.items_;
   }
 
  private:
-  void grow() { reallocate(cap_ * 2); }
-
-  void reallocate(std::size_t new_cap) {
-    // Growth path only; steady state never reaches here.
-    auto fresh = std::make_unique<T[]>(new_cap);  // lint:allow(hot-path-alloc)
-    std::copy(data_, data_ + size_, fresh.get());
-    heap_ = std::move(fresh);
-    data_ = heap_.get();
-    cap_ = new_cap;
-  }
-
-  void assign(const T* src, std::size_t n) {
-    if (n > cap_) reallocate(n);
-    std::copy(src, src + n, data_);
-    size_ = n;
-  }
-
-  void steal(FlatSet& other) {
-    if (other.heap_) {
-      heap_ = std::move(other.heap_);
-      data_ = heap_.get();
-      cap_ = other.cap_;
-      size_ = other.size_;
-    } else {
-      heap_.reset();
-      data_ = inline_.data();
-      cap_ = InlineN;
-      std::copy(other.data_, other.data_ + other.size_, data_);
-      size_ = other.size_;
-    }
-    other.heap_.reset();
-    other.data_ = other.inline_.data();
-    other.cap_ = InlineN;
-    other.size_ = 0;
-  }
-
-  std::array<T, InlineN> inline_{};
-  std::unique_ptr<T[]> heap_;
-  T* data_{inline_.data()};
-  std::size_t size_{0};
-  std::size_t cap_{InlineN};
+  SmallVector<T, InlineN> items_;
 };
 
 }  // namespace cmh

@@ -41,6 +41,11 @@ class LogStream {
   std::ostringstream out_;
 };
 
-#define CMH_LOG(level, tag) ::cmh::LogStream(::cmh::LogLevel::level, (tag))
+// A disabled statement costs one level check: the stream (and its
+// ostringstream) is only built when the line will be written.
+#define CMH_LOG(level, tag)                              \
+  if (::cmh::LogLevel::level < ::cmh::log_level()) {     \
+  } else                                                 \
+    ::cmh::LogStream(::cmh::LogLevel::level, (tag))
 
 }  // namespace cmh

@@ -1,9 +1,25 @@
 #include "ddb/cluster.h"
 
-#include <deque>
+#include <algorithm>
 #include <stdexcept>
 
 namespace cmh::ddb {
+
+namespace {
+// A transaction's lock list is sorted by resource.
+template <typename Locks>
+auto lower_lock(Locks& locks, ResourceId resource) {
+  return std::lower_bound(
+      locks.begin(), locks.end(), resource,
+      [](const auto& l, ResourceId r) { return l.resource < r; });
+}
+
+template <typename Locks>
+auto find_lock(Locks& locks, ResourceId resource) {
+  const auto it = lower_lock(locks, resource);
+  return it != locks.end() && it->resource == resource ? it : locks.end();
+}
+}  // namespace
 
 Cluster::Cluster(ClusterConfig config)
     : config_(config), sim_(config.seed, config.delays) {
@@ -22,16 +38,22 @@ Cluster::Cluster(ClusterConfig config)
         });
     controller->set_grant_callback(
         [this](TransactionId txn, ResourceId resource) {
-          const auto it = txns_.find(txn);
-          if (it != txns_.end()) it->second.granted.insert(resource);
+          if (txn.value() < txns_.size()) {
+            auto& locks = txns_[txn.value()].locks;
+            const auto it = find_lock(locks, resource);
+            if (it != locks.end()) it->granted = true;
+          }
           if (grant_listener_) grant_listener_(txn, resource);
         });
     controller->set_abort_callback([this, site](TransactionId txn) {
-      const auto it = txns_.find(txn);
-      if (it != txns_.end() && it->second.home == site) {
-        it->second.status = TxnStatus::kAborted;
-        if (abort_listener_) abort_listener_(txn);
-      }
+      if (txn.value() >= txns_.size()) return;
+      TxnState& state = txns_[txn.value()];
+      // Only a live transaction can become a victim.  A stale declaration
+      // may name one that has already committed (or was already aborted by
+      // another site's declaration); its purge must not rewrite history.
+      if (state.home != site || state.status != TxnStatus::kActive) return;
+      state.status = TxnStatus::kAborted;
+      if (abort_listener_) abort_listener_(txn);
     });
     controller->set_deadlock_callback(
         [this, site](TransactionId victim, const DdbProbeTag& tag) {
@@ -50,62 +72,71 @@ Cluster::Cluster(ClusterConfig config)
   }
 }
 
+const Cluster::TxnState& Cluster::state(TransactionId txn) const {
+  return txns_.at(txn.value());
+}
+
+Cluster::TxnState& Cluster::state(TransactionId txn) {
+  return txns_.at(txn.value());
+}
+
 TransactionId Cluster::begin(SiteId home) {
   if (home.value() >= config_.n_sites) {
     throw std::out_of_range("Cluster::begin: bad home site");
   }
-  const TransactionId txn{next_txn_++};
-  txns_.emplace(txn, TxnState{home, TxnStatus::kActive, {}, {}});
+  const TransactionId txn{static_cast<std::uint32_t>(txns_.size())};
+  txns_.push_back(TxnState{home, TxnStatus::kActive, {}});
   return txn;
 }
 
 void Cluster::lock(TransactionId txn, ResourceId resource, LockMode mode) {
-  auto& state = txns_.at(txn);
-  if (state.status != TxnStatus::kActive) {
+  auto& s = state(txn);
+  if (s.status != TxnStatus::kActive) {
     throw std::logic_error("Cluster::lock: transaction not active");
   }
-  auto [it, inserted] = state.requested.emplace(resource, mode);
-  if (!inserted && mode == LockMode::kWrite && it->second == LockMode::kRead) {
+  const auto it = lower_lock(s.locks, resource);
+  if (it == s.locks.end() || it->resource != resource) {
+    s.locks.insert(it, TxnLock{resource, mode, false});
+  } else if (mode == LockMode::kWrite && it->mode == LockMode::kRead) {
     // Upgrade: not granted again until the write lock is actually held.
-    it->second = mode;
-    state.granted.erase(resource);
+    it->mode = mode;
+    it->granted = false;
   }
-  controller(state.home).lock(txn, resource, mode);
+  controller(s.home).lock(txn, resource, mode);
 }
 
 void Cluster::finish(TransactionId txn) {
-  auto& state = txns_.at(txn);
-  if (state.status != TxnStatus::kActive) return;
-  state.status = TxnStatus::kCommitted;
-  controller(state.home).finish(txn);
+  auto& s = state(txn);
+  if (s.status != TxnStatus::kActive) return;
+  s.status = TxnStatus::kCommitted;
+  controller(s.home).finish(txn);
 }
 
 void Cluster::abort(TransactionId txn) {
-  auto& state = txns_.at(txn);
-  if (state.status != TxnStatus::kActive) return;
+  const auto& s = state(txn);
+  if (s.status != TxnStatus::kActive) return;
   // The controller's abort broadcast triggers the home-site abort callback,
   // which flips the status and notifies the listener.
-  controller(state.home).abort(txn);
+  controller(s.home).abort(txn);
 }
 
-TxnStatus Cluster::status(TransactionId txn) const {
-  return txns_.at(txn).status;
-}
+TxnStatus Cluster::status(TransactionId txn) const { return state(txn).status; }
 
 bool Cluster::granted(TransactionId txn, ResourceId resource) const {
-  return txns_.at(txn).granted.contains(resource);
+  const auto& locks = state(txn).locks;
+  const auto it = find_lock(locks, resource);
+  return it != locks.end() && it->granted;
 }
 
 bool Cluster::all_granted(TransactionId txn) const {
-  const auto& state = txns_.at(txn);
-  return state.granted.size() == state.requested.size();
+  const auto& locks = state(txn).locks;
+  return std::all_of(locks.begin(), locks.end(),
+                     [](const TxnLock& l) { return l.granted; });
 }
 
-SiteId Cluster::home_of(TransactionId txn) const {
-  return txns_.at(txn).home;
-}
+SiteId Cluster::home_of(TransactionId txn) const { return state(txn).home; }
 
-std::vector<TransactionId> Cluster::oracle_deadlocked() const {
+std::span<const TransactionId> Cluster::oracle_deadlocked() const {
   // Union of every site's local wait edges at the transaction level, plus
   // the waits implied by *in-flight* (grey) requests -- a request that has
   // been issued but not yet queued at the owner will wait on the owner's
@@ -113,53 +144,28 @@ std::vector<TransactionId> Cluster::oracle_deadlocked() const {
   // dark in the paper's model (they make cycles permanent too).  At
   // simulator idle there are no in-flight requests and this is exactly the
   // global transaction-wait-for graph.
-  std::unordered_map<TransactionId, std::vector<TransactionId>> adj;
-  std::set<TransactionId> nodes;
+  oracle_edges_.clear();
   for (const auto& c : controllers_) {
-    for (const auto& [w, b] : c->intra_edges()) {
-      adj[w].push_back(b);
-      nodes.insert(w);
-      nodes.insert(b);
-    }
+    c->intra_edges(oracle_site_edges_);
+    oracle_edges_.insert(oracle_edges_.end(), oracle_site_edges_.begin(),
+                         oracle_site_edges_.end());
   }
-  for (const auto& [txn, state] : txns_) {
-    if (state.status != TxnStatus::kActive) continue;
-    for (const auto& [resource, mode] : state.requested) {
-      if (state.granted.contains(resource)) continue;
-      const auto& owner = *controllers_.at(owner_of(resource).value());
-      if (owner.locks().waiting(resource, txn)) continue;  // already queued
-      if (owner.locks().holds(resource, txn)) continue;    // grant in flight
+  for (std::uint32_t t = 0; t < txns_.size(); ++t) {
+    const TxnState& s = txns_[t];
+    if (s.status != TxnStatus::kActive) continue;
+    const TransactionId txn{t};
+    for (const TxnLock& l : s.locks) {
+      if (l.granted) continue;
+      const auto& owner = controllers_[owner_of(l.resource).value()]->locks();
+      if (owner.waiting(l.resource, txn)) continue;  // already queued
+      if (owner.holds(l.resource, txn)) continue;    // grant in flight
       for (const TransactionId blocker :
-           owner.locks().blockers(resource, txn, mode)) {
-        adj[txn].push_back(blocker);
-        nodes.insert(txn);
-        nodes.insert(blocker);
+           owner.blockers(l.resource, txn, l.mode)) {
+        oracle_edges_.emplace_back(txn, blocker);
       }
     }
   }
-
-  // A transaction is deadlocked iff it can reach itself.
-  std::vector<TransactionId> result;
-  for (const TransactionId t : nodes) {
-    std::set<TransactionId> seen;
-    std::deque<TransactionId> frontier{t};
-    bool cycle = false;
-    while (!frontier.empty() && !cycle) {
-      const TransactionId u = frontier.front();
-      frontier.pop_front();
-      const auto it = adj.find(u);
-      if (it == adj.end()) continue;
-      for (const TransactionId v : it->second) {
-        if (v == t) {
-          cycle = true;
-          break;
-        }
-        if (seen.insert(v).second) frontier.push_back(v);
-      }
-    }
-    if (cycle) result.push_back(t);
-  }
-  return result;
+  return oracle_.on_cycle(oracle_edges_);
 }
 
 ControllerStats Cluster::total_stats() const {

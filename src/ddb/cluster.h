@@ -10,13 +10,14 @@
 //   if (db.aborted(t)) { /* deadlock victim */ }
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
+#include "common/small_vector.h"
 #include "ddb/controller.h"
+#include "ddb/cycle_finder.h"
 #include "sim/simulator.h"
 
 namespace cmh::ddb {
@@ -106,9 +107,10 @@ class Cluster {
   // ---- oracle (global knowledge; valid whenever the simulator is idle) ----
 
   /// Transactions on a cycle of the global transaction-wait-for graph
-  /// (union of all sites' local wait edges).  At simulator idle this is
-  /// exactly the set of genuinely deadlocked transactions.
-  [[nodiscard]] std::vector<TransactionId> oracle_deadlocked() const;
+  /// (union of all sites' local wait edges), ascending.  At simulator idle
+  /// this is exactly the set of genuinely deadlocked transactions.  The view
+  /// is into a buffer the cluster reuses: it is valid until the next call.
+  [[nodiscard]] std::span<const TransactionId> oracle_deadlocked() const;
 
   /// Sum of controller stats across sites.
   [[nodiscard]] ControllerStats total_stats() const;
@@ -119,22 +121,36 @@ class Cluster {
   // computation"): remote agents acquire on its behalf.  All lock requests
   // therefore originate from the home agent; the holding agents' dependence
   // on the home is the release-wait edge (see controller.h).
+  // No default member initializers: SmallVector needs the type to be
+  // default-constructible while Cluster is still incomplete.
+  struct TxnLock {
+    ResourceId resource;
+    LockMode mode;
+    bool granted;
+  };
   struct TxnState {
     SiteId home;
     TxnStatus status{TxnStatus::kActive};
-    std::map<ResourceId, LockMode> requested;
-    std::set<ResourceId> granted;
+    SmallVector<TxnLock, 4> locks;  // requested locks, ascending by resource
   };
+
+  [[nodiscard]] const TxnState& state(TransactionId txn) const;
+  [[nodiscard]] TxnState& state(TransactionId txn);
 
   ClusterConfig config_;
   sim::Simulator sim_;
   std::vector<std::unique_ptr<Controller>> controllers_;
-  std::unordered_map<TransactionId, TxnState> txns_;
-  std::uint32_t next_txn_{0};
+  // Indexed by transaction id: ids are handed out densely by begin().
+  std::vector<TxnState> txns_;
   std::vector<DdbDetection> detections_;
   GrantListener grant_listener_;
   AbortListener abort_listener_;
   DetectionListener detection_listener_;
+
+  // Oracle scratch (see oracle_deadlocked()): reused across calls.
+  mutable std::vector<WaitEdge> oracle_edges_;
+  mutable std::vector<WaitEdge> oracle_site_edges_;
+  mutable CycleFinder oracle_;
 };
 
 }  // namespace cmh::ddb

@@ -1,11 +1,40 @@
+// Controller: the DDB model's per-site lock service and the section-6
+// detector (see controller.h).  State lives in flat tables and the graph
+// queries reuse owned scratch buffers, so the warmed-up request, grant and
+// probe paths make no heap allocations (tests/core/test_zero_alloc.cpp).
+// cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #include "ddb/controller.h"
 
 #include <algorithm>
-#include <deque>
+#include <stdexcept>
 
 #include "common/logging.h"
 
 namespace cmh::ddb {
+
+namespace {
+// Transaction ids are handed out densely; one this far past the highest id
+// seen is a corrupt frame, not a transaction, and must not size the table.
+constexpr std::uint64_t kMaxTxnIdGap = std::uint64_t{1} << 20;
+
+// Position of `key` in a vector of (key, value) pairs sorted by key.
+template <typename Pairs, typename Key>
+auto lower_bound_key(Pairs& pairs, const Key& key) {
+  return std::lower_bound(
+      pairs.begin(), pairs.end(), key,
+      [](const auto& entry, const Key& k) { return entry.first < k; });
+}
+
+// Sorted edge lists double as adjacency: the out-edges of `u` are the
+// contiguous run of pairs whose waiter is `u`.
+std::pair<const WaitEdge*, const WaitEdge*> out_edges(
+    const std::vector<WaitEdge>& edges, TransactionId u) {
+  const auto [lo, hi] = std::equal_range(
+      edges.data(), edges.data() + edges.size(), WaitEdge{u, u},
+      [](const WaitEdge& a, const WaitEdge& b) { return a.first < b.first; });
+  return {lo, hi};
+}
+}  // namespace
 
 Controller::Controller(SiteId id, std::uint32_t n_sites, Sender sender,
                        ResourceMap resource_map, DdbOptions options,
@@ -15,16 +44,86 @@ Controller::Controller(SiteId id, std::uint32_t n_sites, Sender sender,
       send_(std::move(sender)),
       resource_map_(std::move(resource_map)),
       options_(options),
-      timers_(std::move(timers)) {
+      timers_(std::move(timers)),
+      floor_seen_(n_sites) {
   if ((options_.initiation == DdbInitiation::kDelayed) && !timers_) {
     throw std::invalid_argument("Controller: kDelayed requires timers");
   }
 }
 
+// ---- flat tables ------------------------------------------------------------
+
+const Controller::TxnSlot* Controller::slot(TransactionId txn) const {
+  return txn.value() < txns_.size() ? &txns_[txn.value()] : nullptr;
+}
+
+bool Controller::admit(TransactionId txn) {
+  if (txn.value() >= id_horizon_ + kMaxTxnIdGap) return false;
+  id_horizon_ = std::max<std::uint64_t>(id_horizon_, txn.value() + 1ULL);
+  return true;
+}
+
+Controller::TxnSlot& Controller::slot_for(TransactionId txn) {
+  if (txn.value() >= txns_.size()) {
+    if (!admit(txn)) {
+      throw std::out_of_range("Controller: transaction id " + txn.to_string() +
+                              " far outside the dense id range");
+    }
+    txns_.resize(std::size_t{txn.value()} + 1);
+  }
+  return txns_[txn.value()];
+}
+
+Controller::Computation& Controller::computation(const DdbProbeTag& tag) {
+  const auto it = lower_bound_key(comp_index_, tag);
+  if (it != comp_index_.end() && it->first == tag) {
+    return comp_pool_[it->second];
+  }
+  std::uint32_t idx = 0;
+  if (comp_free_.empty()) {
+    idx = static_cast<std::uint32_t>(comp_pool_.size());
+    comp_pool_.emplace_back();
+  } else {
+    idx = comp_free_.back();
+    comp_free_.pop_back();
+    Computation& c = comp_pool_[idx];
+    c.floor = 0;
+    c.labelled.clear();
+    c.probes_sent.clear();
+    c.target.reset();
+    c.declared = false;
+  }
+  comp_index_.insert(it, {tag, idx});
+  return comp_pool_[idx];
+}
+
+void Controller::prune_computations(SiteId initiator, std::uint64_t floor) {
+  std::erase_if(comp_index_, [&](const auto& entry) {
+    const DdbProbeTag& tag = entry.first;
+    if (tag.initiator != initiator || tag.sequence >= floor) return false;
+    comp_free_.push_back(entry.second);
+    return true;
+  });
+}
+
+void Controller::set_own_seq(TransactionId txn, std::uint64_t seq) {
+  const auto it = lower_bound_key(own_comp_seq_, txn);
+  if (it != own_comp_seq_.end() && it->first == txn) {
+    it->second = seq;
+  } else {
+    own_comp_seq_.insert(it, {txn, seq});
+  }
+}
+
+void Controller::erase_own_seq(TransactionId txn) {
+  const auto it = lower_bound_key(own_comp_seq_, txn);
+  if (it != own_comp_seq_.end() && it->first == txn) own_comp_seq_.erase(it);
+}
+
 // ---- client API -------------------------------------------------------------
 
 bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
-  if (aborted_txns_.contains(txn)) {
+  if (const TxnSlot* s = slot(txn); s != nullptr && s->aborted) {
     // This controller already aborted txn but the client's home site has
     // not heard yet; accepting the request would recreate zombie state.
     // The abort notification is on its way; the client will retry.
@@ -51,43 +150,57 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
   // Remote resource: forward to the owning controller.  This creates the
   // inter-controller edge ((txn, here), (txn, owner)) -- grey while the
   // request is in flight (section 6.4, G3).
-  ++pending_remote_[txn][owner];
+  auto& pending = slot_for(txn).pending;
+  const auto it = std::lower_bound(
+      pending.begin(), pending.end(), owner,
+      [](const PendingRemote& p, SiteId s) { return p.site < s; });
+  if (it != pending.end() && it->site == owner) {
+    ++it->count;
+  } else {
+    pending.insert(it, PendingRemote{owner, 1});
+  }
   ++stats_.remote_requests_sent;
-  send_(owner, encode(RemoteLockRequestMsg{txn, resource, mode}));
+  send_(owner, encode_small(RemoteLockRequestMsg{txn, resource, mode}).view());
   schedule_block_check(txn);
   return false;
 }
 
-void Controller::finish(TransactionId txn) {
+void Controller::purge_local(TransactionId txn) {
   dispatch_grants(locks_.abort(txn));
-  pending_remote_.erase(txn);
-  remote_holdings_.erase(txn);
-  own_comp_seq_.erase(txn);
+  if (txn.value() < txns_.size()) {
+    TxnSlot& s = txns_[txn.value()];
+    s.pending.clear();
+    s.remote_holdings.clear();
+  }
+  erase_own_seq(txn);
+}
+
+void Controller::finish(TransactionId txn) {
+  purge_local(txn);
   // The transaction may hold locks at any site it executed at; broadcast
   // the release (a real system would piggyback a participant list, but the
   // paper's model does not provide one).
   for (std::uint32_t s = 0; s < n_sites_; ++s) {
     if (SiteId{s} == id_) continue;
     ++stats_.purges_sent;
-    send_(SiteId{s}, encode(PurgeTxnMsg{txn, /*aborted=*/false}));
+    send_(SiteId{s}, encode_small(PurgeTxnMsg{txn, /*aborted=*/false}).view());
   }
 }
 
 void Controller::abort(TransactionId txn) {
   ++stats_.aborts_executed;
-  aborted_txns_.insert(txn);
-  dispatch_grants(locks_.abort(txn));
-  pending_remote_.erase(txn);
-  remote_holdings_.erase(txn);
-  own_comp_seq_.erase(txn);
-  for (auto& [tag, comp] : computations_) comp.labelled.erase(txn);
+  slot_for(txn).aborted = true;
+  purge_local(txn);
+  for (const auto& [tag, idx] : comp_index_) {
+    comp_pool_[idx].labelled.erase(txn);
+  }
   if (on_abort_) on_abort_(txn);
   // The victim may hold state at any site (it can be another site's home
   // transaction caught on our cycle); broadcast the purge.
   for (std::uint32_t s = 0; s < n_sites_; ++s) {
     if (SiteId{s} == id_) continue;
     ++stats_.purges_sent;
-    send_(SiteId{s}, encode(PurgeTxnMsg{txn, /*aborted=*/true}));
+    send_(SiteId{s}, encode_small(PurgeTxnMsg{txn, /*aborted=*/true}).view());
   }
 }
 
@@ -96,6 +209,19 @@ void Controller::abort(TransactionId txn) {
 Status Controller::on_message(SiteId from, BytesView payload) {
   auto decoded = decode(payload);
   if (!decoded.ok()) return decoded.status();
+  const TransactionId txn = std::visit(
+      [](const auto& m) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(m)>, DdbProbeMsg>) {
+          return m.edge.to.transaction;
+        } else {
+          return m.txn;
+        }
+      },
+      *decoded);
+  if (!admit(txn)) {
+    return Status{StatusCode::kInvalidArgument,
+                  "transaction id far outside the dense id range"};
+  }
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -116,7 +242,7 @@ Status Controller::on_message(SiteId from, BytesView payload) {
 void Controller::handle_lock_request(SiteId from,
                                      const RemoteLockRequestMsg& msg) {
   ++stats_.remote_requests_received;
-  if (aborted_txns_.contains(msg.txn)) {
+  if (const TxnSlot* s = slot(msg.txn); s != nullptr && s->aborted) {
     // Zombie request from a transaction whose abort purge overtook it on a
     // different channel; granting it would wedge the resource forever.
     return;
@@ -133,7 +259,8 @@ void Controller::handle_lock_request(SiteId from,
     }
     // Granted at once: the edge whitens as the grant is sent (G5).
     ++stats_.grants_sent;
-    send_(from, encode(RemoteLockGrantMsg{msg.txn, msg.resource}));
+    send_(from,
+          encode_small(RemoteLockGrantMsg{msg.txn, msg.resource}).view());
     return;
   }
   // The forwarded request is queued: agent (txn, here) is now blocked on
@@ -143,42 +270,40 @@ void Controller::handle_lock_request(SiteId from,
 
 void Controller::handle_grant(SiteId from, const RemoteLockGrantMsg& msg) {
   ++stats_.grants_received;
-  remote_holdings_[msg.txn].insert(from);
-  const auto it = pending_remote_.find(msg.txn);
-  if (it != pending_remote_.end()) {
-    const auto jt = it->second.find(from);
-    if (jt != it->second.end() && --jt->second == 0) it->second.erase(jt);
-    if (it->second.empty()) pending_remote_.erase(it);
-  }
+  TxnSlot& s = slot_for(msg.txn);
+  s.remote_holdings.insert(from);
+  const auto it = std::find_if(
+      s.pending.begin(), s.pending.end(),
+      [from](const PendingRemote& p) { return p.site == from; });
+  if (it != s.pending.end() && --it->count == 0) s.pending.erase(it);
   if (on_grant_) on_grant_(msg.txn, msg.resource);
 }
 
 void Controller::handle_purge(SiteId /*from*/, const PurgeTxnMsg& msg) {
-  if (msg.aborted) aborted_txns_.insert(msg.txn);
-  dispatch_grants(locks_.abort(msg.txn));
-  pending_remote_.erase(msg.txn);
-  remote_holdings_.erase(msg.txn);
-  own_comp_seq_.erase(msg.txn);
-  for (auto& [tag, comp] : computations_) comp.labelled.erase(msg.txn);
+  if (msg.aborted) slot_for(msg.txn).aborted = true;
+  purge_local(msg.txn);
+  for (const auto& [tag, idx] : comp_index_) {
+    comp_pool_[idx].labelled.erase(msg.txn);
+  }
   if (msg.aborted && on_abort_) on_abort_(msg.txn);
 }
 
-void Controller::dispatch_grants(
-    const std::vector<std::pair<ResourceId, LockRequest>>& grants) {
+void Controller::dispatch_grants(const GrantList& grants) {
   for (const auto& [resource, req] : grants) {
     if (req.origin == id_) {
       if (on_grant_) on_grant_(req.txn, resource);
     } else {
       ++stats_.grants_sent;
-      send_(req.origin, encode(RemoteLockGrantMsg{req.txn, resource}));
+      send_(req.origin,
+            encode_small(RemoteLockGrantMsg{req.txn, resource}).view());
     }
   }
   // A grant reshuffles the waits-for relation: transactions still queued on
   // a granted resource now wait on the *new* holders -- an intra-controller
   // edge created without any block event.  Re-arm detection for them, or a
   // cycle closed by this reshuffle would never be probed.
-  std::set<ResourceId> touched;
-  for (const auto& [resource, req] : grants) touched.insert(resource);
+  FlatSet<ResourceId, 8> touched;
+  for (const Grant& g : grants) touched.insert(g.resource);
   for (const ResourceId resource : touched) {
     for (const TransactionId waiter : locks_.waiters(resource)) {
       schedule_block_check(waiter);
@@ -189,62 +314,58 @@ void Controller::dispatch_grants(
 // ---- detection ----------------------------------------------------------------
 
 bool Controller::blocked(TransactionId txn) const {
-  if (pending_remote_.contains(txn)) return true;
-  return !locks_.queued_for(txn).empty();
+  const TxnSlot* s = slot(txn);
+  if (s != nullptr && !s->pending.empty()) return true;
+  return locks_.queued(txn);
 }
 
-std::vector<TransactionId> Controller::incoming_black_processes() const {
-  std::set<TransactionId> result;
+void Controller::incoming_black_processes(
+    std::vector<TransactionId>& out) const {
+  out.clear();
   // A queued request forwarded from another site is precisely an incoming
   // black acquisition edge (the request was received, no grant sent).
-  for (const auto& [resource, req] : locks_.queued_requests()) {
-    if (req.origin != id_) result.insert(req.txn);
-  }
+  locks_.for_each_queued([&](ResourceId, const LockRequest& req) {
+    if (req.origin != id_) out.push_back(req.txn);
+  });
   // A blocked local process whose transaction holds resources elsewhere
   // (acquired through this controller) has incoming release-wait edges.
-  for (const auto& [txn, sites] : remote_holdings_) {
-    if (!sites.empty() && blocked(txn)) result.insert(txn);
+  for (std::uint32_t t = 0; t < txns_.size(); ++t) {
+    const TransactionId txn{t};
+    if (!txns_[t].remote_holdings.empty() && blocked(txn)) out.push_back(txn);
   }
-  return {result.begin(), result.end()};
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-std::vector<SiteId> Controller::pending_remote_sites(TransactionId txn) const {
-  std::vector<SiteId> result;
-  const auto it = pending_remote_.find(txn);
-  if (it == pending_remote_.end()) return result;
-  for (const auto& [site, count] : it->second) {
-    if (count > 0) result.push_back(site);
+FlatSet<SiteId, 8> Controller::pending_remote_sites(TransactionId txn) const {
+  FlatSet<SiteId, 8> result;
+  if (const TxnSlot* s = slot(txn)) {
+    for (const PendingRemote& p : s->pending) result.insert(p.site);
   }
-  std::sort(result.begin(), result.end());
   return result;
 }
 
-std::set<TransactionId> Controller::intra_reachable(TransactionId txn,
-                                                    bool* local_cycle) const {
-  std::unordered_map<TransactionId, std::vector<TransactionId>> adj;
-  for (const auto& [w, b] : locks_.wait_edges()) adj[w].push_back(b);
-
-  std::set<TransactionId> seen{txn};
+bool Controller::intra_reachable(TransactionId txn) {
+  locks_.wait_edges(edges_);
+  reach_.clear();
+  reach_.insert(txn);
+  frontier_.clear();
+  frontier_.push_back(txn);
   bool cycle = false;
-  std::deque<TransactionId> frontier{txn};
-  while (!frontier.empty()) {
-    const TransactionId u = frontier.front();
-    frontier.pop_front();
-    const auto it = adj.find(u);
-    if (it == adj.end()) continue;
-    for (const TransactionId v : it->second) {
+  for (std::size_t head = 0; head < frontier_.size(); ++head) {
+    const auto [lo, hi] = out_edges(edges_, frontier_[head]);
+    for (const WaitEdge* e = lo; e != hi; ++e) {
+      const TransactionId v = e->second;
       if (v == txn) cycle = true;
-      if (seen.insert(v).second) frontier.push_back(v);
+      if (reach_.insert(v)) frontier_.push_back(v);
     }
   }
-  if (local_cycle) *local_cycle = cycle;
-  return seen;
+  return cycle;
 }
 
 std::uint64_t Controller::current_floor() {
-  std::erase_if(own_comp_seq_, [&](const auto& kv) {
-    return !blocked(kv.first);
-  });
+  std::erase_if(own_comp_seq_,
+                [&](const auto& entry) { return !blocked(entry.first); });
   std::uint64_t floor = next_sequence_ + 1;
   for (const auto& [txn, seq] : own_comp_seq_) floor = std::min(floor, seq);
   return floor;
@@ -253,8 +374,7 @@ std::uint64_t Controller::current_floor() {
 std::optional<DdbProbeTag> Controller::initiate_for(TransactionId txn) {
   if (!blocked(txn)) return std::nullopt;
 
-  bool local_cycle = false;
-  auto labelled = intra_reachable(txn, &local_cycle);
+  const bool local_cycle = intra_reachable(txn);
   const DdbProbeTag tag{id_, ++next_sequence_};
   if (local_cycle) {
     // Step A0: black cycle of intra-controller edges, no probes needed.
@@ -264,15 +384,15 @@ std::optional<DdbProbeTag> Controller::initiate_for(TransactionId txn) {
   }
 
   ++stats_.computations_initiated;
-  own_comp_seq_[txn] = tag.sequence;
-  Computation& comp = computations_[tag];
+  set_own_seq(txn, tag.sequence);
+  Computation& comp = computation(tag);
   comp.target = txn;
-  comp.labelled = labelled;
+  comp.labelled = reach_;
   CMH_LOG(kDebug, "ddb") << id_ << " initiates " << tag << " for " << txn;
   // The target's own release-wait edges are suppressed here for the same
   // reason as in handle_probe; cycles genuinely passing through the
   // target's holdings are entered via another transaction's intra wait.
-  send_probes(tag, current_floor(), comp, labelled, txn);
+  send_probes(tag, current_floor(), comp, reach_, txn);
   return tag;
 }
 
@@ -282,56 +402,75 @@ std::size_t Controller::check_all() {
     // Section 6.7: a free local-cycle sweep, then Q computations -- one per
     // process with an incoming black inter-controller edge.
     detect_local_cycles();
-    for (const TransactionId txn : incoming_black_processes()) {
-      if (initiate_for(txn)) ++initiated;
-    }
+    incoming_black_processes(q_set_);
   } else {
     // Naive: one computation per blocked constituent process.
-    std::set<TransactionId> blocked_txns;
-    for (const auto& [txn, sites] : pending_remote_) blocked_txns.insert(txn);
-    for (const auto& [w, b] : locks_.wait_edges()) blocked_txns.insert(w);
-    for (const TransactionId txn : blocked_txns) {
-      if (initiate_for(txn)) ++initiated;
+    q_set_.clear();
+    for (std::uint32_t t = 0; t < txns_.size(); ++t) {
+      if (!txns_[t].pending.empty()) q_set_.push_back(TransactionId{t});
     }
+    locks_.wait_edges(edges_);
+    for (const auto& [w, b] : edges_) q_set_.push_back(w);
+    std::sort(q_set_.begin(), q_set_.end());
+    q_set_.erase(std::unique(q_set_.begin(), q_set_.end()), q_set_.end());
+  }
+  for (const TransactionId txn : q_set_) {
+    if (initiate_for(txn)) ++initiated;
   }
   return initiated;
 }
 
 bool Controller::detect_local_cycles() {
   // Find a vertex on an intra-edge cycle (if any) with iterative DFS
-  // coloring; declare the entry vertex of the first back edge found.
-  std::unordered_map<TransactionId, std::vector<TransactionId>> adj;
-  std::set<TransactionId> nodes;
-  for (const auto& [w, b] : locks_.wait_edges()) {
-    adj[w].push_back(b);
-    nodes.insert(w);
-    nodes.insert(b);
+  // coloring, roots and children in ascending order; declare the entry
+  // vertex of every back edge found.
+  locks_.wait_edges(cycle_edges_);
+  cycle_nodes_.clear();
+  for (const auto& [w, b] : cycle_edges_) {
+    cycle_nodes_.push_back(w);
+    cycle_nodes_.push_back(b);
   }
-  std::unordered_map<TransactionId, int> state;  // 0 new, 1 open, 2 done
+  std::sort(cycle_nodes_.begin(), cycle_nodes_.end());
+  cycle_nodes_.erase(std::unique(cycle_nodes_.begin(), cycle_nodes_.end()),
+                     cycle_nodes_.end());
+  const auto index_of = [this](TransactionId t) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(cycle_nodes_.begin(), cycle_nodes_.end(), t) -
+        cycle_nodes_.begin());
+  };
+  enum : std::uint8_t { kNew, kOpen, kDone };
+  cycle_state_.assign(cycle_nodes_.size(), kNew);
   bool found = false;
-  for (const TransactionId root : nodes) {
-    if (state[root] != 0) continue;
-    // Iterative DFS with explicit stack of (node, next-child-index).
-    std::vector<std::pair<TransactionId, std::size_t>> stack{{root, 0}};
-    state[root] = 1;
-    while (!stack.empty()) {
-      auto& [u, idx] = stack.back();
-      auto& children = adj[u];
-      if (idx >= children.size()) {
-        state[u] = 2;
-        stack.pop_back();
+  for (std::uint32_t root = 0; root < cycle_nodes_.size(); ++root) {
+    if (cycle_state_[root] != kNew) continue;
+    // Explicit stack of (node, position of its next out-edge).
+    cycle_stack_.clear();
+    cycle_stack_.emplace_back(
+        root, static_cast<std::size_t>(
+                  out_edges(cycle_edges_, cycle_nodes_[root]).first -
+                  cycle_edges_.data()));
+    cycle_state_[root] = kOpen;
+    while (!cycle_stack_.empty()) {
+      auto& [u, pos] = cycle_stack_.back();
+      const TransactionId ut = cycle_nodes_[u];
+      if (pos >= cycle_edges_.size() || cycle_edges_[pos].first != ut) {
+        cycle_state_[u] = kDone;
+        cycle_stack_.pop_back();
         continue;
       }
-      const TransactionId v = children[idx++];
-      if (state[v] == 1) {
+      const std::uint32_t v = index_of(cycle_edges_[pos++].second);
+      if (cycle_state_[v] == kOpen) {
         // Back edge: v is on a cycle of intra-controller edges.
         ++stats_.local_cycle_detections;
-        declare(v, DdbProbeTag{id_, ++next_sequence_});
+        declare(cycle_nodes_[v], DdbProbeTag{id_, ++next_sequence_});
         found = true;
-        state[v] = 2;  // avoid re-declaring the same cycle entry
-      } else if (state[v] == 0) {
-        state[v] = 1;
-        stack.emplace_back(v, 0);
+        cycle_state_[v] = kDone;  // avoid re-declaring the same cycle entry
+      } else if (cycle_state_[v] == kNew) {
+        cycle_state_[v] = kOpen;
+        cycle_stack_.emplace_back(
+            v, static_cast<std::size_t>(
+                   out_edges(cycle_edges_, cycle_nodes_[v]).first -
+                   cycle_edges_.data()));
       }
     }
   }
@@ -340,16 +479,19 @@ bool Controller::detect_local_cycles() {
 
 void Controller::send_probes(
     const DdbProbeTag& tag, std::uint64_t floor, Computation& comp,
-    const std::set<TransactionId>& processes,
+    const TxnSet& processes,
     std::optional<TransactionId> skip_release_wait_for) {
   for (const TransactionId txn : processes) {
     // Acquisition edges: (txn, here) awaits grants from remote controllers.
-    for (const SiteId site : pending_remote_sites(txn)) {
-      const InterEdge edge{AgentId{txn, id_}, AgentId{txn, site}};
-      if (!comp.probes_sent.insert(edge).second) continue;
-      ++stats_.probes_sent;
-      CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " acq " << edge;
-      send_(site, encode_small(DdbProbeMsg{tag, floor, edge, false}).view());
+    if (const TxnSlot* s = slot(txn)) {
+      for (const PendingRemote& p : s->pending) {
+        const InterEdge edge{AgentId{txn, id_}, AgentId{txn, p.site}};
+        if (!comp.probes_sent.insert(edge)) continue;
+        ++stats_.probes_sent;
+        CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " acq " << edge;
+        send_(p.site,
+              encode_small(DdbProbeMsg{tag, floor, edge, false}).view());
+      }
     }
     // Release-wait edges: (txn, here) holds resources acquired on behalf of
     // (txn, origin) and follows that agent's computation.  Without these
@@ -359,7 +501,7 @@ void Controller::send_probes(
     for (const SiteId origin : locks_.holding_origins(txn)) {
       if (origin == id_) continue;
       const InterEdge edge{AgentId{txn, id_}, AgentId{txn, origin}};
-      if (!comp.probes_sent.insert(edge).second) continue;
+      if (!comp.probes_sent.insert(edge)) continue;
       ++stats_.probes_sent;
       CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " rel " << edge;
       send_(origin, encode_small(DdbProbeMsg{tag, floor, edge, true}).view());
@@ -369,17 +511,16 @@ void Controller::send_probes(
 
 void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   ++stats_.probes_received;
+  if (msg.tag.initiator.value() >= n_sites_) return;  // no such controller
 
   // Stale-computation pruning (section 4.3 generalized; see messages.h).
-  auto& floor = floor_seen_[msg.tag.initiator];
-  if (msg.floor > floor) {
-    floor = msg.floor;
-    std::erase_if(computations_, [&](const auto& kv) {
-      return kv.first.initiator == msg.tag.initiator &&
-             kv.first.sequence < msg.floor;
-    });
+  FloorSeen& seen = floor_seen_[msg.tag.initiator.value()];
+  seen.seen = true;
+  if (msg.floor > seen.floor) {
+    seen.floor = msg.floor;
+    prune_computations(msg.tag.initiator, msg.floor);
   }
-  if (msg.tag.sequence < floor) return;
+  if (msg.tag.sequence < seen.floor) return;
 
   // Meaningful iff the probe's edge exists and is black at receipt: agent
   // (txn, here) still has a queued request forwarded from the probe's
@@ -389,22 +530,14 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
     return;  // malformed or misrouted
   }
   const TransactionId txn = msg.edge.to.transaction;
-  bool black = false;
-  if (msg.via_release_wait) {
-    // The sender holds for (txn, here); the holding persists at least as
-    // long as txn is blocked here (it cannot commit while blocked, and
-    // aborts purge labels anyway), so "blocked here" certifies the edge.
-    black = blocked(txn);
-  } else {
-    // Acquisition edge: still-queued forwarded request from the probe's
-    // origin site (the paper's section-6.5 check).
-    for (const auto& [resource, req] : locks_.queued_for(txn)) {
-      if (req.origin == msg.edge.from.site) {
-        black = true;
-        break;
-      }
-    }
-  }
+  // Release-wait edge: the sender holds for (txn, here); the holding
+  // persists at least as long as txn is blocked here (it cannot commit
+  // while blocked, and aborts purge labels anyway), so "blocked here"
+  // certifies the edge.  Acquisition edge: still-queued forwarded request
+  // from the probe's origin site (the paper's section-6.5 check).
+  const bool black = msg.via_release_wait
+                         ? blocked(txn)
+                         : locks_.queued_from(txn, msg.edge.from.site);
   if (!black) return;
   ++stats_.meaningful_probes;
   CMH_LOG(kDebug, "ddb") << id_ << " meaningful probe " << msg.tag
@@ -412,7 +545,7 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
                          << msg.edge << " from " << from;
   (void)from;
 
-  Computation& comp = computations_[msg.tag];
+  Computation& comp = computation(msg.tag);
   if (comp.declared) return;
 
   // Steps A1/A2: label (txn, here) and everything intra-reachable.
@@ -424,11 +557,11 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   // past this site -- and acting on them would declare wait chains that
   // never coexisted (a false deadlock).  The accumulated label set is kept
   // as the computation's record and for the per-edge probe dedup.
-  const std::set<TransactionId> fresh = intra_reachable(txn);
-  for (const TransactionId t : fresh) comp.labelled.insert(t);
+  intra_reachable(txn);
+  comp.labelled.insert(reach_.begin(), reach_.end());
 
   if (msg.tag.initiator == id_ && comp.target &&
-      fresh.contains(*comp.target)) {
+      reach_.contains(*comp.target)) {
     comp.declared = true;
     declare(*comp.target, msg.tag);
     return;
@@ -442,13 +575,13 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   // transaction's wait (an intra edge), otherwise it loops between txn's
   // own agents without any deadlock (acquisition and holding concern
   // different resources).
-  send_probes(msg.tag, msg.floor, comp, fresh, txn);
+  send_probes(msg.tag, msg.floor, comp, reach_, txn);
 }
 
 void Controller::declare(TransactionId victim, const DdbProbeTag& tag) {
   ++stats_.deadlocks_declared;
   declared_.emplace_back(victim, tag);
-  own_comp_seq_.erase(victim);
+  erase_own_seq(victim);
   CMH_LOG(kInfo, "ddb") << id_ << " declares " << victim << " deadlocked ("
                         << tag << ")";
   if (on_deadlock_) on_deadlock_(victim, tag);
@@ -482,51 +615,39 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
   locks_.mix_state_hash(h);
   mix(0xC1);  // separators between variable-length sections
 
-  std::vector<TransactionId> aborted(aborted_txns_.begin(),
-                                     aborted_txns_.end());
-  std::sort(aborted.begin(), aborted.end());
-  for (const TransactionId t : aborted) mix(t.value());
+  // The slot table iterates in transaction order, so every section below
+  // is canonical without sorting.
+  for (std::uint32_t t = 0; t < txns_.size(); ++t) {
+    if (txns_[t].aborted) mix(t);
+  }
   mix(0xC2);
 
-  std::vector<TransactionId> txns;
-  for (const auto& [txn, sites] : pending_remote_) {
-    if (!sites.empty()) txns.push_back(txn);
-  }
-  std::sort(txns.begin(), txns.end());
-  for (const TransactionId t : txns) {
-    mix(t.value());
-    std::vector<std::pair<SiteId, std::uint32_t>> sites(
-        pending_remote_.at(t).begin(), pending_remote_.at(t).end());
-    std::sort(sites.begin(), sites.end());
-    for (const auto& [site, count] : sites) {
-      mix(site.value());
-      mix(count);
+  for (std::uint32_t t = 0; t < txns_.size(); ++t) {
+    if (txns_[t].pending.empty()) continue;
+    mix(t);
+    for (const PendingRemote& p : txns_[t].pending) {
+      mix(p.site.value());
+      mix(p.count);
     }
   }
   mix(0xC3);
 
-  txns.clear();
-  for (const auto& [txn, sites] : remote_holdings_) {
-    if (!sites.empty()) txns.push_back(txn);
-  }
-  std::sort(txns.begin(), txns.end());
-  for (const TransactionId t : txns) {
-    mix(t.value());
-    for (const SiteId site : remote_holdings_.at(t)) mix(site.value());
+  for (std::uint32_t t = 0; t < txns_.size(); ++t) {
+    if (txns_[t].remote_holdings.empty()) continue;
+    mix(t);
+    for (const SiteId site : txns_[t].remote_holdings) mix(site.value());
   }
   mix(0xC4);
 
   mix(next_sequence_);
-  std::vector<std::pair<TransactionId, std::uint64_t>> own(
-      own_comp_seq_.begin(), own_comp_seq_.end());
-  std::sort(own.begin(), own.end());
-  for (const auto& [txn, seq] : own) {
+  for (const auto& [txn, seq] : own_comp_seq_) {
     mix(txn.value());
     mix(seq);
   }
   mix(0xC5);
 
-  for (const auto& [tag, comp] : computations_) {
+  for (const auto& [tag, idx] : comp_index_) {
+    const Computation& comp = comp_pool_[idx];
     mix(tag.initiator.value());
     mix(tag.sequence);
     mix(comp.floor);
@@ -541,12 +662,10 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
   }
   mix(0xC7);
 
-  std::vector<std::pair<SiteId, std::uint64_t>> floors(floor_seen_.begin(),
-                                                       floor_seen_.end());
-  std::sort(floors.begin(), floors.end());
-  for (const auto& [site, floor] : floors) {
-    mix(site.value());
-    mix(floor);
+  for (std::uint32_t s = 0; s < floor_seen_.size(); ++s) {
+    if (!floor_seen_[s].seen) continue;
+    mix(s);
+    mix(floor_seen_[s].floor);
   }
   mix(0xC8);
 

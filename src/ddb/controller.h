@@ -12,7 +12,9 @@
 //     victim-abort so examples/benches can show liveness after detection.
 //
 // Like BasicProcess, the controller is a transport-agnostic state machine;
-// callers must serialize calls per instance (the paper's atomic-step note).
+// callers must serialize calls per instance (the paper's atomic-step note),
+// and the sender and timer hooks must queue rather than call back into the
+// controller synchronously.
 //
 // Local knowledge is exactly the DDB P3: intra-controller edges and incoming
 // *black* inter-controller edges are derived from the lock queues; outgoing
@@ -21,14 +23,13 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/flat_set.h"
 #include "common/ids.h"
+#include "common/small_vector.h"
 #include "common/time.h"
 #include "ddb/lock_manager.h"
 #include "ddb/messages.h"
@@ -141,19 +142,18 @@ class Controller {
   /// an outstanding remote request.
   [[nodiscard]] bool blocked(TransactionId txn) const;
 
-  /// Intra-controller wait edges between local agents.
-  [[nodiscard]] std::vector<std::pair<TransactionId, TransactionId>>
-  intra_edges() const {
-    return locks_.wait_edges();
-  }
+  /// Intra-controller wait edges between local agents, sorted (replaces
+  /// `out`; see LockManager::wait_edges).
+  void intra_edges(std::vector<WaitEdge>& out) const { locks_.wait_edges(out); }
 
   /// Transactions with an incoming black inter-controller edge here (the Q
-  /// of section 6.7), i.e. with a queued forwarded request.
-  [[nodiscard]] std::vector<TransactionId> incoming_black_processes() const;
+  /// of section 6.7), i.e. with a queued forwarded request or a remote
+  /// holding while blocked.  Replaces `out` with them, ascending.
+  void incoming_black_processes(std::vector<TransactionId>& out) const;
 
   /// Remote sites this txn has outstanding requests toward (outgoing
-  /// inter-controller edges from (txn, this site)).
-  [[nodiscard]] std::vector<SiteId> pending_remote_sites(
+  /// inter-controller edges from (txn, this site)), ascending.
+  [[nodiscard]] FlatSet<SiteId, 8> pending_remote_sites(
       TransactionId txn) const;
 
   [[nodiscard]] const std::vector<std::pair<TransactionId, DdbProbeTag>>&
@@ -161,20 +161,53 @@ class Controller {
     return declared_;
   }
 
-  /// Folds the protocol-relevant controller state into `h` (sorted
-  /// iteration over unordered containers; stats excluded).  Used by the
-  /// exhaustive interleaving checker to fingerprint global states.
+  /// Folds the protocol-relevant controller state into `h` (canonical
+  /// iteration order; stats excluded).  Used by the exhaustive interleaving
+  /// checker to fingerprint global states.
   void mix_state_hash(std::uint64_t& h) const;
 
  private:
+  using TxnSet = FlatSet<TransactionId, 8>;
+
+  // No default member initializers: SmallVector needs the type to be
+  // default-constructible while Controller is still incomplete.
+  struct PendingRemote {
+    SiteId site;
+    std::uint32_t count;  // outstanding (unanswered) requests, > 0
+  };
+
+  // The controller's per-transaction state lives in one table indexed by
+  // transaction id (ids are dense and never reused), so every lookup on the
+  // request, grant and probe paths is an index, and the table is one heap
+  // block however many transactions pass through.
+  struct TxnSlot {
+    // Outstanding remote requests per owning site, ascending by site.
+    SmallVector<PendingRemote, 2> pending;
+    // Sites where txn holds resources acquired through this controller --
+    // i.e. this site's agent has *incoming* release-wait edges from those
+    // holdings.  Feeds the section-6.7 Q set.
+    FlatSet<SiteId, 2> remote_holdings;
+    // Tombstone: a purge broadcast can overtake a victim's in-flight lock
+    // request on a different channel; without it the zombie request would
+    // occupy the resource forever.  Ids are never reused, so tombstones are
+    // monotone-correct.
+    bool aborted{false};
+  };
+
   struct Computation {
     std::uint64_t floor{0};
-    std::set<TransactionId> labelled;
-    std::set<InterEdge> probes_sent;
+    TxnSet labelled;
+    FlatSet<InterEdge, 4> probes_sent;
     /// For computations this controller initiated: the process it is
     /// checking (the (T_i, S_j) of A0/A1).
     std::optional<TransactionId> target;
     bool declared{false};
+  };
+
+  /// Highest floor seen from one initiator; probes below it are stale.
+  struct FloorSeen {
+    std::uint64_t floor{0};
+    bool seen{false};
   };
 
   void handle_lock_request(SiteId from, const RemoteLockRequestMsg& msg);
@@ -184,13 +217,16 @@ class Controller {
 
   /// Dispatches grants produced by the lock manager (local callback or
   /// RemoteLockGrantMsg to the origin site).
-  void dispatch_grants(
-      const std::vector<std::pair<ResourceId, LockRequest>>& grants);
+  void dispatch_grants(const GrantList& grants);
 
-  /// Agents intra-reachable from `txn` (reflexive); sets `local_cycle` if
-  /// txn reaches itself through at least one edge.
-  [[nodiscard]] std::set<TransactionId> intra_reachable(
-      TransactionId txn, bool* local_cycle = nullptr) const;
+  /// Drops txn's locks, queued requests and remote bookkeeping after a
+  /// commit or an abort, dispatching the grants that frees.
+  void purge_local(TransactionId txn);
+
+  /// Replaces reach_ with the agents intra-reachable from `txn`
+  /// (reflexive); returns true iff txn reaches itself through at least one
+  /// edge (a local cycle).
+  bool intra_reachable(TransactionId txn);
 
   /// Sends probes of `comp` along all un-probed outgoing inter edges of
   /// `processes`.  Only *currently* intra-reachable processes may be passed:
@@ -209,8 +245,7 @@ class Controller {
   /// received verbatim -- stamping a forwarder's floor would corrupt the
   /// initiator's numbering at downstream receivers.
   void send_probes(const DdbProbeTag& tag, std::uint64_t floor,
-                   Computation& comp,
-                   const std::set<TransactionId>& processes,
+                   Computation& comp, const TxnSet& processes,
                    std::optional<TransactionId> skip_release_wait_for =
                        std::nullopt);
 
@@ -223,6 +258,24 @@ class Controller {
   /// Any cycle among intra edges?  Declares every process on one.
   bool detect_local_cycles();
 
+  // ---- flat tables ----------------------------------------------------------
+
+  /// Records `txn` as seen; false (and nothing recorded) for an id so far
+  /// past every id seen that it cannot be a transaction -- ids are dense,
+  /// and a corrupt frame must not size the table.
+  [[nodiscard]] bool admit(TransactionId txn);
+  [[nodiscard]] const TxnSlot* slot(TransactionId txn) const;
+  /// The slot of `txn`, growing the table on first sight of a new id.
+  [[nodiscard]] TxnSlot& slot_for(TransactionId txn);
+
+  /// The record of `tag`, created (from a recycled pool entry) if absent.
+  [[nodiscard]] Computation& computation(const DdbProbeTag& tag);
+  /// Drops the records of `initiator`'s computations below `floor`.
+  void prune_computations(SiteId initiator, std::uint64_t floor);
+
+  void set_own_seq(TransactionId txn, std::uint64_t seq);
+  void erase_own_seq(TransactionId txn);
+
   SiteId id_;
   std::uint32_t n_sites_;
   Sender send_;
@@ -231,29 +284,34 @@ class Controller {
   TimerFn timers_;
 
   LockManager locks_;
-  // Transactions known to be aborted.  A purge broadcast can overtake a
-  // victim's in-flight lock request on a different channel; without the
-  // tombstone the zombie request would occupy the resource forever.
-  // Transaction ids are never reused, so tombstones are monotone-correct.
-  std::unordered_set<TransactionId> aborted_txns_;
-  // pending_remote_[txn][site] = outstanding (unanswered) remote requests.
-  std::unordered_map<TransactionId,
-                     std::unordered_map<SiteId, std::uint32_t>>
-      pending_remote_;
-  // Sites where txn holds resources acquired through this controller --
-  // i.e. this site's agents have *incoming* release-wait edges from those
-  // holdings.  Feeds the section-6.7 Q set.
-  std::unordered_map<TransactionId, std::set<SiteId>> remote_holdings_;
+  std::vector<TxnSlot> txns_;  // indexed by transaction id
+  std::uint64_t id_horizon_{0};  // one past the highest id admitted
 
   std::uint64_t next_sequence_{0};
-  // Latest own computation per target process; the minimum over live
-  // entries is the `floor` advertised in outgoing probes.
-  std::unordered_map<TransactionId, std::uint64_t> own_comp_seq_;
-  std::map<DdbProbeTag, Computation> computations_;
-  // Highest floor seen per initiator; probes below it are stale (§4.3).
-  std::unordered_map<SiteId, std::uint64_t> floor_seen_;
+  // Latest own computation per target process, ascending by transaction;
+  // the minimum over live entries is the `floor` advertised in probes.
+  std::vector<std::pair<TransactionId, std::uint64_t>> own_comp_seq_;
+  // Computation records live in a recycled pool (their label and edge sets
+  // keep their capacity); comp_index_ maps tags to pool slots, ascending.
+  std::vector<Computation> comp_pool_;
+  std::vector<std::uint32_t> comp_free_;
+  std::vector<std::pair<DdbProbeTag, std::uint32_t>> comp_index_;
+  // Highest floor seen per initiator, indexed by site (section 4.3).
+  std::vector<FloorSeen> floor_seen_;
 
   std::vector<std::pair<TransactionId, DdbProbeTag>> declared_;
+
+  // Scratch buffers of the graph queries, reused so the warmed-up
+  // detection path allocates nothing.  Each query owns its buffers: a
+  // declaration inside detect_local_cycles() may re-enter initiate_for().
+  std::vector<WaitEdge> edges_;            // intra_reachable()
+  TxnSet reach_;                           // intra_reachable() result
+  std::vector<TransactionId> frontier_;    // intra_reachable() BFS queue
+  std::vector<WaitEdge> cycle_edges_;      // detect_local_cycles()
+  std::vector<TransactionId> cycle_nodes_;
+  std::vector<std::uint8_t> cycle_state_;
+  std::vector<std::pair<std::uint32_t, std::size_t>> cycle_stack_;
+  std::vector<TransactionId> q_set_;       // check_all()
 
   GrantCallback on_grant_;
   AbortCallback on_abort_;

@@ -1,16 +1,56 @@
+// Flat-table lock manager: one sorted row per resource ever touched, inline
+// holder lists and queues (see lock_manager.h).
+// cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #include "ddb/lock_manager.h"
 
 #include <algorithm>
 
-#include "common/flat_set.h"
-
 namespace cmh::ddb {
+
+const LockManager::Holder* LockManager::ResourceState::lower_holder(
+    TransactionId txn) const {
+  return std::lower_bound(
+      holders.begin(), holders.end(), txn,
+      [](const Holder& h, TransactionId t) { return h.txn < t; });
+}
+
+const LockManager::Holder* LockManager::ResourceState::holder(
+    TransactionId txn) const {
+  const Holder* it = lower_holder(txn);
+  return it != holders.end() && it->txn == txn ? it : nullptr;
+}
+
+LockManager::Holder* LockManager::ResourceState::holder(TransactionId txn) {
+  return const_cast<Holder*>(std::as_const(*this).holder(txn));
+}
+
+const LockManager::ResourceState* LockManager::find(
+    ResourceId resource) const {
+  const auto it = std::lower_bound(
+      table_.begin(), table_.end(), resource,
+      [](const ResourceState& rs, ResourceId r) { return rs.id < r; });
+  return it != table_.end() && it->id == resource ? &*it : nullptr;
+}
+
+LockManager::ResourceState* LockManager::find(ResourceId resource) {
+  return const_cast<ResourceState*>(std::as_const(*this).find(resource));
+}
+
+LockManager::ResourceState& LockManager::row(ResourceId resource) {
+  const auto it = std::lower_bound(
+      table_.begin(), table_.end(), resource,
+      [](const ResourceState& rs, ResourceId r) { return rs.id < r; });
+  if (it != table_.end() && it->id == resource) return *it;
+  ResourceState fresh;
+  fresh.id = resource;
+  return *table_.insert(it, std::move(fresh));
+}
 
 bool LockManager::grantable(const ResourceState& rs, const LockRequest& req,
                             std::size_t pos) {
-  for (const auto& [holder, holding] : rs.holders) {
-    if (holder == req.txn) continue;  // self-held (upgrade) never self-blocks
-    if (conflicts(holding.mode, req.mode)) return false;
+  for (const Holder& h : rs.holders) {
+    if (h.txn == req.txn) continue;  // self-held (upgrade) never self-blocks
+    if (conflicts(h.holding.mode, req.mode)) return false;
   }
   for (std::size_t i = 0; i < pos && i < rs.queue.size(); ++i) {
     const LockRequest& ahead = rs.queue[i];
@@ -22,199 +62,195 @@ bool LockManager::grantable(const ResourceState& rs, const LockRequest& req,
 
 AcquireResult LockManager::acquire(ResourceId resource, TransactionId txn,
                                    LockMode mode, SiteId origin) {
-  ResourceState& rs = resources_[resource];
+  ResourceState& rs = row(resource);
+  const LockRequest req{txn, mode, origin};
 
-  const auto held = rs.holders.find(txn);
-  if (held != rs.holders.end()) {
-    if (held->second.mode == LockMode::kWrite || mode == LockMode::kRead) {
+  if (Holder* held = rs.holder(txn)) {
+    if (held->holding.mode == LockMode::kWrite || mode == LockMode::kRead) {
       return AcquireResult::kRedundant;
     }
     // Upgrade read -> write: in place iff sole holder.  The original
     // acquisition's origin is kept.
     if (rs.holders.size() == 1) {
-      held->second.mode = LockMode::kWrite;
+      held->holding.mode = LockMode::kWrite;
       return AcquireResult::kGranted;
     }
-    rs.queue.push_back(LockRequest{txn, mode, origin});
+    rs.queue.push_back(req);
     return AcquireResult::kQueued;
   }
 
-  const LockRequest req{txn, mode, origin};
   if (grantable(rs, req, rs.queue.size())) {
-    rs.holders.emplace(txn, Holding{mode, origin});
+    rs.holders.insert(rs.lower_holder(txn), Holder{txn, Holding{mode, origin}});
     return AcquireResult::kGranted;
   }
   rs.queue.push_back(req);
   return AcquireResult::kQueued;
 }
 
-std::vector<LockRequest> LockManager::grant_eligible(ResourceState& rs) {
-  std::vector<LockRequest> granted;
+template <typename F>
+void LockManager::grant_eligible(ResourceState& rs, F&& on_grant) {
   bool progressed = true;
   while (progressed) {
     progressed = false;
     for (std::size_t i = 0; i < rs.queue.size(); ++i) {
       const LockRequest req = rs.queue[i];
       if (!grantable(rs, req, i)) continue;
-      rs.queue.erase(rs.queue.begin() + static_cast<std::ptrdiff_t>(i));
-      auto [it, inserted] =
-          rs.holders.emplace(req.txn, Holding{req.mode, req.origin});
-      if (!inserted && req.mode == LockMode::kWrite) {
-        it->second.mode = LockMode::kWrite;  // queued upgrade completes
+      rs.queue.erase(rs.queue.begin() + i);
+      if (Holder* held = rs.holder(req.txn)) {
+        // A queued upgrade completes.
+        if (req.mode == LockMode::kWrite) held->holding.mode = LockMode::kWrite;
+      } else {
+        rs.holders.insert(rs.lower_holder(req.txn),
+                          Holder{req.txn, Holding{req.mode, req.origin}});
       }
-      granted.push_back(req);
+      on_grant(req);
       progressed = true;
       break;  // holders changed; rescan from the front
     }
   }
+}
+
+RequestList LockManager::release(ResourceId resource, TransactionId txn) {
+  RequestList granted;
+  ResourceState* rs = find(resource);
+  const Holder* held = rs != nullptr ? rs->holder(txn) : nullptr;
+  if (held == nullptr) return granted;
+  rs->holders.erase(held);
+  grant_eligible(*rs, [&](const LockRequest& r) { granted.push_back(r); });
   return granted;
 }
 
-std::vector<LockRequest> LockManager::release(ResourceId resource,
-                                              TransactionId txn) {
-  const auto it = resources_.find(resource);
-  if (it == resources_.end()) return {};
-  ResourceState& rs = it->second;
-  if (rs.holders.erase(txn) == 0) return {};
-  auto granted = grant_eligible(rs);
-  if (rs.holders.empty() && rs.queue.empty()) resources_.erase(it);
-  return granted;
-}
-
-std::vector<std::pair<ResourceId, LockRequest>> LockManager::abort(
-    TransactionId txn) {
-  std::vector<std::pair<ResourceId, LockRequest>> granted;
-  std::vector<ResourceId> empty;
-  for (auto& [resource, rs] : resources_) {
-    const bool held = rs.holders.erase(txn) > 0;
-    const auto old_size = rs.queue.size();
-    rs.queue.erase(std::remove_if(rs.queue.begin(), rs.queue.end(),
-                                  [&](const LockRequest& r) {
-                                    return r.txn == txn;
-                                  }),
-                   rs.queue.end());
-    if (held || rs.queue.size() != old_size) {
-      for (LockRequest& g : grant_eligible(rs)) {
-        granted.emplace_back(resource, std::move(g));
-      }
+GrantList LockManager::abort(TransactionId txn) {
+  GrantList granted;
+  for (ResourceState& rs : table_) {
+    bool changed = false;
+    if (const Holder* held = rs.holder(txn)) {
+      rs.holders.erase(held);
+      changed = true;
     }
-    if (rs.holders.empty() && rs.queue.empty()) empty.push_back(resource);
+    const auto own = [txn](const LockRequest& r) { return r.txn == txn; };
+    if (rs.queue.erase_if(own) > 0) changed = true;
+    if (changed) {
+      grant_eligible(rs, [&](const LockRequest& r) {
+        granted.push_back(Grant{rs.id, r});
+      });
+    }
   }
-  for (const ResourceId r : empty) resources_.erase(r);
   return granted;
 }
 
 bool LockManager::holds(ResourceId resource, TransactionId txn) const {
-  const auto it = resources_.find(resource);
-  return it != resources_.end() && it->second.holders.contains(txn);
+  const ResourceState* rs = find(resource);
+  return rs != nullptr && rs->holder(txn) != nullptr;
 }
 
 std::optional<LockMode> LockManager::held_mode(ResourceId resource,
                                                TransactionId txn) const {
-  const auto it = resources_.find(resource);
-  if (it == resources_.end()) return std::nullopt;
-  const auto jt = it->second.holders.find(txn);
-  if (jt == it->second.holders.end()) return std::nullopt;
-  return jt->second.mode;
+  const ResourceState* rs = find(resource);
+  const Holder* held = rs != nullptr ? rs->holder(txn) : nullptr;
+  if (held == nullptr) return std::nullopt;
+  return held->holding.mode;
 }
 
 bool LockManager::waiting(ResourceId resource, TransactionId txn) const {
-  const auto it = resources_.find(resource);
-  if (it == resources_.end()) return false;
-  return std::any_of(it->second.queue.begin(), it->second.queue.end(),
+  const ResourceState* rs = find(resource);
+  return rs != nullptr &&
+         std::any_of(rs->queue.begin(), rs->queue.end(),
                      [&](const LockRequest& r) { return r.txn == txn; });
+}
+
+bool LockManager::queued(TransactionId txn) const {
+  for (const ResourceState& rs : table_) {
+    for (const LockRequest& r : rs.queue) {
+      if (r.txn == txn) return true;
+    }
+  }
+  return false;
+}
+
+bool LockManager::queued_from(TransactionId txn, SiteId origin) const {
+  for (const ResourceState& rs : table_) {
+    for (const LockRequest& r : rs.queue) {
+      if (r.txn == txn && r.origin == origin) return true;
+    }
+  }
+  return false;
 }
 
 std::vector<ResourceId> LockManager::held_by(TransactionId txn) const {
   std::vector<ResourceId> result;
-  for (const auto& [resource, rs] : resources_) {
-    if (rs.holders.contains(txn)) result.push_back(resource);
+  for (const ResourceState& rs : table_) {
+    if (rs.holder(txn) != nullptr) result.push_back(rs.id);
   }
-  std::sort(result.begin(), result.end());
   return result;
 }
 
-std::vector<std::pair<TransactionId, TransactionId>> LockManager::wait_edges()
-    const {
-  std::vector<std::pair<TransactionId, TransactionId>> edges;
-  for (const auto& [resource, rs] : resources_) {
+void LockManager::wait_edges(std::vector<WaitEdge>& out) const {
+  out.clear();
+  for (const ResourceState& rs : table_) {
     for (std::size_t i = 0; i < rs.queue.size(); ++i) {
       const LockRequest& w = rs.queue[i];
-      for (const auto& [holder, holding] : rs.holders) {
-        if (holder != w.txn && conflicts(holding.mode, w.mode)) {
-          edges.emplace_back(w.txn, holder);
+      for (const Holder& h : rs.holders) {
+        if (h.txn != w.txn && conflicts(h.holding.mode, w.mode)) {
+          out.emplace_back(w.txn, h.txn);
         }
       }
       for (std::size_t j = 0; j < i; ++j) {
         const LockRequest& ahead = rs.queue[j];
         if (ahead.txn != w.txn && conflicts(ahead.mode, w.mode)) {
-          edges.emplace_back(w.txn, ahead.txn);
+          out.emplace_back(w.txn, ahead.txn);
         }
       }
     }
   }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return edges;
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-std::vector<SiteId> LockManager::holding_origins(TransactionId txn) const {
-  // Sorted flat set: the origin count is tiny (bounded by the site count a
-  // transaction touched), so contiguous storage beats a node-based set.
+FlatSet<SiteId, 8> LockManager::holding_origins(TransactionId txn) const {
   FlatSet<SiteId, 8> origins;
-  for (const auto& [resource, rs] : resources_) {
-    const auto it = rs.holders.find(txn);
-    if (it != rs.holders.end()) origins.insert(it->second.origin);
-  }
-  return {origins.begin(), origins.end()};
-}
-
-std::vector<std::pair<ResourceId, LockRequest>> LockManager::queued_for(
-    TransactionId txn) const {
-  std::vector<std::pair<ResourceId, LockRequest>> result;
-  for (const auto& [resource, rs] : resources_) {
-    for (const LockRequest& r : rs.queue) {
-      if (r.txn == txn) result.emplace_back(resource, r);
+  for (const ResourceState& rs : table_) {
+    if (const Holder* held = rs.holder(txn)) {
+      origins.insert(held->holding.origin);
     }
   }
-  return result;
+  return origins;
 }
 
 std::vector<std::pair<ResourceId, LockRequest>> LockManager::queued_requests()
     const {
   std::vector<std::pair<ResourceId, LockRequest>> result;
-  for (const auto& [resource, rs] : resources_) {
-    for (const LockRequest& r : rs.queue) result.emplace_back(resource, r);
-  }
+  for_each_queued([&](ResourceId resource, const LockRequest& r) {
+    result.emplace_back(resource, r);
+  });
   return result;
 }
 
 std::size_t LockManager::queue_depth(ResourceId resource) const {
-  const auto it = resources_.find(resource);
-  return it == resources_.end() ? 0 : it->second.queue.size();
+  const ResourceState* rs = find(resource);
+  return rs == nullptr ? 0 : rs->queue.size();
 }
 
-std::vector<TransactionId> LockManager::blockers(ResourceId resource,
-                                                 TransactionId txn,
-                                                 LockMode mode) const {
+FlatSet<TransactionId, 8> LockManager::blockers(ResourceId resource,
+                                                TransactionId txn,
+                                                LockMode mode) const {
   FlatSet<TransactionId, 8> result;
-  const auto it = resources_.find(resource);
-  if (it == resources_.end()) return {};
-  for (const auto& [holder, holding] : it->second.holders) {
-    if (holder != txn && conflicts(holding.mode, mode)) result.insert(holder);
+  const ResourceState* rs = find(resource);
+  if (rs == nullptr) return result;
+  for (const Holder& h : rs->holders) {
+    if (h.txn != txn && conflicts(h.holding.mode, mode)) result.insert(h.txn);
   }
-  for (const LockRequest& r : it->second.queue) {
+  for (const LockRequest& r : rs->queue) {
     if (r.txn != txn && conflicts(r.mode, mode)) result.insert(r.txn);
   }
-  return {result.begin(), result.end()};
+  return result;
 }
 
-std::vector<TransactionId> LockManager::waiters(ResourceId resource) const {
-  std::vector<TransactionId> result;
-  const auto it = resources_.find(resource);
-  if (it == resources_.end()) return result;
-  result.reserve(it->second.queue.size());
-  for (const LockRequest& r : it->second.queue) result.push_back(r.txn);
+TxnList LockManager::waiters(ResourceId resource) const {
+  TxnList result;
+  const ResourceState* rs = find(resource);
+  if (rs == nullptr) return result;
+  for (const LockRequest& r : rs->queue) result.push_back(r.txn);
   return result;
 }
 
@@ -222,25 +258,15 @@ void LockManager::mix_state_hash(std::uint64_t& h) const {
   const auto mix = [&h](std::uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   };
-  std::vector<ResourceId> ids;
-  ids.reserve(resources_.size());
-  for (const auto& [id, rs] : resources_) {
-    // Empty entries (everything released) are behaviorally identical to
-    // absent ones; skip them so equivalent states hash equal.
-    if (!rs.holders.empty() || !rs.queue.empty()) ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const ResourceId id : ids) {
-    const ResourceState& rs = resources_.at(id);
-    mix(id.value());
-    std::vector<std::pair<TransactionId, Holding>> holders(
-        rs.holders.begin(), rs.holders.end());
-    std::sort(holders.begin(), holders.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [txn, holding] : holders) {
-      mix(txn.value());
-      mix(static_cast<std::uint64_t>(holding.mode));
-      mix(holding.origin.value());
+  for (const ResourceState& rs : table_) {
+    // Idle rows (everything released) are behaviorally identical to absent
+    // ones; skip them so equivalent states hash equal.
+    if (rs.idle()) continue;
+    mix(rs.id.value());
+    for (const Holder& holder : rs.holders) {
+      mix(holder.txn.value());
+      mix(static_cast<std::uint64_t>(holder.holding.mode));
+      mix(holder.holding.origin.value());
     }
     mix(0xD1);  // holders/queue separator
     for (const LockRequest& r : rs.queue) {

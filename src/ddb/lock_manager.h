@@ -10,15 +10,17 @@
 // The manager also derives the local waits-for relation used for the
 // intra-controller edges of section 6.4: a blocked request waits for every
 // conflicting holder and every conflicting earlier waiter.
+// cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/flat_set.h"
 #include "common/ids.h"
+#include "common/small_vector.h"
 #include "common/status.h"
 #include "ddb/types.h"
 
@@ -49,6 +51,23 @@ struct Holding {
   SiteId origin;
 };
 
+/// A queued request that became a holding.
+struct Grant {
+  ResourceId resource;
+  LockRequest request;
+};
+
+/// A local waits-for pair (waiter, blocker) over transactions.
+using WaitEdge = std::pair<TransactionId, TransactionId>;
+
+/// Results are returned in small inline containers: the common case (a
+/// handful of grants, waiters or blockers) costs no heap traffic, and a
+/// result owned by the caller's frame stays valid when a callback it
+/// triggers re-enters the manager.
+using GrantList = SmallVector<Grant, 8>;
+using RequestList = SmallVector<LockRequest, 8>;
+using TxnList = SmallVector<TransactionId, 8>;
+
 class LockManager {
  public:
   /// Requests `mode` on `resource` for `txn`.  Never blocks the caller;
@@ -58,11 +77,12 @@ class LockManager {
 
   /// Releases txn's hold on `resource` (no-op if not held) and grants any
   /// now-eligible queued requests, returning them in grant order.
-  std::vector<LockRequest> release(ResourceId resource, TransactionId txn);
+  RequestList release(ResourceId resource, TransactionId txn);
 
   /// Releases everything txn holds and cancels its queued requests.
-  /// Returns the requests newly granted to *other* transactions.
-  std::vector<std::pair<ResourceId, LockRequest>> abort(TransactionId txn);
+  /// Returns the requests newly granted to *other* transactions, in
+  /// ascending resource order (then grant order).
+  GrantList abort(TransactionId txn);
 
   // ---- queries ------------------------------------------------------------
 
@@ -71,21 +91,33 @@ class LockManager {
                                                   TransactionId txn) const;
   [[nodiscard]] bool waiting(ResourceId resource, TransactionId txn) const;
 
-  /// Resources txn currently holds.
+  /// True iff txn has a queued request on any resource.
+  [[nodiscard]] bool queued(TransactionId txn) const;
+
+  /// True iff txn has a queued request forwarded from `origin`.
+  [[nodiscard]] bool queued_from(TransactionId txn, SiteId origin) const;
+
+  /// Resources txn currently holds, ascending.
   [[nodiscard]] std::vector<ResourceId> held_by(TransactionId txn) const;
 
   /// Origin sites of txn's local holdings (deduplicated, sorted) -- the
   /// targets of its outgoing release-wait edges.
-  [[nodiscard]] std::vector<SiteId> holding_origins(TransactionId txn) const;
+  [[nodiscard]] FlatSet<SiteId, 8> holding_origins(TransactionId txn) const;
 
-  /// The local waits-for relation: pairs (waiter, blocker) over
-  /// transactions, derived from every queue (section 6.4 intra edges).
-  [[nodiscard]] std::vector<std::pair<TransactionId, TransactionId>>
-  wait_edges() const;
+  /// The local waits-for relation over transactions, derived from every
+  /// queue (section 6.4 intra edges): replaces `out` with the pairs, sorted
+  /// and deduplicated.  `out` keeps its capacity, so a caller reusing one
+  /// buffer allocates nothing once it is warm.
+  void wait_edges(std::vector<WaitEdge>& out) const;
 
-  /// Pending (queued) requests for a given transaction, with resources.
-  [[nodiscard]] std::vector<std::pair<ResourceId, LockRequest>> queued_for(
-      TransactionId txn) const;
+  /// Calls f(resource, request) for every queued request, in ascending
+  /// resource order and FIFO order within a resource.
+  template <typename F>
+  void for_each_queued(F&& f) const {
+    for (const ResourceState& rs : table_) {
+      for (const LockRequest& r : rs.queue) f(rs.id, r);
+    }
+  }
 
   /// Every pending (queued) request across all resources.
   [[nodiscard]] std::vector<std::pair<ResourceId, LockRequest>>
@@ -94,36 +126,60 @@ class LockManager {
   [[nodiscard]] std::size_t queue_depth(ResourceId resource) const;
 
   /// Transactions currently queued on `resource` (FIFO order).
-  [[nodiscard]] std::vector<TransactionId> waiters(ResourceId resource) const;
+  [[nodiscard]] TxnList waiters(ResourceId resource) const;
 
   /// Transactions a hypothetical request (txn, mode) on `resource` would
   /// wait for right now: conflicting holders and conflicting queued
   /// requests.  Used by the harness oracle to account for in-flight (grey)
   /// requests.
-  [[nodiscard]] std::vector<TransactionId> blockers(ResourceId resource,
-                                                    TransactionId txn,
-                                                    LockMode mode) const;
+  [[nodiscard]] FlatSet<TransactionId, 8> blockers(ResourceId resource,
+                                                   TransactionId txn,
+                                                   LockMode mode) const;
 
-  /// Folds holders and queues into `h` (sorted iteration, so the value is
-  /// independent of hash-map ordering).  Used by the exhaustive
-  /// interleaving checker to fingerprint states.
+  /// Folds holders and queues into `h` (ascending resource and holder
+  /// order).  Used by the exhaustive interleaving checker to fingerprint
+  /// states.
   void mix_state_hash(std::uint64_t& h) const;
 
  private:
+  struct Holder {
+    TransactionId txn;
+    Holding holding;
+  };
+
+  // One row of the flat resource table.  Rows are never removed: a
+  // released resource keeps its (empty) row and its capacity, so lock
+  // churn on a working set of resources allocates nothing.
   struct ResourceState {
-    // Holders: transaction -> holding.  Multiple readers, or one writer.
-    std::unordered_map<TransactionId, Holding> holders;
-    std::deque<LockRequest> queue;
+    ResourceId id;
+    // Multiple readers, or one writer; sorted by transaction.
+    SmallVector<Holder, 4> holders;
+    SmallVector<LockRequest, 8> queue;  // FIFO
+
+    /// First holder not ordered before `txn` (its insertion point).
+    [[nodiscard]] const Holder* lower_holder(TransactionId txn) const;
+    [[nodiscard]] const Holder* holder(TransactionId txn) const;
+    [[nodiscard]] Holder* holder(TransactionId txn);
+    [[nodiscard]] bool idle() const { return holders.empty() && queue.empty(); }
   };
 
   /// True iff `req` (at queue position `pos`) can be granted now.
   [[nodiscard]] static bool grantable(const ResourceState& rs,
                                       const LockRequest& req, std::size_t pos);
 
-  /// Pops every grantable request from the front region of the queue.
-  std::vector<LockRequest> grant_eligible(ResourceState& rs);
+  /// Pops every grantable request from the front region of the queue,
+  /// calling on_grant(request) for each in grant order.
+  template <typename F>
+  static void grant_eligible(ResourceState& rs, F&& on_grant);
 
-  std::unordered_map<ResourceId, ResourceState> resources_;
+  [[nodiscard]] const ResourceState* find(ResourceId resource) const;
+  [[nodiscard]] ResourceState* find(ResourceId resource);
+  /// The row of `resource`, created (in sorted position) on first use.
+  [[nodiscard]] ResourceState& row(ResourceId resource);
+
+  // Sorted by resource id: lookups are a binary search over contiguous
+  // rows, and every traversal runs in canonical resource order.
+  std::vector<ResourceState> table_;
 };
 
 }  // namespace cmh::ddb

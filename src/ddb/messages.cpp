@@ -20,17 +20,9 @@ void put_probe(W& w, const DdbProbeMsg& m) {
   w.agent(m.edge.to);
   w.u8(m.via_release_wait ? 1 : 0);
 }
-}  // namespace
 
-DdbFrame encode_small(const DdbProbeMsg& m) {
-  DdbFrame f;
-  put_probe(f, m);
-  return f;
-}
-
-void encode_into(const DdbMessage& msg, Bytes& out) {
-  Writer w(out);
-  w.reserve(kDdbFrameCapacity);
+template <typename W>
+void put(W& w, const DdbMessage& msg) {
   std::visit(
       [&w](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -52,6 +44,25 @@ void encode_into(const DdbMessage& msg, Bytes& out) {
         }
       },
       msg);
+}
+}  // namespace
+
+DdbFrame encode_small(const DdbProbeMsg& m) {
+  DdbFrame f;
+  put_probe(f, m);
+  return f;
+}
+
+DdbFrame encode_small(const DdbMessage& msg) {
+  DdbFrame f;
+  put(f, msg);
+  return f;
+}
+
+void encode_into(const DdbMessage& msg, Bytes& out) {
+  Writer w(out);
+  w.reserve(kDdbFrameCapacity);
+  put(w, msg);
 }
 
 Bytes encode(const DdbMessage& msg) {

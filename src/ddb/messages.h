@@ -72,6 +72,10 @@ using DdbFrame = StackWriter<kDdbFrameCapacity>;
 
 [[nodiscard]] DdbFrame encode_small(const DdbProbeMsg& m);
 
+/// Any DDB message as a stack frame: the controller's whole send path
+/// (requests, grants, purges, probes) encodes without touching the heap.
+[[nodiscard]] DdbFrame encode_small(const DdbMessage& msg);
+
 /// Serializes `msg` into `out` (cleared first; capacity retained).
 void encode_into(const DdbMessage& msg, Bytes& out);
 

@@ -1,6 +1,7 @@
 #include "ddb/workload.h"
 
 #include <algorithm>
+#include <set>
 
 namespace cmh::ddb {
 

@@ -358,8 +358,13 @@ void TcpTransport::start() {
 }
 
 void TcpTransport::stop() {
-  if (!started_.exchange(false)) return;
-  stopping_ = true;
+  if (!started_.load(std::memory_order_acquire)) return;
+  // Raise stopping_ *before* clearing started_: a deliverer thread sending
+  // from a handler in between would otherwise take the transport for one
+  // that was never started and throw.  The exchange also makes concurrent
+  // stop() calls run the teardown once.
+  if (stopping_.exchange(true)) return;
+  started_.store(false, std::memory_order_release);
 
   // Poison every channel so senders that raced past the stopping_ check
   // drop instead of scheduling work on a dying loop, and queued frames are
@@ -419,6 +424,9 @@ void TcpTransport::close_listener(NodeId node) {
 void TcpTransport::send(NodeId from, NodeId to, BytesView payload) {
   if (stopping_) return;  // shutting down; drops are acceptable
   if (!started_.load(std::memory_order_acquire)) {
+    // stop() raises stopping_ before clearing started_, so a send that saw
+    // the cleared flag and then finds stopping_ raced a stop(): drop it.
+    if (stopping_) return;
     throw std::logic_error("TcpTransport::send: transport not started");
   }
   if (from >= node_index_.size() || to >= node_index_.size()) {

@@ -6,10 +6,14 @@
 // This queue exploits the structure of simulated time instead:
 //
 //   * Near future: a ring of `kBuckets` fixed-width time buckets.  Inserts
-//     drop into their bucket unsorted (one push_back); the consumer sorts a
+//     drop into their bucket unsorted (one append); the consumer sorts a
 //     bucket only when virtual time reaches it.  With bucket width tuned to
 //     the delay model, buckets stay small and every event pays O(1) amortized
-//     plus its share of one small sort.
+//     plus its share of one small sort.  The buckets are FIFO chains of
+//     fixed-size chunks from one shared pool, not a vector each: a queue
+//     holds a handful of heap blocks whatever the ring size, so building
+//     and tearing one down leaves no trail of small frees for the
+//     allocator to consolidate.
 //   * Far future: an unsorted overflow list.  When the ring drains past its
 //     horizon, the ring re-anchors at the earliest overflow entry and the
 //     bucket width re-tunes to the overflow span, so far-out timers cost one
@@ -23,8 +27,8 @@
 // determinism.  The bucket width only shapes *where* entries wait, never the
 // order they leave, so retuning is invisible to the schedule.
 //
-// Steady state allocates nothing: buckets, the active run, the near heap and
-// the overflow list all recycle their capacity.
+// Steady state allocates nothing: the chunk pool, the active run, the near
+// heap and the overflow list all recycle their capacity.
 // cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #pragma once
 
@@ -69,7 +73,8 @@ class EventQueue {
   /// the queue re-tunes itself whenever it re-anchors from overflow.
   explicit EventQueue(std::int64_t width_hint_us = 4) {
     wlog_ = width_log2_for(width_hint_us);
-    buckets_.resize(kBuckets);
+    head_.fill(kNil);
+    tail_.fill(kNil);
   }
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -92,8 +97,7 @@ class EventQueue {
     } else if (t - base_ < ring_span()) {
       std::size_t idx = (cur_ + static_cast<std::size_t>((t - base_) >> wlog_)) &
                         (kBuckets - 1);
-      buckets_[idx].push_back(e);
-      occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+      append(idx, e);
     } else {
       overflow_.push_back(e);
     }
@@ -138,6 +142,16 @@ class EventQueue {
 
  private:
   static constexpr std::size_t kBuckets = 256;  // power of two
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  // A bucket is a chain of chunks in insertion order; entries within a
+  // chunk are contiguous, so appending and draining stay sequential.
+  static constexpr std::uint32_t kChunkEntries = 8;
+  struct Chunk {
+    std::array<Entry, kChunkEntries> entries;
+    std::uint32_t size;
+    std::uint32_t next;
+  };
 
   // Functor comparators: passing key_before by name decays to a function
   // pointer, which std::sort/push_heap cannot inline -- measured at ~25% of
@@ -166,7 +180,7 @@ class EventQueue {
 
   /// Distance (in buckets) from cur_ to the next occupied bucket, scanning
   /// the occupancy bitmap cyclically; kBuckets when the whole ring is empty.
-  /// (Walking the 256 bucket vectors directly costs a cache miss per empty
+  /// (Walking the 256 bucket heads directly costs a cache miss per empty
   /// bucket, which dominates sparse workloads; four bitmap words don't.)
   [[nodiscard]] std::size_t next_occupied_distance() const {
     std::size_t d = 0;
@@ -188,6 +202,32 @@ class EventQueue {
     return kBuckets;
   }
 
+  /// Appends `e` to bucket `idx`, opening a chunk (a recycled one when the
+  /// free chain has any) when the bucket's last chunk is full.
+  void append(std::size_t idx, const Entry& e) {
+    std::uint32_t t = tail_[idx];
+    if (t == kNil || pool_[t].size == kChunkEntries) {
+      std::uint32_t n = free_;
+      if (n != kNil) {
+        free_ = pool_[n].next;
+      } else {
+        n = static_cast<std::uint32_t>(pool_.size());
+        pool_.emplace_back();
+      }
+      pool_[n].size = 0;
+      pool_[n].next = kNil;
+      if (t == kNil) {
+        head_[idx] = n;
+      } else {
+        pool_[t].next = n;
+      }
+      tail_[idx] = t = n;
+    }
+    Chunk& c = pool_[t];
+    c.entries[c.size++] = e;
+    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+  }
+
   /// Ensures the next entry (if any) is reachable via active_/near_.
   void prepare() {
     if (active_pos_ < active_.size() || !near_.empty() || size_ == 0) return;
@@ -196,11 +236,20 @@ class EventQueue {
       if (d < kBuckets) {
         cur_ = (cur_ + d) & (kBuckets - 1);
         base_ += static_cast<std::int64_t>(d) * width();
-        // Consume this bucket as the sorted active run.  Inserts landing in
-        // its time range from now on go to near_ (insert() routes anything
-        // below base_ + width there), so the merged order stays exact.
-        std::swap(active_, buckets_[cur_]);
-        buckets_[cur_].clear();
+        // Consume this bucket as the sorted active run (its chunk chain goes
+        // back to the free chain whole).  Inserts landing in its time range
+        // from now on go to near_ (insert() routes anything below base_ +
+        // width there), so the merged order stays exact.
+        active_.clear();
+        for (std::uint32_t n = head_[cur_]; n != kNil; n = pool_[n].next) {
+          const Chunk& c = pool_[n];
+          active_.insert(active_.end(), c.entries.begin(),
+                         c.entries.begin() + c.size);
+        }
+        pool_[tail_[cur_]].next = free_;
+        free_ = head_[cur_];
+        head_[cur_] = kNil;
+        tail_[cur_] = kNil;
         occupied_[cur_ >> 6] &= ~(std::uint64_t{1} << (cur_ & 63));
         active_pos_ = 0;
         // Handlers run in key order and their sends append in that same
@@ -245,8 +294,7 @@ class EventQueue {
         std::size_t idx =
             static_cast<std::size_t>((e.time.micros - base_) >> wlog_) &
             (kBuckets - 1);
-        buckets_[idx].push_back(e);
-        occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+        append(idx, e);
       } else {
         overflow_keep_.push_back(e);
       }
@@ -254,7 +302,10 @@ class EventQueue {
     overflow_.swap(overflow_keep_);
   }
 
-  std::vector<std::vector<Entry>> buckets_;
+  std::vector<Chunk> pool_;      // every bucket's chunks, one backing store
+  std::uint32_t free_{kNil};     // free-chunk chain through Chunk::next
+  std::array<std::uint32_t, kBuckets> head_;  // per-bucket chain ends
+  std::array<std::uint32_t, kBuckets> tail_;
   std::array<std::uint64_t, kBuckets / 64> occupied_{};  // non-empty buckets
   std::vector<Entry> active_;   // sorted run of the bucket being consumed
   std::size_t active_pos_{0};

@@ -69,6 +69,50 @@ TEST(DdbCluster, QueuedRemoteGrantArrivesAfterRelease) {
   EXPECT_TRUE(db.granted(t2, r));
 }
 
+// A stale declaration can name a transaction that has already committed:
+// probes of an older computation were still in flight when its cycle
+// dissolved.  The declaring site aborts it and broadcasts a purge with
+// aborted=true; when that purge (or the declaration itself, at the home
+// site) reaches the home controller, the commit must stand and the abort
+// listener must stay silent -- only an active transaction can be a victim.
+TEST(DdbCluster, StaleDeclarationCannotAbortCommittedTransaction) {
+  Cluster db({.n_sites = 2, .n_resources = 8, .options = manual_opts(true)});
+  std::vector<TransactionId> aborted;
+  db.set_abort_listener([&](TransactionId t) { aborted.push_back(t); });
+  const auto t = db.begin(SiteId{0});
+  const auto r = at_site(1, 0, 2);
+  db.lock(t, r, LockMode::kWrite);
+  db.simulator().run();
+  ASSERT_TRUE(db.granted(t, r));
+  db.finish(t);
+  db.simulator().run();
+  ASSERT_EQ(db.status(t), TxnStatus::kCommitted);
+
+  // The remote site's stale victim abort: its purge reaches home site 0.
+  db.controller(SiteId{1}).abort(t);
+  db.simulator().run();
+  EXPECT_EQ(db.status(t), TxnStatus::kCommitted);
+  // The home site's own stale declaration.
+  db.controller(SiteId{0}).abort(t);
+  db.simulator().run();
+  EXPECT_EQ(db.status(t), TxnStatus::kCommitted);
+  EXPECT_TRUE(aborted.empty());
+}
+
+// Two sites can declare the same victim; the transaction is aborted once.
+TEST(DdbCluster, VictimDeclaredTwiceAbortsOnce) {
+  Cluster db({.n_sites = 2, .n_resources = 8, .options = manual_opts(true)});
+  std::vector<TransactionId> aborted;
+  db.set_abort_listener([&](TransactionId t) { aborted.push_back(t); });
+  const auto t = db.begin(SiteId{0});
+  db.lock(t, at_site(1, 0, 2), LockMode::kWrite);
+  db.controller(SiteId{1}).abort(t);
+  db.controller(SiteId{0}).abort(t);
+  db.simulator().run();
+  EXPECT_EQ(db.status(t), TxnStatus::kAborted);
+  EXPECT_EQ(aborted, (std::vector<TransactionId>{t}));
+}
+
 TEST(DdbCluster, LocalCycleDetectedWithoutProbes) {
   // Two local transactions at the same site deadlock over r0 and r2
   // (both site-0 resources): A0's intra-controller check catches it.

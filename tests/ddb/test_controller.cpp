@@ -126,7 +126,8 @@ TEST(Controller, RemoteLockForwardedAndGranted) {
   const ResourceId r = res_at(1, 0, 2);
   EXPECT_FALSE(rig.c(0).lock(t1, r, LockMode::kWrite));
   EXPECT_EQ(rig.pending(0, 1), 1u);  // RemoteLockRequest in flight
-  EXPECT_EQ(rig.c(0).pending_remote_sites(t1), (std::vector<SiteId>{SiteId{1}}));
+  EXPECT_EQ(rig.c(0).pending_remote_sites(t1),
+            (FlatSet<SiteId, 8>{SiteId{1}}));
   rig.deliver_all();  // request lands, grant returns
   EXPECT_TRUE(rig.c(1).locks().holds(r, t1));
   EXPECT_TRUE(rig.c(0).pending_remote_sites(t1).empty());
@@ -364,7 +365,8 @@ TEST(ControllerProbe, CheckAllQSetListsForwardedWaiters) {
   ResourceId rA, rB;
   build_cross_deadlock(rig, rA, rB);
   // t2's forwarded request queues at S0: incoming black acquisition edge.
-  const auto incoming = rig.c(0).incoming_black_processes();
+  std::vector<TransactionId> incoming;
+  rig.c(0).incoming_black_processes(incoming);
   EXPECT_NE(std::find(incoming.begin(), incoming.end(), t2), incoming.end());
   // t1 holds remotely-acquired rB?  No: t1 only WAITS for rB.  But t1 is
   // blocked at S0 with a remote holding?  It has none granted yet, so only
@@ -391,7 +393,8 @@ TEST(ControllerProbe, RemoteHoldingFeedsQSet) {
   rig.deliver_all();
   ASSERT_TRUE(rig.c(0).lock(t2, rA, LockMode::kWrite));
   rig.c(0).lock(t1, rA, LockMode::kWrite);  // t1 blocked locally
-  const auto incoming = rig.c(0).incoming_black_processes();
+  std::vector<TransactionId> incoming;
+  rig.c(0).incoming_black_processes(incoming);
   EXPECT_NE(std::find(incoming.begin(), incoming.end(), t1), incoming.end());
 }
 
@@ -400,6 +403,48 @@ TEST(ControllerProbe, RemoteHoldingFeedsQSet) {
 TEST(Controller, UndecodableFrameReported) {
   Rig rig(1);
   EXPECT_FALSE(rig.c(0).on_message(SiteId{0}, Bytes{0x77}).ok());
+}
+
+// Transaction ids index the controller's tables; an id far past any issued
+// one is a corrupt frame and must be rejected, not used to size a table.
+TEST(Controller, FrameWithTransactionIdFarOutOfRangeRejected) {
+  Rig rig(2);
+  const TransactionId bogus{0xFFFFFFF0u};
+  EXPECT_FALSE(rig.c(0)
+                   .on_message(SiteId{1},
+                               encode(RemoteLockRequestMsg{
+                                   bogus, ResourceId{0}, LockMode::kWrite}))
+                   .ok());
+  EXPECT_FALSE(rig.c(0)
+                   .on_message(SiteId{1},
+                               encode(PurgeTxnMsg{bogus, /*aborted=*/true}))
+                   .ok());
+  EXPECT_FALSE(rig.c(0).blocked(bogus));
+  EXPECT_EQ(rig.c(0).stats().remote_requests_received, 0u);
+  // Ids that arrive in issue order are admitted however large they grow.
+  for (std::uint32_t t = 1000; t <= 1u << 22; t += 1u << 19) {
+    EXPECT_TRUE(rig.c(0)
+                    .on_message(SiteId{1},
+                                encode(RemoteLockRequestMsg{
+                                    TransactionId{t}, ResourceId{0},
+                                    LockMode::kRead}))
+                    .ok())
+        << t;
+  }
+}
+
+// A probe tagged by a controller that does not exist carries no
+// computation anyone could declare; it is counted and dropped.
+TEST(Controller, ProbeFromUnknownInitiatorDropped) {
+  Rig rig(2);
+  ResourceId rA, rB;
+  build_cross_deadlock(rig, rA, rB);
+  const InterEdge edge{AgentId{t2, SiteId{1}}, AgentId{t2, SiteId{0}}};
+  const DdbProbeMsg probe{DdbProbeTag{SiteId{9}, 1}, 0, edge, false};
+  ASSERT_TRUE(rig.c(0).on_message(SiteId{1}, encode(probe)).ok());
+  EXPECT_EQ(rig.c(0).stats().probes_received, 1u);
+  EXPECT_EQ(rig.c(0).stats().meaningful_probes, 0u);
+  EXPECT_EQ(rig.pending(0, 1), 0u);  // nothing forwarded
 }
 
 TEST(Controller, StatsAccumulate) {

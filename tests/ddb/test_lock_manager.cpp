@@ -94,7 +94,8 @@ TEST(LockManager, UpgradeDeadlockShapeProducesCrossWaits) {
             AcquireResult::kQueued);
   EXPECT_EQ(lm.acquire(r1, t2, LockMode::kWrite, here),
             AcquireResult::kQueued);
-  const auto edges = lm.wait_edges();
+  std::vector<WaitEdge> edges;
+  lm.wait_edges(edges);
   // t1 waits on holder t2 and vice versa (each also waits on the other's
   // queued upgrade ahead of it, already covered by the holder edge).
   EXPECT_NE(std::find(edges.begin(), edges.end(), std::pair{t1, t2}),
@@ -143,7 +144,8 @@ TEST(LockManager, NoOvertakingPastConflictingWaiter) {
   EXPECT_EQ(lm.acquire(r1, t3, LockMode::kRead, here),
             AcquireResult::kQueued);
   // t3 waits for the queued writer t2 (and t2 waits for holder t1).
-  const auto edges = lm.wait_edges();
+  std::vector<WaitEdge> edges;
+  lm.wait_edges(edges);
   EXPECT_NE(std::find(edges.begin(), edges.end(), std::pair{t3, t2}),
             edges.end());
   EXPECT_NE(std::find(edges.begin(), edges.end(), std::pair{t2, t1}),
@@ -202,7 +204,8 @@ TEST(LockManager, WaitEdgesOnlyForConflicts) {
             AcquireResult::kQueued);
   ASSERT_EQ(lm.acquire(r1, t3, LockMode::kRead, here),
             AcquireResult::kQueued);
-  const auto edges = lm.wait_edges();
+  std::vector<WaitEdge> edges;
+  lm.wait_edges(edges);
   // Both readers wait on the writer; they do NOT wait on each other.
   EXPECT_EQ(edges.size(), 2u);
   EXPECT_EQ(std::find(edges.begin(), edges.end(), std::pair{t3, t2}),
@@ -215,7 +218,11 @@ TEST(LockManager, QueuedForTracksOrigin) {
             AcquireResult::kGranted);
   ASSERT_EQ(lm.acquire(r1, t2, LockMode::kWrite, other),
             AcquireResult::kQueued);
-  const auto queued = lm.queued_for(t2);
+  EXPECT_TRUE(lm.queued(t2));
+  EXPECT_TRUE(lm.queued_from(t2, other));
+  EXPECT_FALSE(lm.queued_from(t2, here));
+  EXPECT_FALSE(lm.queued(t1));
+  const auto queued = lm.queued_requests();
   ASSERT_EQ(queued.size(), 1u);
   EXPECT_EQ(queued[0].first, r1);
   EXPECT_EQ(queued[0].second.origin, other);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <numeric>
 #include <thread>
@@ -177,6 +178,50 @@ TEST(TcpTransport, StopIdempotent) {
   t.stop();
   t.stop();
   SUCCEED();
+}
+
+// A deliverer thread can be inside a handler that sends while stop() runs.
+// stop() must raise stopping_ before it clears started_: in the gap between
+// the two such a send used to see "not started", throw std::logic_error on
+// the deliverer thread and terminate the process.  Every handler below keeps
+// sending across the moment stop() flips the flags; the sends must simply
+// be dropped.
+TEST(TcpTransport, SendFromHandlerDuringStopIsDropped) {
+  constexpr NodeId kNodes = 4;
+  for (int round = 0; round < 30; ++round) {
+    TcpTransport t;
+    std::atomic<bool> stopping{false};
+    std::atomic<int> spinning{0};
+    for (NodeId n = 0; n < kNodes; ++n) {
+      t.add_node([&t, &stopping, &spinning, n, first = true](
+                     NodeId, const Bytes&) mutable {
+        if (!first) return;  // only the first delivery spins
+        first = false;
+        ++spinning;
+        const NodeId next = (n + 1) % kNodes;
+        while (!stopping.load()) t.send(n, next, Bytes{1});
+        // stop() begins right after `stopping` is raised; keep sending
+        // through its flag flip (it then waits to join this thread).
+        const auto until = std::chrono::steady_clock::now() + 5ms;
+        while (std::chrono::steady_clock::now() < until) {
+          t.send(n, next, Bytes{1});
+        }
+      });
+    }
+    t.start();
+    for (NodeId n = 0; n < kNodes; ++n) {
+      t.send((n + kNodes - 1) % kNodes, n, Bytes{0});
+    }
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (spinning.load() < static_cast<int>(kNodes) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(spinning.load(), static_cast<int>(kNodes));
+    stopping = true;
+    t.stop();
+    EXPECT_THROW(t.start(), std::logic_error);  // stopped for good
+  }
 }
 
 TEST(TcpTransport, AddNodeAfterStartRejected) {
