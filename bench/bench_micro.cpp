@@ -142,15 +142,34 @@ void BM_DdbHandleProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_DdbHandleProbe);
 
+// T5's controller options: delayed initiation T = 2 ms, victim abort.
+ddb::DdbOptions t5_options() {
+  ddb::DdbOptions options;
+  options.initiation = ddb::DdbInitiation::kDelayed;
+  options.initiation_delay = SimTime::ms(2);
+  options.abort_victim = true;
+  return options;
+}
+
+void BM_ClusterConstruct(benchmark::State& state) {
+  // Building and tearing down the 4-site T5 cluster (hot set 16): the
+  // set-up cost perfbench/ reports as setup_s, without the episode.
+  for (auto _ : state) {
+    ddb::Cluster db({.n_sites = 4,
+                     .n_resources = 16,
+                     .options = t5_options(),
+                     .seed = 1});
+    benchmark::DoNotOptimize(&db);
+  }
+}
+BENCHMARK(BM_ClusterConstruct);
+
 void BM_DdbT5Episode(benchmark::State& state) {
   // One whole T5 episode (EXPERIMENTS.md T5 at hot set 16: 4 sites, 24
   // transactions of 3 locks, 80% writes, delayed initiation T = 2 ms, victim
   // abort and retry), construction and teardown included: the unit of work
   // of the end-to-end benchmark in perfbench/.
-  ddb::DdbOptions options;
-  options.initiation = ddb::DdbInitiation::kDelayed;
-  options.initiation_delay = SimTime::ms(2);
-  options.abort_victim = true;
+  const ddb::DdbOptions options = t5_options();
   ddb::TxnScriptConfig cfg;
   cfg.locks_per_txn = 3;
   cfg.write_fraction = 0.8;

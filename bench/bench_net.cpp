@@ -34,7 +34,7 @@ void run_small_frames(benchmark::State& state) {
   std::atomic<std::uint64_t> delivered{0};
   for (std::uint32_t i = 0; i < nodes; ++i) {
     transport.add_node(
-        [&delivered](NodeId, const Bytes&) { delivered.fetch_add(1); });
+        [&delivered](NodeId, BytesView) { delivered.fetch_add(1); });
   }
   transport.start();
   const Bytes payload(kPayloadBytes, 0xab);

@@ -18,7 +18,7 @@ using namespace cmh;
 /// Rigs an n-node ring where every delivery forwards the payload to the
 /// next node until `hops` runs dry, then injects one frame per node.
 /// Measures raw event-loop throughput: queue ops, FIFO clamping, payload
-/// pooling, handler dispatch.
+/// copies, handler dispatch.
 void BM_SimMessageChurn(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   constexpr std::int64_t kHopsPerRound = 20000;
@@ -26,7 +26,7 @@ void BM_SimMessageChurn(benchmark::State& state) {
   std::int64_t hops = 0;
   for (std::uint32_t i = 0; i < n; ++i) sim.add_node({});
   for (std::uint32_t i = 0; i < n; ++i) {
-    sim.set_handler(i, [&sim, &hops, i, n](sim::NodeId, const Bytes& p) {
+    sim.set_handler(i, [&sim, &hops, i, n](sim::NodeId, BytesView p) {
       if (hops-- > 0) sim.send(i, (i + 1) % n, p);
     });
   }
@@ -51,7 +51,7 @@ void BM_SimBatchedChurn(benchmark::State& state) {
   std::int64_t hops = 0;
   for (std::uint32_t i = 0; i < n; ++i) sim.add_node({});
   for (std::uint32_t i = 0; i < n; ++i) {
-    sim.set_handler(i, [&sim, &hops, i, n](sim::NodeId, const Bytes& p) {
+    sim.set_handler(i, [&sim, &hops, i, n](sim::NodeId, BytesView p) {
       if (hops-- > 0) sim.send(i, (i + 1) % n, p);
     });
   }
@@ -73,7 +73,7 @@ BENCHMARK(BM_SimBatchedChurn)->Arg(16);
 void BM_SimTimerStorm(benchmark::State& state) {
   sim::Simulator sim(3, sim::DelayModel::fixed(SimTime::us(5)));
   const sim::NodeId a = sim.add_node({});
-  const sim::NodeId b = sim.add_node([](sim::NodeId, const Bytes&) {});
+  const sim::NodeId b = sim.add_node([](sim::NodeId, BytesView) {});
   (void)a;
   for (auto _ : state) {
     for (int i = 0; i < 1000; ++i) {

@@ -94,7 +94,7 @@ ThroughputResult measure_throughput(std::uint32_t nodes,
   std::atomic<std::uint64_t> delivered{0};
   for (std::uint32_t i = 0; i < nodes; ++i) {
     transport.add_node(
-        [&delivered](net::NodeId, const Bytes&) { delivered.fetch_add(1); });
+        [&delivered](net::NodeId, BytesView) { delivered.fetch_add(1); });
   }
   transport.start();
   const Bytes payload(64, 0xab);

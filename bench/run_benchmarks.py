@@ -53,8 +53,9 @@ SUITES = {
 # Benchmarks whose regressions gate CI (prefix match).  These are the ones
 # dominated by the optimized hot paths: the simulator event loop, the probe
 # codecs, the epoll transport's small-frame throughput, and the DDB
-# controller's probe path and whole T5 episode (flat DDB state); the macro
-# detection-wave numbers are tracked but too workload-shaped to gate.
+# controller's probe path, whole T5 episode (flat DDB state) and T5 cluster
+# construction; the macro detection-wave numbers are tracked but too
+# workload-shaped to gate.
 DEFAULT_HOT = [
     "BM_SimMessageChurn",
     "BM_SimBatchedChurn",
@@ -64,6 +65,7 @@ DEFAULT_HOT = [
     "BM_NetEpollTcpSmallFrames",
     "BM_DdbHandleProbe",
     "BM_DdbT5Episode",
+    "BM_ClusterConstruct",
 ]
 
 

@@ -22,12 +22,14 @@ auto find_lock(Locks& locks, ResourceId resource) {
 }  // namespace
 
 Cluster::Cluster(ClusterConfig config)
-    : config_(config), sim_(config.seed, config.delays) {
-  controllers_.reserve(config_.n_sites);
+    : config_(config),
+      sim_(config.seed, config.delays),
+      controllers_(config.n_sites) {
+  sim_.reserve_nodes(config_.n_sites);
   for (std::uint32_t i = 0; i < config_.n_sites; ++i) sim_.add_node({});
   for (std::uint32_t i = 0; i < config_.n_sites; ++i) {
     const SiteId site{i};
-    auto controller = std::make_unique<Controller>(
+    Controller& controller = controllers_[i].emplace(
         site, config_.n_sites,
         [this, site](SiteId to, BytesView payload) {
           sim_.send(site.value(), to.value(), payload);
@@ -36,7 +38,7 @@ Cluster::Cluster(ClusterConfig config)
         [this](SimTime delay, std::function<void()> fn) {
           sim_.schedule(delay, std::move(fn));
         });
-    controller->set_grant_callback(
+    controller.set_grant_callback(
         [this](TransactionId txn, ResourceId resource) {
           if (txn.value() < txns_.size()) {
             auto& locks = txns_[txn.value()].locks;
@@ -45,7 +47,7 @@ Cluster::Cluster(ClusterConfig config)
           }
           if (grant_listener_) grant_listener_(txn, resource);
         });
-    controller->set_abort_callback([this, site](TransactionId txn) {
+    controller.set_abort_callback([this, site](TransactionId txn) {
       if (txn.value() >= txns_.size()) return;
       TxnState& state = txns_[txn.value()];
       // Only a live transaction can become a victim.  A stale declaration
@@ -55,14 +57,13 @@ Cluster::Cluster(ClusterConfig config)
       state.status = TxnStatus::kAborted;
       if (abort_listener_) abort_listener_(txn);
     });
-    controller->set_deadlock_callback(
+    controller.set_deadlock_callback(
         [this, site](TransactionId victim, const DdbProbeTag& tag) {
           const DdbDetection d{victim, tag, site, sim_.now()};
           detections_.push_back(d);
           if (detection_listener_) detection_listener_(d);
         });
-    controllers_.push_back(std::move(controller));
-    sim_.set_handler(i, [this, i](sim::NodeId from, const Bytes& payload) {
+    sim_.set_handler(i, [this, i](sim::NodeId from, BytesView payload) {
       const auto st =
           controllers_[i]->on_message(SiteId{from}, payload);
       if (!st.ok()) {

@@ -10,7 +10,6 @@
 //   if (db.aborted(t)) { /* deadlock victim */ }
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -139,7 +138,9 @@ class Cluster {
 
   ClusterConfig config_;
   sim::Simulator sim_;
-  std::vector<std::unique_ptr<Controller>> controllers_;
+  // One contiguous block, sized once: a Controller is neither copyable nor
+  // movable (its timers capture `this`), so each is emplaced in place.
+  std::vector<std::optional<Controller>> controllers_;
   // Indexed by transaction id: ids are handed out densely by begin().
   std::vector<TxnState> txns_;
   std::vector<DdbDetection> detections_;

@@ -44,11 +44,11 @@ Controller::Controller(SiteId id, std::uint32_t n_sites, Sender sender,
       send_(std::move(sender)),
       resource_map_(std::move(resource_map)),
       options_(options),
-      timers_(std::move(timers)),
-      floor_seen_(n_sites) {
+      timers_(std::move(timers)) {
   if ((options_.initiation == DdbInitiation::kDelayed) && !timers_) {
     throw std::invalid_argument("Controller: kDelayed requires timers");
   }
+  for (std::uint32_t s = 0; s < n_sites; ++s) floor_seen_.push_back({});
 }
 
 // ---- flat tables ------------------------------------------------------------
@@ -271,6 +271,11 @@ void Controller::handle_lock_request(SiteId from,
 void Controller::handle_grant(SiteId from, const RemoteLockGrantMsg& msg) {
   ++stats_.grants_received;
   TxnSlot& s = slot_for(msg.txn);
+  // The grant crossed this site's abort of txn: purge_local() already
+  // dropped its pending requests, and the purge broadcast releases the lock
+  // at `from`.  Recording the holding or reporting the grant would make an
+  // aborted transaction look like a lock holder.
+  if (s.aborted) return;
   s.remote_holdings.insert(from);
   const auto it = std::find_if(
       s.pending.begin(), s.pending.end(),

@@ -205,9 +205,11 @@ class Controller {
   };
 
   /// Highest floor seen from one initiator; probes below it are stale.
+  /// Value-initialized (no default member initializers, as for
+  /// PendingRemote).
   struct FloorSeen {
-    std::uint64_t floor{0};
-    bool seen{false};
+    std::uint64_t floor;
+    bool seen;
   };
 
   void handle_lock_request(SiteId from, const RemoteLockRequestMsg& msg);
@@ -297,7 +299,8 @@ class Controller {
   std::vector<std::uint32_t> comp_free_;
   std::vector<std::pair<DdbProbeTag, std::uint32_t>> comp_index_;
   // Highest floor seen per initiator, indexed by site (section 4.3).
-  std::vector<FloorSeen> floor_seen_;
+  // Inline up to 8 sites, so constructing a controller allocates nothing.
+  SmallVector<FloorSeen, 8> floor_seen_;
 
   std::vector<std::pair<TransactionId, DdbProbeTag>> declared_;
 

@@ -44,7 +44,11 @@ class Transport {
   /// handler runs on a delivery thread; one handler is never invoked
   /// concurrently with itself for the same node (per-node serialization),
   /// which realizes the paper's atomic-step requirement (note under A0-A2).
-  using Handler = std::function<void(NodeId from, const Bytes& payload)>;
+  /// The payload view is only valid for the duration of the call -- the
+  /// same contract as send() -- so a handler that keeps the bytes copies
+  /// them.  (The same type as sim::Simulator::MessageHandler, which
+  /// SimTransport relies on.)
+  using Handler = std::function<void(NodeId from, BytesView payload)>;
 
   virtual ~Transport() = default;
 

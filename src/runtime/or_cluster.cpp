@@ -24,7 +24,7 @@ OrCluster::OrCluster(std::uint32_t n, std::uint64_t seed,
       if (on_detection_) on_detection_(d);
     });
     processes_.push_back(std::move(process));
-    sim_.set_handler(i, [this, i](sim::NodeId from, const Bytes& payload) {
+    sim_.set_handler(i, [this, i](sim::NodeId from, BytesView payload) {
       const auto st =
           processes_[i]->on_message(ProcessId{from}, payload);
       if (!st.ok()) {

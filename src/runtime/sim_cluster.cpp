@@ -60,14 +60,14 @@ SimCluster::SimCluster(std::uint32_t n, core::Options options,
       if (on_detection_) on_detection_(event);
     });
     processes_.push_back(std::move(process));
-    sim_.set_handler(i, [this, id](sim::NodeId from, const Bytes& payload) {
+    sim_.set_handler(i, [this, id](sim::NodeId from, BytesView payload) {
       on_delivery(id, ProcessId{from}, payload);
     });
   }
 }
 
 void SimCluster::on_delivery(ProcessId to, ProcessId from,
-                             const Bytes& payload) {
+                             BytesView payload) {
   if (!track_oracle_) {
     // Perf path (and the only shard-safe path): no decode, no global graph,
     // no hooks -- just the process.  Runs concurrently across shards.

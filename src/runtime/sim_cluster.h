@@ -169,7 +169,7 @@ class SimCluster {
     check::InvariantAuditor& auditor_;
   };
 
-  void on_delivery(ProcessId to, ProcessId from, const Bytes& payload);
+  void on_delivery(ProcessId to, ProcessId from, BytesView payload);
 
   sim::Simulator sim_;
   SimTimerService timers_;

@@ -125,7 +125,7 @@ ThreadedCluster::ThreadedCluster(net::Transport& transport, std::uint32_t n,
     });
     cell.process = std::move(process);
     const auto node = transport_.add_node(
-        [this, i](net::NodeId from, const Bytes& payload) {
+        [this, i](net::NodeId from, BytesView payload) {
           Cell& c = *cells_[i];
           const MutexLock lock(c.mutex);
           const auto st = c.process->on_message(ProcessId{from}, payload);

@@ -38,18 +38,23 @@
 //   * Per-shard two-level ladder queues (event_queue.h) replace the global
 //     binary heap: O(1) amortized scheduling instead of O(log n), with
 //     bucket-local memory traffic at large event counts.
-//   * Events are tagged slab entries with a free list; message deliveries
-//     carry (src, dst, payload) in the queue entry instead of boxing a
-//     closure in std::function; only explicit timers pay for one.
-//   * Payload buffers are pooled per shard, so steady-state traffic performs
-//     zero heap allocations.
+//   * Events are slab entries with a free list, one slab for message
+//     payloads and one for timer callables; message deliveries carry (src,
+//     dst, payload) instead of boxing a closure in std::function, and only
+//     explicit timers pay for one.
+//   * Payloads of up to kInlinePayload bytes (every DDB and core frame) are
+//     stored inline in the slab entry; larger ones use a buffer pooled per
+//     shard.  Either way steady-state traffic performs zero heap
+//     allocations, and small frames leave no heap objects behind.
 //   * Channel FIFO fronts live in a flat src*stride+dst matrix once the node
 //     count is known (per-shard hash maps beyond kFlatChannelLimit nodes;
 //     crossing the limit migrates the matrix into the maps).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <barrier>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -104,8 +109,13 @@ class SimObserver {
 
 class Simulator {
  public:
-  using MessageHandler =
-      std::function<void(NodeId from, const Bytes& payload)>;
+  /// Invoked once per delivered message.  The payload view is only valid
+  /// for the duration of the call (it points into the dispatcher's stack
+  /// frame or a pooled buffer); a handler that keeps the bytes copies them.
+  using MessageHandler = std::function<void(NodeId from, BytesView payload)>;
+
+  /// Payloads up to this size travel inline in the event slab.
+  static constexpr std::size_t kInlinePayload = 48;
 
   explicit Simulator(std::uint64_t seed = 1, DelayModel delays = DelayModel{},
                      std::uint32_t shards = 1);
@@ -117,6 +127,10 @@ class Simulator {
   /// Registers a node; returns its id (dense, starting at 0).  In multi-shard
   /// mode all nodes must be added before the first send/schedule.
   NodeId add_node(MessageHandler handler);
+
+  /// Sizes the node table for `n` nodes up front, so the following
+  /// add_node calls do not grow them one push at a time.
+  void reserve_nodes(std::size_t n);
 
   /// Replaces the handler of an existing node (used by harnesses that
   /// construct nodes after wiring).
@@ -142,8 +156,9 @@ class Simulator {
   }
 
   /// Enqueues a message for in-order delivery after a seeded random delay.
-  /// The payload is copied into a pooled buffer; the view need only be valid
-  /// for the duration of the call.  Both endpoints must be registered nodes.
+  /// The payload is copied (inline up to kInlinePayload bytes, else into a
+  /// pooled buffer); the view need only be valid for the duration of the
+  /// call.  Both endpoints must be registered nodes.
   void send(NodeId from, NodeId to, BytesView payload);
 
   /// Schedules `fn` to run at now() + delay.  The timer is owned by the node
@@ -196,11 +211,40 @@ class Simulator {
   // back to per-shard hash maps (1024^2 entries == 16 MiB).
   static constexpr std::size_t kFlatChannelLimit = 1024;
 
-  // Slab entry.  Message events use payload; timer events use fn.  Both the
-  // payload buffer and the slot are recycled.
-  struct Event {
-    Bytes payload;
-    std::function<void()> fn;
+  // A message payload between send and delivery: inline when it fits,
+  // otherwise in a pooled heap buffer.  The inline bytes are value-
+  // initialized so copying the whole array is always defined.
+  struct Payload {
+    std::uint32_t size{0};
+    std::array<std::uint8_t, kInlinePayload> inline_bytes{};
+    Bytes heap;
+  };
+
+  // Event records with a free list: slots are recycled, so a warmed-up
+  // slab allocates nothing.  Messages and timers keep separate slabs, so a
+  // timer record is just its callable and a message record its payload.
+  template <typename T>
+  struct Slab {
+    std::vector<T> items;
+    std::vector<std::uint32_t> free;
+
+    std::uint32_t acquire() {
+      if (!free.empty()) {
+        const std::uint32_t slot = free.back();
+        free.pop_back();
+        return slot;
+      }
+      items.emplace_back();
+      return static_cast<std::uint32_t>(items.size() - 1);
+    }
+    void release(std::uint32_t slot) { free.push_back(slot); }
+  };
+
+  // A registered node: its handler and its timer counter (the canonical key
+  // seq for the timer lane).
+  struct Node {
+    MessageHandler handler;
+    std::uint64_t timer_seq{0};
   };
 
   // Per-channel FIFO + determinism state: last scheduled delivery time and
@@ -217,20 +261,26 @@ class Simulator {
     NodeId from{0};
     NodeId to{0};
     std::uint64_t seq{0};
-    Bytes payload;
+    Payload payload;
   };
 
   // Everything a shard touches while processing a window.  Padded so two
-  // shards' hot state never shares a cache line.
-  struct alignas(64) ShardState {
+  // shards' hot state never shares a cache line.  Trailing padding rather
+  // than alignas(64): an over-aligned type goes through the aligned
+  // operator new, whose split-and-free path cost about a fifth of a
+  // ddb::Cluster's construction time.
+  struct ShardState {
     EventQueue queue;
-    std::vector<Event> slab;
-    std::vector<std::uint32_t> free_slots;
+    Slab<Payload> messages;
+    Slab<std::function<void()>> timers;
     std::vector<Bytes> buffer_pool;
     std::unordered_map<std::uint64_t, ChannelState> channel_spill;
     SimTime now{SimTime::zero()};
     SimStats stats;
     std::exception_ptr error;
+    // Last member: a cache line that reaches into the next shard's state
+    // holds only padding of this one.
+    std::array<std::byte, 64> false_sharing_pad{};
 
     explicit ShardState(std::int64_t width_hint) : queue(width_hint) {}
   };
@@ -240,10 +290,11 @@ class Simulator {
     void operator()() const noexcept { sim->compute_next_window(); }
   };
 
-  std::uint32_t acquire_slot(ShardState& shard);
-  void release_slot(ShardState& shard, std::uint32_t slot);
   Bytes take_buffer(ShardState& shard);
   void recycle_buffer(ShardState& shard, Bytes&& buffer);
+  // Copies `bytes` into `out`, drawing a heap buffer from `pool` only when
+  // they do not fit inline.
+  void store_payload(ShardState& pool, Payload& out, BytesView bytes);
 
   ChannelState& channel_state(NodeId from, NodeId to);
   void migrate_flat_to_spill();
@@ -252,8 +303,10 @@ class Simulator {
 
   void ensure_partition();
   void enqueue_message(ShardState& dst, SimTime at, NodeId from, NodeId to,
-                       std::uint64_t seq, Bytes&& payload);
+                       std::uint64_t seq, Payload&& payload);
   void dispatch_on(std::uint32_t shard_idx, const EventQueue::Entry& entry);
+  void deliver(std::uint32_t shard_idx, const EventQueue::Entry& entry,
+               BytesView payload);
 
   // Sequential engine: canonical-order merge across shard queues.
   [[nodiscard]] int min_shard();
@@ -275,11 +328,10 @@ class Simulator {
 
   SimTime now_{SimTime::zero()};
   SimObserver* observer_{nullptr};
-  std::vector<MessageHandler> nodes_;
+  std::vector<Node> nodes_;
   std::vector<ShardState> shards_;
 
-  // Per-owner timer counters (canonical key seq for the timer lane).
-  std::vector<std::uint64_t> timer_seq_;
+  // Timer counter of the control context (see kControlNode).
   std::uint64_t control_timer_seq_{0};
 
   // Channel FIFO/counter state: flat matrix while node count fits, per-shard

@@ -1,28 +1,34 @@
 // Allocation accounting for the steady-state hot paths.  The overhaul's
 // contract: once warmed up, probe encode/handle/forward at a process, a DDB
 // controller's probe, grant and initiation paths, and message traffic
-// through the simulator perform ZERO heap allocations.
+// through the simulator perform ZERO heap allocations; small simulator
+// frames never touch the heap, and a ddb::Cluster is built from a handful
+// of blocks.
 // A counting global operator new makes that an assertable property instead
 // of a benchmark anecdote.  (The override is binary-wide but only counts;
 // it delegates to malloc/free.)
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "core/basic_process.h"
 #include "core/messages.h"
+#include "ddb/cluster.h"
 #include "ddb/controller.h"
 #include "sim/simulator.h"
 
 namespace {
-// Not atomic: every test in this binary is single-threaded, and the net
-// transports are not exercised here.
-std::size_t g_alloc_count = 0;
+// Atomic because the sharded round-trip test runs shard workers; the
+// measured tests themselves are single-threaded.
+std::atomic<std::size_t> g_alloc_count{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
-  ++g_alloc_count;
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -33,6 +39,29 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+// Over-aligned types go through the aligned forms; count them too, so an
+// over-aligned allocation cannot slip past the budgets below.
+void* operator new(std::size_t n, std::align_val_t al) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  const auto align = static_cast<std::size_t>(al);
+  const std::size_t rounded = (n + align - 1) / align * align;
+  if (void* p = std::aligned_alloc(align, rounded ? rounded : align)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return ::operator new(n, al);
+}
+
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace cmh::core {
 namespace {
@@ -80,7 +109,7 @@ TEST(ZeroAlloc, SteadyStateSimulatorTraffic) {
   const sim::NodeId a = sim.add_node({});
   const sim::NodeId b = sim.add_node({});
   const auto forward = [&sim, &remaining, a, b](sim::NodeId from,
-                                                const Bytes& payload) {
+                                                BytesView payload) {
     if (remaining-- > 0) sim.send(from == a ? b : a, from, payload);
   };
   sim.set_handler(a, forward);
@@ -88,10 +117,10 @@ TEST(ZeroAlloc, SteadyStateSimulatorTraffic) {
   const SmallFrame probe = encode_small(ProbeMsg{ProbeTag{ProcessId{0}, 1}});
   sim.send(a, b, probe.view());
 
-  // Warm-up: slab, queue, channel matrix and buffer pool reach capacity.
+  // Warm-up: slab, queue and channel matrix reach capacity.
   (void)sim.run_batch(1000);
 
-  // Measured phase: pure pooled recycling -- pop, deliver, re-send.
+  // Measured phase: pure slot recycling -- pop, deliver, re-send.
   const std::size_t before = g_alloc_count;
   const std::size_t processed = sim.run_batch(2000);
   const std::size_t allocations = g_alloc_count - before;
@@ -101,8 +130,85 @@ TEST(ZeroAlloc, SteadyStateSimulatorTraffic) {
   EXPECT_GE(sim.stats().messages_delivered, 3000u);
 }
 
+// Allocations a fresh simulator makes to relay `frames` frames of `size`
+// bytes, eight chains at a time, between two nodes.
+std::size_t fresh_relay_allocations(int frames, std::size_t size) {
+  const std::size_t before = g_alloc_count;
+  sim::Simulator sim(7, sim::DelayModel::fixed(SimTime::us(10)));
+  int remaining = frames;
+  const sim::NodeId a = sim.add_node({});
+  const sim::NodeId b = sim.add_node({});
+  const auto relay = [&sim, &remaining, a, b](sim::NodeId from,
+                                              BytesView payload) {
+    if (--remaining > 0) sim.send(from == a ? b : a, from, payload);
+  };
+  sim.set_handler(a, relay);
+  sim.set_handler(b, relay);
+  const std::array<std::uint8_t, sim::Simulator::kInlinePayload> frame{};
+  for (int chain = 0; chain < 8; ++chain) {
+    sim.send(a, b, BytesView{frame.data(), size});
+  }
+  sim.run();
+  return g_alloc_count - before;
+}
+
+TEST(ZeroAlloc, FreshSimulatorRelaysSmallFramesFromInlineStorage) {
+  // Frames of up to kInlinePayload bytes live in the slab entry: the
+  // allocations are the simulator's fixed set-up plus slab and queue growth
+  // to the in-flight peak, however many frames pass and whatever their
+  // size.  (Fixed delays keep that peak independent of the frame count.)
+  const std::size_t few = fresh_relay_allocations(500, 0);
+  const std::size_t many = fresh_relay_allocations(4000, 0);
+  const std::size_t many_full =
+      fresh_relay_allocations(4000, sim::Simulator::kInlinePayload);
+  EXPECT_EQ(many, few);
+  EXPECT_EQ(many_full, few);
+}
+
 }  // namespace
 }  // namespace cmh::core
+
+namespace cmh::sim {
+namespace {
+
+// Sends each payload from node 0 to `peer` and back; returns true iff both
+// hops delivered the bytes intact.
+bool round_trips(std::uint32_t shards, NodeId peer, const Bytes& payload) {
+  Simulator sim(11, DelayModel{}, shards);
+  std::vector<Bytes> got;
+  for (NodeId i = 0; i < 8; ++i) {
+    sim.add_node([&sim, &got, i](NodeId from, BytesView p) {
+      got.emplace_back(p.begin(), p.end());
+      if (i != 0) sim.send(i, from, p);  // echo
+    });
+  }
+  sim.send(0, peer, payload);
+  sim.run();
+  return got.size() == 2 && got[0] == payload && got[1] == payload;
+}
+
+TEST(SimulatorPayload, RoundTripsAcrossTheInlineBoundary) {
+  // 48 B is the largest inline payload and 49 B the smallest pooled one; 8
+  // MiB exercises a large pooled buffer.  Peer 1 shares node 0's shard and
+  // peer 7 crosses shards (through the window outboxes) when K = 4.
+  constexpr std::size_t kInline = Simulator::kInlinePayload;
+  for (const std::size_t size :
+       {std::size_t{0}, kInline, kInline + 1, std::size_t{8} << 20}) {
+    Bytes payload(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    }
+    for (const std::uint32_t shards : {1u, 4u}) {
+      for (const NodeId peer : {NodeId{1}, NodeId{7}}) {
+        EXPECT_TRUE(round_trips(shards, peer, payload))
+            << "size " << size << ", shards " << shards << ", peer " << peer;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace cmh::sim
 
 namespace cmh::ddb {
 namespace {
@@ -195,6 +301,22 @@ TEST(ZeroAlloc, WarmDdbControllerProbesGrantsAndInitiation) {
   EXPECT_TRUE(c.declared_victims().empty());
   EXPECT_GT(frames, 0u);
   EXPECT_EQ(grants, 64u + kRounds + 2);  // + the two local grants
+}
+
+TEST(ZeroAlloc, ClusterConstructionTakesAFewBlocks) {
+  // The T5 shape: four sites, delayed initiation, victim abort.  Three
+  // blocks today: the simulator's shard state, its node table and the
+  // controllers' block; each controller's tables start empty or inline.
+  DdbOptions options;
+  options.initiation = DdbInitiation::kDelayed;
+  options.initiation_delay = SimTime::ms(2);
+  const ClusterConfig config{.n_sites = 4, .n_resources = 16,
+                             .options = options, .seed = 1, .delays = {}};
+  const std::size_t before = g_alloc_count;
+  const Cluster db(config);
+  const std::size_t allocations = g_alloc_count - before;
+  EXPECT_LE(allocations, 5u);
+  EXPECT_EQ(db.n_sites(), 4u);
 }
 
 }  // namespace

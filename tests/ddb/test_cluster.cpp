@@ -233,11 +233,44 @@ TEST(DdbCluster, DelayedInitiationDetectsAutomatically) {
   db.lock(t2, r0, LockMode::kWrite);
   db.simulator().run();
   ASSERT_FALSE(db.detections().empty());
-  // Victim was aborted; the survivor's lock was granted (liveness).
+  // Victim was aborted, and no transaction is left waiting (liveness): each
+  // one either got every lock or was aborted without the lock it waited
+  // for.  (Both sites' initiation timers fire before either abort lands, so
+  // on this schedule both transactions are declared, and each one's
+  // released lock is granted to the other while its own abort is in
+  // flight; that grant must not be reported.)
   const auto victim = db.detections()[0].victim;
-  const auto survivor = (victim == t1) ? t2 : t1;
   EXPECT_EQ(db.status(victim), TxnStatus::kAborted);
-  EXPECT_TRUE(db.all_granted(survivor));
+  const std::pair<TransactionId, ResourceId> waits[] = {{t1, r1}, {t2, r0}};
+  for (const auto& [t, awaited] : waits) {
+    if (db.status(t) == TxnStatus::kAborted) {
+      EXPECT_FALSE(db.granted(t, awaited));
+    } else {
+      EXPECT_TRUE(db.all_granted(t));
+    }
+  }
+  EXPECT_TRUE(db.oracle_deadlocked().empty());
+}
+
+// A grant in flight when the home site aborts the transaction must not
+// make the aborted transaction look like the lock's holder.
+TEST(DdbCluster, GrantCrossingAbortIsNotReported) {
+  Cluster db({.n_sites = 2, .n_resources = 8, .options = manual_opts()});
+  const auto r = at_site(1, 0, 2);
+  const auto t = db.begin(SiteId{0});
+  db.lock(t, r, LockMode::kWrite);
+  ASSERT_TRUE(db.simulator().step());  // request lands; grant in flight
+  ASSERT_TRUE(db.controller(SiteId{1}).locks().holds(r, t));
+  db.abort(t);
+  db.simulator().run();
+  EXPECT_EQ(db.status(t), TxnStatus::kAborted);
+  EXPECT_FALSE(db.granted(t, r));
+  EXPECT_FALSE(db.controller(SiteId{1}).locks().holds(r, t));
+  // The purge freed the lock for the next transaction.
+  const auto t2 = db.begin(SiteId{0});
+  db.lock(t2, r, LockMode::kWrite);
+  db.simulator().run();
+  EXPECT_TRUE(db.granted(t2, r));
 }
 
 TEST(DdbCluster, VictimAbortUnblocksLocalCycleToo) {

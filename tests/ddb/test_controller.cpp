@@ -1,6 +1,7 @@
 // Direct Controller unit tests with hand-delivered messages, including
 // regression tests for the subtle races found during development:
 //   * zombie lock requests overtaken by an abort purge (tombstones),
+//   * grants crossing the home site's abort (tombstones again),
 //   * grant reshuffles creating wait edges without block events,
 //   * the degenerate two-agent probe bounce over release-wait edges,
 //   * floor corruption by forwarders (stale-tag rule, section 4.3/6.7),
@@ -87,7 +88,7 @@ class Rig {
     return taken;
   }
 
-  void inject(std::uint32_t from, std::uint32_t to, const Bytes& payload) {
+  void inject(std::uint32_t from, std::uint32_t to, BytesView payload) {
     ASSERT_TRUE(c(to).on_message(SiteId{from}, payload).ok());
   }
 
@@ -184,6 +185,33 @@ TEST(ControllerRegression, LocalLockAfterLocalAbortRefused) {
   rig.c(0).abort(t1);
   EXPECT_FALSE(rig.c(0).lock(t1, res_at(0, 1, 2), LockMode::kWrite));
   EXPECT_FALSE(rig.c(0).locks().holds(res_at(0, 1, 2), t1));
+}
+
+TEST(ControllerRegression, GrantCrossingHomeAbortIsDropped) {
+  // t1 (home S0) is granted rB at S1, but S0 aborts t1 while the grant is
+  // in flight.  The grant must leave no trace at S0: no grant callback and
+  // no remote holding (which would make the aborted t1 look like a lock
+  // holder).  S0's purge releases rB at S1.
+  Rig rig(2);
+  const ResourceId rB = res_at(1, 0, 2);
+  std::vector<TransactionId> granted;
+  rig.c(0).set_grant_callback(
+      [&granted](TransactionId txn, ResourceId) { granted.push_back(txn); });
+  rig.c(0).lock(t1, rB, LockMode::kWrite);  // request S0 -> S1
+  rig.deliver_one(0, 1);                    // granted at S1; grant in flight
+  ASSERT_TRUE(rig.c(1).locks().holds(rB, t1));
+  rig.c(0).abort(t1);  // purge S0 -> S1 queued behind nothing on that wire
+  std::uint64_t before = 0;
+  rig.c(0).mix_state_hash(before);
+  rig.deliver_one(1, 0);  // the grant lands on the tombstone
+  std::uint64_t after = 0;
+  rig.c(0).mix_state_hash(after);
+  EXPECT_EQ(after, before);
+  EXPECT_TRUE(granted.empty());
+  EXPECT_EQ(rig.c(0).stats().grants_received, 1u);
+  EXPECT_TRUE(rig.c(0).pending_remote_sites(t1).empty());
+  rig.deliver_all();  // the purge releases rB
+  EXPECT_FALSE(rig.c(1).locks().holds(rB, t1));
 }
 
 // ---- probe computation: two-site deadlock -----------------------------------------

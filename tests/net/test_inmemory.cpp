@@ -18,9 +18,9 @@ using namespace std::chrono_literals;
 class Collector {
  public:
   Transport::Handler handler() {
-    return [this](NodeId from, const Bytes& payload) {
+    return [this](NodeId from, BytesView payload) {
       const MutexLock lock(mutex_);
-      items_.emplace_back(from, payload);
+      items_.emplace_back(from, Bytes(payload.begin(), payload.end()));
       cv_.notify_all();
     };
   }
@@ -102,7 +102,7 @@ TEST(InMemoryTransport, HandlerSerializedPerNode) {
   std::atomic<int> max_concurrent{0};
   std::atomic<int> handled{0};
   const NodeId a = t.add_node({});
-  const NodeId b = t.add_node([&](NodeId, const Bytes&) {
+  const NodeId b = t.add_node([&](NodeId, BytesView) {
     const int now = ++concurrent;
     int expected = max_concurrent.load();
     while (now > expected &&
@@ -123,7 +123,7 @@ TEST(InMemoryTransport, StopDrainsQueuedMessages) {
   InMemoryTransport t;
   std::atomic<int> count{0};
   const NodeId a = t.add_node({});
-  const NodeId b = t.add_node([&](NodeId, const Bytes&) { ++count; });
+  const NodeId b = t.add_node([&](NodeId, BytesView) { ++count; });
   t.start();
   for (int i = 0; i < 50; ++i) t.send(a, b, Bytes{0});
   t.stop();
@@ -172,7 +172,7 @@ TEST(InMemoryTransport, DrainWaitsForEmptyMailboxes) {
   InMemoryTransport t;
   std::atomic<int> count{0};
   const NodeId a = t.add_node({});
-  const NodeId b = t.add_node([&](NodeId, const Bytes&) {
+  const NodeId b = t.add_node([&](NodeId, BytesView) {
     std::this_thread::sleep_for(1ms);
     ++count;
   });

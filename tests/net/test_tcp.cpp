@@ -18,9 +18,9 @@ using namespace std::chrono_literals;
 class Collector {
  public:
   Transport::Handler handler() {
-    return [this](NodeId from, const Bytes& payload) {
+    return [this](NodeId from, BytesView payload) {
       const MutexLock lock(mutex_);
-      items_.emplace_back(from, payload);
+      items_.emplace_back(from, Bytes(payload.begin(), payload.end()));
       cv_.notify_all();
     };
   }
@@ -194,7 +194,7 @@ TEST(TcpTransport, SendFromHandlerDuringStopIsDropped) {
     std::atomic<int> spinning{0};
     for (NodeId n = 0; n < kNodes; ++n) {
       t.add_node([&t, &stopping, &spinning, n, first = true](
-                     NodeId, const Bytes&) mutable {
+                     NodeId, BytesView) mutable {
         if (!first) return;  // only the first delivery spins
         first = false;
         ++spinning;

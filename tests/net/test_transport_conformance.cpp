@@ -29,9 +29,9 @@ using namespace std::chrono_literals;
 class Collector {
  public:
   Transport::Handler handler() {
-    return [this](NodeId from, const Bytes& payload) {
+    return [this](NodeId from, BytesView payload) {
       const MutexLock lock(mutex_);
-      items_.emplace_back(from, payload);
+      items_.emplace_back(from, Bytes(payload.begin(), payload.end()));
       cv_.notify_all();
     };
   }
@@ -176,7 +176,7 @@ TYPED_TEST(TransportConformance, StopDuringHeavyTraffic) {
   std::atomic<std::uint64_t> delivered{0};
   const NodeId a = t.add_node({});
   const NodeId b = t.add_node(
-      [&](NodeId, const Bytes&) { delivered.fetch_add(1); });
+      [&](NodeId, BytesView) { delivered.fetch_add(1); });
   t.start();
 
   std::vector<std::thread> senders;
@@ -205,7 +205,7 @@ TYPED_TEST(TransportConformance, HandlerNeverConcurrentWithItself) {
   std::atomic<int> in_handler{0};
   std::atomic<int> overlaps{0};
   std::atomic<int> delivered{0};
-  const NodeId sink = t.add_node([&](NodeId, const Bytes&) {
+  const NodeId sink = t.add_node([&](NodeId, BytesView) {
     if (in_handler.fetch_add(1) != 0) overlaps.fetch_add(1);
     std::this_thread::yield();  // widen the window an overlap would need
     in_handler.fetch_sub(1);

@@ -39,7 +39,7 @@ GoldenResult run_golden_scenario() {
   };
   for (std::uint32_t i = 0; i < kN; ++i) sim.add_node({});
   for (std::uint32_t i = 0; i < kN; ++i) {
-    sim.set_handler(i, [&sim, &mix, i](NodeId from, const Bytes& p) {
+    sim.set_handler(i, [&sim, &mix, i](NodeId from, BytesView p) {
       mix(from);
       mix(i);
       mix(p.size());
@@ -47,7 +47,7 @@ GoldenResult run_golden_scenario() {
       mix(static_cast<std::uint64_t>(sim.now().micros));
       const std::uint8_t ttl = p.empty() ? 0 : p[0];
       if (ttl == 0) return;
-      Bytes fwd(p);
+      Bytes fwd(p.begin(), p.end());
       fwd[0] = static_cast<std::uint8_t>(ttl - 1);
       fwd.push_back(static_cast<std::uint8_t>(i));
       sim.send(i, (i + 1 + ttl) % kN, fwd);
@@ -101,7 +101,7 @@ TEST(GoldenTrace, RunBatchMatchesStepLoop) {
   };
   for (std::uint32_t i = 0; i < kN; ++i) sim.add_node({});
   for (std::uint32_t i = 0; i < kN; ++i) {
-    sim.set_handler(i, [&sim, &mix, i](NodeId from, const Bytes& p) {
+    sim.set_handler(i, [&sim, &mix, i](NodeId from, BytesView p) {
       mix(from);
       mix(i);
       mix(p.size());
@@ -109,7 +109,7 @@ TEST(GoldenTrace, RunBatchMatchesStepLoop) {
       mix(static_cast<std::uint64_t>(sim.now().micros));
       const std::uint8_t ttl = p.empty() ? 0 : p[0];
       if (ttl == 0) return;
-      Bytes fwd(p);
+      Bytes fwd(p.begin(), p.end());
       fwd[0] = static_cast<std::uint8_t>(ttl - 1);
       fwd.push_back(static_cast<std::uint8_t>(i));
       sim.send(i, (i + 1 + ttl) % kN, fwd);

@@ -50,13 +50,13 @@ TraceResult run_traced(std::uint32_t shards) {
   std::vector<std::vector<Obs>> logs(kN);
   for (std::uint32_t i = 0; i < kN; ++i) sim.add_node({});
   for (std::uint32_t i = 0; i < kN; ++i) {
-    sim.set_handler(i, [&sim, &logs, i](NodeId from, const Bytes& p) {
+    sim.set_handler(i, [&sim, &logs, i](NodeId from, BytesView p) {
       std::uint64_t sum = p.size();
       for (const std::uint8_t b : p) sum = sum * 131 + b;
       logs[i].push_back(Obs{sim.now().micros, from, i, sum});
       const std::uint8_t ttl = p.empty() ? 0 : p[0];
       if (ttl == 0) return;
-      Bytes fwd(p);
+      Bytes fwd(p.begin(), p.end());
       fwd[0] = static_cast<std::uint8_t>(ttl - 1);
       fwd.push_back(static_cast<std::uint8_t>(i));
       sim.send(i, (i + 1 + ttl) % kN, fwd);
@@ -128,13 +128,13 @@ TEST(ShardedDeterminism, StepMergeMatchesParallelRun) {
   std::vector<std::vector<Obs>> logs(kN);
   for (std::uint32_t i = 0; i < kN; ++i) sim.add_node({});
   for (std::uint32_t i = 0; i < kN; ++i) {
-    sim.set_handler(i, [&sim, &logs, i](NodeId from, const Bytes& p) {
+    sim.set_handler(i, [&sim, &logs, i](NodeId from, BytesView p) {
       std::uint64_t sum = p.size();
       for (const std::uint8_t b : p) sum = sum * 131 + b;
       logs[i].push_back(Obs{sim.now().micros, from, i, sum});
       const std::uint8_t ttl = p.empty() ? 0 : p[0];
       if (ttl == 0) return;
-      Bytes fwd(p);
+      Bytes fwd(p.begin(), p.end());
       fwd[0] = static_cast<std::uint8_t>(ttl - 1);
       sim.send(i, (i + 1 + ttl) % kN, fwd);
     });
@@ -166,7 +166,7 @@ TEST(ShardedDeterminism, CrossShardChannelsStayFifo) {
   std::vector<std::uint8_t> seen;
   std::vector<std::int64_t> times;
   for (std::uint32_t i = 0; i < kN; ++i) sim.add_node({});
-  sim.set_handler(kN - 1, [&](NodeId from, const Bytes& p) {
+  sim.set_handler(kN - 1, [&](NodeId from, BytesView p) {
     ASSERT_EQ(from, 0u);
     ASSERT_EQ(p.size(), 1u);
     seen.push_back(p[0]);
@@ -194,7 +194,7 @@ TEST(ShardedDeterminism, RunUntilWindowsStopAtBoundary) {
   };
   for (std::uint32_t i = 0; i < kN; ++i) sim.add_node({});
   for (std::uint32_t i = 0; i < kN; ++i) {
-    sim.set_handler(i, [&sim, &delivered, i](NodeId, const Bytes& p) {
+    sim.set_handler(i, [&sim, &delivered, i](NodeId, BytesView p) {
       ++delivered[i];
       if (p[0] > 0) {
         sim.send(i, (i + 3) % kN, Bytes{static_cast<std::uint8_t>(p[0] - 1)});
@@ -222,14 +222,14 @@ TEST(ShardedDeterminism, ShardedModeRejectsSubMicrosecondLookahead) {
 
 TEST(ShardedDeterminism, AddNodeAfterFirstEventThrowsWhenSharded) {
   Simulator sim(1, DelayModel::fixed(SimTime::us(10)), 2);
-  for (int i = 0; i < 4; ++i) sim.add_node([](NodeId, const Bytes&) {});
+  for (int i = 0; i < 4; ++i) sim.add_node([](NodeId, BytesView) {});
   sim.send(0, 1, Bytes{1});
   EXPECT_THROW(sim.add_node({}), std::logic_error);
 
   // Single-shard keeps the legacy anytime-add behavior.
   Simulator lazy(1, DelayModel::fixed(SimTime::us(10)), 1);
-  lazy.add_node([](NodeId, const Bytes&) {});
-  lazy.add_node([](NodeId, const Bytes&) {});
+  lazy.add_node([](NodeId, BytesView) {});
+  lazy.add_node([](NodeId, BytesView) {});
   lazy.send(0, 1, Bytes{1});
   EXPECT_NO_THROW(lazy.add_node({}));
 }
@@ -239,7 +239,7 @@ TEST(ShardedDeterminism, ForeignSourceSendThrowsInParallelRun) {
   // parallel engine is running -- channel state lives with the source shard.
   Simulator sim(1, DelayModel::fixed(SimTime::us(10)), 2);
   for (std::uint32_t i = 0; i < 4; ++i) sim.add_node({});
-  sim.set_handler(0, [&sim](NodeId, const Bytes& p) {
+  sim.set_handler(0, [&sim](NodeId, BytesView p) {
     sim.send(3, 1, p);  // node 3 lives on the other shard
   });
   sim.send(1, 0, Bytes{1});

@@ -54,9 +54,9 @@ TEST(Simulator, MessageDelivered) {
   std::vector<std::uint8_t> got;
   const NodeId a = sim.add_node({});
   const NodeId b =
-      sim.add_node([&](NodeId from, const Bytes& p) {
+      sim.add_node([&](NodeId from, BytesView p) {
         EXPECT_EQ(from, 0u);
-        got.push_back(p.at(0));
+        got.push_back(p[0]);
       });
   (void)b;
   sim.send(a, 1, payload(42));
@@ -77,7 +77,7 @@ TEST(Simulator, ChannelFifoPreservedDespiteRandomDelays) {
   Simulator sim(42, DelayModel::uniform(SimTime::us(10), SimTime::ms(10)));
   std::vector<std::uint8_t> got;
   const NodeId a = sim.add_node({});
-  sim.add_node([&](NodeId, const Bytes& p) { got.push_back(p.at(0)); });
+  sim.add_node([&](NodeId, BytesView p) { got.push_back(p[0]); });
   for (std::uint8_t i = 0; i < 50; ++i) sim.send(a, 1, payload(i));
   sim.run();
   ASSERT_EQ(got.size(), 50u);
@@ -91,7 +91,7 @@ TEST(Simulator, IndependentChannelsMayInterleave) {
   int from_b = 0;
   const NodeId a = sim.add_node({});
   const NodeId b = sim.add_node({});
-  sim.add_node([&](NodeId from, const Bytes&) {
+  sim.add_node([&](NodeId from, BytesView) {
     (from == a ? from_a : from_b)++;
   });
   for (int i = 0; i < 10; ++i) {
@@ -109,7 +109,7 @@ TEST(Simulator, DeterministicAcrossRunsWithSameSeed) {
     std::vector<std::uint8_t> got;
     const NodeId a = sim.add_node({});
     const NodeId b = sim.add_node({});
-    sim.add_node([&](NodeId, const Bytes& p) { got.push_back(p.at(0)); });
+    sim.add_node([&](NodeId, BytesView p) { got.push_back(p[0]); });
     for (std::uint8_t i = 0; i < 20; ++i) {
       sim.send(a, 2, payload(i));
       sim.send(b, 2, payload(static_cast<std::uint8_t>(100 + i)));
@@ -125,7 +125,7 @@ TEST(Simulator, FixedDelayDeliversExactly) {
   Simulator sim(1, DelayModel::fixed(SimTime::ms(2)));
   SimTime delivered{-1};
   const NodeId a = sim.add_node({});
-  sim.add_node([&](NodeId, const Bytes&) { delivered = sim.now(); });
+  sim.add_node([&](NodeId, BytesView) { delivered = sim.now(); });
   sim.send(a, 1, payload(0));
   sim.run();
   EXPECT_EQ(delivered, SimTime::ms(2));
@@ -165,7 +165,7 @@ TEST(Simulator, RunWhilePendingFalseWhenDrained) {
 TEST(Simulator, StatsCountEverything) {
   Simulator sim;
   const NodeId a = sim.add_node({});
-  sim.add_node([](NodeId, const Bytes&) {});
+  sim.add_node([](NodeId, BytesView) {});
   sim.send(a, 1, payload(1));
   sim.send(a, 1, Bytes{1, 2, 3});
   sim.schedule(SimTime::ms(1), [] {});
@@ -202,7 +202,7 @@ TEST(Simulator, SetHandlerReplacesReceiver) {
   const NodeId a = sim.add_node({});
   const NodeId b = sim.add_node({});
   int count = 0;
-  sim.set_handler(b, [&](NodeId, const Bytes&) { ++count; });
+  sim.set_handler(b, [&](NodeId, BytesView) { ++count; });
   sim.send(a, b, payload(0));
   sim.run();
   EXPECT_EQ(count, 1);
@@ -216,14 +216,14 @@ TEST(Simulator, ChannelSpillFifoBeyondFlatLimit) {
     Simulator sim(99, DelayModel::uniform(SimTime::us(10), SimTime::ms(5)));
     std::vector<std::uint8_t> got;
     for (std::uint32_t i = 0; i < kNodes; ++i) sim.add_node({});
-    sim.set_handler(1, [&](NodeId from, const Bytes& p) {
+    sim.set_handler(1, [&](NodeId from, BytesView p) {
       EXPECT_EQ(from, 0u);
-      got.push_back(p.at(0));
+      got.push_back(p[0]);
     });
     for (std::uint8_t i = 0; i < 40; ++i) sim.send(0, 1, payload(i));
     // A second channel into the same receiver would break the from==0
     // expectation; use a distant one to stretch the spill keyspace.
-    sim.set_handler(kNodes - 1, [](NodeId, const Bytes&) {});
+    sim.set_handler(kNodes - 1, [](NodeId, BytesView) {});
     for (std::uint8_t i = 0; i < 10; ++i) {
       sim.send(kNodes - 2, kNodes - 1, payload(i));
     }
@@ -246,8 +246,8 @@ TEST(Simulator, FlatToSpillMigrationPreservesChannelFifo) {
   std::vector<std::uint8_t> got;
   std::vector<std::int64_t> times;
   for (std::uint32_t i = 0; i < 1024; ++i) sim.add_node({});
-  sim.set_handler(1, [&](NodeId, const Bytes& p) {
-    got.push_back(p.at(0));
+  sim.set_handler(1, [&](NodeId, BytesView p) {
+    got.push_back(p[0]);
     times.push_back(sim.now().micros);
   });
   for (std::uint8_t i = 0; i < 30; ++i) sim.send(0, 1, payload(i));
@@ -265,6 +265,32 @@ TEST(Simulator, FlatToSpillMigrationPreservesChannelFifo) {
   for (std::uint8_t i = 0; i < 60; ++i) EXPECT_EQ(got[i], i);
   for (std::size_t i = 1; i < times.size(); ++i) {
     EXPECT_LT(times[i - 1], times[i]);
+  }
+}
+
+TEST(Simulator, HandlerViewSurvivesSendsFromTheHandler) {
+  // The handler's view must not point into the event slab: sends made
+  // from the handler reuse the delivered slot and grow the slab.  Check
+  // both an inline (48 B) and a pooled (49 B) payload.
+  for (const std::size_t size :
+       {Simulator::kInlinePayload, Simulator::kInlinePayload + 1}) {
+    Simulator sim(5, DelayModel::fixed(SimTime::us(10)));
+    Bytes sent(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      sent[i] = static_cast<std::uint8_t>(i + 1);
+    }
+    Bytes seen;
+    const NodeId a = sim.add_node({});
+    const NodeId b = sim.add_node([&](NodeId from, BytesView p) {
+      if (!seen.empty()) return;
+      const Bytes other(size, 0xEE);
+      for (int i = 0; i < 64; ++i) sim.send(1, from, other);
+      seen.assign(p.begin(), p.end());
+    });
+    sim.send(a, b, sent);
+    sim.run();
+    EXPECT_EQ(seen, sent) << "size " << size;
+    EXPECT_EQ(sim.stats().messages_delivered, 65u);
   }
 }
 

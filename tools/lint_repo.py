@@ -15,7 +15,12 @@ Rules (each can be silenced on a single line with `// lint:allow(<rule>)`):
                       cache-friendly by design (see DESIGN.md).
   transport-bytesview transport send surfaces take BytesView, never
                       `const Bytes&`: senders must accept stack frames
-                      without forcing a heap copy at the boundary.
+                      without forcing a heap copy at the boundary.  The
+                      receive side likewise: a message-handler alias or a
+                      handler lambda `(NodeId from, const Bytes& ...)`
+                      is flagged, because the simulator delivers small
+                      frames from its stack and a `const Bytes&` handler
+                      could not accept them without a copy.
   raw-sync            std::mutex / std::condition_variable / the std lock
                       adapters (scoped_lock, lock_guard, unique_lock, ...)
                       and manual .lock()/.unlock() calls are banned outside
@@ -53,6 +58,15 @@ REINTERPRET_RE = re.compile(r"\breinterpret_cast\b")
 # A declaration line of a send-like function taking a borrowed Bytes:
 # matches `send(`, `send_frame(` etc. followed (same line) by `const Bytes&`.
 SEND_BYTES_RE = re.compile(r"\b\w*send\w*\s*\([^)]*const\s+Bytes\s*&")
+# The receive side: a handler alias whose std::function takes a borrowed
+# Bytes, or a lambda whose parameter list is (NodeId ..., const Bytes& ...).
+# Matched over the whole file, so a parameter list may wrap.
+HANDLER_ALIAS_BYTES_RE = re.compile(
+    r"\busing\s+\w*Handler\s*=\s*std::function\s*<[^>]*const\s+Bytes\s*&"
+)
+HANDLER_LAMBDA_BYTES_RE = re.compile(
+    r"\]\s*\(\s*(?:\w+::)*NodeId\b[^,()]*,\s*const\s+Bytes\s*&"
+)
 
 # The raw C++ synchronization vocabulary.  Only src/common/sync.h may use
 # these; everyone else holds capabilities through the annotated wrappers.
@@ -184,6 +198,17 @@ class Linter:
                             "through the Transport interface (framing, "
                             "I/O counters, fd lifecycle live there)",
                             raw_line, prev)
+
+        text = "\n".join(code)
+        for regex in (HANDLER_ALIAS_BYTES_RE, HANDLER_LAMBDA_BYTES_RE):
+            for match in regex.finditer(text):
+                # Report on the line holding `const Bytes&`.
+                i = text.count("\n", 0, match.end()) + 1
+                self.report(path, i, "transport-bytesview",
+                            "message handler takes `const Bytes&`; take "
+                            "BytesView (valid for the call) so deliveries "
+                            "need no heap buffer",
+                            raw[i - 1], raw[i - 2] if i >= 2 else "")
 
 
 def main() -> int:
