@@ -132,7 +132,8 @@ void BM_DdbHandleProbe(benchmark::State& state) {
   for (auto _ : state) {
     ++seq;
     const ddb::DdbFrame probe = ddb::encode_small(
-        ddb::DdbProbeMsg{ddb::DdbProbeTag{SiteId{1}, seq}, seq, edge, false});
+        ddb::DdbProbeMsg{ddb::DdbProbeTag{SiteId{1}, seq}, seq, edge, false,
+                         t2});
     benchmark::DoNotOptimize(c.on_message(SiteId{1}, probe.view()));
   }
   benchmark::DoNotOptimize(sink);

@@ -176,14 +176,18 @@ void Controller::purge_local(TransactionId txn) {
 }
 
 void Controller::finish(TransactionId txn) {
+  // The committing home knows its transaction's participants: the sites
+  // that granted it a lock through this controller and those it still has
+  // requests outstanding at.  Only they hold state to release.
+  FlatSet<SiteId, 8> participants;
+  if (const TxnSlot* s = slot(txn)) {
+    participants.insert(s->remote_holdings.begin(), s->remote_holdings.end());
+    for (const PendingRemote& p : s->pending) participants.insert(p.site);
+  }
   purge_local(txn);
-  // The transaction may hold locks at any site it executed at; broadcast
-  // the release (a real system would piggyback a participant list, but the
-  // paper's model does not provide one).
-  for (std::uint32_t s = 0; s < n_sites_; ++s) {
-    if (SiteId{s} == id_) continue;
+  for (const SiteId site : participants) {
     ++stats_.purges_sent;
-    send_(SiteId{s}, encode_small(PurgeTxnMsg{txn, /*aborted=*/false}).view());
+    send_(site, encode_small(PurgeTxnMsg{txn, /*aborted=*/false}).view());
   }
 }
 
@@ -196,7 +200,8 @@ void Controller::abort(TransactionId txn) {
   }
   if (on_abort_) on_abort_(txn);
   // The victim may hold state at any site (it can be another site's home
-  // transaction caught on our cycle); broadcast the purge.
+  // transaction caught on our cycle, whose participants this site does not
+  // know); broadcast the purge.
   for (std::uint32_t s = 0; s < n_sites_; ++s) {
     if (SiteId{s} == id_) continue;
     ++stats_.purges_sent;
@@ -209,10 +214,11 @@ void Controller::abort(TransactionId txn) {
 Status Controller::on_message(SiteId from, BytesView payload) {
   auto decoded = decode(payload);
   if (!decoded.ok()) return decoded.status();
+  // The highest transaction id the frame names.
   const TransactionId txn = std::visit(
       [](const auto& m) {
         if constexpr (std::is_same_v<std::decay_t<decltype(m)>, DdbProbeMsg>) {
-          return m.edge.to.transaction;
+          return std::max(m.edge.to.transaction, m.candidate);
         } else {
           return m.txn;
         }
@@ -350,22 +356,37 @@ FlatSet<SiteId, 8> Controller::pending_remote_sites(TransactionId txn) const {
   return result;
 }
 
-bool Controller::intra_reachable(TransactionId txn) {
+std::optional<TransactionId> Controller::intra_reachable(TransactionId txn,
+                                                         TransactionId best) {
   locks_.wait_edges(edges_);
-  reach_.clear();
-  reach_.insert(txn);
-  frontier_.clear();
-  frontier_.push_back(txn);
-  bool cycle = false;
-  for (std::size_t head = 0; head < frontier_.size(); ++head) {
-    const auto [lo, hi] = out_edges(edges_, frontier_[head]);
+  paths_.clear();
+  paths_.push_back({txn, std::max(best, txn)});
+  std::optional<TransactionId> cycle;
+  for (std::size_t head = 0; head < paths_.size(); ++head) {
+    const PathBest u = paths_[head];
+    const auto [lo, hi] = out_edges(edges_, u.txn);
     for (const WaitEdge* e = lo; e != hi; ++e) {
       const TransactionId v = e->second;
-      if (v == txn) cycle = true;
-      if (reach_.insert(v)) frontier_.push_back(v);
+      if (v == txn) cycle = std::max(cycle.value_or(u.best), u.best);
+      if (reached(v) == nullptr) paths_.push_back({v, std::max(u.best, v)});
     }
   }
   return cycle;
+}
+
+const Controller::PathBest* Controller::reached(TransactionId txn) const {
+  const auto it = std::find_if(paths_.begin(), paths_.end(),
+                               [txn](const PathBest& p) { return p.txn == txn; });
+  return it != paths_.end() ? &*it : nullptr;
+}
+
+bool Controller::declare_local_cycle(TransactionId txn) {
+  const std::optional<TransactionId> victim = intra_reachable(txn, txn);
+  if (!victim) return false;
+  // Step A0: black cycle of intra-controller edges, no probes needed.
+  ++stats_.local_cycle_detections;
+  close_walk(*victim, txn, DdbProbeTag{id_, ++next_sequence_});
+  return true;
 }
 
 std::uint64_t Controller::current_floor() {
@@ -378,26 +399,20 @@ std::uint64_t Controller::current_floor() {
 
 std::optional<DdbProbeTag> Controller::initiate_for(TransactionId txn) {
   if (!blocked(txn)) return std::nullopt;
+  if (declare_local_cycle(txn)) return std::nullopt;
 
-  const bool local_cycle = intra_reachable(txn);
+  // paths_ still holds the BFS of the A0 check.
   const DdbProbeTag tag{id_, ++next_sequence_};
-  if (local_cycle) {
-    // Step A0: black cycle of intra-controller edges, no probes needed.
-    ++stats_.local_cycle_detections;
-    declare(txn, tag);
-    return std::nullopt;
-  }
-
   ++stats_.computations_initiated;
   set_own_seq(txn, tag.sequence);
   Computation& comp = computation(tag);
   comp.target = txn;
-  comp.labelled = reach_;
+  for (const PathBest& p : paths_) comp.labelled.insert(p.txn);
   CMH_LOG(kDebug, "ddb") << id_ << " initiates " << tag << " for " << txn;
   // The target's own release-wait edges are suppressed here for the same
   // reason as in handle_probe; cycles genuinely passing through the
   // target's holdings are entered via another transaction's intra wait.
-  send_probes(tag, current_floor(), comp, reach_, txn);
+  send_probes(tag, current_floor(), comp, paths_, txn);
   return tag;
 }
 
@@ -467,6 +482,7 @@ bool Controller::detect_local_cycles() {
       if (cycle_state_[v] == kOpen) {
         // Back edge: v is on a cycle of intra-controller edges.
         ++stats_.local_cycle_detections;
+        erase_own_seq(cycle_nodes_[v]);
         declare(cycle_nodes_[v], DdbProbeTag{id_, ++next_sequence_});
         found = true;
         cycle_state_[v] = kDone;  // avoid re-declaring the same cycle entry
@@ -484,9 +500,9 @@ bool Controller::detect_local_cycles() {
 
 void Controller::send_probes(
     const DdbProbeTag& tag, std::uint64_t floor, Computation& comp,
-    const TxnSet& processes,
+    const std::vector<PathBest>& processes,
     std::optional<TransactionId> skip_release_wait_for) {
-  for (const TransactionId txn : processes) {
+  for (const auto [txn, best] : processes) {
     // Acquisition edges: (txn, here) awaits grants from remote controllers.
     if (const TxnSlot* s = slot(txn)) {
       for (const PendingRemote& p : s->pending) {
@@ -495,7 +511,7 @@ void Controller::send_probes(
         ++stats_.probes_sent;
         CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " acq " << edge;
         send_(p.site,
-              encode_small(DdbProbeMsg{tag, floor, edge, false}).view());
+              encode_small(DdbProbeMsg{tag, floor, edge, false, best}).view());
       }
     }
     // Release-wait edges: (txn, here) holds resources acquired on behalf of
@@ -509,7 +525,8 @@ void Controller::send_probes(
       if (!comp.probes_sent.insert(edge)) continue;
       ++stats_.probes_sent;
       CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " rel " << edge;
-      send_(origin, encode_small(DdbProbeMsg{tag, floor, edge, true}).view());
+      send_(origin,
+            encode_small(DdbProbeMsg{tag, floor, edge, true, best}).view());
     }
   }
 }
@@ -562,13 +579,19 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   // past this site -- and acting on them would declare wait chains that
   // never coexisted (a false deadlock).  The accumulated label set is kept
   // as the computation's record and for the per-edge probe dedup.
-  intra_reachable(txn);
-  comp.labelled.insert(reach_.begin(), reach_.end());
+  //
+  // The candidate so far is the youngest transaction on the walk up to txn;
+  // each newly reachable agent extends it along its BFS-tree path, so the
+  // candidate always names a transaction on the walk the probe follows,
+  // never one that is merely reachable from it.
+  intra_reachable(txn, msg.candidate);
+  for (const PathBest& p : paths_) comp.labelled.insert(p.txn);
 
-  if (msg.tag.initiator == id_ && comp.target &&
-      reach_.contains(*comp.target)) {
+  const PathBest* closing =
+      msg.tag.initiator == id_ && comp.target ? reached(*comp.target) : nullptr;
+  if (closing != nullptr) {
     comp.declared = true;
-    declare(*comp.target, msg.tag);
+    close_walk(closing->best, closing->txn, msg.tag);
     return;
   }
 
@@ -580,17 +603,26 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   // transaction's wait (an intra edge), otherwise it loops between txn's
   // own agents without any deadlock (acquisition and holding concern
   // different resources).
-  send_probes(msg.tag, msg.floor, comp, reach_, txn);
+  send_probes(msg.tag, msg.floor, comp, paths_, txn);
+}
+
+void Controller::close_walk(TransactionId victim, TransactionId target,
+                            const DdbProbeTag& tag) {
+  erase_own_seq(target);
+  declare(victim, tag);
+  if (victim != target && options_.abort_victim) schedule_block_check(target);
 }
 
 void Controller::declare(TransactionId victim, const DdbProbeTag& tag) {
   ++stats_.deadlocks_declared;
   declared_.emplace_back(victim, tag);
-  erase_own_seq(victim);
   CMH_LOG(kInfo, "ddb") << id_ << " declares " << victim << " deadlocked ("
                         << tag << ")";
   if (on_deadlock_) on_deadlock_(victim, tag);
-  if (options_.abort_victim) abort(victim);
+  // A repeat declaration (another computation elected the same victim
+  // before this site's purge reached it) must not abort twice.
+  const TxnSlot* s = slot(victim);
+  if (options_.abort_victim && (s == nullptr || !s->aborted)) abort(victim);
 }
 
 void Controller::schedule_block_check(TransactionId txn) {
@@ -601,6 +633,9 @@ void Controller::schedule_block_check(TransactionId txn) {
       initiate_for(txn);
       return;
     case DdbInitiation::kDelayed:
+      // A0 sends no messages, so it runs at once; T only holds back the
+      // probe computation, whose messages it exists to save.
+      if (blocked(txn) && declare_local_cycle(txn)) return;
       timers_(options_.initiation_delay, [this, txn] {
         if (blocked(txn)) initiate_for(txn);
       });

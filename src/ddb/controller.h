@@ -8,8 +8,11 @@
 //   * run the deadlock detection algorithm A0/A1/A2 of section 6.6 over the
 //     local intra-controller graph and the inter-controller edges,
 //   * optionally abort detected victims (resolution) -- the paper defers
-//     "how deadlocks should be broken" to [3,6]; we implement the standard
-//     victim-abort so examples/benches can show liveness after detection.
+//     "how deadlocks should be broken" to [3,6].  Probes elect the victim:
+//     each carries the youngest transaction (highest dense id) on the path
+//     it has travelled, and the initiator declares that transaction when
+//     the walk closes, so every computation that closes the same cycle
+//     aborts the same one (DESIGN.md, victim election).
 //
 // Like BasicProcess, the controller is a transport-agnostic state machine;
 // callers must serialize calls per instance (the paper's atomic-step note),
@@ -127,7 +130,8 @@ class Controller {
 
   /// Step A0 for local process (txn, this site).  Returns the tag if a
   /// probe computation started, nullopt if txn is not blocked here or a
-  /// local (intra-controller) cycle was declared directly.
+  /// local (intra-controller) cycle was declared directly (its youngest
+  /// transaction is the victim).
   std::optional<DdbProbeTag> initiate_for(TransactionId txn);
 
   /// "Controller wishes to determine if any of its processes are
@@ -212,6 +216,14 @@ class Controller {
     bool seen;
   };
 
+  /// A transaction intra-reachable from a BFS root, with the youngest
+  /// transaction on its BFS-tree path (root and the path before the root
+  /// included).
+  struct PathBest {
+    TransactionId txn;
+    TransactionId best;
+  };
+
   void handle_lock_request(SiteId from, const RemoteLockRequestMsg& msg);
   void handle_grant(SiteId from, const RemoteLockGrantMsg& msg);
   void handle_purge(SiteId from, const PurgeTxnMsg& msg);
@@ -225,13 +237,24 @@ class Controller {
   /// commit or an abort, dispatching the grants that frees.
   void purge_local(TransactionId txn);
 
-  /// Replaces reach_ with the agents intra-reachable from `txn`
-  /// (reflexive); returns true iff txn reaches itself through at least one
-  /// edge (a local cycle).
-  bool intra_reachable(TransactionId txn);
+  /// Replaces paths_ with the agents intra-reachable from `txn`
+  /// (reflexive), in BFS order, each with the youngest transaction on its
+  /// BFS-tree path from `txn`; `best` is the youngest transaction on the
+  /// path that led to `txn`.  If txn reaches itself through at least one
+  /// edge (a local cycle), returns the youngest transaction on such a
+  /// cycle.
+  std::optional<TransactionId> intra_reachable(TransactionId txn,
+                                               TransactionId best);
+  /// The entry of `txn` in paths_, or null if the last BFS missed it.
+  [[nodiscard]] const PathBest* reached(TransactionId txn) const;
+
+  /// Step A0 for (txn, here): if txn is on an intra-controller cycle,
+  /// declares the cycle's youngest transaction and returns true.
+  bool declare_local_cycle(TransactionId txn);
 
   /// Sends probes of `comp` along all un-probed outgoing inter edges of
-  /// `processes`.  Only *currently* intra-reachable processes may be passed:
+  /// `processes`, each carrying its process's path best as the victim
+  /// candidate.  Only *currently* intra-reachable processes may be passed:
   /// forwarding from stale labels would manufacture wait chains that never
   /// coexisted and break QRP2 (see handle_probe).
   ///
@@ -247,10 +270,19 @@ class Controller {
   /// received verbatim -- stamping a forwarder's floor would corrupt the
   /// initiator's numbering at downstream receivers.
   void send_probes(const DdbProbeTag& tag, std::uint64_t floor,
-                   Computation& comp, const TxnSet& processes,
+                   Computation& comp, const std::vector<PathBest>& processes,
                    std::optional<TransactionId> skip_release_wait_for =
                        std::nullopt);
 
+  /// A walk from `target` closed on itself with `victim` the youngest
+  /// transaction on it: ends target's computation and declares the victim.
+  /// If the victim is another transaction and victims are aborted, target's
+  /// block check is re-armed: the walk may have been stale (the victim
+  /// already gone) while target still sits on another cycle.
+  void close_walk(TransactionId victim, TransactionId target,
+                  const DdbProbeTag& tag);
+  /// Records the declaration and aborts the victim, unless this site has
+  /// already aborted it.
   void declare(TransactionId victim, const DdbProbeTag& tag);
   void schedule_block_check(TransactionId txn);
 
@@ -308,8 +340,8 @@ class Controller {
   // detection path allocates nothing.  Each query owns its buffers: a
   // declaration inside detect_local_cycles() may re-enter initiate_for().
   std::vector<WaitEdge> edges_;            // intra_reachable()
-  TxnSet reach_;                           // intra_reachable() result
-  std::vector<TransactionId> frontier_;    // intra_reachable() BFS queue
+  std::vector<PathBest> paths_;            // intra_reachable() BFS queue
+                                           // and result
   std::vector<WaitEdge> cycle_edges_;      // detect_local_cycles()
   std::vector<TransactionId> cycle_nodes_;
   std::vector<std::uint8_t> cycle_state_;

@@ -19,6 +19,7 @@ void put_probe(W& w, const DdbProbeMsg& m) {
   w.agent(m.edge.from);
   w.agent(m.edge.to);
   w.u8(m.via_release_wait ? 1 : 0);
+  w.id(m.candidate);
 }
 
 template <typename W>
@@ -116,6 +117,7 @@ Result<DdbMessage> decode(BytesView payload) {
       m.edge.to.transaction = r.id_unchecked<TransactionId>();
       m.edge.to.site = r.id_unchecked<SiteId>();
       m.via_release_wait = r.u8_unchecked() != 0;
+      m.candidate = r.id_unchecked<TransactionId>();
       return DdbMessage{m};
     }
     default:

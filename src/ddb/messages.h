@@ -56,14 +56,21 @@ struct DdbProbeMsg {
   /// proceeds; meaningful iff T is blocked at the receiver (T cannot have
   /// committed while blocked, so the holding at the sender still exists).
   bool via_release_wait{false};
+  /// Victim election: the youngest transaction (highest dense id) on the
+  /// path this probe has travelled from the initiator's target, entry
+  /// transaction of `edge` included.  When the walk closes on the target,
+  /// the initiator declares this transaction, so every computation that
+  /// closes the same simple cycle aborts the same one.
+  TransactionId candidate;
 };
 
 using DdbMessage = std::variant<RemoteLockRequestMsg, RemoteLockGrantMsg,
                                 PurgeTxnMsg, DdbProbeMsg>;
 
 /// Wire size of a DdbProbeMsg frame: 1 (type) + 4 (initiator) + 8 (sequence)
-/// + 8 (floor) + 2*8 (edge endpoints) + 1 (kind).  Every DDB frame fits.
-inline constexpr std::size_t kDdbFrameCapacity = 38;
+/// + 8 (floor) + 2*8 (edge endpoints) + 1 (kind) + 4 (candidate).  Every
+/// DDB frame fits.
+inline constexpr std::size_t kDdbFrameCapacity = 42;
 
 /// A stack-encoded frame; view() is valid for the frame's lifetime.  The
 /// detection hot path (one probe per inter-controller edge, every round)

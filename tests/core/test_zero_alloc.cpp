@@ -152,6 +152,9 @@ std::size_t fresh_relay_allocations(int frames, std::size_t size) {
   return g_alloc_count - before;
 }
 
+// Every DDB frame, the 42-byte probe included, rides inline.
+static_assert(ddb::kDdbFrameCapacity <= sim::Simulator::kInlinePayload);
+
 TEST(ZeroAlloc, FreshSimulatorRelaysSmallFramesFromInlineStorage) {
   // Frames of up to kInlinePayload bytes live in the slab entry: the
   // allocations are the simulator's fixed set-up plus slab and queue growth
@@ -264,11 +267,11 @@ TEST(ZeroAlloc, WarmDdbControllerProbesGrantsAndInitiation) {
     if (!tag) return false;
     ok &= deliver(s1, DdbProbeMsg{*tag, tag->sequence,
                                   InterEdge{AgentId{t3, s1}, AgentId{t3, s0}},
-                                  false});
+                                  false, t3});
     ++foreign_seq;
     ok &= deliver(s1, DdbProbeMsg{DdbProbeTag{s1, foreign_seq}, foreign_seq,
                                   InterEdge{AgentId{t2, s1}, AgentId{t2, s0}},
-                                  false});
+                                  false, t2});
     ok &= deliver(s1, RemoteLockGrantMsg{t1, rB});
     ok &= !c.lock(t1, rB, LockMode::kWrite);
     return ok;

@@ -16,7 +16,8 @@ DdbProbeMsg sample_probe() {
       42,
       InterEdge{AgentId{TransactionId{7}, SiteId{3}},
                 AgentId{TransactionId{7}, SiteId{9}}},
-      true};
+      true,
+      TransactionId{11}};
 }
 
 std::vector<DdbMessage> sample_messages() {
@@ -66,6 +67,7 @@ TEST(DdbCodecRoundTrip, AllMessageTypes) {
   EXPECT_EQ(p.floor, expected.floor);
   EXPECT_EQ(p.edge, expected.edge);
   EXPECT_EQ(p.via_release_wait, expected.via_release_wait);
+  EXPECT_EQ(p.candidate, expected.candidate);
 }
 
 TEST(DdbCodecTruncation, EveryProperPrefixRejected) {

@@ -5,7 +5,9 @@
 //   * grant reshuffles creating wait edges without block events,
 //   * the degenerate two-agent probe bounce over release-wait edges,
 //   * floor corruption by forwarders (stale-tag rule, section 4.3/6.7),
-//   * stale labels acting across probe receipts.
+//   * stale labels acting across probe receipts,
+//   * victim election: one abort per cycle, repeat declarations, stale
+//     walks.
 #include "ddb/controller.h"
 
 #include <gtest/gtest.h>
@@ -14,12 +16,15 @@
 #include <map>
 #include <memory>
 
+#include "ddb/cycle_finder.h"
+
 namespace cmh::ddb {
 namespace {
 
 /// Manual message fabric for controllers: sends queue per channel; tests
 /// deliver selectively (FIFO per channel, arbitrary interleaving across
-/// channels -- exactly the paper's network model).
+/// channels -- exactly the paper's network model).  Under kDelayed the
+/// block-check timers queue until fire_timers().
 class Rig {
  public:
   explicit Rig(std::uint32_t n_sites, DdbOptions options = manual_options()) {
@@ -31,7 +36,12 @@ class Rig {
             wires_[{id, to}].emplace_back(payload.begin(), payload.end());
           },
           [n_sites](ResourceId r) { return SiteId{r.value() % n_sites}; },
-          options, TimerFn{}));
+          options,
+          options.initiation == DdbInitiation::kDelayed
+              ? TimerFn{[this](SimTime, std::function<void()> fn) {
+                  timers_.push_back(std::move(fn));
+                }}
+              : TimerFn{}));
       controllers_.back()->set_deadlock_callback(
           [this, id](TransactionId victim, const DdbProbeTag& tag) {
             declared_.emplace_back(id, victim, tag);
@@ -92,6 +102,36 @@ class Rig {
     ASSERT_TRUE(c(to).on_message(SiteId{from}, payload).ok());
   }
 
+  /// Runs the queued timers (those they queue wait for the next call).
+  void fire_timers() {
+    std::vector<std::function<void()>> due = std::move(timers_);
+    timers_.clear();
+    for (auto& fn : due) fn();
+  }
+  void drop_timers() { timers_.clear(); }
+
+  /// Transactions on a cycle of the union of every site's wait edges (the
+  /// global waits-for graph once no request is in flight).
+  std::vector<TransactionId> oracle_deadlocked() {
+    std::vector<WaitEdge> all;
+    std::vector<WaitEdge> site;
+    for (const auto& controller : controllers_) {
+      controller->intra_edges(site);
+      all.insert(all.end(), site.begin(), site.end());
+    }
+    CycleFinder finder;
+    const auto on_cycle = finder.on_cycle(all);
+    return {on_cycle.begin(), on_cycle.end()};
+  }
+
+  std::uint64_t total_aborts() const {
+    std::uint64_t n = 0;
+    for (const auto& controller : controllers_) {
+      n += controller->stats().aborts_executed;
+    }
+    return n;
+  }
+
   struct Declared {
     Declared(SiteId s, TransactionId v, DdbProbeTag t)
         : site(s), victim(v), tag(t) {}
@@ -105,10 +145,13 @@ class Rig {
   std::vector<std::unique_ptr<Controller>> controllers_;
   std::map<std::pair<SiteId, SiteId>, std::deque<Bytes>> wires_;
   std::vector<Declared> declared_;
+  std::vector<std::function<void()>> timers_;
 };
 
 const TransactionId t1{1};
 const TransactionId t2{2};
+const TransactionId t3{3};
+const TransactionId t5{5};
 // Resource placement in the rig: r % n_sites.
 ResourceId res_at(std::uint32_t site, std::uint32_t k, std::uint32_t n) {
   return ResourceId{site + k * n};
@@ -143,7 +186,9 @@ TEST(Controller, BlockedQueries) {
   EXPECT_TRUE(rig.c(0).blocked(t2));
 }
 
-TEST(Controller, FinishBroadcastsPurgeAndReleasesEverywhere) {
+TEST(Controller, FinishPurgesOnlyParticipants) {
+  // t1 holds a lock at S1 and never touched S2: the commit purge goes to
+  // S1 alone.
   Rig rig(3);
   const ResourceId remote = res_at(1, 0, 3);
   rig.c(0).lock(t1, remote, LockMode::kWrite);
@@ -151,9 +196,23 @@ TEST(Controller, FinishBroadcastsPurgeAndReleasesEverywhere) {
   ASSERT_TRUE(rig.c(1).locks().holds(remote, t1));
   rig.c(0).finish(t1);
   EXPECT_EQ(rig.pending(0, 1), 1u);
-  EXPECT_EQ(rig.pending(0, 2), 1u);
+  EXPECT_EQ(rig.pending(0, 2), 0u);
+  EXPECT_EQ(rig.c(0).stats().purges_sent, 1u);
   rig.deliver_all();
   EXPECT_FALSE(rig.c(1).locks().holds(remote, t1));
+}
+
+TEST(Controller, FinishPurgesSitesWithRequestsStillInFlight) {
+  // A request still outstanding at commit may yet be queued or granted at
+  // its owner; that site is a participant too.
+  Rig rig(3);
+  const ResourceId remote = res_at(2, 0, 3);
+  rig.c(0).lock(t1, remote, LockMode::kWrite);
+  rig.c(0).finish(t1);
+  EXPECT_EQ(rig.pending(0, 1), 0u);
+  EXPECT_EQ(rig.pending(0, 2), 2u);  // the request, then the purge
+  rig.deliver_all();
+  EXPECT_FALSE(rig.c(2).locks().holds(remote, t1));
 }
 
 // ---- regression: zombie request vs abort purge ------------------------------------
@@ -238,9 +297,116 @@ TEST(ControllerProbe, CrossSiteDeadlockDetectedFromEitherSide) {
     ASSERT_TRUE(rig.c(initiator).initiate_for(target).has_value());
     rig.deliver_all();
     ASSERT_EQ(rig.declared().size(), 1u) << "initiator " << initiator;
-    EXPECT_EQ(rig.declared()[0].victim, target);
+    // The youngest transaction on the cycle, whichever side initiates.
+    EXPECT_EQ(rig.declared()[0].victim, t2);
     EXPECT_EQ(rig.declared()[0].site, SiteId{initiator});
   }
+}
+
+TEST(ControllerProbe, CycleInitiatedFromBothSidesAbortsOnlyTheYoungest) {
+  // Both sites start a computation for their own blocked process in the
+  // same step.  Both walks close on the same cycle and elect t2, so t1
+  // survives and ends up holding both resources.
+  DdbOptions o = Rig::manual_options();
+  o.abort_victim = true;
+  Rig rig(2, o);
+  std::vector<TransactionId> aborted;
+  for (const std::uint32_t s : {0u, 1u}) {
+    rig.c(s).set_abort_callback(
+        [&aborted](TransactionId t) { aborted.push_back(t); });
+  }
+  ResourceId rA, rB;
+  build_cross_deadlock(rig, rA, rB);
+  ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
+  ASSERT_TRUE(rig.c(1).initiate_for(t2).has_value());
+  rig.deliver_all();
+  ASSERT_FALSE(rig.declared().empty());
+  for (const auto& d : rig.declared()) EXPECT_EQ(d.victim, t2);
+  for (const TransactionId t : aborted) EXPECT_EQ(t, t2);
+  EXPECT_TRUE(rig.c(0).locks().holds(rA, t1));
+  EXPECT_TRUE(rig.c(1).locks().holds(rB, t1));
+  EXPECT_FALSE(rig.c(0).blocked(t1));
+  EXPECT_TRUE(rig.oracle_deadlocked().empty());
+}
+
+TEST(ControllerProbe, VictimAlreadyAbortedHereIsDeclaredWithoutASecondAbort) {
+  // Ring t1 -> t5 -> t3 -> t1 over three sites; S0's walk for t1 elects
+  // t5.  t5 is aborted at S1 after the probe passed it, and that purge
+  // reaches S0 before the walk closes there (through S2).  S0 still
+  // declares t5 but must not abort it again: no second purge broadcast, no
+  // second count in aborts_executed.
+  DdbOptions o = Rig::manual_options();
+  o.abort_victim = true;
+  Rig rig(3, o);
+  const ResourceId rA = res_at(0, 0, 3);
+  const ResourceId rB = res_at(1, 0, 3);
+  const ResourceId rC = res_at(2, 0, 3);
+  ASSERT_TRUE(rig.c(0).lock(t1, rA, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(1).lock(t5, rB, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(2).lock(t3, rC, LockMode::kWrite));
+  rig.c(0).lock(t1, rB, LockMode::kWrite);  // t1 waits t5
+  rig.c(1).lock(t5, rC, LockMode::kWrite);  // t5 waits t3
+  rig.c(2).lock(t3, rA, LockMode::kWrite);  // t3 waits t1
+  rig.deliver_all();
+
+  ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
+  rig.deliver_one(0, 1);  // S1 forwards along t5's request to S2
+  rig.deliver_one(1, 2);  // S2 forwards along t3's request to S0
+  ASSERT_EQ(rig.pending(2, 0), 1u);
+  rig.c(1).abort(t5);     // grants rB to t1, then broadcasts the purge
+  ASSERT_EQ(rig.pending(1, 0), 2u);
+  rig.deliver_one(1, 0);  // t1's grant
+  rig.deliver_one(1, 0);  // the purge tombstones t5 at S0
+  rig.deliver_one(2, 0);  // the walk closes at S0
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].victim, t5);
+  EXPECT_EQ(rig.declared()[0].site, SiteId{0});
+  EXPECT_EQ(rig.c(0).stats().aborts_executed, 0u);
+  EXPECT_EQ(rig.c(0).stats().purges_sent, 0u);
+  EXPECT_EQ(rig.total_aborts(), 1u);
+}
+
+TEST(ControllerProbe, StaleWalkReArmsTheTargetsBlockCheck) {
+  // t1 (home S0) holds rA@S0 and waits for rB@S1 (held by t2) and rC@S1
+  // (held by t5); t2 and t5 both wait for rA.  Two cycles through t1.  The
+  // walk through t2 closes first and elects t2, which its home has
+  // already aborted, so the declaration resolves nothing new.  t1 still
+  // sits on the cycle with t5; the re-armed block check must find it.
+  DdbOptions o;
+  o.initiation = DdbInitiation::kDelayed;
+  o.abort_victim = true;
+  Rig rig(2, o);
+  const ResourceId rA = res_at(0, 0, 2);
+  const ResourceId rB = res_at(1, 0, 2);
+  const ResourceId rC = res_at(1, 1, 2);
+  ASSERT_TRUE(rig.c(0).lock(t1, rA, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(1).lock(t2, rB, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(1).lock(t5, rC, LockMode::kWrite));
+  rig.c(0).lock(t1, rB, LockMode::kWrite);
+  rig.c(0).lock(t1, rC, LockMode::kWrite);
+  rig.c(1).lock(t2, rA, LockMode::kWrite);
+  rig.c(1).lock(t5, rA, LockMode::kWrite);
+  rig.deliver_all();
+  rig.drop_timers();  // only t1's computation runs
+  ASSERT_EQ(rig.oracle_deadlocked(),
+            (std::vector<TransactionId>{t1, t2, t5}));
+
+  ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
+  rig.deliver_one(0, 1);  // S1 forwards along t2's, then t5's request
+  ASSERT_EQ(rig.pending(1, 0), 2u);
+  rig.c(1).abort(t2);     // t2's purge queues behind both probes
+  rig.deliver_all();
+  ASSERT_FALSE(rig.declared().empty());
+  EXPECT_EQ(rig.declared()[0].victim, t2);
+  ASSERT_EQ(rig.oracle_deadlocked(), (std::vector<TransactionId>{t1, t5}));
+
+  rig.fire_timers();  // the re-armed check probes t1 again
+  rig.deliver_all();
+  EXPECT_EQ(rig.declared().back().victim, t5);
+  EXPECT_TRUE(rig.oracle_deadlocked().empty());
+  EXPECT_FALSE(rig.c(0).blocked(t1));
+  EXPECT_TRUE(rig.c(1).locks().holds(rB, t1));
+  EXPECT_TRUE(rig.c(1).locks().holds(rC, t1));
 }
 
 TEST(ControllerProbe, InitiateForUnblockedProcessReturnsNothing) {
@@ -303,7 +469,7 @@ TEST(ControllerProbe, ReleaseWaitCycleDetected) {
   ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
   rig.deliver_all();
   ASSERT_EQ(rig.declared().size(), 1u);
-  EXPECT_EQ(rig.declared()[0].victim, t1);
+  EXPECT_EQ(rig.declared()[0].victim, t2);  // youngest on the cycle
 }
 
 // ---- regression: floor propagation --------------------------------------------------
@@ -342,9 +508,9 @@ TEST(ControllerProbe, StaleComputationSupersededByNewerFloor) {
   EXPECT_LT(tag1->sequence, tag2->sequence);
   rig.deliver_all();
   // Both computations' probes circulate; at least the newer declares, and
-  // every declaration is for the real victim.
+  // every declaration elects the cycle's youngest transaction.
   ASSERT_FALSE(rig.declared().empty());
-  for (const auto& d : rig.declared()) EXPECT_EQ(d.victim, t1);
+  for (const auto& d : rig.declared()) EXPECT_EQ(d.victim, t2);
 }
 
 // ---- regression: grant reshuffle creates wait edges ---------------------------------
@@ -386,6 +552,27 @@ TEST(ControllerProbe, LocalCycleDeclaredWithoutMessages) {
   ASSERT_EQ(rig.declared().size(), 1u);
   EXPECT_EQ(rig.c(0).stats().probes_sent, 0u);
   EXPECT_EQ(rig.c(0).stats().local_cycle_detections, 1u);
+}
+
+TEST(ControllerProbe, DelayedInitiationRunsA0AtBlockTime) {
+  // Under kDelayed only the probe computation waits T: a local cycle is
+  // declared the moment the closing request queues, before any timer, and
+  // its youngest transaction is the victim.
+  DdbOptions o;
+  o.initiation = DdbInitiation::kDelayed;
+  o.abort_victim = true;
+  Rig rig(1, o);
+  const ResourceId r0{0};
+  const ResourceId r1 = res_at(0, 1, 1);
+  ASSERT_TRUE(rig.c(0).lock(t1, r0, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(0).lock(t2, r1, LockMode::kWrite));
+  EXPECT_FALSE(rig.c(0).lock(t2, r0, LockMode::kWrite));
+  EXPECT_TRUE(rig.declared().empty());
+  EXPECT_FALSE(rig.c(0).lock(t1, r1, LockMode::kWrite));  // closes the cycle
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].victim, t2);
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 0u);
+  EXPECT_TRUE(rig.c(0).locks().holds(r1, t1));  // t2's abort granted it
 }
 
 TEST(ControllerProbe, CheckAllQSetListsForwardedWaiters) {
@@ -468,7 +655,7 @@ TEST(Controller, ProbeFromUnknownInitiatorDropped) {
   ResourceId rA, rB;
   build_cross_deadlock(rig, rA, rB);
   const InterEdge edge{AgentId{t2, SiteId{1}}, AgentId{t2, SiteId{0}}};
-  const DdbProbeMsg probe{DdbProbeTag{SiteId{9}, 1}, 0, edge, false};
+  const DdbProbeMsg probe{DdbProbeTag{SiteId{9}, 1}, 0, edge, false, t2};
   ASSERT_TRUE(rig.c(0).on_message(SiteId{1}, encode(probe)).ok());
   EXPECT_EQ(rig.c(0).stats().probes_received, 1u);
   EXPECT_EQ(rig.c(0).stats().meaningful_probes, 0u);
@@ -498,7 +685,7 @@ TEST(Controller, DeclaredVictimsAccessor) {
   ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
   rig.deliver_all();
   ASSERT_EQ(rig.c(0).declared_victims().size(), 1u);
-  EXPECT_EQ(rig.c(0).declared_victims()[0].first, t1);
+  EXPECT_EQ(rig.c(0).declared_victims()[0].first, t2);
 }
 
 }  // namespace

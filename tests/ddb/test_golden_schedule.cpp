@@ -102,14 +102,14 @@ GoldenDdb run_t5_episode() {
 TEST(GoldenDdbSchedule, T5EpisodeIsPinned) {
   const GoldenDdb g = run_t5_episode();
   EXPECT_EQ(g.committed, 24u);
-  EXPECT_EQ(g.aborted, 30u);
+  EXPECT_EQ(g.aborted, 17u);
   EXPECT_EQ(g.given_up, 0u);
-  EXPECT_EQ(g.messages, 1297u);
-  EXPECT_EQ(g.events, 1648u);
-  EXPECT_EQ(g.makespan_us, 67314);
-  EXPECT_EQ(g.declarations, 34u);
-  EXPECT_EQ(g.detection_hash, 914659136904463555ULL);
-  EXPECT_EQ(g.frame_hash, 3074752016939357884ULL);
+  EXPECT_EQ(g.messages, 1147u);
+  EXPECT_EQ(g.events, 1453u);
+  EXPECT_EQ(g.makespan_us, 82708);
+  EXPECT_EQ(g.declarations, 31u);
+  EXPECT_EQ(g.detection_hash, 7727112118604243533ULL);
+  EXPECT_EQ(g.frame_hash, 7995334484836123337ULL);
 }
 
 TEST(GoldenDdbSchedule, ReplaysInProcess) {

@@ -52,6 +52,7 @@ TEST(DdbMessages, ProbeRoundTrip) {
     probe.edge = InterEdge{AgentId{TransactionId{5}, SiteId{2}},
                            AgentId{TransactionId{5}, SiteId{3}}};
     probe.via_release_wait = release_wait;
+    probe.candidate = TransactionId{9};
     const auto m = decode(encode(DdbMessage{probe}));
     ASSERT_TRUE(m.ok());
     const auto& got = std::get<DdbProbeMsg>(*m);
@@ -59,7 +60,24 @@ TEST(DdbMessages, ProbeRoundTrip) {
     EXPECT_EQ(got.floor, 70u);
     EXPECT_EQ(got.edge, probe.edge);
     EXPECT_EQ(got.via_release_wait, release_wait);
+    EXPECT_EQ(got.candidate, TransactionId{9});
   }
+}
+
+TEST(DdbMessages, ProbeFrameIs42Bytes) {
+  const DdbProbeMsg probe{DdbProbeTag{SiteId{1}, 3}, 2,
+                          InterEdge{AgentId{TransactionId{4}, SiteId{1}},
+                                    AgentId{TransactionId{4}, SiteId{0}}},
+                          false, TransactionId{0xABCDEF01u}};
+  const Bytes b = encode(DdbMessage{probe});
+  ASSERT_EQ(b.size(), 42u);
+  EXPECT_EQ(b.size(), kDdbFrameCapacity);
+  const auto m = decode(b);
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(std::get<DdbProbeMsg>(*m).candidate, TransactionId{0xABCDEF01u});
+  const auto truncated = decode(BytesView(b.data(), 41));
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DdbMessages, EmptyRejected) { EXPECT_FALSE(decode(Bytes{}).ok()); }
