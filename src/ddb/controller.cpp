@@ -87,8 +87,6 @@ Controller::Computation& Controller::computation(const DdbProbeTag& tag) {
     idx = comp_free_.back();
     comp_free_.pop_back();
     Computation& c = comp_pool_[idx];
-    c.floor = 0;
-    c.labelled.clear();
     c.probes_sent.clear();
     c.target.reset();
     c.declared = false;
@@ -136,11 +134,7 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
     if (r != AcquireResult::kQueued) {
       // An in-place read->write upgrade can create fresh conflicts with
       // already-queued readers; re-arm detection for them.
-      if (mode == LockMode::kWrite) {
-        for (const TransactionId waiter : locks_.waiters(resource)) {
-          schedule_block_check(waiter);
-        }
-      }
+      if (mode == LockMode::kWrite) rearm_waiters(resource);
       if (on_grant_) on_grant_(txn, resource);
       return true;
     }
@@ -195,9 +189,6 @@ void Controller::abort(TransactionId txn) {
   ++stats_.aborts_executed;
   slot_for(txn).aborted = true;
   purge_local(txn);
-  for (const auto& [tag, idx] : comp_index_) {
-    comp_pool_[idx].labelled.erase(txn);
-  }
   if (on_abort_) on_abort_(txn);
   // The victim may hold state at any site (it can be another site's home
   // transaction caught on our cycle, whose participants this site does not
@@ -257,12 +248,8 @@ void Controller::handle_lock_request(SiteId from,
   // receipt (section 6.4, G4).
   const AcquireResult r = locks_.acquire(msg.resource, msg.txn, msg.mode, from);
   if (r != AcquireResult::kQueued) {
-    if (msg.mode == LockMode::kWrite) {
-      // In-place upgrade may newly conflict with queued readers.
-      for (const TransactionId waiter : locks_.waiters(msg.resource)) {
-        schedule_block_check(waiter);
-      }
-    }
+    // In-place upgrade may newly conflict with queued readers.
+    if (msg.mode == LockMode::kWrite) rearm_waiters(msg.resource);
     // Granted at once: the edge whitens as the grant is sent (G5).
     ++stats_.grants_sent;
     send_(from,
@@ -293,9 +280,6 @@ void Controller::handle_grant(SiteId from, const RemoteLockGrantMsg& msg) {
 void Controller::handle_purge(SiteId /*from*/, const PurgeTxnMsg& msg) {
   if (msg.aborted) slot_for(msg.txn).aborted = true;
   purge_local(msg.txn);
-  for (const auto& [tag, idx] : comp_index_) {
-    comp_pool_[idx].labelled.erase(msg.txn);
-  }
   if (msg.aborted && on_abort_) on_abort_(msg.txn);
 }
 
@@ -315,10 +299,12 @@ void Controller::dispatch_grants(const GrantList& grants) {
   // cycle closed by this reshuffle would never be probed.
   FlatSet<ResourceId, 8> touched;
   for (const Grant& g : grants) touched.insert(g.resource);
-  for (const ResourceId resource : touched) {
-    for (const TransactionId waiter : locks_.waiters(resource)) {
-      schedule_block_check(waiter);
-    }
+  for (const ResourceId resource : touched) rearm_waiters(resource);
+}
+
+void Controller::rearm_waiters(ResourceId resource) {
+  for (const TransactionId waiter : locks_.waiters(resource)) {
+    schedule_block_check(waiter);
   }
 }
 
@@ -380,9 +366,10 @@ const Controller::PathBest* Controller::reached(TransactionId txn) const {
   return it != paths_.end() ? &*it : nullptr;
 }
 
-bool Controller::declare_local_cycle(TransactionId txn) {
+bool Controller::declare_local_cycle(TransactionId txn, TxnSet* declared) {
   const std::optional<TransactionId> victim = intra_reachable(txn, txn);
   if (!victim) return false;
+  if (declared != nullptr && !declared->insert(*victim)) return true;
   // Step A0: black cycle of intra-controller edges, no probes needed.
   ++stats_.local_cycle_detections;
   close_walk(*victim, txn, DdbProbeTag{id_, ++next_sequence_});
@@ -407,7 +394,6 @@ std::optional<DdbProbeTag> Controller::initiate_for(TransactionId txn) {
   set_own_seq(txn, tag.sequence);
   Computation& comp = computation(tag);
   comp.target = txn;
-  for (const PathBest& p : paths_) comp.labelled.insert(p.txn);
   CMH_LOG(kDebug, "ddb") << id_ << " initiates " << tag << " for " << txn;
   // The target's own release-wait edges are suppressed here for the same
   // reason as in handle_probe; cycles genuinely passing through the
@@ -417,85 +403,35 @@ std::optional<DdbProbeTag> Controller::initiate_for(TransactionId txn) {
 }
 
 std::size_t Controller::check_all() {
-  std::size_t initiated = 0;
-  if (options_.q_optimization) {
-    // Section 6.7: a free local-cycle sweep, then Q computations -- one per
-    // process with an incoming black inter-controller edge.
-    detect_local_cycles();
-    incoming_black_processes(q_set_);
-  } else {
-    // Naive: one computation per blocked constituent process.
-    q_set_.clear();
-    for (std::uint32_t t = 0; t < txns_.size(); ++t) {
-      if (!txns_[t].pending.empty()) q_set_.push_back(TransactionId{t});
-    }
-    locks_.wait_edges(edges_);
-    for (const auto& [w, b] : edges_) q_set_.push_back(w);
-    std::sort(q_set_.begin(), q_set_.end());
-    q_set_.erase(std::unique(q_set_.begin(), q_set_.end()), q_set_.end());
+  // The blocked constituent processes, ascending: those awaiting a remote
+  // grant and those queued here.
+  processes_.clear();
+  for (std::uint32_t t = 0; t < txns_.size(); ++t) {
+    if (!txns_[t].pending.empty()) processes_.push_back(TransactionId{t});
   }
-  for (const TransactionId txn : q_set_) {
+  locks_.wait_edges(edges_);
+  for (const auto& [w, b] : edges_) processes_.push_back(w);
+  std::sort(processes_.begin(), processes_.end());
+  processes_.erase(std::unique(processes_.begin(), processes_.end()),
+                   processes_.end());
+  if (options_.q_optimization) {
+    // Section 6.7: a free local-cycle sweep -- step A0 for every blocked
+    // process, each elected victim declared once (with victims kept alive,
+    // every process of a cycle would declare it) -- then Q computations,
+    // one per process with an incoming black inter-controller edge.
+    swept_.clear();
+    for (const TransactionId txn : processes_) {
+      declare_local_cycle(txn, &swept_);
+    }
+    incoming_black_processes(processes_);
+  }
+  // One computation per listed process: the Q set, or (naive) every
+  // blocked process.  Each initiate_for() runs A0 first.
+  std::size_t initiated = 0;
+  for (const TransactionId txn : processes_) {
     if (initiate_for(txn)) ++initiated;
   }
   return initiated;
-}
-
-bool Controller::detect_local_cycles() {
-  // Find a vertex on an intra-edge cycle (if any) with iterative DFS
-  // coloring, roots and children in ascending order; declare the entry
-  // vertex of every back edge found.
-  locks_.wait_edges(cycle_edges_);
-  cycle_nodes_.clear();
-  for (const auto& [w, b] : cycle_edges_) {
-    cycle_nodes_.push_back(w);
-    cycle_nodes_.push_back(b);
-  }
-  std::sort(cycle_nodes_.begin(), cycle_nodes_.end());
-  cycle_nodes_.erase(std::unique(cycle_nodes_.begin(), cycle_nodes_.end()),
-                     cycle_nodes_.end());
-  const auto index_of = [this](TransactionId t) {
-    return static_cast<std::uint32_t>(
-        std::lower_bound(cycle_nodes_.begin(), cycle_nodes_.end(), t) -
-        cycle_nodes_.begin());
-  };
-  enum : std::uint8_t { kNew, kOpen, kDone };
-  cycle_state_.assign(cycle_nodes_.size(), kNew);
-  bool found = false;
-  for (std::uint32_t root = 0; root < cycle_nodes_.size(); ++root) {
-    if (cycle_state_[root] != kNew) continue;
-    // Explicit stack of (node, position of its next out-edge).
-    cycle_stack_.clear();
-    cycle_stack_.emplace_back(
-        root, static_cast<std::size_t>(
-                  out_edges(cycle_edges_, cycle_nodes_[root]).first -
-                  cycle_edges_.data()));
-    cycle_state_[root] = kOpen;
-    while (!cycle_stack_.empty()) {
-      auto& [u, pos] = cycle_stack_.back();
-      const TransactionId ut = cycle_nodes_[u];
-      if (pos >= cycle_edges_.size() || cycle_edges_[pos].first != ut) {
-        cycle_state_[u] = kDone;
-        cycle_stack_.pop_back();
-        continue;
-      }
-      const std::uint32_t v = index_of(cycle_edges_[pos++].second);
-      if (cycle_state_[v] == kOpen) {
-        // Back edge: v is on a cycle of intra-controller edges.
-        ++stats_.local_cycle_detections;
-        erase_own_seq(cycle_nodes_[v]);
-        declare(cycle_nodes_[v], DdbProbeTag{id_, ++next_sequence_});
-        found = true;
-        cycle_state_[v] = kDone;  // avoid re-declaring the same cycle entry
-      } else if (cycle_state_[v] == kNew) {
-        cycle_state_[v] = kOpen;
-        cycle_stack_.emplace_back(
-            v, static_cast<std::size_t>(
-                   out_edges(cycle_edges_, cycle_nodes_[v]).first -
-                   cycle_edges_.data()));
-      }
-    }
-  }
-  return found;
 }
 
 void Controller::send_probes(
@@ -572,20 +508,19 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
 
   // Steps A1/A2: label (txn, here) and everything intra-reachable.
   //
-  // Decisions below use the *fresh* reachable set only, not the
-  // accumulated labels.  Labels from an earlier receipt may be stale -- the
-  // intra paths that justified them can legally dissolve once the probe
-  // chain's pin (the G2/G5 target-has-outgoing-edge argument) has moved
-  // past this site -- and acting on them would declare wait chains that
-  // never coexisted (a false deadlock).  The accumulated label set is kept
-  // as the computation's record and for the per-edge probe dedup.
+  // The label is the *fresh* reachable set of this receipt; nothing from
+  // an earlier receipt is kept.  Labels from an earlier receipt may be
+  // stale -- the intra paths that justified them can legally dissolve once
+  // the probe chain's pin (the G2/G5 target-has-outgoing-edge argument) has
+  // moved past this site -- and acting on them would declare wait chains
+  // that never coexisted (a false deadlock).  probes_sent keeps each edge
+  // to one probe per computation.
   //
   // The candidate so far is the youngest transaction on the walk up to txn;
   // each newly reachable agent extends it along its BFS-tree path, so the
   // candidate always names a transaction on the walk the probe follows,
   // never one that is merely reachable from it.
   intra_reachable(txn, msg.candidate);
-  for (const PathBest& p : paths_) comp.labelled.insert(p.txn);
 
   const PathBest* closing =
       msg.tag.initiator == id_ && comp.target ? reached(*comp.target) : nullptr;
@@ -615,7 +550,6 @@ void Controller::close_walk(TransactionId victim, TransactionId target,
 
 void Controller::declare(TransactionId victim, const DdbProbeTag& tag) {
   ++stats_.deadlocks_declared;
-  declared_.emplace_back(victim, tag);
   CMH_LOG(kInfo, "ddb") << id_ << " declares " << victim << " deadlocked ("
                         << tag << ")";
   if (on_deadlock_) on_deadlock_(victim, tag);
@@ -690,8 +624,6 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
     const Computation& comp = comp_pool_[idx];
     mix(tag.initiator.value());
     mix(tag.sequence);
-    mix(comp.floor);
-    for (const TransactionId t : comp.labelled) mix(t.value());
     mix(0xC6);
     for (const InterEdge& e : comp.probes_sent) {
       mix_agent(e.from);
@@ -706,13 +638,6 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
     if (!floor_seen_[s].seen) continue;
     mix(s);
     mix(floor_seen_[s].floor);
-  }
-  mix(0xC8);
-
-  for (const auto& [victim, tag] : declared_) {
-    mix(victim.value());
-    mix(tag.initiator.value());
-    mix(tag.sequence);
   }
 }
 

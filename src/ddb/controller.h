@@ -135,8 +135,9 @@ class Controller {
   std::optional<DdbProbeTag> initiate_for(TransactionId txn);
 
   /// "Controller wishes to determine if any of its processes are
-  /// deadlocked" (section 6.7): local-cycle check plus Q probe computations
-  /// (or one per blocked process when q_optimization is off).
+  /// deadlocked" (section 6.7): step A0 on every blocked process, each
+  /// elected victim declared once, then Q probe computations (or one
+  /// initiate_for() per blocked process when q_optimization is off).
   /// Returns the number of probe computations initiated.
   std::size_t check_all();
 
@@ -159,11 +160,6 @@ class Controller {
   /// inter-controller edges from (txn, this site)), ascending.
   [[nodiscard]] FlatSet<SiteId, 8> pending_remote_sites(
       TransactionId txn) const;
-
-  [[nodiscard]] const std::vector<std::pair<TransactionId, DdbProbeTag>>&
-  declared_victims() const {
-    return declared_;
-  }
 
   /// Folds the protocol-relevant controller state into `h` (canonical
   /// iteration order; stats excluded).  Used by the exhaustive interleaving
@@ -199,8 +195,7 @@ class Controller {
   };
 
   struct Computation {
-    std::uint64_t floor{0};
-    TxnSet labelled;
+    // The inter edges this computation has probed: each is probed once.
     FlatSet<InterEdge, 4> probes_sent;
     /// For computations this controller initiated: the process it is
     /// checking (the (T_i, S_j) of A0/A1).
@@ -232,6 +227,9 @@ class Controller {
   /// Dispatches grants produced by the lock manager (local callback or
   /// RemoteLockGrantMsg to the origin site).
   void dispatch_grants(const GrantList& grants);
+  /// Re-arms the block check of every transaction queued on `resource`:
+  /// its holders changed, so their wait edges did too.
+  void rearm_waiters(ResourceId resource);
 
   /// Drops txn's locks, queued requests and remote bookkeeping after a
   /// commit or an abort, dispatching the grants that frees.
@@ -249,8 +247,10 @@ class Controller {
   [[nodiscard]] const PathBest* reached(TransactionId txn) const;
 
   /// Step A0 for (txn, here): if txn is on an intra-controller cycle,
-  /// declares the cycle's youngest transaction and returns true.
-  bool declare_local_cycle(TransactionId txn);
+  /// declares the cycle's youngest transaction and returns true.  With a
+  /// `declared` set, a victim already in it is not declared again, and a
+  /// new one is added.
+  bool declare_local_cycle(TransactionId txn, TxnSet* declared = nullptr);
 
   /// Sends probes of `comp` along all un-probed outgoing inter edges of
   /// `processes`, each carrying its process's path best as the victim
@@ -289,9 +289,6 @@ class Controller {
   /// Lowest still-live sequence of this controller's own computations.
   [[nodiscard]] std::uint64_t current_floor();
 
-  /// Any cycle among intra edges?  Declares every process on one.
-  bool detect_local_cycles();
-
   // ---- flat tables ----------------------------------------------------------
 
   /// Records `txn` as seen; false (and nothing recorded) for an id so far
@@ -325,8 +322,8 @@ class Controller {
   // Latest own computation per target process, ascending by transaction;
   // the minimum over live entries is the `floor` advertised in probes.
   std::vector<std::pair<TransactionId, std::uint64_t>> own_comp_seq_;
-  // Computation records live in a recycled pool (their label and edge sets
-  // keep their capacity); comp_index_ maps tags to pool slots, ascending.
+  // Computation records live in a recycled pool (their edge sets keep
+  // their capacity); comp_index_ maps tags to pool slots, ascending.
   std::vector<Computation> comp_pool_;
   std::vector<std::uint32_t> comp_free_;
   std::vector<std::pair<DdbProbeTag, std::uint32_t>> comp_index_;
@@ -334,19 +331,15 @@ class Controller {
   // Inline up to 8 sites, so constructing a controller allocates nothing.
   SmallVector<FloorSeen, 8> floor_seen_;
 
-  std::vector<std::pair<TransactionId, DdbProbeTag>> declared_;
-
   // Scratch buffers of the graph queries, reused so the warmed-up
-  // detection path allocates nothing.  Each query owns its buffers: a
-  // declaration inside detect_local_cycles() may re-enter initiate_for().
+  // detection path allocates nothing.  check_all() walks processes_ while
+  // its declarations may re-enter initiate_for(), which only touches
+  // edges_ and paths_.
   std::vector<WaitEdge> edges_;            // intra_reachable()
   std::vector<PathBest> paths_;            // intra_reachable() BFS queue
                                            // and result
-  std::vector<WaitEdge> cycle_edges_;      // detect_local_cycles()
-  std::vector<TransactionId> cycle_nodes_;
-  std::vector<std::uint8_t> cycle_state_;
-  std::vector<std::pair<std::uint32_t, std::size_t>> cycle_stack_;
-  std::vector<TransactionId> q_set_;       // check_all()
+  std::vector<TransactionId> processes_;   // check_all(): blocked, then Q
+  TxnSet swept_;                           // check_all(): victims declared
 
   GrantCallback on_grant_;
   AbortCallback on_abort_;

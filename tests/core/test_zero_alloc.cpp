@@ -301,9 +301,97 @@ TEST(ZeroAlloc, WarmDdbControllerProbesGrantsAndInitiation) {
   EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{3 * kRounds});
   EXPECT_EQ(st.grants_received - warm.grants_received,
             std::uint64_t{kRounds});
-  EXPECT_TRUE(c.declared_victims().empty());
+  EXPECT_EQ(st.deadlocks_declared, 0u);
   EXPECT_GT(frames, 0u);
   EXPECT_EQ(grants, 64u + kRounds + 2);  // + the two local grants
+}
+
+// The same controller picture plus a local cycle t5 <-> t6 at S0, swept by
+// check_all() each round:
+//   * the A0 sweep over the six blocked processes elects t6 for the local
+//     cycle from both t5 and t6 and declares it once (victims stay alive);
+//   * the Q set {t2, t3} starts two computations, probing t1's and t4's
+//     edges to S1;
+//   * the first computation's probe comes back on t3's edge, forwarding
+//     along t4's edge; its floor prunes the older rounds' records.
+TEST(ZeroAlloc, WarmDdbControllerCheckAll) {
+  const SiteId s0{0};
+  const SiteId s1{1};
+  const TransactionId t1{1};
+  const TransactionId t2{2};
+  const TransactionId t3{3};
+  const TransactionId t4{4};
+  const TransactionId t5{5};
+  const TransactionId t6{6};
+  const ResourceId rA{0};  // resources live at site r % 2
+  const ResourceId rB{1};
+  const ResourceId rC{2};
+  const ResourceId rD{3};
+  const ResourceId rE{4};
+  const ResourceId rF{6};
+
+  DdbOptions options;
+  options.initiation = DdbInitiation::kManual;
+  options.abort_victim = false;
+  std::uint64_t frames = 0;
+  Controller c(
+      s0, 2, [&frames](SiteId, BytesView b) { frames += b.size(); },
+      [](ResourceId r) { return SiteId{r.value() % 2}; }, options, nullptr);
+
+  const auto deliver = [&c](SiteId from, const DdbMessage& m) {
+    return c.on_message(from, encode_small(m).view()).ok();
+  };
+  ASSERT_TRUE(c.lock(t1, rA, LockMode::kWrite));
+  ASSERT_FALSE(c.lock(t1, rB, LockMode::kWrite));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, LockMode::kWrite}));
+  ASSERT_TRUE(c.lock(t4, rC, LockMode::kWrite));
+  ASSERT_FALSE(c.lock(t4, rD, LockMode::kWrite));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t3, rC, LockMode::kWrite}));
+  ASSERT_TRUE(c.lock(t5, rE, LockMode::kWrite));
+  ASSERT_TRUE(c.lock(t6, rF, LockMode::kWrite));
+  ASSERT_FALSE(c.lock(t5, rF, LockMode::kWrite));
+  ASSERT_FALSE(c.lock(t6, rE, LockMode::kWrite));
+
+  std::uint64_t last_seq = 0;
+  const auto round = [&]() {
+    bool ok = c.check_all() == 2;
+    // check_all() started the computations of t2 and t3, in that order,
+    // after the local-cycle declaration took one sequence number.
+    const DdbProbeTag first{s0, last_seq + 2};
+    last_seq += 3;
+    ok &= deliver(s1, DdbProbeMsg{first, first.sequence,
+                                  InterEdge{AgentId{t3, s1}, AgentId{t3, s0}},
+                                  false, t3});
+    return ok;
+  };
+
+  // Warm-up: tables, pools and scratch buffers reach their working size.
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(round());
+  const ControllerStats warm = c.stats();
+
+  // Measured phase.  (No gtest macros inside: their success paths may
+  // allocate.)
+  constexpr int kRounds = 5000;
+  const std::size_t before = g_alloc_count;
+  bool all_ok = true;
+  for (int i = 0; i < kRounds; ++i) all_ok &= round();
+  const std::size_t allocations = g_alloc_count - before;
+
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(allocations, 0u);
+  const ControllerStats& st = c.stats();
+  EXPECT_EQ(st.local_cycle_detections - warm.local_cycle_detections,
+            std::uint64_t{kRounds});
+  EXPECT_EQ(st.deadlocks_declared - warm.deadlocks_declared,
+            std::uint64_t{kRounds});
+  EXPECT_EQ(st.computations_initiated - warm.computations_initiated,
+            std::uint64_t{2 * kRounds});
+  EXPECT_EQ(st.meaningful_probes - warm.meaningful_probes,
+            std::uint64_t{kRounds});
+  // Per round: t1's and t4's edges from the two initiations, t4's edge
+  // again from the returning probe (a different computation).
+  EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{3 * kRounds});
+  EXPECT_GT(frames, 0u);
 }
 
 TEST(ZeroAlloc, ClusterConstructionTakesAFewBlocks) {

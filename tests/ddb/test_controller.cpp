@@ -575,6 +575,51 @@ TEST(ControllerProbe, DelayedInitiationRunsA0AtBlockTime) {
   EXPECT_TRUE(rig.c(0).locks().holds(r1, t1));  // t2's abort granted it
 }
 
+TEST(ControllerProbe, CheckAllElectsTheLocalCyclesYoungest) {
+  // The sweep runs the same A0 election as initiate_for(): t2, declared
+  // once although both t1 and t2 sit on the cycle.
+  Rig rig(1);
+  const ResourceId r0{0};
+  const ResourceId r1{1};
+  ASSERT_TRUE(rig.c(0).lock(t1, r0, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(0).lock(t2, r1, LockMode::kWrite));
+  rig.c(0).lock(t1, r1, LockMode::kWrite);
+  rig.c(0).lock(t2, r0, LockMode::kWrite);
+  EXPECT_EQ(rig.c(0).check_all(), 0u);
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].victim, t2);
+  EXPECT_EQ(rig.c(0).stats().local_cycle_detections, 1u);
+  EXPECT_EQ(rig.c(0).stats().probes_sent, 0u);
+}
+
+TEST(ControllerProbe, CheckAllAbortsOneVictimForCyclesSharingIt) {
+  // t1 and t2 share-hold rS; t1 waits for t2's rY, t2 for t3's rZ, and t3
+  // for rS: the local cycles t1 -> t2 -> t3 -> t1 and t2 -> t3 -> t2 both
+  // have t3 as their youngest, whose abort breaks both.
+  DdbOptions o = Rig::manual_options();
+  o.abort_victim = true;
+  Rig rig(1, o);
+  const ResourceId rS{0};
+  const ResourceId rY{1};
+  const ResourceId rZ{2};
+  ASSERT_TRUE(rig.c(0).lock(t1, rS, LockMode::kRead));
+  ASSERT_TRUE(rig.c(0).lock(t2, rS, LockMode::kRead));
+  ASSERT_TRUE(rig.c(0).lock(t2, rY, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(0).lock(t3, rZ, LockMode::kWrite));
+  EXPECT_FALSE(rig.c(0).lock(t1, rY, LockMode::kWrite));
+  EXPECT_FALSE(rig.c(0).lock(t2, rZ, LockMode::kWrite));
+  EXPECT_FALSE(rig.c(0).lock(t3, rS, LockMode::kWrite));
+  ASSERT_EQ(rig.oracle_deadlocked(), (std::vector<TransactionId>{t1, t2, t3}));
+
+  EXPECT_EQ(rig.c(0).check_all(), 0u);
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].victim, t3);
+  EXPECT_EQ(rig.c(0).stats().aborts_executed, 1u);
+  EXPECT_TRUE(rig.oracle_deadlocked().empty());
+  EXPECT_TRUE(rig.c(0).locks().holds(rZ, t2));  // t3's abort granted it
+  EXPECT_TRUE(rig.c(0).blocked(t1));            // still behind t2
+}
+
 TEST(ControllerProbe, CheckAllQSetListsForwardedWaiters) {
   Rig rig(2);
   ResourceId rA, rB;
@@ -684,8 +729,9 @@ TEST(Controller, DeclaredVictimsAccessor) {
   build_cross_deadlock(rig, rA, rB);
   ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
   rig.deliver_all();
-  ASSERT_EQ(rig.c(0).declared_victims().size(), 1u);
-  EXPECT_EQ(rig.c(0).declared_victims()[0].first, t2);
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].site, SiteId{0});
+  EXPECT_EQ(rig.declared()[0].victim, t2);
 }
 
 }  // namespace
