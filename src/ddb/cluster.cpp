@@ -182,6 +182,7 @@ ControllerStats Cluster::total_stats() const {
     total.probes_received += s.probes_received;
     total.meaningful_probes += s.meaningful_probes;
     total.computations_initiated += s.computations_initiated;
+    total.reaches_followed += s.reaches_followed;
     total.local_cycle_detections += s.local_cycle_detections;
     total.deadlocks_declared += s.deadlocks_declared;
     total.purges_sent += s.purges_sent;

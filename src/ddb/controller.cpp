@@ -95,6 +95,12 @@ Controller::Computation& Controller::computation(const DdbProbeTag& tag) {
   return comp_pool_[idx];
 }
 
+Controller::Computation* Controller::find_computation(const DdbProbeTag& tag) {
+  const auto it = lower_bound_key(comp_index_, tag);
+  return it != comp_index_.end() && it->first == tag ? &comp_pool_[it->second]
+                                                      : nullptr;
+}
+
 void Controller::prune_computations(SiteId initiator, std::uint64_t floor) {
   std::erase_if(comp_index_, [&](const auto& entry) {
     const DdbProbeTag& tag = entry.first;
@@ -121,12 +127,14 @@ void Controller::erase_own_seq(TransactionId txn) {
 // ---- client API -------------------------------------------------------------
 
 bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
-  if (const TxnSlot* s = slot(txn); s != nullptr && s->aborted) {
+  TxnSlot& s = slot_for(txn);
+  if (s.aborted) {
     // This controller already aborted txn but the client's home site has
     // not heard yet; accepting the request would recreate zombie state.
     // The abort notification is on its way; the client will retry.
     return false;
   }
+  s.home = true;
   const SiteId owner = resource_map_(resource);
   if (owner == id_) {
     ++stats_.local_requests;
@@ -138,13 +146,14 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
       if (on_grant_) on_grant_(txn, resource);
       return true;
     }
+    follow_reaches(txn);
     schedule_block_check(txn);
     return false;
   }
   // Remote resource: forward to the owning controller.  This creates the
   // inter-controller edge ((txn, here), (txn, owner)) -- grey while the
   // request is in flight (section 6.4, G3).
-  auto& pending = slot_for(txn).pending;
+  auto& pending = s.pending;
   const auto it = std::lower_bound(
       pending.begin(), pending.end(), owner,
       [](const PendingRemote& p, SiteId s) { return p.site < s; });
@@ -155,6 +164,8 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
   }
   ++stats_.remote_requests_sent;
   send_(owner, encode_small(RemoteLockRequestMsg{txn, resource, mode}).view());
+  // The follow-up probes travel behind the request on the same channel.
+  follow_reaches(txn);
   schedule_block_check(txn);
   return false;
 }
@@ -165,6 +176,7 @@ void Controller::purge_local(TransactionId txn) {
     TxnSlot& s = txns_[txn.value()];
     s.pending.clear();
     s.remote_holdings.clear();
+    s.reaches.clear();
   }
   erase_own_seq(txn);
 }
@@ -398,7 +410,9 @@ std::optional<DdbProbeTag> Controller::initiate_for(TransactionId txn) {
   // The target's own release-wait edges are suppressed here for the same
   // reason as in handle_probe; cycles genuinely passing through the
   // target's holdings are entered via another transaction's intra wait.
-  send_probes(tag, current_floor(), comp, paths_, txn);
+  const std::uint64_t floor = current_floor();
+  record_reaches(tag, floor, comp, id_);
+  send_probes(tag, floor, comp, paths_, txn);
   return tag;
 }
 
@@ -505,7 +519,13 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
 
   Computation& comp = computation(msg.tag);
   if (comp.declared) return;
+  advance(msg.tag, msg.floor, comp, txn, msg.candidate,
+          msg.via_release_wait ? msg.edge.from.site : id_);
+}
 
+void Controller::advance(const DdbProbeTag& tag, std::uint64_t floor,
+                         Computation& comp, TransactionId txn,
+                         TransactionId candidate, SiteId via) {
   // Steps A1/A2: label (txn, here) and everything intra-reachable.
   //
   // The label is the *fresh* reachable set of this receipt; nothing from
@@ -520,15 +540,16 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   // each newly reachable agent extends it along its BFS-tree path, so the
   // candidate always names a transaction on the walk the probe follows,
   // never one that is merely reachable from it.
-  intra_reachable(txn, msg.candidate);
+  intra_reachable(txn, candidate);
 
   const PathBest* closing =
-      msg.tag.initiator == id_ && comp.target ? reached(*comp.target) : nullptr;
+      tag.initiator == id_ && comp.target ? reached(*comp.target) : nullptr;
   if (closing != nullptr) {
     comp.declared = true;
-    close_walk(closing->best, closing->txn, msg.tag);
+    close_walk(closing->best, closing->txn, tag);
     return;
   }
+  record_reaches(tag, floor, comp, via);
 
   // Forward along every un-probed outgoing inter edge of the freshly
   // reachable set.  The initiating controller forwards too: a cycle may
@@ -538,7 +559,62 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   // transaction's wait (an intra edge), otherwise it loops between txn's
   // own agents without any deadlock (acquisition and holding concern
   // different resources).
-  send_probes(msg.tag, msg.floor, comp, paths_, txn);
+  send_probes(tag, floor, comp, paths_, txn);
+}
+
+void Controller::record_reaches(const DdbProbeTag& tag, std::uint64_t floor,
+                                const Computation& comp, SiteId root_via) {
+  // Under kManual the harness owns every detection step, and a re-block
+  // continues nothing (follow_reaches), so there is nothing to record.
+  if (options_.initiation == DdbInitiation::kManual) return;
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    const auto [txn, best] = paths_[i];
+    // The target's own walk is empty: following it from the target would
+    // "close" at once.
+    if (comp.target == txn) continue;
+    if (txn.value() >= txns_.size() || !txns_[txn.value()].home) continue;
+    auto& reaches = txns_[txn.value()].reaches;
+    const auto same = std::find_if(
+        reaches.begin(), reaches.end(),
+        [&tag](const Reach& r) { return r.tag.initiator == tag.initiator; });
+    if (same != reaches.end()) {
+      if (same->tag.sequence > tag.sequence) continue;  // keep the newest
+      reaches.erase(same);
+    } else if (reaches.size() == kReachesPerTxn) {
+      reaches.erase(reaches.begin());  // the oldest recorded
+    }
+    reaches.push_back(Reach{tag, floor, best, i == 0 ? root_via : id_});
+  }
+}
+
+void Controller::follow_reaches(TransactionId txn) {
+  if (options_.initiation == DdbInitiation::kManual) return;
+  // A copy (inline, no heap): a follow that closes a walk may abort txn,
+  // which clears the list, or grow the table.
+  const SmallVector<Reach, kReachesPerTxn> reaches = txns_[txn.value()].reaches;
+  for (const Reach& r : reaches) {
+    // An earlier follow may have elected txn and aborted it.
+    if (!blocked(txn)) return;
+    // Live: the computation is not below its initiator's floor (those
+    // records are pruned, so its record is still here) and has not
+    // declared, and an own computation's target still waits.  A
+    // release-wait reach also needs the holding it came through.
+    Computation* comp = find_computation(r.tag);
+    if (comp == nullptr || comp->declared) continue;
+    if (r.tag.initiator == id_ && (!comp->target || !blocked(*comp->target))) {
+      continue;
+    }
+    const TxnSlot& s = txns_[txn.value()];
+    if (r.via != id_ && !s.remote_holdings.contains(r.via)) continue;
+    // The new request is a new edge instance: a site txn asked before is
+    // probed again.
+    for (const PendingRemote& p : s.pending) {
+      comp->probes_sent.erase(
+          InterEdge{AgentId{txn, id_}, AgentId{txn, p.site}});
+    }
+    ++stats_.reaches_followed;
+    advance(r.tag, r.floor, *comp, txn, r.candidate, r.via);
+  }
 }
 
 void Controller::close_walk(TransactionId victim, TransactionId target,
@@ -612,6 +688,20 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
     for (const SiteId site : txns_[t].remote_holdings) mix(site.value());
   }
   mix(0xC4);
+
+  for (std::uint32_t t = 0; t < txns_.size(); ++t) {
+    if (!txns_[t].home && txns_[t].reaches.empty()) continue;
+    mix(t);
+    mix(static_cast<std::uint64_t>(txns_[t].home));
+    for (const Reach& r : txns_[t].reaches) {
+      mix(r.tag.initiator.value());
+      mix(r.tag.sequence);
+      mix(r.floor);
+      mix(r.candidate.value());
+      mix(r.via.value());
+    }
+  }
+  mix(0xC8);
 
   mix(next_sequence_);
   for (const auto& [txn, seq] : own_comp_seq_) {

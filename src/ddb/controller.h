@@ -13,6 +13,9 @@
 //     it has travelled, and the initiator declares that transaction when
 //     the walk closes, so every computation that closes the same cycle
 //     aborts the same one (DESIGN.md, victim election).
+//   * continue the computations that reached a transaction's home agent
+//     along its next request the moment it blocks again: the initiation
+//     delay T gates new computations only (DESIGN.md section 4b).
 //
 // Like BasicProcess, the controller is a transport-agnostic state machine;
 // callers must serialize calls per instance (the paper's atomic-step note),
@@ -69,6 +72,8 @@ struct ControllerStats {
   std::uint64_t probes_received{0};
   std::uint64_t meaningful_probes{0};
   std::uint64_t computations_initiated{0};
+  /// Computations continued along a re-blocked transaction's new request.
+  std::uint64_t reaches_followed{0};
   std::uint64_t local_cycle_detections{0};
   std::uint64_t deadlocks_declared{0};
   std::uint64_t purges_sent{0};
@@ -113,7 +118,8 @@ class Controller {
 
   /// Transaction `txn` (home = this site) requests `mode` on `resource`.
   /// Returns true if granted synchronously; otherwise the grant (or an
-  /// abort) arrives via callback.
+  /// abort) arrives via callback, and the live probe computations that
+  /// reached txn's agent here continue along the new request.
   bool lock(TransactionId txn, ResourceId resource, LockMode mode);
 
   /// Commit/finish: release all of txn's locks everywhere.
@@ -176,6 +182,21 @@ class Controller {
     std::uint32_t count;  // outstanding (unanswered) requests, > 0
   };
 
+  /// A live probe computation that reached (txn, here), txn's home agent:
+  /// `tag`, the floor its probes carry, and `candidate`, the youngest
+  /// transaction on its walk up to and including txn.  `via` is the site
+  /// whose holding's release-wait edge the probe arrived on, or this site
+  /// when the computation's intra-controller BFS reached the agent.
+  struct Reach {
+    DdbProbeTag tag;
+    std::uint64_t floor;
+    TransactionId candidate;
+    SiteId via;
+  };
+  /// Reaches kept per home agent, newest per initiator; beyond this the
+  /// oldest is dropped, so the list never leaves its inline storage.
+  static constexpr std::size_t kReachesPerTxn = 4;
+
   // The controller's per-transaction state lives in one table indexed by
   // transaction id (ids are dense and never reused), so every lookup on the
   // request, grant and probe paths is an index, and the table is one heap
@@ -187,11 +208,17 @@ class Controller {
     // i.e. this site's agent has *incoming* release-wait edges from those
     // holdings.  Feeds the section-6.7 Q set.
     FlatSet<SiteId, 2> remote_holdings;
+    // Computations that reached this home agent; lock() continues them
+    // along txn's next request (see follow_reaches).  Dropped at commit and
+    // abort.
+    SmallVector<Reach, kReachesPerTxn> reaches;
     // Tombstone: a purge broadcast can overtake a victim's in-flight lock
     // request on a different channel; without it the zombie request would
     // occupy the resource forever.  Ids are never reused, so tombstones are
     // monotone-correct.
     bool aborted{false};
+    // txn's transaction layer runs here: lock() has been called for it.
+    bool home{false};
   };
 
   struct Computation {
@@ -245,6 +272,23 @@ class Controller {
                                                TransactionId best);
   /// The entry of `txn` in paths_, or null if the last BFS missed it.
   [[nodiscard]] const PathBest* reached(TransactionId txn) const;
+
+  /// Steps A1/A2 of `comp` at agent (txn, here), entered with `candidate`
+  /// as the youngest transaction on the walk so far: labels the freshly
+  /// intra-reachable set, then closes the walk if it reached the
+  /// computation's target, or records the home agents it reached and
+  /// probes their un-probed outgoing inter edges.  `via` is recorded for
+  /// txn itself (see Reach).
+  void advance(const DdbProbeTag& tag, std::uint64_t floor, Computation& comp,
+               TransactionId txn, TransactionId candidate, SiteId via);
+  /// Records `tag` at every home agent in paths_ but `comp`'s own target;
+  /// paths_[0] with `root_via`, the rest as reached by the BFS.
+  void record_reaches(const DdbProbeTag& tag, std::uint64_t floor,
+                      const Computation& comp, SiteId root_via);
+  /// txn (home here) has just blocked on a new request: continues each
+  /// live computation that reached its home agent along the new edge, as
+  /// a probe arriving at this instant would.
+  void follow_reaches(TransactionId txn);
 
   /// Step A0 for (txn, here): if txn is on an intra-controller cycle,
   /// declares the cycle's youngest transaction and returns true.  With a
@@ -301,6 +345,8 @@ class Controller {
 
   /// The record of `tag`, created (from a recycled pool entry) if absent.
   [[nodiscard]] Computation& computation(const DdbProbeTag& tag);
+  /// The record of `tag`, or null if it was pruned or never existed.
+  [[nodiscard]] Computation* find_computation(const DdbProbeTag& tag);
   /// Drops the records of `initiator`'s computations below `floor`.
   void prune_computations(SiteId initiator, std::uint64_t floor);
 

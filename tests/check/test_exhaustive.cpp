@@ -87,6 +87,29 @@ DdbScenario ddb_cross_lock() {
                   {DdbOp::lock(t1, r1), DdbOp::lock(t1, r0)}}};
 }
 
+/// t0 (home S0) takes r0@S0, then asks S1 for r1 and, once granted, for
+/// r2: two remote requests in sequence.  At S1, t2 takes r1 and later
+/// commits; t1 takes r2 and asks S0 for r0.  When t0 waits for t2 while t1
+/// waits for t0, t1's computations reach t0's home agent and die at t2; t0's
+/// second request then closes t0 -> t1 -> t0, and those computations follow
+/// it.  Other schedules form t0 <-> t1 directly, or no cycle at all.
+DdbScenario ddb_reblock() {
+  const TransactionId t0{0};
+  const TransactionId t1{1};
+  const TransactionId t2{2};
+  const ResourceId r0{0};
+  const ResourceId r1{1};
+  const ResourceId r2{2};
+  return DdbScenario{
+      .name = "ddb-reblock",
+      .n_sites = 2,
+      .resource_owner = {SiteId{0}, SiteId{1}, SiteId{1}},
+      .scripts = {{DdbOp::lock(t0, r0), DdbOp::lock(t0, r1),
+                   DdbOp::lock(t0, r2)},
+                  {DdbOp::lock(t2, r1), DdbOp::lock(t1, r2),
+                   DdbOp::lock(t1, r0), DdbOp::finish(t2)}}};
+}
+
 TEST(Exhaustive, RingOfThreeEverySchedule) {
   BasicSystem sys(ring_of_three());
   const ExploreResult res = explore(sys);
@@ -126,6 +149,14 @@ TEST(Exhaustive, DdbCrossLockEverySchedule) {
   EXPECT_TRUE(res.ok()) << diagnose(res);
   EXPECT_TRUE(res.complete) << diagnose(res);
   EXPECT_GT(res.states_visited, 20u);
+}
+
+TEST(Exhaustive, DdbReBlockEverySchedule) {
+  DdbSystem sys(ddb_reblock());
+  const ExploreResult res = explore(sys);
+  EXPECT_TRUE(res.ok()) << diagnose(res);
+  EXPECT_TRUE(res.complete) << diagnose(res);
+  EXPECT_GT(res.states_visited, 400u) << diagnose(res);
 }
 
 TEST(Exhaustive, DdbRejectsTimerBasedInitiation) {

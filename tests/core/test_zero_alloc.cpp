@@ -1,6 +1,6 @@
 // Allocation accounting for the steady-state hot paths.  The overhaul's
 // contract: once warmed up, probe encode/handle/forward at a process, a DDB
-// controller's probe, grant and initiation paths, and message traffic
+// controller's probe, grant, initiation and re-block paths, and message traffic
 // through the simulator perform ZERO heap allocations; small simulator
 // frames never touch the heap, and a ddb::Cluster is built from a handful
 // of blocks.
@@ -391,6 +391,77 @@ TEST(ZeroAlloc, WarmDdbControllerCheckAll) {
   // Per round: t1's and t4's edges from the two initiations, t4's edge
   // again from the returning probe (a different computation).
   EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{3 * kRounds});
+  EXPECT_GT(frames, 0u);
+}
+
+// A home agent that computations reach, re-blocking each round: t1 (home
+// S0) holds rA@S0, t2 (home S1) waits for rA, t1 waits for rB@S1.  Each
+// round
+//   * a new S1 computation arrives on t2's edge (its floor prunes the last
+//     round's record), reaches t1's home agent, records there and probes
+//     t1's edge to S1;
+//   * rB is granted and t1 asks S1 for it again: the request is a new
+//     instance of that edge, so the recorded computation follows it.
+// Delayed initiation, whose timer hook here drops the block checks.
+TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
+  const SiteId s0{0};
+  const SiteId s1{1};
+  const TransactionId t1{1};
+  const TransactionId t2{2};
+  const ResourceId rA{0};  // resources live at site r % 2
+  const ResourceId rB{1};
+
+  DdbOptions options;
+  options.initiation = DdbInitiation::kDelayed;
+  options.abort_victim = false;
+  std::uint64_t frames = 0;
+  Controller c(
+      s0, 2, [&frames](SiteId, BytesView b) { frames += b.size(); },
+      [](ResourceId r) { return SiteId{r.value() % 2}; }, options,
+      [](SimTime, const std::function<void()>&) {});
+
+  const auto deliver = [&c](SiteId from, const DdbMessage& m) {
+    return c.on_message(from, encode_small(m).view()).ok();
+  };
+  ASSERT_TRUE(c.lock(t1, rA, LockMode::kWrite));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, LockMode::kWrite}));
+  ASSERT_FALSE(c.lock(t1, rB, LockMode::kWrite));
+
+  const InterEdge t2_edge{AgentId{t2, s1}, AgentId{t2, s0}};
+  std::uint64_t seq = 0;
+  const auto round = [&]() {
+    ++seq;
+    bool ok = deliver(
+        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2_edge, false, t2});
+    ok &= deliver(s1, RemoteLockGrantMsg{t1, rB});
+    ok &= !c.lock(t1, rB, LockMode::kWrite);
+    return ok;
+  };
+
+  // Warm-up: tables, pools and scratch buffers reach their working size.
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(round());
+  const ControllerStats warm = c.stats();
+
+  // Measured phase.  (No gtest macros inside: their success paths may
+  // allocate.)
+  constexpr int kRounds = 5000;
+  const std::size_t before = g_alloc_count;
+  bool all_ok = true;
+  for (int i = 0; i < kRounds; ++i) all_ok &= round();
+  const std::size_t allocations = g_alloc_count - before;
+
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(allocations, 0u);
+  const ControllerStats& st = c.stats();
+  EXPECT_EQ(st.meaningful_probes - warm.meaningful_probes,
+            std::uint64_t{kRounds});
+  EXPECT_EQ(st.reaches_followed - warm.reaches_followed,
+            std::uint64_t{kRounds});
+  // Per round: t1's edge from the arriving probe, and again from the
+  // follow.
+  EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{2 * kRounds});
+  EXPECT_EQ(st.computations_initiated, 0u);
+  EXPECT_EQ(st.deadlocks_declared, 0u);
   EXPECT_GT(frames, 0u);
 }
 

@@ -409,6 +409,154 @@ TEST(ControllerProbe, StaleWalkReArmsTheTargetsBlockCheck) {
   EXPECT_TRUE(rig.c(1).locks().holds(rC, t1));
 }
 
+// ---- following a re-blocked transaction ----------------------------------------
+
+/// Delayed initiation, T = 5 ms; the rig's timers never fire in these tests
+/// unless a test says so.
+DdbOptions follow_options() {
+  DdbOptions o;
+  o.initiation = DdbInitiation::kDelayed;
+  o.initiation_delay = SimTime::ms(5);
+  o.abort_victim = true;
+  return o;
+}
+
+struct ReachedCloser {
+  ResourceId rA;  // @S0, held by t5
+  ResourceId rB;  // @S1, held by t2
+  ResourceId rC;  // @S1, held by t3; t5 waits for it
+  DdbProbeTag tag;
+};
+
+/// t5 (home S0) holds rA@S0 and waits for rC@S1, held by t3 (home S1, on
+/// no cycle).  t2 (home S1) holds rB@S1 and waits for rA@S0.  S1's
+/// computation for t2 reaches t5's home agent through t2's wait at S0,
+/// follows t5's request to S1 and dies at t3.  No cycle exists yet; t5
+/// asking S1 for rB would close t2 -> t5 -> t2.
+ReachedCloser build_reached_closer(Rig& rig) {
+  ReachedCloser rc{res_at(0, 0, 2), res_at(1, 0, 2), res_at(1, 1, 2),
+                   DdbProbeTag{}};
+  EXPECT_TRUE(rig.c(0).lock(t5, rc.rA, LockMode::kWrite));
+  EXPECT_TRUE(rig.c(1).lock(t2, rc.rB, LockMode::kWrite));
+  EXPECT_TRUE(rig.c(1).lock(t3, rc.rC, LockMode::kWrite));
+  rig.c(0).lock(t5, rc.rC, LockMode::kWrite);  // t5 waits t3
+  rig.c(1).lock(t2, rc.rA, LockMode::kWrite);  // t2 waits t5
+  rig.deliver_all();
+  rig.drop_timers();  // only the computation started below runs
+  EXPECT_TRUE(rig.oracle_deadlocked().empty());
+  const std::optional<DdbProbeTag> tag = rig.c(1).initiate_for(t2);
+  EXPECT_TRUE(tag.has_value());
+  rig.deliver_all();
+  EXPECT_TRUE(rig.declared().empty());
+  rc.tag = tag.value_or(DdbProbeTag{});
+  return rc;
+}
+
+TEST(ControllerFollow, ReBlockClosingACycleIsDeclaredBeforeTheClosersCheck) {
+  // t3 commits and t5, granted rC, asks S1 for rB.  The request's
+  // follow-up probe closes S1's walk at once, where without it the cycle
+  // would wait T for t5's own check; the victim is t5, the youngest on
+  // the walk t2 -> t5 -> t2.
+  Rig rig(2, follow_options());
+  const ReachedCloser rc = build_reached_closer(rig);
+  rig.c(1).finish(t3);
+  rig.deliver_all();
+  ASSERT_FALSE(rig.c(0).blocked(t5));
+  ASSERT_TRUE(rig.c(0).locks().holds(rc.rA, t5));
+
+  rig.c(0).lock(t5, rc.rB, LockMode::kWrite);
+  rig.deliver_all();  // no timer fires
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].victim, t5);
+  EXPECT_EQ(rig.declared()[0].site, SiteId{1});
+  EXPECT_EQ(rig.declared()[0].tag, rc.tag);
+  EXPECT_EQ(rig.c(0).stats().reaches_followed, 1u);
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 0u);
+  EXPECT_TRUE(rig.oracle_deadlocked().empty());
+  EXPECT_TRUE(rig.c(1).locks().holds(rc.rB, t2));
+  EXPECT_TRUE(rig.c(0).locks().holds(rc.rA, t2));
+}
+
+TEST(ControllerFollow, NothingIsFollowedAfterCommitOrAbort) {
+  // A transaction's reaches end with it.  After t5 commits, a request
+  // under its id continues nothing; after its abort the tombstone refuses
+  // the request.
+  for (const bool commit : {true, false}) {
+    Rig rig(2, follow_options());
+    const ReachedCloser rc = build_reached_closer(rig);
+    if (commit) {
+      rig.c(0).finish(t5);
+    } else {
+      rig.c(0).abort(t5);
+    }
+    rig.deliver_all();
+    const std::uint64_t probes = rig.c(0).stats().probes_sent;
+    rig.c(0).lock(t5, rc.rB, LockMode::kWrite);
+    rig.deliver_all();
+    EXPECT_EQ(rig.c(0).stats().reaches_followed, 0u) << "commit " << commit;
+    EXPECT_EQ(rig.c(0).stats().probes_sent, probes) << "commit " << commit;
+    EXPECT_TRUE(rig.declared().empty()) << "commit " << commit;
+  }
+}
+
+TEST(ControllerFollow, ReachBelowItsInitiatorsFloorIsNotFollowed) {
+  // A probe of S1 carrying a floor above the recorded computation's
+  // sequence reaches S0 (on an edge that is not black there).  The
+  // computation is stale, so t5's re-block continues nothing: the cycle
+  // waits for a fresh computation.
+  Rig rig(2, follow_options());
+  const ReachedCloser rc = build_reached_closer(rig);
+  const std::uint64_t floor = rc.tag.sequence + 1;
+  const InterEdge not_black{AgentId{t3, SiteId{1}}, AgentId{t3, SiteId{0}}};
+  const DdbProbeMsg newer{DdbProbeTag{SiteId{1}, floor}, floor, not_black,
+                          false, t3};
+  rig.inject(1, 0, encode(newer));
+  ASSERT_EQ(rig.c(0).stats().meaningful_probes, 1u);  // only rc.tag's
+  rig.c(1).finish(t3);
+  rig.deliver_all();
+
+  rig.c(0).lock(t5, rc.rB, LockMode::kWrite);
+  rig.deliver_all();
+  EXPECT_EQ(rig.c(0).stats().reaches_followed, 0u);
+  EXPECT_TRUE(rig.declared().empty());
+  EXPECT_EQ(rig.oracle_deadlocked(), (std::vector<TransactionId>{t2, t5}));
+  rig.fire_timers();  // t5's own check, T later
+  rig.deliver_all();
+  ASSERT_FALSE(rig.declared().empty());
+  EXPECT_EQ(rig.declared()[0].victim, t5);
+}
+
+TEST(ControllerFollow, NewRequestToASiteAskedBeforeIsProbedAgain) {
+  // The computation already probed t5's edge to S1 for rC.  t5's next
+  // request to S1 is a new instance of that edge, so the follow probes it
+  // again -- on the same channel, behind the request.
+  Rig rig(2, follow_options());
+  const ReachedCloser rc = build_reached_closer(rig);
+  rig.c(1).finish(t3);
+  rig.deliver_all();
+  const std::uint64_t probes = rig.c(0).stats().probes_sent;
+  const ResourceId rD = res_at(1, 2, 2);  // free at S1
+
+  rig.c(0).lock(t5, rD, LockMode::kWrite);
+  EXPECT_EQ(rig.c(0).stats().reaches_followed, 1u);
+  EXPECT_EQ(rig.c(0).stats().probes_sent, probes + 1);
+  const std::deque<Bytes> frames = rig.take_channel(0, 1);
+  ASSERT_EQ(frames.size(), 2u);
+  const auto request = decode(frames[0]);
+  const auto probe = decode(frames[1]);
+  ASSERT_TRUE(request.ok() && probe.ok());
+  EXPECT_TRUE(std::holds_alternative<RemoteLockRequestMsg>(*request));
+  ASSERT_TRUE(std::holds_alternative<DdbProbeMsg>(*probe));
+  const auto& msg = std::get<DdbProbeMsg>(*probe);
+  EXPECT_EQ(msg.tag, rc.tag);
+  EXPECT_EQ(msg.edge,
+            (InterEdge{AgentId{t5, SiteId{0}}, AgentId{t5, SiteId{1}}}));
+  for (const Bytes& frame : frames) rig.inject(0, 1, frame);
+  rig.deliver_all();
+  EXPECT_TRUE(rig.c(1).locks().holds(rD, t5));
+  EXPECT_TRUE(rig.declared().empty());
+}
+
 TEST(ControllerProbe, InitiateForUnblockedProcessReturnsNothing) {
   Rig rig(2);
   ASSERT_TRUE(rig.c(0).lock(t1, res_at(0, 0, 2), LockMode::kWrite));

@@ -99,6 +99,19 @@ std::vector<DdbPropertyCase> make_cases() {
   }
   cases.push_back(DdbPropertyCase{200, 3, 20, 6, 4});
   cases.push_back(DdbPropertyCase{201, 5, 15, 10, 3});
+  // The wide sweep: 3 and 6 sites, hot sets 3-16, 2-4 locks per
+  // transaction.  Transactions that take several locks re-block often, so
+  // probe computations follow new requests (DESIGN.md section 4b).
+  seed = 300;
+  for (const std::uint32_t sites : {3u, 6u}) {
+    for (const std::uint32_t hot : {3u, 5u, 8u, 12u, 16u}) {
+      for (const std::uint32_t locks : {2u, 3u, 4u}) {
+        for (const std::uint32_t txns : {8u, 16u, 24u}) {
+          cases.push_back(DdbPropertyCase{seed++, sites, txns, hot, locks});
+        }
+      }
+    }
+  }
   return cases;
 }
 

@@ -102,14 +102,14 @@ GoldenDdb run_t5_episode() {
 TEST(GoldenDdbSchedule, T5EpisodeIsPinned) {
   const GoldenDdb g = run_t5_episode();
   EXPECT_EQ(g.committed, 24u);
-  EXPECT_EQ(g.aborted, 17u);
+  EXPECT_EQ(g.aborted, 20u);
   EXPECT_EQ(g.given_up, 0u);
-  EXPECT_EQ(g.messages, 1147u);
-  EXPECT_EQ(g.events, 1453u);
-  EXPECT_EQ(g.makespan_us, 82708);
-  EXPECT_EQ(g.declarations, 31u);
-  EXPECT_EQ(g.detection_hash, 7727112118604243533ULL);
-  EXPECT_EQ(g.frame_hash, 7995334484836123337ULL);
+  EXPECT_EQ(g.messages, 1273u);
+  EXPECT_EQ(g.events, 1603u);
+  EXPECT_EQ(g.makespan_us, 81214);
+  EXPECT_EQ(g.declarations, 42u);
+  EXPECT_EQ(g.detection_hash, 4844853837523164863ULL);
+  EXPECT_EQ(g.frame_hash, 17193647314356258762ULL);
 }
 
 TEST(GoldenDdbSchedule, ReplaysInProcess) {
