@@ -171,23 +171,7 @@ std::span<const TransactionId> Cluster::oracle_deadlocked() const {
 
 ControllerStats Cluster::total_stats() const {
   ControllerStats total;
-  for (const auto& c : controllers_) {
-    const ControllerStats& s = c->stats();
-    total.local_requests += s.local_requests;
-    total.remote_requests_sent += s.remote_requests_sent;
-    total.remote_requests_received += s.remote_requests_received;
-    total.grants_sent += s.grants_sent;
-    total.grants_received += s.grants_received;
-    total.probes_sent += s.probes_sent;
-    total.probes_received += s.probes_received;
-    total.meaningful_probes += s.meaningful_probes;
-    total.computations_initiated += s.computations_initiated;
-    total.reaches_followed += s.reaches_followed;
-    total.local_cycle_detections += s.local_cycle_detections;
-    total.deadlocks_declared += s.deadlocks_declared;
-    total.purges_sent += s.purges_sent;
-    total.aborts_executed += s.aborts_executed;
-  }
+  for (const auto& c : controllers_) total += c->stats();
   return total;
 }
 

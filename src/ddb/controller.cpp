@@ -36,6 +36,25 @@ std::pair<const WaitEdge*, const WaitEdge*> out_edges(
 }
 }  // namespace
 
+ControllerStats& ControllerStats::operator+=(const ControllerStats& o) {
+  local_requests += o.local_requests;
+  remote_requests_sent += o.remote_requests_sent;
+  remote_requests_received += o.remote_requests_received;
+  grants_sent += o.grants_sent;
+  grants_received += o.grants_received;
+  probes_sent += o.probes_sent;
+  probes_received += o.probes_received;
+  meaningful_probes += o.meaningful_probes;
+  computations_initiated += o.computations_initiated;
+  reaches_followed += o.reaches_followed;
+  eager_initiations += o.eager_initiations;
+  local_cycle_detections += o.local_cycle_detections;
+  deadlocks_declared += o.deadlocks_declared;
+  purges_sent += o.purges_sent;
+  aborts_executed += o.aborts_executed;
+  return *this;
+}
+
 Controller::Controller(SiteId id, std::uint32_t n_sites, Sender sender,
                        ResourceMap resource_map, DdbOptions options,
                        TimerFn timers)
@@ -113,15 +132,37 @@ void Controller::prune_computations(SiteId initiator, std::uint64_t floor) {
 void Controller::set_own_seq(TransactionId txn, std::uint64_t seq) {
   const auto it = lower_bound_key(own_comp_seq_, txn);
   if (it != own_comp_seq_.end() && it->first == txn) {
-    it->second = seq;
+    // The previous computation's probes may still be in flight and close
+    // the cycle; the one before it is superseded twice over.
+    retire_own(it->second.previous);
+    it->second = OwnComps{seq, it->second.latest, true};
   } else {
-    own_comp_seq_.insert(it, {txn, seq});
+    own_comp_seq_.insert(it, {txn, OwnComps{seq, 0, true}});
+  }
+}
+
+void Controller::release_own_floor(TransactionId txn) {
+  const auto it = lower_bound_key(own_comp_seq_, txn);
+  if (it != own_comp_seq_.end() && it->first == txn) {
+    it->second.in_floor = false;
   }
 }
 
 void Controller::erase_own_seq(TransactionId txn) {
   const auto it = lower_bound_key(own_comp_seq_, txn);
-  if (it != own_comp_seq_.end() && it->first == txn) own_comp_seq_.erase(it);
+  if (it == own_comp_seq_.end() || it->first != txn) return;
+  retire_own(it->second.latest);
+  retire_own(it->second.previous);
+  own_comp_seq_.erase(it);
+}
+
+void Controller::retire_own(std::uint64_t seq) {
+  if (seq == 0) return;
+  const DdbProbeTag tag{id_, seq};
+  const auto it = lower_bound_key(comp_index_, tag);
+  if (it == comp_index_.end() || it->first != tag) return;  // pruned
+  comp_free_.push_back(it->second);
+  comp_index_.erase(it);
 }
 
 // ---- client API -------------------------------------------------------------
@@ -389,10 +430,13 @@ bool Controller::declare_local_cycle(TransactionId txn, TxnSet* declared) {
 }
 
 std::uint64_t Controller::current_floor() {
-  std::erase_if(own_comp_seq_,
-                [&](const auto& entry) { return !blocked(entry.first); });
   std::uint64_t floor = next_sequence_ + 1;
-  for (const auto& [txn, seq] : own_comp_seq_) floor = std::min(floor, seq);
+  for (auto& [txn, own] : own_comp_seq_) {
+    // A target that stopped waiting releases the floor for good: its
+    // latest computation's walk is gone.
+    own.in_floor = own.in_floor && blocked(txn);
+    if (own.in_floor) floor = std::min(floor, own.latest);
+  }
   return floor;
 }
 
@@ -517,9 +561,13 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
                          << msg.edge << " from " << from;
   (void)from;
 
-  Computation& comp = computation(msg.tag);
-  if (comp.declared) return;
-  advance(msg.tag, msg.floor, comp, txn, msg.candidate,
+  // An own computation's record is made when it starts; if it is gone,
+  // the computation was retired (superseded twice, or its target ended)
+  // and must stay so.
+  Computation* comp = msg.tag.initiator == id_ ? find_computation(msg.tag)
+                                               : &computation(msg.tag);
+  if (comp == nullptr || comp->declared) return;
+  advance(msg.tag, msg.floor, *comp, txn, msg.candidate,
           msg.via_release_wait ? msg.edge.from.site : id_);
 }
 
@@ -619,7 +667,7 @@ void Controller::follow_reaches(TransactionId txn) {
 
 void Controller::close_walk(TransactionId victim, TransactionId target,
                             const DdbProbeTag& tag) {
-  erase_own_seq(target);
+  release_own_floor(target);
   declare(victim, tag);
   if (victim != target && options_.abort_victim) schedule_block_check(target);
 }
@@ -645,12 +693,30 @@ void Controller::schedule_block_check(TransactionId txn) {
     case DdbInitiation::kDelayed:
       // A0 sends no messages, so it runs at once; T only holds back the
       // probe computation, whose messages it exists to save.
-      if (blocked(txn) && declare_local_cycle(txn)) return;
+      if (blocked(txn)) {
+        if (declare_local_cycle(txn)) return;
+        // T skips computations for waits that end on their own.  A live
+        // computation at txn's home agent shows that someone waits on txn,
+        // so this block may close a cycle: start at once, as kOnBlock does.
+        if (reached_by_live_computation(txn)) {
+          if (initiate_for(txn)) ++stats_.eager_initiations;
+          return;
+        }
+      }
       timers_(options_.initiation_delay, [this, txn] {
         if (blocked(txn)) initiate_for(txn);
       });
       return;
   }
+}
+
+bool Controller::reached_by_live_computation(TransactionId txn) {
+  if (txn.value() >= txns_.size()) return false;
+  const auto& reaches = txns_[txn.value()].reaches;
+  return std::any_of(reaches.begin(), reaches.end(), [this](const Reach& r) {
+    const Computation* comp = find_computation(r.tag);
+    return comp != nullptr && !comp->declared;
+  });
 }
 
 void Controller::mix_state_hash(std::uint64_t& h) const {
@@ -704,9 +770,11 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
   mix(0xC8);
 
   mix(next_sequence_);
-  for (const auto& [txn, seq] : own_comp_seq_) {
+  for (const auto& [txn, own] : own_comp_seq_) {
     mix(txn.value());
-    mix(seq);
+    mix(own.latest);
+    mix(own.previous);
+    mix(static_cast<std::uint64_t>(own.in_floor));
   }
   mix(0xC5);
 

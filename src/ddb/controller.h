@@ -14,8 +14,10 @@
 //     the walk closes, so every computation that closes the same cycle
 //     aborts the same one (DESIGN.md, victim election).
 //   * continue the computations that reached a transaction's home agent
-//     along its next request the moment it blocks again: the initiation
-//     delay T gates new computations only (DESIGN.md section 4b).
+//     along its next request the moment it blocks again, and start that
+//     transaction's own computation at once: a live computation there shows
+//     that someone waits on it, so the initiation delay T gates only the
+//     computations of unreached transactions (DESIGN.md section 4b).
 //
 // Like BasicProcess, the controller is a transport-agnostic state machine;
 // callers must serialize calls per instance (the paper's atomic-step note),
@@ -45,7 +47,11 @@ namespace cmh::ddb {
 enum class DdbInitiation {
   kManual,   // harness calls initiate_for()/check_all()
   kOnBlock,  // initiate the instant a local process blocks (section 4.2)
-  kDelayed,  // initiate T after a local process blocks, if still blocked
+  // Run A0 the instant a local process blocks; start its probe computation
+  // T later, if it is still blocked -- or at once when a live computation
+  // has reached its home agent, which shows an incoming wait (the block may
+  // close a cycle), so there is no wait for T to outlast.
+  kDelayed,
 };
 
 struct DdbOptions {
@@ -74,10 +80,15 @@ struct ControllerStats {
   std::uint64_t computations_initiated{0};
   /// Computations continued along a re-blocked transaction's new request.
   std::uint64_t reaches_followed{0};
+  /// kDelayed computations started at block time, without waiting T,
+  /// because a live computation had reached the blocked home agent.
+  std::uint64_t eager_initiations{0};
   std::uint64_t local_cycle_detections{0};
   std::uint64_t deadlocks_declared{0};
   std::uint64_t purges_sent{0};
   std::uint64_t aborts_executed{0};
+
+  ControllerStats& operator+=(const ControllerStats& o);
 };
 
 class Controller {
@@ -209,8 +220,9 @@ class Controller {
     // holdings.  Feeds the section-6.7 Q set.
     FlatSet<SiteId, 2> remote_holdings;
     // Computations that reached this home agent; lock() continues them
-    // along txn's next request (see follow_reaches).  Dropped at commit and
-    // abort.
+    // along txn's next request (see follow_reaches), and a live one makes
+    // txn's block check start its computation at once.  Dropped at commit
+    // and abort.
     SmallVector<Reach, kReachesPerTxn> reaches;
     // Tombstone: a purge broadcast can overtake a victim's in-flight lock
     // request on a different channel; without it the zombie request would
@@ -328,7 +340,13 @@ class Controller {
   /// Records the declaration and aborts the victim, unless this site has
   /// already aborted it.
   void declare(TransactionId victim, const DdbProbeTag& tag);
+  /// Under kDelayed: A0 at once, then txn's probe computation at once if a
+  /// live computation has reached txn's home agent, else T later.
   void schedule_block_check(TransactionId txn);
+  /// True iff a computation recorded at txn's home agent is live: its
+  /// record is still here and it has not declared.  Evidence that someone
+  /// waits on txn, whether or not follow_reaches() would continue it.
+  [[nodiscard]] bool reached_by_live_computation(TransactionId txn);
 
   /// Lowest still-live sequence of this controller's own computations.
   [[nodiscard]] std::uint64_t current_floor();
@@ -350,8 +368,15 @@ class Controller {
   /// Drops the records of `initiator`'s computations below `floor`.
   void prune_computations(SiteId initiator, std::uint64_t floor);
 
+  /// Records `seq` as txn's latest own computation; the latest becomes the
+  /// previous, and the previous is retired.
   void set_own_seq(TransactionId txn, std::uint64_t seq);
+  /// txn's latest own computation no longer holds the floor down.
+  void release_own_floor(TransactionId txn);
+  /// txn has ended here: retires its own computations' records.
   void erase_own_seq(TransactionId txn);
+  /// Drops the record of own computation `seq` (0: none), if still present.
+  void retire_own(std::uint64_t seq);
 
   SiteId id_;
   std::uint32_t n_sites_;
@@ -364,10 +389,23 @@ class Controller {
   std::vector<TxnSlot> txns_;  // indexed by transaction id
   std::uint64_t id_horizon_{0};  // one past the highest id admitted
 
+  /// This controller's computations for one target process: sequences of
+  /// the latest and the one before it (0: none), whose probes may still
+  /// close the cycle.  Older ones are retired, so each target keeps at most
+  /// two records.  `in_floor`: the latest holds the floor down -- its target
+  /// has waited since it began and it has not closed.  No default member
+  /// initializers, as for PendingRemote.
+  struct OwnComps {
+    std::uint64_t latest;
+    std::uint64_t previous;
+    bool in_floor;
+  };
+
   std::uint64_t next_sequence_{0};
-  // Latest own computation per target process, ascending by transaction;
-  // the minimum over live entries is the `floor` advertised in probes.
-  std::vector<std::pair<TransactionId, std::uint64_t>> own_comp_seq_;
+  // Own computations per target process, ascending by transaction, until
+  // the target ends here; the minimum latest over entries in the floor is
+  // the `floor` advertised in probes.
+  std::vector<std::pair<TransactionId, OwnComps>> own_comp_seq_;
   // Computation records live in a recycled pool (their edge sets keep
   // their capacity); comp_index_ maps tags to pool slots, ascending.
   std::vector<Computation> comp_pool_;

@@ -401,7 +401,8 @@ TEST(ZeroAlloc, WarmDdbControllerCheckAll) {
 //     round's record), reaches t1's home agent, records there and probes
 //     t1's edge to S1;
 //   * rB is granted and t1 asks S1 for it again: the request is a new
-//     instance of that edge, so the recorded computation follows it.
+//     instance of that edge, so the recorded computation follows it, and
+//     t1, reached, starts its own computation at once.
 // Delayed initiation, whose timer hook here drops the block checks.
 TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
   const SiteId s0{0};
@@ -457,10 +458,82 @@ TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
             std::uint64_t{kRounds});
   EXPECT_EQ(st.reaches_followed - warm.reaches_followed,
             std::uint64_t{kRounds});
-  // Per round: t1's edge from the arriving probe, and again from the
-  // follow.
-  EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{2 * kRounds});
-  EXPECT_EQ(st.computations_initiated, 0u);
+  // Per round: t1's edge from the arriving probe, again from the follow,
+  // and from t1's own computation.
+  EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{3 * kRounds});
+  EXPECT_EQ(st.computations_initiated, st.eager_initiations);
+  EXPECT_EQ(st.deadlocks_declared, 0u);
+  EXPECT_GT(frames, 0u);
+}
+
+// A reached home agent re-blocking each round starts its own computation
+// at once, and none of those computations' probes ever comes back, so no
+// floor prunes their records: t1 (home S0) holds rB@S1 and waits for
+// rD@S1.  Each round
+//   * a new S1 computation arrives on t1's release-wait edge from S1 (its
+//     floor prunes the last round's record), records at t1's home agent
+//     and probes t1's edge to S1;
+//   * rD is granted and t1 asks S1 for it again: the recorded computation
+//     follows, and t1 starts its own computation at once.
+// Only the latest two own computations of t1 keep a record, so the pool
+// stops growing.
+TEST(ZeroAlloc, WarmDdbControllerEagerInitiation) {
+  const SiteId s0{0};
+  const SiteId s1{1};
+  const TransactionId t1{1};
+  const ResourceId rB{1};  // resources live at site r % 2
+  const ResourceId rD{3};
+
+  DdbOptions options;
+  options.initiation = DdbInitiation::kDelayed;
+  options.abort_victim = false;
+  std::uint64_t frames = 0;
+  Controller c(
+      s0, 2, [&frames](SiteId, BytesView b) { frames += b.size(); },
+      [](ResourceId r) { return SiteId{r.value() % 2}; }, options,
+      [](SimTime, const std::function<void()>&) {});
+
+  const auto deliver = [&c](SiteId from, const DdbMessage& m) {
+    return c.on_message(from, encode_small(m).view()).ok();
+  };
+  ASSERT_FALSE(c.lock(t1, rB, LockMode::kWrite));
+  ASSERT_TRUE(deliver(s1, RemoteLockGrantMsg{t1, rB}));
+  ASSERT_FALSE(c.lock(t1, rD, LockMode::kWrite));
+
+  const InterEdge holding{AgentId{t1, s1}, AgentId{t1, s0}};
+  std::uint64_t seq = 0;
+  const auto round = [&]() {
+    ++seq;
+    bool ok = deliver(
+        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, holding, true, t1});
+    ok &= deliver(s1, RemoteLockGrantMsg{t1, rD});
+    ok &= !c.lock(t1, rD, LockMode::kWrite);
+    return ok;
+  };
+
+  // Warm-up: tables, pools and scratch buffers reach their working size.
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(round());
+  const ControllerStats warm = c.stats();
+
+  // Measured phase.  (No gtest macros inside: their success paths may
+  // allocate.)
+  constexpr int kRounds = 5000;
+  const std::size_t before = g_alloc_count;
+  bool all_ok = true;
+  for (int i = 0; i < kRounds; ++i) all_ok &= round();
+  const std::size_t allocations = g_alloc_count - before;
+
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(allocations, 0u);
+  const ControllerStats& st = c.stats();
+  EXPECT_EQ(st.eager_initiations - warm.eager_initiations,
+            std::uint64_t{kRounds});
+  EXPECT_EQ(st.computations_initiated - warm.computations_initiated,
+            std::uint64_t{kRounds});
+  EXPECT_EQ(st.reaches_followed - warm.reaches_followed,
+            std::uint64_t{kRounds});
+  EXPECT_EQ(st.meaningful_probes - warm.meaningful_probes,
+            std::uint64_t{kRounds});
   EXPECT_EQ(st.deadlocks_declared, 0u);
   EXPECT_GT(frames, 0u);
 }

@@ -3,7 +3,11 @@
 // liveness.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+
 #include "ddb/cluster.h"
+#include "ddb/workload.h"
 
 namespace cmh::ddb {
 namespace {
@@ -382,6 +386,44 @@ TEST(DdbCluster, DetectionListenerFiresAtDeclaration) {
   db.simulator().run();
   EXPECT_EQ(seen.size(), db.detections().size());
   ASSERT_FALSE(seen.empty());
+}
+
+// ControllerStats is a flat record of counters.  Viewed as an array, the
+// test below covers every counter, including ones added later.
+constexpr std::size_t kStatCounters =
+    sizeof(ControllerStats) / sizeof(std::uint64_t);
+static_assert(sizeof(ControllerStats) == kStatCounters * sizeof(std::uint64_t));
+using StatWords = std::array<std::uint64_t, kStatCounters>;
+
+TEST(DdbCluster, TotalStatsSumsEveryCounterOfEverySite) {
+  // A contended T5-shaped episode, in which every counter is non-zero at
+  // two sites at least.
+  Cluster db({.n_sites = 4, .n_resources = 8, .options = delayed_opts(),
+              .seed = 3});
+  TxnScriptConfig cfg;
+  cfg.locks_per_txn = 3;
+  cfg.write_fraction = 0.8;
+  cfg.hot_set = 8;
+  cfg.max_retries = 25;
+  TxnWorkload workload(db, cfg, 29);
+  workload.start(24);
+  db.simulator().run();
+
+  StatWords sum{};
+  std::array<std::uint32_t, kStatCounters> sites_counting{};
+  for (std::uint32_t s = 0; s < db.n_sites(); ++s) {
+    const auto words =
+        std::bit_cast<StatWords>(db.controller(SiteId{s}).stats());
+    for (std::size_t i = 0; i < kStatCounters; ++i) {
+      sum[i] += words[i];
+      if (words[i] != 0) ++sites_counting[i];
+    }
+  }
+  const auto total = std::bit_cast<StatWords>(db.total_stats());
+  for (std::size_t i = 0; i < kStatCounters; ++i) {
+    EXPECT_GE(sites_counting[i], 2u) << "counter " << i;
+    EXPECT_EQ(total[i], sum[i]) << "counter " << i;
+  }
 }
 
 }  // namespace

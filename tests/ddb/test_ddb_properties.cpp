@@ -1,6 +1,10 @@
 // Randomized DDB property tests over the transaction workload driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "ddb/cluster.h"
 #include "ddb/workload.h"
 
@@ -45,11 +49,14 @@ TEST_P(DdbProperties, WorkloadTerminatesAndAllClientsResolve) {
   EXPECT_TRUE(db.oracle_deadlocked().empty());
 }
 
-TEST_P(DdbProperties, DetectionsAreSoundAtDeclaration) {
-  const auto& p = GetParam();
+/// QRP2 at each declaration's instant and QRP1 at quiescence, abort-free,
+/// under delayed initiation with delay `t`, transactions holding their
+/// locks for `hold` once acquired.  Returns the controllers' summed stats.
+ControllerStats check_detections_sound(const DdbPropertyCase& p, SimTime t,
+                                       SimTime hold) {
   DdbOptions options;
   options.initiation = DdbInitiation::kDelayed;
-  options.initiation_delay = SimTime::ms(2);
+  options.initiation_delay = t;
   // Soundness check runs without victim aborts: aborts release locks while
   // others wait (violating the DDB model's release-only-when-active axiom,
   // section 6.4 G2), which the paper's correctness proof does not cover.
@@ -71,6 +78,7 @@ TEST_P(DdbProperties, DetectionsAreSoundAtDeclaration) {
   cfg.locks_per_txn = p.locks_per_txn;
   cfg.hot_set = p.hot_set;
   cfg.write_fraction = 0.8;
+  cfg.hold_time = hold;
   cfg.max_retries = 0;  // no retries: victims stay wedged (no aborts anyway)
   TxnWorkload workload(db, cfg, p.seed * 17 + 3);
   workload.start(p.txns);
@@ -85,6 +93,25 @@ TEST_P(DdbProperties, DetectionsAreSoundAtDeclaration) {
   } else {
     EXPECT_EQ(db.detections().size(), 0u);
   }
+  return db.total_stats();
+}
+
+TEST_P(DdbProperties, DetectionsAreSoundAtDeclaration) {
+  check_detections_sound(GetParam(), SimTime::ms(2), SimTime::ms(2));
+}
+
+/// T = 50 ms, and transactions hold their locks 4T once acquired.  No
+/// computation starts before T; those started at T still run while holders
+/// commit and their waiters block again, and a waiter they reached then
+/// starts its computation at once, or is followed (DESIGN.md section 4b).
+/// With a short hold every transaction would have ended or wedged by T.
+constexpr SimTime kLongT = SimTime::ms(50);
+constexpr SimTime kLongHold = SimTime::ms(200);
+
+class DdbPropertiesLongT : public DdbProperties {};
+
+TEST_P(DdbPropertiesLongT, DetectionsAreSoundAtDeclaration) {
+  check_detections_sound(GetParam(), kLongT, kLongHold);
 }
 
 std::vector<DdbPropertyCase> make_cases() {
@@ -115,15 +142,43 @@ std::vector<DdbPropertyCase> make_cases() {
   return cases;
 }
 
+// 3 and 6 sites, hot sets 3-16, 2-4 locks per transaction.
+std::vector<DdbPropertyCase> make_long_t_cases() {
+  std::vector<DdbPropertyCase> cases;
+  std::uint64_t seed = 700;
+  for (const std::uint32_t sites : {3u, 6u}) {
+    for (const std::uint32_t hot : {3u, 5u, 8u, 12u, 16u}) {
+      for (const std::uint32_t locks : {2u, 3u, 4u}) {
+        for (const std::uint32_t txns : {8u, 24u}) {
+          cases.push_back(DdbPropertyCase{seed++, sites, txns, hot, locks});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+std::string case_name(
+    const ::testing::TestParamInfo<DdbPropertyCase>& info) {
+  const auto& p = info.param;
+  return "s" + std::to_string(p.seed) + "_k" + std::to_string(p.sites) +
+         "_t" + std::to_string(p.txns) + "_h" + std::to_string(p.hot_set);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, DdbProperties,
-                         ::testing::ValuesIn(make_cases()),
-                         [](const auto& info) {
-                           const auto& p = info.param;
-                           return "s" + std::to_string(p.seed) + "_k" +
-                                  std::to_string(p.sites) + "_t" +
-                                  std::to_string(p.txns) + "_h" +
-                                  std::to_string(p.hot_set);
-                         });
+                         ::testing::ValuesIn(make_cases()), case_name);
+INSTANTIATE_TEST_SUITE_P(Sweep, DdbPropertiesLongT,
+                         ::testing::ValuesIn(make_long_t_cases()), case_name);
+
+TEST(DdbPropertiesLongTCoverage, ReachedTransactionsStartAtOnce) {
+  // The long-T sweep exercises what it is there for.
+  ControllerStats total;
+  for (const DdbPropertyCase& p : make_long_t_cases()) {
+    total += check_detections_sound(p, kLongT, kLongHold);
+  }
+  EXPECT_GT(total.eager_initiations, 50u);
+  EXPECT_GT(total.reaches_followed, 50u);
+}
 
 }  // namespace
 }  // namespace cmh::ddb

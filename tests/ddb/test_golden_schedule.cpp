@@ -102,14 +102,14 @@ GoldenDdb run_t5_episode() {
 TEST(GoldenDdbSchedule, T5EpisodeIsPinned) {
   const GoldenDdb g = run_t5_episode();
   EXPECT_EQ(g.committed, 24u);
-  EXPECT_EQ(g.aborted, 20u);
+  EXPECT_EQ(g.aborted, 17u);
   EXPECT_EQ(g.given_up, 0u);
-  EXPECT_EQ(g.messages, 1273u);
-  EXPECT_EQ(g.events, 1603u);
-  EXPECT_EQ(g.makespan_us, 81214);
-  EXPECT_EQ(g.declarations, 42u);
-  EXPECT_EQ(g.detection_hash, 4844853837523164863ULL);
-  EXPECT_EQ(g.frame_hash, 17193647314356258762ULL);
+  EXPECT_EQ(g.messages, 1093u);
+  EXPECT_EQ(g.events, 1349u);
+  EXPECT_EQ(g.makespan_us, 58836);
+  EXPECT_EQ(g.declarations, 28u);
+  EXPECT_EQ(g.detection_hash, 9537036900703156029ULL);
+  EXPECT_EQ(g.frame_hash, 8432436401723609460ULL);
 }
 
 TEST(GoldenDdbSchedule, ReplaysInProcess) {
