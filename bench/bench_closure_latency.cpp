@@ -1,5 +1,6 @@
 // Closure-to-declaration latency of DDB deadlock detection against the
-// initiation delay T (EXPERIMENTS.md P6 and P7).
+// initiation delay T (EXPERIMENTS.md P6, P7 and P8), and what each
+// declaration names at its instant.
 //
 //   bench_closure_latency [--first-seed S] [--seeds N] [--episodes E]
 //
@@ -17,6 +18,14 @@
 // to the first declaration whose victim is one of them.  A closure that no
 // such declaration resolves (another closure's victim broke its cycle) is
 // not counted.
+//
+// The second table classifies every declaration at its instant, before the
+// victim's abort, per commit: the victim is on an oracle cycle; its
+// transaction is already over (its home has aborted it, or it committed);
+// or it is still active and on no cycle -- the harmful kind, which can
+// abort a live transaction for nothing.  "named before" counts the last
+// kind whose victim an earlier declaration had already named (its abort is
+// on its way).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -27,6 +36,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -63,8 +73,25 @@ double percentile(std::vector<double>& v, double q) {
   return v[k];
 }
 
+/// Declarations by what their victim was at the declaration's instant.
+struct DeclarationKinds {
+  std::uint64_t on_cycle{0};
+  std::uint64_t over{0};              // home aborted it, or it committed
+  std::uint64_t active_off_cycle{0};  // the harmful kind
+  std::uint64_t named_before{0};      // ... named by an earlier declaration
+
+  DeclarationKinds& operator+=(const DeclarationKinds& o) {
+    on_cycle += o.on_cycle;
+    over += o.over;
+    active_off_cycle += o.active_off_cycle;
+    named_before += o.named_before;
+    return *this;
+  }
+};
+
 /// perfbench's T5 clients (same draws, same decisions), recording each
-/// cycle closure and the latency to the declaration that resolves it.
+/// cycle closure and the latency to the declaration that resolves it, and
+/// classifying each declaration.
 class ClosureClients {
  public:
   ClosureClients(ddb::Cluster& db, std::uint32_t hot_set, std::uint64_t seed)
@@ -103,6 +130,7 @@ class ClosureClients {
   [[nodiscard]] const std::vector<double>& latencies_ms() const {
     return latencies_ms_;
   }
+  [[nodiscard]] const DeclarationKinds& kinds() const { return kinds_; }
 
  private:
   struct Client {
@@ -178,6 +206,7 @@ class ClosureClients {
 
   void on_detection(const ddb::DdbDetection& d) {
     if (locking_) note_closure();
+    classify(d.victim);
     const auto it =
         std::find_if(open_.begin(), open_.end(), [&](const Closure& c) {
           return std::binary_search(c.newly.begin(), c.newly.end(), d.victim);
@@ -191,6 +220,19 @@ class ClosureClients {
     if (owner == owner_.end()) return;
     Client& c = clients_[owner->second];
     if (c.txn == d.victim) c.doomed = true;
+  }
+
+  void classify(TransactionId victim) {
+    const auto deadlocked = db_.oracle_deadlocked();
+    const bool named_before = !named_.insert(victim).second;
+    if (std::binary_search(deadlocked.begin(), deadlocked.end(), victim)) {
+      ++kinds_.on_cycle;
+    } else if (db_.status(victim) != ddb::TxnStatus::kActive) {
+      ++kinds_.over;
+    } else {
+      ++kinds_.active_off_cycle;
+      if (named_before) ++kinds_.named_before;
+    }
   }
 
   void on_grant(TransactionId txn) {
@@ -236,12 +278,15 @@ class ClosureClients {
   std::optional<TransactionId> locking_;  // inside locked_lock(), unnoted
   std::vector<Closure> open_;
   std::vector<double> latencies_ms_;
+  std::unordered_set<TransactionId> named_;  // victims declared so far
+  DeclarationKinds kinds_;
   std::uint64_t committed_{0};
   std::uint64_t failed_{0};
 };
 
 struct Row {
   std::vector<double> latencies_ms;
+  DeclarationKinds kinds;
   std::uint64_t committed{0};
   std::uint64_t failed{0};
   double sim_s{0};
@@ -267,6 +312,7 @@ Row run(std::uint32_t hot_set, SimTime delay, std::uint64_t first_seed,
       row.sim_s += db.simulator().run().seconds();
       row.committed += clients.committed();
       row.failed += clients.failed();
+      row.kinds += clients.kinds();
       row.latencies_ms.insert(row.latencies_ms.end(),
                               clients.latencies_ms().begin(),
                               clients.latencies_ms().end());
@@ -316,6 +362,11 @@ int main(int argc, char** argv) {
           fmt(episodes) + " episodes each)",
       {"hot set", "T (ms)", "detections", "mean (ms)", "p50 (ms)", "p90 (ms)",
        "share >= T", "share >= 2 ms", "commits per sim s", "given up"});
+  bench::Table kinds_table(
+      "Declarations per commit by the victim's state at the instant (same "
+      "episodes)",
+      {"hot set", "T (ms)", "declarations", "on a cycle", "already over",
+       "active, on no cycle", "named before"});
   std::uint64_t failed = 0;
   for (const std::uint32_t hot : {16u, 32u}) {
     for (const std::int64_t t_ms : {0, 1, 2}) {
@@ -336,9 +387,22 @@ int main(int argc, char** argv) {
                                    : 0.0,
                      1),
                  fmt(row.failed)});
+      const DeclarationKinds& k = row.kinds;
+      const auto per_commit = [&row](std::uint64_t n) {
+        return fmt(row.committed > 0 ? static_cast<double>(n) /
+                                           static_cast<double>(row.committed)
+                                     : 0.0,
+                   3);
+      };
+      kinds_table.row({fmt(hot), fmt(t_ms),
+                       per_commit(k.on_cycle + k.over + k.active_off_cycle),
+                       per_commit(k.on_cycle), per_commit(k.over),
+                       per_commit(k.active_off_cycle),
+                       per_commit(k.named_before)});
     }
   }
   table.print();
+  kinds_table.print();
   std::printf(
       "Expected shape: latency and the share waiting at least T grow with T\n"
       "and commits per simulated second fall; a cycle closed by a transaction\n"

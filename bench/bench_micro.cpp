@@ -133,7 +133,7 @@ void BM_DdbHandleProbe(benchmark::State& state) {
     ++seq;
     const ddb::DdbFrame probe = ddb::encode_small(
         ddb::DdbProbeMsg{ddb::DdbProbeTag{SiteId{1}, seq}, seq, edge, false,
-                         t2});
+                         t2, t2});
     benchmark::DoNotOptimize(c.on_message(SiteId{1}, probe.view()));
   }
   benchmark::DoNotOptimize(sink);

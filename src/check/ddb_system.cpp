@@ -220,8 +220,15 @@ void DdbSystem::check_final() {
   // initiates before the cycle exists and that computation legitimately
   // dies.  The canonical scenarios hold a single cycle, so "some declared"
   // is exactly the per-cycle guarantee there.
+  std::uint64_t early_closures = 0;
+  for (const auto& c : controllers_) {
+    early_closures += c->stats().early_closures;
+  }
+  tally_.early_closures += early_closures;
+  if (early_closures > 0) ++tally_.with_early_closure;
   const auto oracle = oracle_deadlocked();
   if (oracle.empty()) return;
+  ++tally_.deadlocked;
   for (const TransactionId t : oracle) {
     if (declared_.contains(t)) return;
   }

@@ -86,6 +86,20 @@ class DdbSystem final : public System {
     return declared_;
   }
 
+  /// Coverage over every leaf (quiescent state) check_final() has seen
+  /// since construction; reset() keeps it.  A leaf reached again under a
+  /// different sleep set counts again.
+  struct LeafTally {
+    /// Leaves with a transaction still on a cycle (and declared).
+    std::uint64_t deadlocked{0};
+    /// Leaves whose schedule made an early closure (a walk declared where
+    /// it first reached its target, DESIGN.md section 4b, note 6).
+    std::uint64_t with_early_closure{0};
+    /// Early closures summed over the leaves' schedules.
+    std::uint64_t early_closures{0};
+  };
+  [[nodiscard]] const LeafTally& leaf_tally() const { return tally_; }
+
  private:
   [[nodiscard]] SimTime now() const { return SimTime::us(steps_); }
   [[nodiscard]] bool script_op_enabled(std::uint32_t s) const;
@@ -113,6 +127,7 @@ class DdbSystem final : public System {
   std::set<TransactionId> awaiting_grant_;
   std::set<TransactionId> declared_;
   std::vector<Violation> violations_;
+  LeafTally tally_;
 };
 
 }  // namespace cmh::check

@@ -48,6 +48,7 @@ ControllerStats& ControllerStats::operator+=(const ControllerStats& o) {
   computations_initiated += o.computations_initiated;
   reaches_followed += o.reaches_followed;
   eager_initiations += o.eager_initiations;
+  early_closures += o.early_closures;
   local_cycle_detections += o.local_cycle_detections;
   deadlocks_declared += o.deadlocks_declared;
   purges_sent += o.purges_sent;
@@ -93,7 +94,8 @@ Controller::TxnSlot& Controller::slot_for(TransactionId txn) {
   return txns_[txn.value()];
 }
 
-Controller::Computation& Controller::computation(const DdbProbeTag& tag) {
+Controller::Computation& Controller::computation(const DdbProbeTag& tag,
+                                                TransactionId target) {
   const auto it = lower_bound_key(comp_index_, tag);
   if (it != comp_index_.end() && it->first == tag) {
     return comp_pool_[it->second];
@@ -107,10 +109,11 @@ Controller::Computation& Controller::computation(const DdbProbeTag& tag) {
     comp_free_.pop_back();
     Computation& c = comp_pool_[idx];
     c.probes_sent.clear();
-    c.target.reset();
     c.declared = false;
+    c.closed_early = false;
   }
   comp_index_.insert(it, {tag, idx});
+  comp_pool_[idx].target = target;
   return comp_pool_[idx];
 }
 
@@ -262,7 +265,7 @@ Status Controller::on_message(SiteId from, BytesView payload) {
   const TransactionId txn = std::visit(
       [](const auto& m) {
         if constexpr (std::is_same_v<std::decay_t<decltype(m)>, DdbProbeMsg>) {
-          return std::max(m.edge.to.transaction, m.candidate);
+          return std::max({m.edge.to.transaction, m.candidate, m.target});
         } else {
           return m.txn;
         }
@@ -448,8 +451,7 @@ std::optional<DdbProbeTag> Controller::initiate_for(TransactionId txn) {
   const DdbProbeTag tag{id_, ++next_sequence_};
   ++stats_.computations_initiated;
   set_own_seq(txn, tag.sequence);
-  Computation& comp = computation(tag);
-  comp.target = txn;
+  Computation& comp = computation(tag, txn);
   CMH_LOG(kDebug, "ddb") << id_ << " initiates " << tag << " for " << txn;
   // The target's own release-wait edges are suppressed here for the same
   // reason as in handle_probe; cycles genuinely passing through the
@@ -504,8 +506,9 @@ void Controller::send_probes(
         if (!comp.probes_sent.insert(edge)) continue;
         ++stats_.probes_sent;
         CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " acq " << edge;
-        send_(p.site,
-              encode_small(DdbProbeMsg{tag, floor, edge, false, best}).view());
+        send_(p.site, encode_small(DdbProbeMsg{tag, floor, edge, false, best,
+                                               comp.target})
+                          .view());
       }
     }
     // Release-wait edges: (txn, here) holds resources acquired on behalf of
@@ -519,8 +522,9 @@ void Controller::send_probes(
       if (!comp.probes_sent.insert(edge)) continue;
       ++stats_.probes_sent;
       CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " rel " << edge;
-      send_(origin,
-            encode_small(DdbProbeMsg{tag, floor, edge, true, best}).view());
+      send_(origin, encode_small(DdbProbeMsg{tag, floor, edge, true, best,
+                                             comp.target})
+                        .view());
     }
   }
 }
@@ -564,8 +568,9 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   // An own computation's record is made when it starts; if it is gone,
   // the computation was retired (superseded twice, or its target ended)
   // and must stay so.
-  Computation* comp = msg.tag.initiator == id_ ? find_computation(msg.tag)
-                                               : &computation(msg.tag);
+  Computation* comp = msg.tag.initiator == id_
+                          ? find_computation(msg.tag)
+                          : &computation(msg.tag, msg.target);
   if (comp == nullptr || comp->declared) return;
   advance(msg.tag, msg.floor, *comp, txn, msg.candidate,
           msg.via_release_wait ? msg.edge.from.site : id_);
@@ -590,14 +595,33 @@ void Controller::advance(const DdbProbeTag& tag, std::uint64_t floor,
   // never one that is merely reachable from it.
   intra_reachable(txn, candidate);
 
-  const PathBest* closing =
-      tag.initiator == id_ && comp.target ? reached(*comp.target) : nullptr;
-  if (closing != nullptr) {
-    comp.declared = true;
-    close_walk(closing->best, closing->txn, tag);
-    return;
+  Computation* c = &comp;
+  if (tag.initiator == id_) {
+    if (const PathBest* closing = reached(c->target)) {
+      c->declared = true;
+      close_walk(closing->best, closing->txn, tag);
+      return;
+    }
+  } else if (!c->closed_early && c->target != txn) {
+    // Deadlock is a property of transactions: an intra edge into any agent
+    // of the target closes the cycle here, one hop or more before the walk
+    // would return to the initiator (DESIGN.md section 4b, note 6).  Entering
+    // the target's agent along its own inter edge (txn == target) is not a
+    // cycle.  The walk goes on, so the initiator still closes it and runs
+    // close_walk()'s floor release and re-arm.
+    if (const PathBest* closing = reached(c->target)) {
+      c->closed_early = true;
+      ++stats_.early_closures;
+      declare(closing->best, tag);
+      // The abort can re-enter the controller (its grants re-arm block
+      // checks, which start computations): the pool may have grown and
+      // paths_ been rebuilt.  Continue as a probe arriving now would.
+      c = find_computation(tag);
+      if (c == nullptr || !blocked(txn)) return;
+      intra_reachable(txn, candidate);
+    }
   }
-  record_reaches(tag, floor, comp, via);
+  record_reaches(tag, floor, *c, via);
 
   // Forward along every un-probed outgoing inter edge of the freshly
   // reachable set.  The initiating controller forwards too: a cycle may
@@ -607,7 +631,7 @@ void Controller::advance(const DdbProbeTag& tag, std::uint64_t floor,
   // transaction's wait (an intra edge), otherwise it loops between txn's
   // own agents without any deadlock (acquisition and holding concern
   // different resources).
-  send_probes(tag, floor, comp, paths_, txn);
+  send_probes(tag, floor, *c, paths_, txn);
 }
 
 void Controller::record_reaches(const DdbProbeTag& tag, std::uint64_t floor,
@@ -618,7 +642,9 @@ void Controller::record_reaches(const DdbProbeTag& tag, std::uint64_t floor,
   for (std::size_t i = 0; i < paths_.size(); ++i) {
     const auto [txn, best] = paths_[i];
     // The target's own walk is empty: following it from the target would
-    // "close" at once.
+    // "close" at once.  At every site: elsewhere the walk reaches the
+    // target's agent either through an intra edge, and has closed there,
+    // or along the target's own inter edge, which is no wait on it.
     if (comp.target == txn) continue;
     if (txn.value() >= txns_.size() || !txns_[txn.value()].home) continue;
     auto& reaches = txns_[txn.value()].reaches;
@@ -649,9 +675,7 @@ void Controller::follow_reaches(TransactionId txn) {
     // release-wait reach also needs the holding it came through.
     Computation* comp = find_computation(r.tag);
     if (comp == nullptr || comp->declared) continue;
-    if (r.tag.initiator == id_ && (!comp->target || !blocked(*comp->target))) {
-      continue;
-    }
+    if (r.tag.initiator == id_ && !blocked(comp->target)) continue;
     const TxnSlot& s = txns_[txn.value()];
     if (r.via != id_ && !s.remote_holdings.contains(r.via)) continue;
     // The new request is a new edge instance: a site txn asked before is
@@ -787,8 +811,9 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
       mix_agent(e.from);
       mix_agent(e.to);
     }
-    mix(comp.target ? comp.target->value() + 1 : 0);
+    mix(comp.target.value());
     mix(static_cast<std::uint64_t>(comp.declared));
+    mix(static_cast<std::uint64_t>(comp.closed_early));
   }
   mix(0xC7);
 

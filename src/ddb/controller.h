@@ -10,9 +10,14 @@
 //   * optionally abort detected victims (resolution) -- the paper defers
 //     "how deadlocks should be broken" to [3,6].  Probes elect the victim:
 //     each carries the youngest transaction (highest dense id) on the path
-//     it has travelled, and the initiator declares that transaction when
-//     the walk closes, so every computation that closes the same cycle
-//     aborts the same one (DESIGN.md, victim election).
+//     it has travelled, and that transaction is declared when the walk
+//     closes, so every computation that closes the same cycle aborts the
+//     same one (DESIGN.md, victim election).
+//   * declare a computation's cycle at the first site where its probe's
+//     intra-controller BFS reaches any agent of the target transaction,
+//     one hop or more before the walk returns to the initiator; the walk
+//     goes on, so the initiator still closes it (DESIGN.md section 4b,
+//     note 6).
 //   * continue the computations that reached a transaction's home agent
 //     along its next request the moment it blocks again, and start that
 //     transaction's own computation at once: a live computation there shows
@@ -83,6 +88,9 @@ struct ControllerStats {
   /// kDelayed computations started at block time, without waiting T,
   /// because a live computation had reached the blocked home agent.
   std::uint64_t eager_initiations{0};
+  /// Walks of other sites' computations declared here, where the BFS of a
+  /// probe reached an agent of the computation's target.
+  std::uint64_t early_closures{0};
   std::uint64_t local_cycle_detections{0};
   std::uint64_t deadlocks_declared{0};
   std::uint64_t purges_sent{0};
@@ -236,10 +244,15 @@ class Controller {
   struct Computation {
     // The inter edges this computation has probed: each is probed once.
     FlatSet<InterEdge, 4> probes_sent;
-    /// For computations this controller initiated: the process it is
-    /// checking (the (T_i, S_j) of A0/A1).
-    std::optional<TransactionId> target;
+    /// The transaction whose agent at the initiator the computation checks
+    /// (the (T_i, S_j) of A0/A1): set at initiation for own computations,
+    /// from the first probe's frame for the others.
+    TransactionId target;
+    /// Own computations: the walk closed here, at the initiator.
     bool declared{false};
+    /// Others' computations: a walk reached the target here and was
+    /// declared; at most once per site, and the walk goes on.
+    bool closed_early{false};
   };
 
   /// Highest floor seen from one initiator; probes below it are stale.
@@ -289,7 +302,11 @@ class Controller {
   /// as the youngest transaction on the walk so far: labels the freshly
   /// intra-reachable set, then closes the walk if it reached the
   /// computation's target, or records the home agents it reached and
-  /// probes their un-probed outgoing inter edges.  `via` is recorded for
+  /// probes their un-probed outgoing inter edges.  At another site than
+  /// the initiator, reaching an agent of the target through an intra edge
+  /// declares the walk's candidate first (once per site), and the walk
+  /// goes on.  `comp` may be gone once this returns (a declaration can
+  /// re-enter the controller and grow the pool).  `via` is recorded for
   /// txn itself (see Reach).
   void advance(const DdbProbeTag& tag, std::uint64_t floor, Computation& comp,
                TransactionId txn, TransactionId candidate, SiteId via);
@@ -361,8 +378,10 @@ class Controller {
   /// The slot of `txn`, growing the table on first sight of a new id.
   [[nodiscard]] TxnSlot& slot_for(TransactionId txn);
 
-  /// The record of `tag`, created (from a recycled pool entry) if absent.
-  [[nodiscard]] Computation& computation(const DdbProbeTag& tag);
+  /// The record of `tag`, created (from a recycled pool entry) for
+  /// `target` if absent.
+  [[nodiscard]] Computation& computation(const DdbProbeTag& tag,
+                                         TransactionId target);
   /// The record of `tag`, or null if it was pruned or never existed.
   [[nodiscard]] Computation* find_computation(const DdbProbeTag& tag);
   /// Drops the records of `initiator`'s computations below `floor`.

@@ -20,6 +20,7 @@ void put_probe(W& w, const DdbProbeMsg& m) {
   w.agent(m.edge.to);
   w.u8(m.via_release_wait ? 1 : 0);
   w.id(m.candidate);
+  w.id(m.target);
 }
 
 template <typename W>
@@ -118,6 +119,7 @@ Result<DdbMessage> decode(BytesView payload) {
       m.edge.to.site = r.id_unchecked<SiteId>();
       m.via_release_wait = r.u8_unchecked() != 0;
       m.candidate = r.id_unchecked<TransactionId>();
+      m.target = r.id_unchecked<TransactionId>();
       return DdbMessage{m};
     }
     default:

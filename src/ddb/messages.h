@@ -5,8 +5,11 @@
 //   ... received & queued            -- edge black  (G4)
 //   RemoteLockGrantMsg sent          -- edge white  (G5)
 //   ... received                     -- edge gone   (G6)
-// DdbProbeMsg is the detection traffic of section 6.5; PurgeTxnMsg is the
-// deadlock-resolution / commit cleanup channel.
+// DdbProbeMsg is the detection traffic of section 6.5: it names its
+// computation's target, so the first site whose intra edges lead the walk
+// back to any agent of that transaction declares the cycle (DESIGN.md
+// section 4b, note 6).  PurgeTxnMsg is the deadlock-resolution / commit
+// cleanup channel.
 #pragma once
 
 #include <variant>
@@ -59,18 +62,24 @@ struct DdbProbeMsg {
   /// Victim election: the youngest transaction (highest dense id) on the
   /// path this probe has travelled from the initiator's target, entry
   /// transaction of `edge` included.  When the walk closes on the target,
-  /// the initiator declares this transaction, so every computation that
-  /// closes the same simple cycle aborts the same one.
+  /// this transaction is declared, so every computation that closes the
+  /// same simple cycle aborts the same one.
   TransactionId candidate;
+  /// The transaction whose blocked agent at the initiator the computation
+  /// checks.  The walk closes at the first site whose intra-controller
+  /// edges lead from the probe's entry agent to any agent of `target`:
+  /// deadlock is a property of transactions, so that site declares at once
+  /// (DESIGN.md section 4b, note 6).
+  TransactionId target;
 };
 
 using DdbMessage = std::variant<RemoteLockRequestMsg, RemoteLockGrantMsg,
                                 PurgeTxnMsg, DdbProbeMsg>;
 
 /// Wire size of a DdbProbeMsg frame: 1 (type) + 4 (initiator) + 8 (sequence)
-/// + 8 (floor) + 2*8 (edge endpoints) + 1 (kind) + 4 (candidate).  Every
-/// DDB frame fits.
-inline constexpr std::size_t kDdbFrameCapacity = 42;
+/// + 8 (floor) + 2*8 (edge endpoints) + 1 (kind) + 4 (candidate) + 4
+/// (target).  Every DDB frame fits.
+inline constexpr std::size_t kDdbFrameCapacity = 46;
 
 /// A stack-encoded frame; view() is valid for the frame's lifetime.  The
 /// detection hot path (one probe per inter-controller edge, every round)

@@ -110,6 +110,27 @@ DdbScenario ddb_reblock() {
                    DdbOp::lock(t1, r0), DdbOp::finish(t2)}}};
 }
 
+/// The release-wait shape over three sites: t0 (home S0) asks S1 for r1,
+/// then S2 for r2; t2 (home S2) takes r2, then asks S1 for r1.  When each
+/// holds one, the cycle runs (t0,S0) -> (t0,S2) -> (t2,S2) -> (t2,S1) ->
+/// (t0,S1) and back along t0's release-wait edge.  Walks declare where
+/// their BFS first reaches an agent of their target: S0's computation for
+/// t0 at S1, where t2 waits on t0's holding, and the computations of the
+/// forwarded requests at the sites where the other transaction holds.
+DdbScenario ddb_release_wait_cycle() {
+  const TransactionId t0{0};
+  const TransactionId t2{2};
+  const ResourceId r1{1};
+  const ResourceId r2{2};
+  return DdbScenario{
+      .name = "ddb-release-wait-cycle",
+      .n_sites = 3,
+      .resource_owner = {SiteId{0}, SiteId{1}, SiteId{2}},
+      .scripts = {{DdbOp::lock(t0, r1), DdbOp::lock(t0, r2)},
+                  {},
+                  {DdbOp::lock(t2, r2), DdbOp::lock(t2, r1)}}};
+}
+
 TEST(Exhaustive, RingOfThreeEverySchedule) {
   BasicSystem sys(ring_of_three());
   const ExploreResult res = explore(sys);
@@ -157,6 +178,20 @@ TEST(Exhaustive, DdbReBlockEverySchedule) {
   EXPECT_TRUE(res.ok()) << diagnose(res);
   EXPECT_TRUE(res.complete) << diagnose(res);
   EXPECT_GT(res.states_visited, 400u) << diagnose(res);
+}
+
+TEST(Exhaustive, DdbReleaseWaitCycleEverySchedule) {
+  DdbSystem sys(ddb_release_wait_cycle());
+  const ExploreResult res = explore(sys);
+  EXPECT_TRUE(res.ok()) << diagnose(res);
+  EXPECT_TRUE(res.complete) << diagnose(res);
+  EXPECT_GT(res.states_visited, 200u) << diagnose(res);
+  // Every schedule that forms the cycle declares it early somewhere, with
+  // QRP1 and QRP2 held (4 such leaves and 10 early closures today).
+  const DdbSystem::LeafTally& tally = sys.leaf_tally();
+  EXPECT_GE(tally.deadlocked, 2u);
+  EXPECT_EQ(tally.with_early_closure, tally.deadlocked);
+  EXPECT_GE(tally.early_closures, 2 * tally.deadlocked);
 }
 
 TEST(Exhaustive, DdbRejectsTimerBasedInitiation) {

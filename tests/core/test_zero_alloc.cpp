@@ -267,11 +267,11 @@ TEST(ZeroAlloc, WarmDdbControllerProbesGrantsAndInitiation) {
     if (!tag) return false;
     ok &= deliver(s1, DdbProbeMsg{*tag, tag->sequence,
                                   InterEdge{AgentId{t3, s1}, AgentId{t3, s0}},
-                                  false, t3});
+                                  false, t3, t2});
     ++foreign_seq;
     ok &= deliver(s1, DdbProbeMsg{DdbProbeTag{s1, foreign_seq}, foreign_seq,
                                   InterEdge{AgentId{t2, s1}, AgentId{t2, s0}},
-                                  false, t2});
+                                  false, t2, t2});
     ok &= deliver(s1, RemoteLockGrantMsg{t1, rB});
     ok &= !c.lock(t1, rB, LockMode::kWrite);
     return ok;
@@ -361,7 +361,7 @@ TEST(ZeroAlloc, WarmDdbControllerCheckAll) {
     last_seq += 3;
     ok &= deliver(s1, DdbProbeMsg{first, first.sequence,
                                   InterEdge{AgentId{t3, s1}, AgentId{t3, s0}},
-                                  false, t3});
+                                  false, t3, t2});
     return ok;
   };
 
@@ -433,7 +433,7 @@ TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
   const auto round = [&]() {
     ++seq;
     bool ok = deliver(
-        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2_edge, false, t2});
+        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2_edge, false, t2, t2});
     ok &= deliver(s1, RemoteLockGrantMsg{t1, rB});
     ok &= !c.lock(t1, rB, LockMode::kWrite);
     return ok;
@@ -481,6 +481,7 @@ TEST(ZeroAlloc, WarmDdbControllerEagerInitiation) {
   const SiteId s0{0};
   const SiteId s1{1};
   const TransactionId t1{1};
+  const TransactionId t2{2};  // the S1 computations' target, waiting on t1
   const ResourceId rB{1};  // resources live at site r % 2
   const ResourceId rD{3};
 
@@ -505,7 +506,7 @@ TEST(ZeroAlloc, WarmDdbControllerEagerInitiation) {
   const auto round = [&]() {
     ++seq;
     bool ok = deliver(
-        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, holding, true, t1});
+        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, holding, true, t2, t2});
     ok &= deliver(s1, RemoteLockGrantMsg{t1, rD});
     ok &= !c.lock(t1, rD, LockMode::kWrite);
     return ok;
@@ -535,6 +536,70 @@ TEST(ZeroAlloc, WarmDdbControllerEagerInitiation) {
   EXPECT_EQ(st.meaningful_probes - warm.meaningful_probes,
             std::uint64_t{kRounds});
   EXPECT_EQ(st.deadlocks_declared, 0u);
+  EXPECT_GT(frames, 0u);
+}
+
+// A walk that closes one hop early, each round: t1 (home S1) holds rA@S0
+// and t2's request for rA, forwarded from S1, queues behind it.  Each
+// round a new S1 computation for t1 arrives on t2's edge (its floor prunes
+// the last round's record); the BFS from t2 reaches t1's agent through
+// t2's wait, so S0 declares t2, the walk's youngest, and then goes on
+// along t1's release-wait edge back to S1.
+TEST(ZeroAlloc, WarmDdbControllerEarlyClosure) {
+  const SiteId s0{0};
+  const SiteId s1{1};
+  const TransactionId t1{1};
+  const TransactionId t2{2};
+  const ResourceId rA{0};  // resources live at site r % 2
+
+  DdbOptions options;
+  options.initiation = DdbInitiation::kManual;
+  options.abort_victim = false;
+  std::uint64_t frames = 0;
+  Controller c(
+      s0, 2, [&frames](SiteId, BytesView b) { frames += b.size(); },
+      [](ResourceId r) { return SiteId{r.value() % 2}; }, options, nullptr);
+  std::uint64_t declared_t2 = 0;
+  c.set_deadlock_callback(
+      [&declared_t2, t2](TransactionId victim, const DdbProbeTag&) {
+        declared_t2 += victim == t2 ? 1 : 0;
+      });
+
+  const auto deliver = [&c](SiteId from, const DdbMessage& m) {
+    return c.on_message(from, encode_small(m).view()).ok();
+  };
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t1, rA, LockMode::kWrite}));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, LockMode::kWrite}));
+
+  const InterEdge t2_edge{AgentId{t2, s1}, AgentId{t2, s0}};
+  std::uint64_t seq = 0;
+  const auto round = [&]() {
+    ++seq;
+    return deliver(
+        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2_edge, false, t2, t1});
+  };
+
+  // Warm-up: tables, pools and scratch buffers reach their working size.
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(round());
+  const ControllerStats warm = c.stats();
+
+  // Measured phase.  (No gtest macros inside: their success paths may
+  // allocate.)
+  constexpr int kRounds = 5000;
+  const std::size_t before = g_alloc_count;
+  bool all_ok = true;
+  for (int i = 0; i < kRounds; ++i) all_ok &= round();
+  const std::size_t allocations = g_alloc_count - before;
+
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(allocations, 0u);
+  const ControllerStats& st = c.stats();
+  EXPECT_EQ(st.early_closures - warm.early_closures, std::uint64_t{kRounds});
+  EXPECT_EQ(st.deadlocks_declared, st.early_closures);
+  EXPECT_EQ(declared_t2, st.early_closures);
+  // Per round: t1's release-wait edge, after the declaration.
+  EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{kRounds});
+  EXPECT_EQ(st.aborts_executed, 0u);
   EXPECT_GT(frames, 0u);
 }
 

@@ -182,8 +182,15 @@ TEST(DdbCluster, ThreeSiteCycleDetected) {
   EXPECT_EQ(db.oracle_deadlocked().size(), 3u);
   EXPECT_GT(db.controller(SiteId{1}).check_all(), 0u);
   db.simulator().run();
-  ASSERT_FALSE(db.detections().empty());
-  EXPECT_EQ(db.detections()[0].site, SiteId{1});
+  // S1's computation checks t0's forwarded request.  Its walk reaches t0's
+  // home agent at S0 through t2's wait on t0's holding, so S0 declares
+  // first; the walk goes on and S1, the initiator, declares the same victim.
+  ASSERT_EQ(db.detections().size(), 2u);
+  EXPECT_EQ(db.detections()[0].site, SiteId{0});
+  EXPECT_EQ(db.detections()[0].tag.initiator, SiteId{1});
+  EXPECT_EQ(db.detections()[1].site, SiteId{1});
+  EXPECT_EQ(db.detections()[1].tag, db.detections()[0].tag);
+  EXPECT_EQ(db.detections()[1].victim, db.detections()[0].victim);
 }
 
 TEST(DdbCluster, NoFalseDetectionOnCleanWorkload) {

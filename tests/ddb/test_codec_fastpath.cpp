@@ -17,7 +17,8 @@ DdbProbeMsg sample_probe() {
       InterEdge{AgentId{TransactionId{7}, SiteId{3}},
                 AgentId{TransactionId{7}, SiteId{9}}},
       true,
-      TransactionId{11}};
+      TransactionId{11},
+      TransactionId{13}};
 }
 
 std::vector<DdbMessage> sample_messages() {
@@ -68,6 +69,7 @@ TEST(DdbCodecRoundTrip, AllMessageTypes) {
   EXPECT_EQ(p.edge, expected.edge);
   EXPECT_EQ(p.via_release_wait, expected.via_release_wait);
   EXPECT_EQ(p.candidate, expected.candidate);
+  EXPECT_EQ(p.target, expected.target);
 }
 
 TEST(DdbCodecTruncation, EveryProperPrefixRejected) {

@@ -7,7 +7,9 @@
 //   * floor corruption by forwarders (stale-tag rule, section 4.3/6.7),
 //   * stale labels acting across probe receipts,
 //   * victim election: one abort per cycle, repeat declarations, stale
-//     walks.
+//     walks,
+//   * early closure: a walk declared where it first reaches an agent of
+//     its target through an intra edge, and continued from there.
 #include "ddb/controller.h"
 
 #include <gtest/gtest.h>
@@ -96,6 +98,28 @@ class Rig {
     std::deque<Bytes> taken = std::move(q);
     q.clear();
     return taken;
+  }
+
+  /// Delivers every frame but probes, which are dropped, until no frame is
+  /// left: the lock traffic settles and no probe computation advances.
+  void settle_dropping_probes() {
+    for (;;) {
+      std::vector<std::pair<std::pair<SiteId, SiteId>, Bytes>> due;
+      for (auto& [channel, q] : wires_) {
+        for (Bytes& frame : q) {
+          const auto m = decode(frame);
+          if (m.ok() && std::holds_alternative<DdbProbeMsg>(*m)) continue;
+          due.emplace_back(channel, std::move(frame));
+        }
+        q.clear();
+      }
+      if (due.empty()) return;
+      for (const auto& [channel, frame] : due) {
+        ASSERT_TRUE(controllers_[channel.second.value()]
+                        ->on_message(channel.first, frame)
+                        .ok());
+      }
+    }
   }
 
   void inject(std::uint32_t from, std::uint32_t to, BytesView payload) {
@@ -508,7 +532,7 @@ TEST(ControllerFollow, ReachBelowItsInitiatorsFloorIsNotFollowed) {
   const std::uint64_t floor = rc.tag.sequence + 1;
   const InterEdge not_black{AgentId{t3, SiteId{1}}, AgentId{t3, SiteId{0}}};
   const DdbProbeMsg newer{DdbProbeTag{SiteId{1}, floor}, floor, not_black,
-                          false, t3};
+                          false, t3, t3};
   rig.inject(1, 0, encode(newer));
   ASSERT_EQ(rig.c(0).stats().meaningful_probes, 1u);  // only rc.tag's
   rig.c(1).finish(t3);
@@ -558,21 +582,26 @@ TEST(ControllerFollow, NewRequestToASiteAskedBeforeIsProbedAgain) {
 // ---- starting a reached transaction's computation at once ---------------------
 
 TEST(ControllerEager, ReachedReBlockClosesACycleTheFollowsCannotBeforeT) {
-  // t6 (home S1) holds rE@S1 and waits for rA@S0, held by t5.  t3
-  // commits and t5, granted rC, asks S1 for rE: the cycle t5 -> t6 -> t5
-  // does not pass through t2, so the followed computation of t2 cannot
-  // close it.  t5 was reached, so its own computation starts at once and
-  // closes it; no timer fires.  The victim is t6, the youngest.
+  // t3 commits and t5, granted rC, takes rF@S0.  t6 (home S1) holds rE@S1
+  // and waits for rF, held by t5; then t5 asks S1 for rE.  The cycle
+  // t5 -> t6 -> t5 does not pass through t2 (t6 does not queue behind t2
+  // for rA), so the followed computation of t2 cannot close it.  t5 was
+  // reached, so its own computation starts at once and closes it; no timer
+  // fires.  The victim is t6, the youngest.
   Rig rig(2, follow_options());
-  const ReachedCloser rc = build_reached_closer(rig);
+  build_reached_closer(rig);
   const TransactionId t6{6};
   const ResourceId rE = res_at(1, 2, 2);
+  const ResourceId rF = res_at(0, 2, 2);
   ASSERT_TRUE(rig.c(1).lock(t6, rE, LockMode::kWrite));
-  rig.c(1).lock(t6, rc.rA, LockMode::kWrite);
   rig.c(1).finish(t3);
   rig.deliver_all();
-  rig.drop_timers();
   ASSERT_FALSE(rig.c(0).blocked(t5));
+  ASSERT_TRUE(rig.c(0).lock(t5, rF, LockMode::kWrite));
+  rig.c(1).lock(t6, rF, LockMode::kWrite);
+  rig.deliver_all();
+  rig.drop_timers();
+  ASSERT_TRUE(rig.c(0).locks().queued_from(t6, SiteId{1}));
 
   rig.c(0).lock(t5, rE, LockMode::kWrite);
   EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
@@ -719,8 +748,231 @@ TEST(ControllerProbe, ReleaseWaitCycleDetected) {
   rig.deliver_all();
   ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
   rig.deliver_all();
+  // S1, where t2 waits on t1's holding, declares before the walk returns
+  // along the release-wait edge; S0 then declares the same victim.
+  ASSERT_EQ(rig.declared().size(), 2u);
+  for (const auto& d : rig.declared()) {
+    EXPECT_EQ(d.victim, t2);  // youngest on the cycle
+  }
+  EXPECT_EQ(rig.declared()[0].site, SiteId{1});
+  EXPECT_EQ(rig.declared()[1].site, SiteId{0});
+}
+
+// ---- early closure at the first site that reaches the target ------------------------
+
+/// ControllerProbe.ReleaseWaitCycleDetected's picture over three sites:
+///   t1 (home S0) holds rB@S1 (remote), waits rC@S2 (queued behind t2).
+///   t2 (home S2) holds rC@S2 (local), waits rB@S1 (queued behind t1).
+void build_release_wait_cycle(Rig& rig) {
+  const ResourceId rB = res_at(1, 0, 3);
+  const ResourceId rC = res_at(2, 0, 3);
+  rig.c(0).lock(t1, rB, LockMode::kWrite);
+  rig.deliver_all();
+  ASSERT_TRUE(rig.c(1).locks().holds(rB, t1));
+  ASSERT_TRUE(rig.c(2).lock(t2, rC, LockMode::kWrite));
+  rig.c(0).lock(t1, rC, LockMode::kWrite);  // t1 waits on t2
+  rig.c(2).lock(t2, rB, LockMode::kWrite);  // t2 waits on t1 (via holding)
+  rig.deliver_all();
+}
+
+TEST(ControllerEarly, HolderSiteDeclaresBeforeTheWalkReturns) {
+  // S0's walk for t1 reaches t1's agent at S1 through t2's wait on t1's
+  // holding.  S1 declares t2, the youngest on the walk, at once; the probe
+  // along t1's release-wait edge back to S0 is still in flight.  When it
+  // arrives, S0 closes the walk and declares t2 again.
+  Rig rig(3);
+  build_release_wait_cycle(rig);
+  const std::optional<DdbProbeTag> tag = rig.c(0).initiate_for(t1);
+  ASSERT_TRUE(tag.has_value());
+  rig.deliver_one(0, 2);  // (t1,S0) -acq-> (t1,S2) -intra-> t2: on to S1
+  rig.deliver_one(2, 1);  // (t2,S1) -intra-> (t1,S1)
   ASSERT_EQ(rig.declared().size(), 1u);
-  EXPECT_EQ(rig.declared()[0].victim, t2);  // youngest on the cycle
+  EXPECT_EQ(rig.declared()[0].site, SiteId{1});
+  EXPECT_EQ(rig.declared()[0].victim, t2);
+  EXPECT_EQ(rig.declared()[0].tag, *tag);
+  EXPECT_EQ(rig.c(1).stats().early_closures, 1u);
+  ASSERT_EQ(rig.pending(1, 0), 1u);  // the walk goes on
+
+  rig.deliver_one(1, 0);
+  ASSERT_EQ(rig.declared().size(), 2u);
+  EXPECT_EQ(rig.declared()[1].site, SiteId{0});
+  EXPECT_EQ(rig.declared()[1].victim, t2);
+  EXPECT_EQ(rig.declared()[1].tag, *tag);
+  EXPECT_EQ(rig.c(0).stats().early_closures, 0u);
+}
+
+TEST(ControllerEarly, EntryAlongTheTargetsOwnAcquisitionEdgeDeclaresNothing) {
+  // The first hop of S0's walk enters t1's agent at S2 along t1's own
+  // acquisition edge.  That is t1 waiting, not a wait on t1, so S2
+  // declares nothing and probes on; the cycle is declared one hop later
+  // at S1, where t2 waits on t1's holding.
+  Rig rig(3);
+  build_release_wait_cycle(rig);
+  ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
+  rig.deliver_one(0, 2);
+  EXPECT_TRUE(rig.declared().empty());
+  EXPECT_EQ(rig.c(2).stats().meaningful_probes, 1u);
+  EXPECT_EQ(rig.c(2).stats().early_closures, 0u);
+  ASSERT_EQ(rig.pending(2, 1), 1u);
+  rig.deliver_one(2, 1);
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].site, SiteId{1});
+}
+
+TEST(ControllerEarly, NonHomeAgentComputationClosesWhereItsTransactionHolds) {
+  // S2 checks t1's forwarded request queued there (t1's home is S0).  The
+  // walk runs t1 -> t2 at S2, along t2's request to S1, and there t2 waits
+  // on t1's holding: S1 declares.  The walk then enters t1's home agent at
+  // S0 along t1's own release-wait edge, which declares nothing, and
+  // returns along t1's request to S2, where the initiator closes it.
+  Rig rig(3);
+  build_release_wait_cycle(rig);
+  const std::optional<DdbProbeTag> tag = rig.c(2).initiate_for(t1);
+  ASSERT_TRUE(tag.has_value());
+  rig.deliver_one(2, 1);
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].site, SiteId{1});
+  EXPECT_EQ(rig.declared()[0].victim, t2);
+  rig.deliver_one(1, 0);
+  EXPECT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.c(0).stats().early_closures, 0u);
+  rig.deliver_one(0, 2);
+  ASSERT_EQ(rig.declared().size(), 2u);
+  EXPECT_EQ(rig.declared()[1].site, SiteId{2});
+  EXPECT_EQ(rig.declared()[1].victim, t2);
+  EXPECT_EQ(rig.declared()[1].tag, *tag);
+}
+
+TEST(ControllerEarly, EachSiteDeclaresAComputationOnce) {
+  // t1 (home S0) holds rB@S1 and waits for rC@S2, read-held by t2 and t4
+  // (home S2), which both queue for rB at S1.  S0's walk branches at S2
+  // and enters S1 twice, each time reaching t1's agent: S1 declares the
+  // first arrival's youngest only, and S0 closes the walk once.
+  Rig rig(3);
+  const TransactionId t4{4};
+  const ResourceId rB = res_at(1, 0, 3);
+  const ResourceId rC = res_at(2, 0, 3);
+  rig.c(0).lock(t1, rB, LockMode::kWrite);
+  rig.deliver_all();
+  ASSERT_TRUE(rig.c(2).lock(t2, rC, LockMode::kRead));
+  ASSERT_TRUE(rig.c(2).lock(t4, rC, LockMode::kRead));
+  rig.c(0).lock(t1, rC, LockMode::kWrite);
+  rig.c(2).lock(t2, rB, LockMode::kWrite);
+  rig.c(2).lock(t4, rB, LockMode::kWrite);
+  rig.deliver_all();
+  ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
+  rig.deliver_one(0, 2);
+  ASSERT_EQ(rig.pending(2, 1), 2u);
+  rig.deliver_one(2, 1);
+  rig.deliver_one(2, 1);
+  EXPECT_EQ(rig.c(1).stats().meaningful_probes, 2u);
+  EXPECT_EQ(rig.c(1).stats().early_closures, 1u);
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].site, SiteId{1});
+  EXPECT_EQ(rig.declared()[0].victim, t2);
+  rig.deliver_all();
+  ASSERT_EQ(rig.declared().size(), 2u);
+  EXPECT_EQ(rig.declared()[1].site, SiteId{0});
+}
+
+TEST(ControllerEarly, DeclarationThatStartsAComputationKeepsWalking) {
+  // Cycle t1 -> t7 -> t3 -> t1: t1 (home S0) holds rB@S1 and waits for
+  // rC@S2, held by t7; t7 (home S2) waits for rE@S2, held by t3; t3 (home
+  // S2) waits for rB.  t7 also holds rX@S1, for which t5 and then t6 (both
+  // home S1) queue.  S0's walk reaches t1's agent at S1 through t3's wait
+  // and S1 declares t7, the youngest.  The abort grants rX to t5 and
+  // re-arms t6, whose check (kOnBlock) starts a computation inside the
+  // declaration.  The walk then goes on from t3 along t1's release-wait
+  // edge; S0 closes it behind t7's purge and does not abort t7 again.
+  DdbOptions o;
+  o.initiation = DdbInitiation::kOnBlock;
+  o.abort_victim = true;
+  Rig rig(3, o);
+  const TransactionId t6{6};
+  const TransactionId t7{7};
+  const ResourceId rB = res_at(1, 0, 3);
+  const ResourceId rX = res_at(1, 1, 3);
+  const ResourceId rC = res_at(2, 0, 3);
+  const ResourceId rE = res_at(2, 1, 3);
+  rig.c(0).lock(t1, rB, LockMode::kWrite);
+  rig.c(2).lock(t7, rX, LockMode::kWrite);
+  ASSERT_TRUE(rig.c(2).lock(t7, rC, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(2).lock(t3, rE, LockMode::kWrite));
+  rig.settle_dropping_probes();
+  rig.c(1).lock(t5, rX, LockMode::kWrite);
+  rig.c(1).lock(t6, rX, LockMode::kWrite);
+  rig.c(0).lock(t1, rC, LockMode::kWrite);
+  rig.c(2).lock(t7, rE, LockMode::kWrite);
+  rig.c(2).lock(t3, rB, LockMode::kWrite);
+  rig.settle_dropping_probes();
+  ASSERT_EQ(rig.oracle_deadlocked(), (std::vector<TransactionId>{t1, t3, t7}));
+  ASSERT_TRUE(rig.declared().empty());
+
+  const std::optional<DdbProbeTag> tag = rig.c(0).initiate_for(t1);
+  ASSERT_TRUE(tag.has_value());
+  rig.deliver_one(0, 2);  // t1 -> t7 -> t3 at S2: on along t3's request
+  ASSERT_EQ(rig.pending(2, 1), 1u);
+  const std::uint64_t s1_computations =
+      rig.c(1).stats().computations_initiated;
+  rig.deliver_one(2, 1);
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].site, SiteId{1});
+  EXPECT_EQ(rig.declared()[0].victim, t7);
+  EXPECT_TRUE(rig.c(1).locks().holds(rX, t5));
+  EXPECT_EQ(rig.c(1).stats().computations_initiated, s1_computations + 1);
+  // Purge first, then the continued walk, on the same channel.
+  ASSERT_EQ(rig.pending(1, 0), 2u);
+  rig.deliver_one(1, 0);
+  rig.deliver_one(1, 0);
+  ASSERT_EQ(rig.declared().size(), 2u);
+  EXPECT_EQ(rig.declared()[1].site, SiteId{0});
+  EXPECT_EQ(rig.declared()[1].victim, t7);
+  EXPECT_EQ(rig.declared()[1].tag, *tag);
+  EXPECT_EQ(rig.c(0).stats().aborts_executed, 0u);
+  rig.deliver_all();
+  EXPECT_EQ(rig.total_aborts(), 1u);
+  EXPECT_TRUE(rig.oracle_deadlocked().empty());
+}
+
+TEST(ControllerEarly, WalkEndsWhereTheDeclaredAbortUnblocksItsEntry) {
+  // t1 (home S0) holds rB@S1 and waits for rW@S2, held by t3 (home S1);
+  // t3 waits for rX@S1, held by t7 (home S2), and t7 waits for rB.  S0's
+  // walk enters t3's home agent along t3's release-wait edge and reaches
+  // t1's agent at S1 through t7: S1 declares t7, whose abort grants rX to
+  // t3.  t3 no longer waits, so the walk ends there and records nothing at
+  // t3's home agent: t3's next block continues no computation.
+  Rig rig(3, follow_options());
+  const TransactionId t7{7};
+  const ResourceId rB = res_at(1, 0, 3);
+  const ResourceId rX = res_at(1, 1, 3);
+  const ResourceId rY = res_at(1, 2, 3);
+  const ResourceId rW = res_at(2, 0, 3);
+  rig.c(0).lock(t1, rB, LockMode::kWrite);
+  rig.c(2).lock(t7, rX, LockMode::kWrite);
+  rig.c(1).lock(t3, rW, LockMode::kWrite);
+  ASSERT_TRUE(rig.c(1).lock(t5, rY, LockMode::kWrite));
+  rig.deliver_all();
+  rig.c(0).lock(t1, rW, LockMode::kWrite);
+  rig.c(1).lock(t3, rX, LockMode::kWrite);
+  rig.c(2).lock(t7, rB, LockMode::kWrite);
+  rig.deliver_all();
+  rig.drop_timers();
+  ASSERT_EQ(rig.oracle_deadlocked(), (std::vector<TransactionId>{t1, t3, t7}));
+
+  ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
+  rig.deliver_one(0, 2);  // t1 -> t3 at S2: on along t3's release-wait edge
+  rig.deliver_one(2, 1);
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].site, SiteId{1});
+  EXPECT_EQ(rig.declared()[0].victim, t7);
+  ASSERT_TRUE(rig.c(1).locks().holds(rX, t3));
+  rig.deliver_all();
+  rig.drop_timers();
+
+  rig.c(1).lock(t3, rY, LockMode::kWrite);  // queues behind t5
+  ASSERT_TRUE(rig.c(1).blocked(t3));
+  EXPECT_EQ(rig.c(1).stats().reaches_followed, 0u);
+  EXPECT_EQ(rig.c(1).stats().eager_initiations, 0u);
 }
 
 // ---- regression: floor propagation --------------------------------------------------
@@ -963,6 +1215,24 @@ TEST(Controller, FrameWithTransactionIdFarOutOfRangeRejected) {
   }
 }
 
+// The target is a transaction id too: a frame naming one far past any
+// issued id is corrupt and rejected before any state is touched.
+TEST(Controller, ProbeWithTargetFarOutOfRangeRejected) {
+  Rig rig(2);
+  ResourceId rA, rB;
+  build_cross_deadlock(rig, rA, rB);
+  const InterEdge edge{AgentId{t2, SiteId{1}}, AgentId{t2, SiteId{0}}};
+  const DdbProbeMsg probe{DdbProbeTag{SiteId{1}, 1}, 1, edge, false, t2,
+                          TransactionId{0xFFFFFFF0u}};
+  EXPECT_FALSE(rig.c(0).on_message(SiteId{1}, encode(probe)).ok());
+  EXPECT_EQ(rig.c(0).stats().probes_received, 0u);
+  EXPECT_EQ(rig.pending(0, 1), 0u);
+  DdbProbeMsg sane = probe;
+  sane.target = t2;
+  EXPECT_TRUE(rig.c(0).on_message(SiteId{1}, encode(sane)).ok());
+  EXPECT_EQ(rig.c(0).stats().meaningful_probes, 1u);
+}
+
 // A probe tagged by a controller that does not exist carries no
 // computation anyone could declare; it is counted and dropped.
 TEST(Controller, ProbeFromUnknownInitiatorDropped) {
@@ -970,7 +1240,7 @@ TEST(Controller, ProbeFromUnknownInitiatorDropped) {
   ResourceId rA, rB;
   build_cross_deadlock(rig, rA, rB);
   const InterEdge edge{AgentId{t2, SiteId{1}}, AgentId{t2, SiteId{0}}};
-  const DdbProbeMsg probe{DdbProbeTag{SiteId{9}, 1}, 0, edge, false, t2};
+  const DdbProbeMsg probe{DdbProbeTag{SiteId{9}, 1}, 0, edge, false, t2, t2};
   ASSERT_TRUE(rig.c(0).on_message(SiteId{1}, encode(probe)).ok());
   EXPECT_EQ(rig.c(0).stats().probes_received, 1u);
   EXPECT_EQ(rig.c(0).stats().meaningful_probes, 0u);

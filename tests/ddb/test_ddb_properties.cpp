@@ -171,13 +171,26 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DdbPropertiesLongT,
                          ::testing::ValuesIn(make_long_t_cases()), case_name);
 
 TEST(DdbPropertiesLongTCoverage, ReachedTransactionsStartAtOnce) {
-  // The long-T sweep exercises what it is there for.
+  // The long-T sweep exercises what it is there for, and walks declared
+  // where they first reach their target (DESIGN.md section 4b, note 6).
   ControllerStats total;
   for (const DdbPropertyCase& p : make_long_t_cases()) {
     total += check_detections_sound(p, kLongT, kLongHold);
   }
   EXPECT_GT(total.eager_initiations, 50u);
   EXPECT_GT(total.reaches_followed, 50u);
+  EXPECT_GT(total.early_closures, 100u);
+}
+
+TEST(DdbPropertiesCoverage, WalksCloseAtTheFirstSiteReachingTheTarget) {
+  // Over the main sweep, many walks are declared where they first reach an
+  // agent of their target (DESIGN.md section 4b, note 6), each checked by
+  // the oracle at its instant like every other declaration.
+  ControllerStats total;
+  for (const DdbPropertyCase& p : make_cases()) {
+    total += check_detections_sound(p, SimTime::ms(2), SimTime::ms(2));
+  }
+  EXPECT_GT(total.early_closures, 250u);
 }
 
 }  // namespace

@@ -102,14 +102,14 @@ GoldenDdb run_t5_episode() {
 TEST(GoldenDdbSchedule, T5EpisodeIsPinned) {
   const GoldenDdb g = run_t5_episode();
   EXPECT_EQ(g.committed, 24u);
-  EXPECT_EQ(g.aborted, 17u);
+  EXPECT_EQ(g.aborted, 18u);
   EXPECT_EQ(g.given_up, 0u);
-  EXPECT_EQ(g.messages, 1093u);
-  EXPECT_EQ(g.events, 1349u);
-  EXPECT_EQ(g.makespan_us, 58836);
-  EXPECT_EQ(g.declarations, 28u);
-  EXPECT_EQ(g.detection_hash, 9537036900703156029ULL);
-  EXPECT_EQ(g.frame_hash, 8432436401723609460ULL);
+  EXPECT_EQ(g.messages, 1037u);
+  EXPECT_EQ(g.events, 1285u);
+  EXPECT_EQ(g.makespan_us, 61594);
+  EXPECT_EQ(g.declarations, 41u);
+  EXPECT_EQ(g.detection_hash, 8455359425955457098ULL);
+  EXPECT_EQ(g.frame_hash, 16564926762478619356ULL);
 }
 
 TEST(GoldenDdbSchedule, ReplaysInProcess) {

@@ -53,6 +53,7 @@ TEST(DdbMessages, ProbeRoundTrip) {
                            AgentId{TransactionId{5}, SiteId{3}}};
     probe.via_release_wait = release_wait;
     probe.candidate = TransactionId{9};
+    probe.target = TransactionId{4};
     const auto m = decode(encode(DdbMessage{probe}));
     ASSERT_TRUE(m.ok());
     const auto& got = std::get<DdbProbeMsg>(*m);
@@ -61,21 +62,24 @@ TEST(DdbMessages, ProbeRoundTrip) {
     EXPECT_EQ(got.edge, probe.edge);
     EXPECT_EQ(got.via_release_wait, release_wait);
     EXPECT_EQ(got.candidate, TransactionId{9});
+    EXPECT_EQ(got.target, TransactionId{4});
   }
 }
 
-TEST(DdbMessages, ProbeFrameIs42Bytes) {
+TEST(DdbMessages, ProbeFrameIs46Bytes) {
   const DdbProbeMsg probe{DdbProbeTag{SiteId{1}, 3}, 2,
                           InterEdge{AgentId{TransactionId{4}, SiteId{1}},
                                     AgentId{TransactionId{4}, SiteId{0}}},
-                          false, TransactionId{0xABCDEF01u}};
+                          false, TransactionId{0xABCDEF01u},
+                          TransactionId{0x12345678u}};
   const Bytes b = encode(DdbMessage{probe});
-  ASSERT_EQ(b.size(), 42u);
+  ASSERT_EQ(b.size(), 46u);
   EXPECT_EQ(b.size(), kDdbFrameCapacity);
   const auto m = decode(b);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(std::get<DdbProbeMsg>(*m).candidate, TransactionId{0xABCDEF01u});
-  const auto truncated = decode(BytesView(b.data(), 41));
+  EXPECT_EQ(std::get<DdbProbeMsg>(*m).target, TransactionId{0x12345678u});
+  const auto truncated = decode(BytesView(b.data(), 45));
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
 }
