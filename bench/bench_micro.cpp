@@ -127,12 +127,11 @@ void BM_DdbHandleProbe(benchmark::State& state) {
     state.SkipWithError("request delivery failed");
     return;
   }
-  const ddb::InterEdge edge{AgentId{t2, SiteId{1}}, AgentId{t2, SiteId{0}}};
   std::uint64_t seq = 0;
   for (auto _ : state) {
     ++seq;
     const ddb::DdbFrame probe = ddb::encode_small(
-        ddb::DdbProbeMsg{ddb::DdbProbeTag{SiteId{1}, seq}, seq, edge, false,
+        ddb::DdbProbeMsg{ddb::DdbProbeTag{SiteId{1}, seq}, seq, t2, false,
                          t2, t2});
     benchmark::DoNotOptimize(c.on_message(SiteId{1}, probe.view()));
   }

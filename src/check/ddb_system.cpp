@@ -14,10 +14,11 @@ DdbSystem::DdbSystem(DdbScenario scenario) : scenario_(std::move(scenario)) {
     throw std::invalid_argument("DdbSystem: more scripts than sites");
   }
   scenario_.scripts.resize(scenario_.n_sites);
-  if (scenario_.options.initiation == ddb::DdbInitiation::kDelayed) {
+  if (scenario_.options.initiation == ddb::DdbInitiation::kDelayed &&
+      scenario_.options.initiation_delay > SimTime::zero()) {
     throw std::invalid_argument(
-        "DdbSystem: kDelayed needs timers; exploration is timer-free (use "
-        "kOnBlock or kManual)");
+        "DdbSystem: a positive delay needs timers; exploration is timer-free "
+        "(use kDelayed at T = 0, or kManual)");
   }
   reset();
 }

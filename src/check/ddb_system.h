@@ -4,8 +4,8 @@
 // driven by per-site scripts of lock/finish steps (each transaction is homed
 // at its script's site and acts sequentially: the next step becomes
 // schedulable only once every earlier lock was granted).  Detection runs
-// with kOnBlock initiation -- fully synchronous, so no timers exist and
-// delivery order is the only nondeterminism.
+// with kDelayed initiation at T = 0 -- fully synchronous, so no timers exist
+// and delivery order is the only nondeterminism.
 //
 // Checked properties (reported in the shared Axiom vocabulary):
 //   QRP2  a controller declares `victim` only while the victim is truly
@@ -62,7 +62,8 @@ struct DdbScenario {
   /// scripts[s] = ordered steps issued at site s; each step's transaction is
   /// homed at s.
   std::vector<std::vector<DdbOp>> scripts;
-  ddb::DdbOptions options{.initiation = ddb::DdbInitiation::kOnBlock,
+  ddb::DdbOptions options{.initiation = ddb::DdbInitiation::kDelayed,
+                          .initiation_delay = SimTime::zero(),
                           .abort_victim = false};
 };
 

@@ -65,10 +65,12 @@ Controller::Controller(SiteId id, std::uint32_t n_sites, Sender sender,
       resource_map_(std::move(resource_map)),
       options_(options),
       timers_(std::move(timers)) {
-  if ((options_.initiation == DdbInitiation::kDelayed) && !timers_) {
-    throw std::invalid_argument("Controller: kDelayed requires timers");
+  if (options_.initiation == DdbInitiation::kDelayed &&
+      options_.initiation_delay > SimTime::zero() && !timers_) {
+    throw std::invalid_argument(
+        "Controller: kDelayed with a positive delay requires timers");
   }
-  for (std::uint32_t s = 0; s < n_sites; ++s) floor_seen_.push_back({});
+  for (std::uint32_t s = 0; s < n_sites; ++s) floor_seen_.push_back(0);
 }
 
 // ---- flat tables ------------------------------------------------------------
@@ -95,7 +97,8 @@ Controller::TxnSlot& Controller::slot_for(TransactionId txn) {
 }
 
 Controller::Computation& Controller::computation(const DdbProbeTag& tag,
-                                                TransactionId target) {
+                                                TransactionId target,
+                                                std::uint64_t floor) {
   const auto it = lower_bound_key(comp_index_, tag);
   if (it != comp_index_.end() && it->first == tag) {
     return comp_pool_[it->second];
@@ -107,14 +110,14 @@ Controller::Computation& Controller::computation(const DdbProbeTag& tag,
   } else {
     idx = comp_free_.back();
     comp_free_.pop_back();
-    Computation& c = comp_pool_[idx];
-    c.probes_sent.clear();
-    c.declared = false;
-    c.closed_early = false;
   }
   comp_index_.insert(it, {tag, idx});
-  comp_pool_[idx].target = target;
-  return comp_pool_[idx];
+  Computation& c = comp_pool_[idx];
+  c.probes_sent.clear();
+  c.floor = floor;
+  c.target = target;
+  c.closed_early = false;
+  return c;
 }
 
 Controller::Computation* Controller::find_computation(const DdbProbeTag& tag) {
@@ -130,33 +133,6 @@ void Controller::prune_computations(SiteId initiator, std::uint64_t floor) {
     comp_free_.push_back(entry.second);
     return true;
   });
-}
-
-void Controller::set_own_seq(TransactionId txn, std::uint64_t seq) {
-  const auto it = lower_bound_key(own_comp_seq_, txn);
-  if (it != own_comp_seq_.end() && it->first == txn) {
-    // The previous computation's probes may still be in flight and close
-    // the cycle; the one before it is superseded twice over.
-    retire_own(it->second.previous);
-    it->second = OwnComps{seq, it->second.latest, true};
-  } else {
-    own_comp_seq_.insert(it, {txn, OwnComps{seq, 0, true}});
-  }
-}
-
-void Controller::release_own_floor(TransactionId txn) {
-  const auto it = lower_bound_key(own_comp_seq_, txn);
-  if (it != own_comp_seq_.end() && it->first == txn) {
-    it->second.in_floor = false;
-  }
-}
-
-void Controller::erase_own_seq(TransactionId txn) {
-  const auto it = lower_bound_key(own_comp_seq_, txn);
-  if (it == own_comp_seq_.end() || it->first != txn) return;
-  retire_own(it->second.latest);
-  retire_own(it->second.previous);
-  own_comp_seq_.erase(it);
 }
 
 void Controller::retire_own(std::uint64_t seq) {
@@ -221,8 +197,13 @@ void Controller::purge_local(TransactionId txn) {
     s.pending.clear();
     s.remote_holdings.clear();
     s.reaches.clear();
+    // txn has ended here: its own computations' walks are over.
+    retire_own(s.own_latest);
+    retire_own(s.own_previous);
+    s.own_latest = 0;
+    s.own_previous = 0;
+    s.own_in_floor = false;
   }
-  erase_own_seq(txn);
 }
 
 void Controller::finish(TransactionId txn) {
@@ -265,7 +246,7 @@ Status Controller::on_message(SiteId from, BytesView payload) {
   const TransactionId txn = std::visit(
       [](const auto& m) {
         if constexpr (std::is_same_v<std::decay_t<decltype(m)>, DdbProbeMsg>) {
-          return std::max({m.edge.to.transaction, m.candidate, m.target});
+          return std::max({m.txn, m.candidate, m.target});
         } else {
           return m.txn;
         }
@@ -433,12 +414,16 @@ bool Controller::declare_local_cycle(TransactionId txn, TxnSet* declared) {
 }
 
 std::uint64_t Controller::current_floor() {
-  std::uint64_t floor = next_sequence_ + 1;
-  for (auto& [txn, own] : own_comp_seq_) {
+  std::uint64_t floor = next_sequence_;
+  for (auto it = lower_bound_key(comp_index_, DdbProbeTag{id_, 0});
+       it != comp_index_.end() && it->first.initiator == id_; ++it) {
+    const TransactionId target = comp_pool_[it->second].target;
+    TxnSlot& s = txns_[target.value()];
+    if (it->first.sequence != s.own_latest) continue;
     // A target that stopped waiting releases the floor for good: its
     // latest computation's walk is gone.
-    own.in_floor = own.in_floor && blocked(txn);
-    if (own.in_floor) floor = std::min(floor, own.latest);
+    s.own_in_floor = s.own_in_floor && blocked(target);
+    if (s.own_in_floor) floor = std::min(floor, it->first.sequence);
   }
   return floor;
 }
@@ -450,15 +435,20 @@ std::optional<DdbProbeTag> Controller::initiate_for(TransactionId txn) {
   // paths_ still holds the BFS of the A0 check.
   const DdbProbeTag tag{id_, ++next_sequence_};
   ++stats_.computations_initiated;
-  set_own_seq(txn, tag.sequence);
-  Computation& comp = computation(tag, txn);
+  // The previous computation's probes may still be in flight and close the
+  // cycle; the one before it is superseded twice over.
+  TxnSlot& s = slot_for(txn);
+  retire_own(s.own_previous);
+  s.own_previous = s.own_latest;
+  s.own_latest = tag.sequence;
+  s.own_in_floor = true;
+  Computation& comp = computation(tag, txn, current_floor());
   CMH_LOG(kDebug, "ddb") << id_ << " initiates " << tag << " for " << txn;
   // The target's own release-wait edges are suppressed here for the same
   // reason as in handle_probe; cycles genuinely passing through the
   // target's holdings are entered via another transaction's intra wait.
-  const std::uint64_t floor = current_floor();
-  record_reaches(tag, floor, comp, id_);
-  send_probes(tag, floor, comp, paths_, txn);
+  record_reaches(tag, comp);
+  send_probes(tag, comp, paths_, txn);
   return tag;
 }
 
@@ -495,19 +485,19 @@ std::size_t Controller::check_all() {
 }
 
 void Controller::send_probes(
-    const DdbProbeTag& tag, std::uint64_t floor, Computation& comp,
+    const DdbProbeTag& tag, Computation& comp,
     const std::vector<PathBest>& processes,
     std::optional<TransactionId> skip_release_wait_for) {
   for (const auto [txn, best] : processes) {
     // Acquisition edges: (txn, here) awaits grants from remote controllers.
     if (const TxnSlot* s = slot(txn)) {
       for (const PendingRemote& p : s->pending) {
-        const InterEdge edge{AgentId{txn, id_}, AgentId{txn, p.site}};
-        if (!comp.probes_sent.insert(edge)) continue;
+        if (!comp.probes_sent.insert(AgentId{txn, p.site})) continue;
         ++stats_.probes_sent;
-        CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " acq " << edge;
-        send_(p.site, encode_small(DdbProbeMsg{tag, floor, edge, false, best,
-                                               comp.target})
+        CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " acq " << txn
+                               << " to " << p.site;
+        send_(p.site, encode_small(DdbProbeMsg{tag, comp.floor, txn, false,
+                                               best, comp.target})
                           .view());
       }
     }
@@ -518,11 +508,11 @@ void Controller::send_probes(
     if (skip_release_wait_for == txn) continue;
     for (const SiteId origin : locks_.holding_origins(txn)) {
       if (origin == id_) continue;
-      const InterEdge edge{AgentId{txn, id_}, AgentId{txn, origin}};
-      if (!comp.probes_sent.insert(edge)) continue;
+      if (!comp.probes_sent.insert(AgentId{txn, origin})) continue;
       ++stats_.probes_sent;
-      CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " rel " << edge;
-      send_(origin, encode_small(DdbProbeMsg{tag, floor, edge, true, best,
+      CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " rel " << txn
+                             << " to " << origin;
+      send_(origin, encode_small(DdbProbeMsg{tag, comp.floor, txn, true, best,
                                              comp.target})
                         .view());
     }
@@ -534,51 +524,40 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   if (msg.tag.initiator.value() >= n_sites_) return;  // no such controller
 
   // Stale-computation pruning (section 4.3 generalized; see messages.h).
-  FloorSeen& seen = floor_seen_[msg.tag.initiator.value()];
-  seen.seen = true;
-  if (msg.floor > seen.floor) {
-    seen.floor = msg.floor;
+  std::uint64_t& seen = floor_seen_[msg.tag.initiator.value()];
+  if (msg.floor > seen) {
+    seen = msg.floor;
     prune_computations(msg.tag.initiator, msg.floor);
   }
-  if (msg.tag.sequence < seen.floor) return;
+  if (msg.tag.sequence < seen) return;
 
-  // Meaningful iff the probe's edge exists and is black at receipt: agent
-  // (txn, here) still has a queued request forwarded from the probe's
-  // origin site (section 6.5).
-  if (msg.edge.to.site != id_ ||
-      msg.edge.from.transaction != msg.edge.to.transaction) {
-    return;  // malformed or misrouted
-  }
-  const TransactionId txn = msg.edge.to.transaction;
-  // Release-wait edge: the sender holds for (txn, here); the holding
-  // persists at least as long as txn is blocked here (it cannot commit
-  // while blocked, and aborts purge labels anyway), so "blocked here"
-  // certifies the edge.  Acquisition edge: still-queued forwarded request
-  // from the probe's origin site (the paper's section-6.5 check).
-  const bool black = msg.via_release_wait
-                         ? blocked(txn)
-                         : locks_.queued_from(txn, msg.edge.from.site);
+  // Meaningful iff the edge ((txn, from), (txn, here)) the probe travelled
+  // is black at receipt (section 6.5).  Release-wait edge: the sender holds
+  // for (txn, here); the holding persists at least as long as txn is
+  // blocked here (it cannot commit while blocked, and aborts purge labels
+  // anyway), so "blocked here" certifies the edge.  Acquisition edge:
+  // still-queued request forwarded from the sender (the paper's check).
+  const TransactionId txn = msg.txn;
+  const bool black = msg.via_release_wait ? blocked(txn)
+                                          : locks_.queued_from(txn, from);
   if (!black) return;
   ++stats_.meaningful_probes;
   CMH_LOG(kDebug, "ddb") << id_ << " meaningful probe " << msg.tag
-                         << (msg.via_release_wait ? " rel " : " acq ")
-                         << msg.edge << " from " << from;
-  (void)from;
+                         << (msg.via_release_wait ? " rel " : " acq ") << txn
+                         << " from " << from;
 
   // An own computation's record is made when it starts; if it is gone,
-  // the computation was retired (superseded twice, or its target ended)
-  // and must stay so.
+  // the computation was retired (its walk closed, it was superseded twice,
+  // or its target ended) and must stay so.
   Computation* comp = msg.tag.initiator == id_
                           ? find_computation(msg.tag)
-                          : &computation(msg.tag, msg.target);
-  if (comp == nullptr || comp->declared) return;
-  advance(msg.tag, msg.floor, *comp, txn, msg.candidate,
-          msg.via_release_wait ? msg.edge.from.site : id_);
+                          : &computation(msg.tag, msg.target, msg.floor);
+  if (comp == nullptr) return;
+  advance(msg.tag, *comp, txn, msg.candidate);
 }
 
-void Controller::advance(const DdbProbeTag& tag, std::uint64_t floor,
-                         Computation& comp, TransactionId txn,
-                         TransactionId candidate, SiteId via) {
+void Controller::advance(const DdbProbeTag& tag, Computation& comp,
+                         TransactionId txn, TransactionId candidate) {
   // Steps A1/A2: label (txn, here) and everything intra-reachable.
   //
   // The label is the *fresh* reachable set of this receipt; nothing from
@@ -598,7 +577,7 @@ void Controller::advance(const DdbProbeTag& tag, std::uint64_t floor,
   Computation* c = &comp;
   if (tag.initiator == id_) {
     if (const PathBest* closing = reached(c->target)) {
-      c->declared = true;
+      retire_own(tag.sequence);
       close_walk(closing->best, closing->txn, tag);
       return;
     }
@@ -621,7 +600,7 @@ void Controller::advance(const DdbProbeTag& tag, std::uint64_t floor,
       intra_reachable(txn, candidate);
     }
   }
-  record_reaches(tag, floor, *c, via);
+  record_reaches(tag, *c);
 
   // Forward along every un-probed outgoing inter edge of the freshly
   // reachable set.  The initiating controller forwards too: a cycle may
@@ -631,16 +610,15 @@ void Controller::advance(const DdbProbeTag& tag, std::uint64_t floor,
   // transaction's wait (an intra edge), otherwise it loops between txn's
   // own agents without any deadlock (acquisition and holding concern
   // different resources).
-  send_probes(tag, floor, *c, paths_, txn);
+  send_probes(tag, *c, paths_, txn);
 }
 
-void Controller::record_reaches(const DdbProbeTag& tag, std::uint64_t floor,
-                                const Computation& comp, SiteId root_via) {
+void Controller::record_reaches(const DdbProbeTag& tag,
+                                const Computation& comp) {
   // Under kManual the harness owns every detection step, and a re-block
   // continues nothing (follow_reaches), so there is nothing to record.
   if (options_.initiation == DdbInitiation::kManual) return;
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
-    const auto [txn, best] = paths_[i];
+  for (const auto [txn, best] : paths_) {
     // The target's own walk is empty: following it from the target would
     // "close" at once.  At every site: elsewhere the walk reaches the
     // target's agent either through an intra edge, and has closed there,
@@ -657,7 +635,7 @@ void Controller::record_reaches(const DdbProbeTag& tag, std::uint64_t floor,
     } else if (reaches.size() == kReachesPerTxn) {
       reaches.erase(reaches.begin());  // the oldest recorded
     }
-    reaches.push_back(Reach{tag, floor, best, i == 0 ? root_via : id_});
+    reaches.push_back(Reach{tag, best});
   }
 }
 
@@ -669,29 +647,30 @@ void Controller::follow_reaches(TransactionId txn) {
   for (const Reach& r : reaches) {
     // An earlier follow may have elected txn and aborted it.
     if (!blocked(txn)) return;
-    // Live: the computation is not below its initiator's floor (those
-    // records are pruned, so its record is still here) and has not
-    // declared, and an own computation's target still waits.  A
-    // release-wait reach also needs the holding it came through.
+    // Live: its record is still here (not pruned below its initiator's
+    // floor, and not an own walk that has closed), and an own computation's
+    // target still waits.  A release-wait reach's holding needs no check:
+    // the probe arrived behind the grant on the same FIFO channel, and only
+    // purge_local() drops the holding, with the reaches.
     Computation* comp = find_computation(r.tag);
-    if (comp == nullptr || comp->declared) continue;
+    if (comp == nullptr) continue;
     if (r.tag.initiator == id_ && !blocked(comp->target)) continue;
-    const TxnSlot& s = txns_[txn.value()];
-    if (r.via != id_ && !s.remote_holdings.contains(r.via)) continue;
     // The new request is a new edge instance: a site txn asked before is
     // probed again.
-    for (const PendingRemote& p : s.pending) {
-      comp->probes_sent.erase(
-          InterEdge{AgentId{txn, id_}, AgentId{txn, p.site}});
+    for (const PendingRemote& p : txns_[txn.value()].pending) {
+      comp->probes_sent.erase(AgentId{txn, p.site});
     }
     ++stats_.reaches_followed;
-    advance(r.tag, r.floor, *comp, txn, r.candidate, r.via);
+    advance(r.tag, *comp, txn, r.candidate);
   }
 }
 
 void Controller::close_walk(TransactionId victim, TransactionId target,
                             const DdbProbeTag& tag) {
-  release_own_floor(target);
+  // target's latest computation no longer holds the floor down.
+  if (target.value() < txns_.size()) {
+    txns_[target.value()].own_in_floor = false;
+  }
   declare(victim, tag);
   if (victim != target && options_.abort_victim) schedule_block_check(target);
 }
@@ -711,17 +690,18 @@ void Controller::schedule_block_check(TransactionId txn) {
   switch (options_.initiation) {
     case DdbInitiation::kManual:
       return;
-    case DdbInitiation::kOnBlock:
-      initiate_for(txn);
-      return;
     case DdbInitiation::kDelayed:
+      if (options_.initiation_delay <= SimTime::zero()) {
+        initiate_for(txn);
+        return;
+      }
       // A0 sends no messages, so it runs at once; T only holds back the
       // probe computation, whose messages it exists to save.
       if (blocked(txn)) {
         if (declare_local_cycle(txn)) return;
         // T skips computations for waits that end on their own.  A live
         // computation at txn's home agent shows that someone waits on txn,
-        // so this block may close a cycle: start at once, as kOnBlock does.
+        // so this block may close a cycle: start at once, as T = 0 does.
         if (reached_by_live_computation(txn)) {
           if (initiate_for(txn)) ++stats_.eager_initiations;
           return;
@@ -738,8 +718,7 @@ bool Controller::reached_by_live_computation(TransactionId txn) {
   if (txn.value() >= txns_.size()) return false;
   const auto& reaches = txns_[txn.value()].reaches;
   return std::any_of(reaches.begin(), reaches.end(), [this](const Reach& r) {
-    const Computation* comp = find_computation(r.tag);
-    return comp != nullptr && !comp->declared;
+    return find_computation(r.tag) != nullptr;
   });
 }
 
@@ -786,19 +765,19 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
     for (const Reach& r : txns_[t].reaches) {
       mix(r.tag.initiator.value());
       mix(r.tag.sequence);
-      mix(r.floor);
       mix(r.candidate.value());
-      mix(r.via.value());
     }
   }
   mix(0xC8);
 
   mix(next_sequence_);
-  for (const auto& [txn, own] : own_comp_seq_) {
-    mix(txn.value());
-    mix(own.latest);
-    mix(own.previous);
-    mix(static_cast<std::uint64_t>(own.in_floor));
+  for (std::uint32_t t = 0; t < txns_.size(); ++t) {
+    const TxnSlot& s = txns_[t];
+    if (s.own_latest == 0) continue;
+    mix(t);
+    mix(s.own_latest);
+    mix(s.own_previous);
+    mix(static_cast<std::uint64_t>(s.own_in_floor));
   }
   mix(0xC5);
 
@@ -807,20 +786,17 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
     mix(tag.initiator.value());
     mix(tag.sequence);
     mix(0xC6);
-    for (const InterEdge& e : comp.probes_sent) {
-      mix_agent(e.from);
-      mix_agent(e.to);
-    }
+    for (const AgentId& a : comp.probes_sent) mix_agent(a);
+    mix(comp.floor);
     mix(comp.target.value());
-    mix(static_cast<std::uint64_t>(comp.declared));
     mix(static_cast<std::uint64_t>(comp.closed_early));
   }
   mix(0xC7);
 
   for (std::uint32_t s = 0; s < floor_seen_.size(); ++s) {
-    if (!floor_seen_[s].seen) continue;
+    if (floor_seen_[s] == 0) continue;
     mix(s);
-    mix(floor_seen_[s].floor);
+    mix(floor_seen_[s]);
   }
 }
 

@@ -32,7 +32,15 @@
 // Local knowledge is exactly the DDB P3: intra-controller edges and incoming
 // *black* inter-controller edges are derived from the lock queues; outgoing
 // inter-controller edges are known to exist (pending remote requests) but
-// their color is not locally observable.
+// their color is not locally observable.  A probe names only its entry
+// transaction: the edge it travelled runs from the sender that on_message()
+// is given to this controller.
+//
+// Each fact is kept once.  A computation's floor and target live in its
+// record (Computation), which every other structure refers to by tag; an
+// own record is retired when its walk closes, and a missing record means a
+// dead computation.  A transaction's own-computation bookkeeping lives in
+// its TxnSlot.
 #pragma once
 
 #include <functional>
@@ -50,17 +58,19 @@
 namespace cmh::ddb {
 
 enum class DdbInitiation {
-  kManual,   // harness calls initiate_for()/check_all()
-  kOnBlock,  // initiate the instant a local process blocks (section 4.2)
+  kManual,  // harness calls initiate_for()/check_all()
   // Run A0 the instant a local process blocks; start its probe computation
   // T later, if it is still blocked -- or at once when a live computation
   // has reached its home agent, which shows an incoming wait (the block may
-  // close a cycle), so there is no wait for T to outlast.
+  // close a cycle), so there is no wait for T to outlast.  At T = 0 the
+  // computation starts the instant the process blocks (section 4.2), and
+  // no timer is needed.
   kDelayed,
 };
 
 struct DdbOptions {
   DdbInitiation initiation{DdbInitiation::kDelayed};
+  /// T; timers are required only when it is positive.
   SimTime initiation_delay{SimTime::ms(5)};
 
   /// Section 6.7: when checking all constituent processes, initiate only Q
@@ -149,6 +159,8 @@ class Controller {
 
   // ---- transport ----------------------------------------------------------
 
+  /// `from` is the sending controller: the transport's channel end, which a
+  /// probe's meaningfulness check relies on.
   Status on_message(SiteId from, BytesView payload);
 
   // ---- detection ----------------------------------------------------------
@@ -202,15 +214,12 @@ class Controller {
   };
 
   /// A live probe computation that reached (txn, here), txn's home agent:
-  /// `tag`, the floor its probes carry, and `candidate`, the youngest
-  /// transaction on its walk up to and including txn.  `via` is the site
-  /// whose holding's release-wait edge the probe arrived on, or this site
-  /// when the computation's intra-controller BFS reached the agent.
+  /// `tag`, and `candidate`, the youngest transaction on its walk up to and
+  /// including txn.  Everything else the follow needs is in the
+  /// computation's record.
   struct Reach {
     DdbProbeTag tag;
-    std::uint64_t floor;
     TransactionId candidate;
-    SiteId via;
   };
   /// Reaches kept per home agent, newest per initiator; beyond this the
   /// oldest is dropped, so the list never leaves its inline storage.
@@ -232,6 +241,15 @@ class Controller {
     // txn's block check start its computation at once.  Dropped at commit
     // and abort.
     SmallVector<Reach, kReachesPerTxn> reaches;
+    // This controller's computations for txn as target: the sequences of
+    // the latest and of the one before it (0: none), whose probes may still
+    // close the cycle.  Older ones are retired, so each target keeps at
+    // most two records, both retired when txn ends here.
+    std::uint64_t own_latest{0};
+    std::uint64_t own_previous{0};
+    // The latest holds the floor down: txn has waited since it began, and
+    // its walk has not closed.
+    bool own_in_floor{false};
     // Tombstone: a purge broadcast can overtake a victim's in-flight lock
     // request on a different channel; without it the zombie request would
     // occupy the resource forever.  Ids are never reused, so tombstones are
@@ -241,26 +259,26 @@ class Controller {
     bool home{false};
   };
 
+  /// A computation's record at this site.  An own computation's record is
+  /// made when it starts and retired when its walk closes here; every
+  /// reader treats a missing record as a dead computation.
   struct Computation {
-    // The inter edges this computation has probed: each is probed once.
-    FlatSet<InterEdge, 4> probes_sent;
+    // The inter edges this computation has probed, by destination agent
+    // (the source is always (txn, here)): each is probed once.
+    FlatSet<AgentId, 4> probes_sent;
+    /// The stale-computation floor its probes carry: stamped by the
+    /// initiator at initiation, copied from the first probe elsewhere, so
+    /// constant per computation.  It belongs to the *initiator's* sequence
+    /// space -- stamping a forwarder's floor would corrupt the initiator's
+    /// numbering at downstream receivers.
+    std::uint64_t floor{0};
     /// The transaction whose agent at the initiator the computation checks
     /// (the (T_i, S_j) of A0/A1): set at initiation for own computations,
     /// from the first probe's frame for the others.
     TransactionId target;
-    /// Own computations: the walk closed here, at the initiator.
-    bool declared{false};
     /// Others' computations: a walk reached the target here and was
     /// declared; at most once per site, and the walk goes on.
     bool closed_early{false};
-  };
-
-  /// Highest floor seen from one initiator; probes below it are stale.
-  /// Value-initialized (no default member initializers, as for
-  /// PendingRemote).
-  struct FloorSeen {
-    std::uint64_t floor;
-    bool seen;
   };
 
   /// A transaction intra-reachable from a BFS root, with the youngest
@@ -300,20 +318,17 @@ class Controller {
 
   /// Steps A1/A2 of `comp` at agent (txn, here), entered with `candidate`
   /// as the youngest transaction on the walk so far: labels the freshly
-  /// intra-reachable set, then closes the walk if it reached the
-  /// computation's target, or records the home agents it reached and
-  /// probes their un-probed outgoing inter edges.  At another site than
-  /// the initiator, reaching an agent of the target through an intra edge
-  /// declares the walk's candidate first (once per site), and the walk
-  /// goes on.  `comp` may be gone once this returns (a declaration can
-  /// re-enter the controller and grow the pool).  `via` is recorded for
-  /// txn itself (see Reach).
-  void advance(const DdbProbeTag& tag, std::uint64_t floor, Computation& comp,
-               TransactionId txn, TransactionId candidate, SiteId via);
-  /// Records `tag` at every home agent in paths_ but `comp`'s own target;
-  /// paths_[0] with `root_via`, the rest as reached by the BFS.
-  void record_reaches(const DdbProbeTag& tag, std::uint64_t floor,
-                      const Computation& comp, SiteId root_via);
+  /// intra-reachable set, then closes the walk (retiring the record) if it
+  /// reached the computation's target, or records the home agents it
+  /// reached and probes their un-probed outgoing inter edges.  At another
+  /// site than the initiator, reaching an agent of the target through an
+  /// intra edge declares the walk's candidate first (once per site), and
+  /// the walk goes on.  `comp` may be gone once this returns (a declaration
+  /// can re-enter the controller and grow the pool).
+  void advance(const DdbProbeTag& tag, Computation& comp, TransactionId txn,
+               TransactionId candidate);
+  /// Records `tag` at every home agent in paths_ but `comp`'s own target.
+  void record_reaches(const DdbProbeTag& tag, const Computation& comp);
   /// txn (home here) has just blocked on a new request: continues each
   /// live computation that reached its home agent along the new edge, as
   /// a probe arriving at this instant would.
@@ -337,13 +352,8 @@ class Controller {
   /// same agent pair in opposite directions but concern *different
   /// resources*, so the bounce is not a deadlock cycle.  The entry
   /// transaction's release-wait edges are suppressed in that case.
-  /// `floor` is the stale-computation floor stamped on each probe.  It
-  /// belongs to the *initiator's* sequence space: the initiator stamps its
-  /// own current floor, and forwarders must propagate the floor they
-  /// received verbatim -- stamping a forwarder's floor would corrupt the
-  /// initiator's numbering at downstream receivers.
-  void send_probes(const DdbProbeTag& tag, std::uint64_t floor,
-                   Computation& comp, const std::vector<PathBest>& processes,
+  void send_probes(const DdbProbeTag& tag, Computation& comp,
+                   const std::vector<PathBest>& processes,
                    std::optional<TransactionId> skip_release_wait_for =
                        std::nullopt);
 
@@ -361,11 +371,12 @@ class Controller {
   /// live computation has reached txn's home agent, else T later.
   void schedule_block_check(TransactionId txn);
   /// True iff a computation recorded at txn's home agent is live: its
-  /// record is still here and it has not declared.  Evidence that someone
-  /// waits on txn, whether or not follow_reaches() would continue it.
+  /// record is still here.  Evidence that someone waits on txn, whether or
+  /// not follow_reaches() would continue it.
   [[nodiscard]] bool reached_by_live_computation(TransactionId txn);
 
-  /// Lowest still-live sequence of this controller's own computations.
+  /// Lowest still-live sequence of this controller's own computations, the
+  /// one just begun (next_sequence_) included: walks the own records.
   [[nodiscard]] std::uint64_t current_floor();
 
   // ---- flat tables ----------------------------------------------------------
@@ -379,21 +390,15 @@ class Controller {
   [[nodiscard]] TxnSlot& slot_for(TransactionId txn);
 
   /// The record of `tag`, created (from a recycled pool entry) for
-  /// `target` if absent.
+  /// `target` with `floor` if absent.
   [[nodiscard]] Computation& computation(const DdbProbeTag& tag,
-                                         TransactionId target);
+                                         TransactionId target,
+                                         std::uint64_t floor);
   /// The record of `tag`, or null if it was pruned or never existed.
   [[nodiscard]] Computation* find_computation(const DdbProbeTag& tag);
   /// Drops the records of `initiator`'s computations below `floor`.
   void prune_computations(SiteId initiator, std::uint64_t floor);
 
-  /// Records `seq` as txn's latest own computation; the latest becomes the
-  /// previous, and the previous is retired.
-  void set_own_seq(TransactionId txn, std::uint64_t seq);
-  /// txn's latest own computation no longer holds the floor down.
-  void release_own_floor(TransactionId txn);
-  /// txn has ended here: retires its own computations' records.
-  void erase_own_seq(TransactionId txn);
   /// Drops the record of own computation `seq` (0: none), if still present.
   void retire_own(std::uint64_t seq);
 
@@ -408,31 +413,17 @@ class Controller {
   std::vector<TxnSlot> txns_;  // indexed by transaction id
   std::uint64_t id_horizon_{0};  // one past the highest id admitted
 
-  /// This controller's computations for one target process: sequences of
-  /// the latest and the one before it (0: none), whose probes may still
-  /// close the cycle.  Older ones are retired, so each target keeps at most
-  /// two records.  `in_floor`: the latest holds the floor down -- its target
-  /// has waited since it began and it has not closed.  No default member
-  /// initializers, as for PendingRemote.
-  struct OwnComps {
-    std::uint64_t latest;
-    std::uint64_t previous;
-    bool in_floor;
-  };
-
   std::uint64_t next_sequence_{0};
-  // Own computations per target process, ascending by transaction, until
-  // the target ends here; the minimum latest over entries in the floor is
-  // the `floor` advertised in probes.
-  std::vector<std::pair<TransactionId, OwnComps>> own_comp_seq_;
   // Computation records live in a recycled pool (their edge sets keep
-  // their capacity); comp_index_ maps tags to pool slots, ascending.
+  // their capacity); comp_index_ maps tags to pool slots, ascending, so the
+  // own records are one contiguous range.
   std::vector<Computation> comp_pool_;
   std::vector<std::uint32_t> comp_free_;
   std::vector<std::pair<DdbProbeTag, std::uint32_t>> comp_index_;
-  // Highest floor seen per initiator, indexed by site (section 4.3).
-  // Inline up to 8 sites, so constructing a controller allocates nothing.
-  SmallVector<FloorSeen, 8> floor_seen_;
+  // Highest floor seen per initiator, indexed by site (section 4.3); 0:
+  // none seen (sequences start at 1).  Probes below it are stale.  Inline
+  // up to 8 sites, so constructing a controller allocates nothing.
+  SmallVector<std::uint64_t, 8> floor_seen_;
 
   // Scratch buffers of the graph queries, reused so the warmed-up
   // detection path allocates nothing.  check_all() walks processes_ while

@@ -1,3 +1,6 @@
+// DDB wire codec.  Probes are fixed-size stack frames; decoding a probe is
+// one bounds check and unchecked field reads.
+// cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #include "ddb/messages.h"
 
 namespace cmh::ddb {
@@ -16,8 +19,7 @@ void put_probe(W& w, const DdbProbeMsg& m) {
   w.id(m.tag.initiator);
   w.u64(m.tag.sequence);
   w.u64(m.floor);
-  w.agent(m.edge.from);
-  w.agent(m.edge.to);
+  w.id(m.txn);
   w.u8(m.via_release_wait ? 1 : 0);
   w.id(m.candidate);
   w.id(m.target);
@@ -113,10 +115,7 @@ Result<DdbMessage> decode(BytesView payload) {
       m.tag.initiator = r.id_unchecked<SiteId>();
       m.tag.sequence = r.u64_unchecked();
       m.floor = r.u64_unchecked();
-      m.edge.from.transaction = r.id_unchecked<TransactionId>();
-      m.edge.from.site = r.id_unchecked<SiteId>();
-      m.edge.to.transaction = r.id_unchecked<TransactionId>();
-      m.edge.to.site = r.id_unchecked<SiteId>();
+      m.txn = r.id_unchecked<TransactionId>();
       m.via_release_wait = r.u8_unchecked() != 0;
       m.candidate = r.id_unchecked<TransactionId>();
       m.target = r.id_unchecked<TransactionId>();

@@ -5,11 +5,14 @@
 //   ... received & queued            -- edge black  (G4)
 //   RemoteLockGrantMsg sent          -- edge white  (G5)
 //   ... received                     -- edge gone   (G6)
-// DdbProbeMsg is the detection traffic of section 6.5: it names its
-// computation's target, so the first site whose intra edges lead the walk
-// back to any agent of that transaction declares the cycle (DESIGN.md
-// section 4b, note 6).  PurgeTxnMsg is the deadlock-resolution / commit
-// cleanup channel.
+// DdbProbeMsg is the detection traffic of section 6.5.  It names only its
+// entry transaction: the edge it travels runs from the wire sender's agent
+// of that transaction to the receiver's, so no frame can name an edge other
+// than the channel it came on.  It also names its computation's target, so
+// the first site whose intra edges lead the walk back to any agent of that
+// transaction declares the cycle (DESIGN.md section 4b, note 6).
+// PurgeTxnMsg is the deadlock-resolution / commit cleanup channel.
+// cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #pragma once
 
 #include <variant>
@@ -42,26 +45,29 @@ struct PurgeTxnMsg {
   bool aborted{false};
 };
 
-/// Probe of computation `tag`, sent along inter-controller edge `edge`
-/// (section 6.5).  `floor` is the lowest still-live sequence number of the
-/// initiating controller's current detection round; receivers discard state
-/// for that initiator's computations below it (the section-4.3 stale-tag
-/// rule, generalized to the Q concurrent computations of section 6.7).
+/// Probe of computation `tag`, sent along the inter-controller edge
+/// ((txn, sender), (txn, receiver)) (section 6.5).  `floor` is the lowest
+/// still-live sequence number of the initiating controller when the
+/// computation began; receivers discard state for that initiator's
+/// computations below it (the section-4.3 stale-tag rule, generalized to
+/// the Q concurrent computations of section 6.7).
 struct DdbProbeMsg {
   DdbProbeTag tag;
   std::uint64_t floor{0};
-  InterEdge edge;
-  /// False: acquisition edge -- (T, from) awaits a grant from (T, to)'s
-  /// controller; meaningful iff T has a queued request at the receiver
-  /// forwarded from `edge.from.site`.
-  /// True: release-wait edge -- (T, from) holds a resource it acquired on
-  /// behalf of (T, to) and can only release when that agent's computation
-  /// proceeds; meaningful iff T is blocked at the receiver (T cannot have
-  /// committed while blocked, so the holding at the sender still exists).
+  /// The entry transaction: the probe enters agent (txn, receiver).
+  TransactionId txn;
+  /// False: acquisition edge -- (txn, sender) awaits a grant from the
+  /// receiver; meaningful iff txn has a queued request at the receiver
+  /// forwarded from the sender.
+  /// True: release-wait edge -- (txn, sender) holds a resource it acquired
+  /// on behalf of (txn, receiver) and can only release when that agent's
+  /// computation proceeds; meaningful iff txn is blocked at the receiver
+  /// (it cannot have committed while blocked, so the holding at the sender
+  /// still exists).
   bool via_release_wait{false};
   /// Victim election: the youngest transaction (highest dense id) on the
   /// path this probe has travelled from the initiator's target, entry
-  /// transaction of `edge` included.  When the walk closes on the target,
+  /// transaction `txn` included.  When the walk closes on the target,
   /// this transaction is declared, so every computation that closes the
   /// same simple cycle aborts the same one.
   TransactionId candidate;
@@ -77,9 +83,9 @@ using DdbMessage = std::variant<RemoteLockRequestMsg, RemoteLockGrantMsg,
                                 PurgeTxnMsg, DdbProbeMsg>;
 
 /// Wire size of a DdbProbeMsg frame: 1 (type) + 4 (initiator) + 8 (sequence)
-/// + 8 (floor) + 2*8 (edge endpoints) + 1 (kind) + 4 (candidate) + 4
-/// (target).  Every DDB frame fits.
-inline constexpr std::size_t kDdbFrameCapacity = 46;
+/// + 8 (floor) + 4 (txn) + 1 (kind) + 4 (candidate) + 4 (target).  Every
+/// DDB frame fits.
+inline constexpr std::size_t kDdbFrameCapacity = 34;
 
 /// A stack-encoded frame; view() is valid for the frame's lifetime.  The
 /// detection hot path (one probe per inter-controller edge, every round)

@@ -35,20 +35,6 @@ struct DdbProbeTag {
   }
 };
 
-/// Identity of an inter-controller edge ((T_a, S_j), (T_a, S_b)); probes
-/// carry it so the receiver can check meaningfulness (section 6.5).
-struct InterEdge {
-  AgentId from;
-  AgentId to;
-
-  friend constexpr auto operator<=>(const InterEdge&,
-                                    const InterEdge&) = default;
-
-  friend std::ostream& operator<<(std::ostream& os, const InterEdge& e) {
-    return os << e.from << "->" << e.to;
-  }
-};
-
 }  // namespace cmh::ddb
 
 namespace std {
@@ -58,15 +44,6 @@ struct hash<cmh::ddb::DdbProbeTag> {
   size_t operator()(const cmh::ddb::DdbProbeTag& t) const noexcept {
     const auto h1 = std::hash<cmh::SiteId>{}(t.initiator);
     const auto h2 = std::hash<std::uint64_t>{}(t.sequence);
-    return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
-  }
-};
-
-template <>
-struct hash<cmh::ddb::InterEdge> {
-  size_t operator()(const cmh::ddb::InterEdge& e) const noexcept {
-    const auto h1 = std::hash<cmh::AgentId>{}(e.from);
-    const auto h2 = std::hash<cmh::AgentId>{}(e.to);
     return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
   }
 };

@@ -3,11 +3,14 @@
 // Algorithm code never talks to a socket or a simulator directly; it sends
 // byte payloads to node ids through this interface.  Three implementations
 // exist:
-//   * SimTransport       -- deterministic discrete-event simulation
-//   * InMemoryTransport  -- real threads, lock-protected FIFO queues
-//   * TcpTransport       -- localhost TCP sockets, length-prefixed frames
+//   * InMemoryTransport     -- real threads, lock-protected FIFO queues
+//   * TcpTransport          -- localhost TCP sockets, length-prefixed frames,
+//                              epoll event loops
+//   * BlockingTcpTransport  -- the same frames, thread per connection
 // All three guarantee the paper's communication model: reliable, in-order
-// (per channel), finite-delay delivery.
+// (per channel), finite-delay delivery.  The deterministic simulator
+// (sim::Simulator) is the fourth host of the same model; it has its own
+// interface.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +49,7 @@ class Transport {
   /// which realizes the paper's atomic-step requirement (note under A0-A2).
   /// The payload view is only valid for the duration of the call -- the
   /// same contract as send() -- so a handler that keeps the bytes copies
-  /// them.  (The same type as sim::Simulator::MessageHandler, which
-  /// SimTransport relies on.)
+  /// them.  (The same type as sim::Simulator::MessageHandler.)
   using Handler = std::function<void(NodeId from, BytesView payload)>;
 
   virtual ~Transport() = default;

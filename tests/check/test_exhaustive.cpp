@@ -196,7 +196,7 @@ TEST(Exhaustive, DdbReleaseWaitCycleEverySchedule) {
 
 TEST(Exhaustive, DdbRejectsTimerBasedInitiation) {
   DdbScenario scenario = ddb_cross_lock();
-  scenario.options.initiation = ddb::DdbInitiation::kDelayed;
+  scenario.options.initiation_delay = SimTime::ms(2);
   EXPECT_THROW(DdbSystem{scenario}, std::invalid_argument);
 }
 

@@ -265,13 +265,10 @@ TEST(ZeroAlloc, WarmDdbControllerProbesGrantsAndInitiation) {
     const std::optional<DdbProbeTag> tag = c.initiate_for(t2);
     ok &= tag.has_value();
     if (!tag) return false;
-    ok &= deliver(s1, DdbProbeMsg{*tag, tag->sequence,
-                                  InterEdge{AgentId{t3, s1}, AgentId{t3, s0}},
-                                  false, t3, t2});
+    ok &= deliver(s1, DdbProbeMsg{*tag, tag->sequence, t3, false, t3, t2});
     ++foreign_seq;
     ok &= deliver(s1, DdbProbeMsg{DdbProbeTag{s1, foreign_seq}, foreign_seq,
-                                  InterEdge{AgentId{t2, s1}, AgentId{t2, s0}},
-                                  false, t2, t2});
+                                  t2, false, t2, t2});
     ok &= deliver(s1, RemoteLockGrantMsg{t1, rB});
     ok &= !c.lock(t1, rB, LockMode::kWrite);
     return ok;
@@ -359,9 +356,7 @@ TEST(ZeroAlloc, WarmDdbControllerCheckAll) {
     // after the local-cycle declaration took one sequence number.
     const DdbProbeTag first{s0, last_seq + 2};
     last_seq += 3;
-    ok &= deliver(s1, DdbProbeMsg{first, first.sequence,
-                                  InterEdge{AgentId{t3, s1}, AgentId{t3, s0}},
-                                  false, t3, t2});
+    ok &= deliver(s1, DdbProbeMsg{first, first.sequence, t3, false, t3, t2});
     return ok;
   };
 
@@ -428,12 +423,11 @@ TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
   ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, LockMode::kWrite}));
   ASSERT_FALSE(c.lock(t1, rB, LockMode::kWrite));
 
-  const InterEdge t2_edge{AgentId{t2, s1}, AgentId{t2, s0}};
   std::uint64_t seq = 0;
   const auto round = [&]() {
     ++seq;
     bool ok = deliver(
-        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2_edge, false, t2, t2});
+        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2, false, t2, t2});
     ok &= deliver(s1, RemoteLockGrantMsg{t1, rB});
     ok &= !c.lock(t1, rB, LockMode::kWrite);
     return ok;
@@ -501,12 +495,11 @@ TEST(ZeroAlloc, WarmDdbControllerEagerInitiation) {
   ASSERT_TRUE(deliver(s1, RemoteLockGrantMsg{t1, rB}));
   ASSERT_FALSE(c.lock(t1, rD, LockMode::kWrite));
 
-  const InterEdge holding{AgentId{t1, s1}, AgentId{t1, s0}};
   std::uint64_t seq = 0;
   const auto round = [&]() {
     ++seq;
     bool ok = deliver(
-        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, holding, true, t2, t2});
+        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t1, true, t2, t2});
     ok &= deliver(s1, RemoteLockGrantMsg{t1, rD});
     ok &= !c.lock(t1, rD, LockMode::kWrite);
     return ok;
@@ -571,12 +564,11 @@ TEST(ZeroAlloc, WarmDdbControllerEarlyClosure) {
   ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t1, rA, LockMode::kWrite}));
   ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, LockMode::kWrite}));
 
-  const InterEdge t2_edge{AgentId{t2, s1}, AgentId{t2, s0}};
   std::uint64_t seq = 0;
   const auto round = [&]() {
     ++seq;
     return deliver(
-        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2_edge, false, t2, t1});
+        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2, false, t2, t1});
   };
 
   // Warm-up: tables, pools and scratch buffers reach their working size.

@@ -14,8 +14,7 @@ DdbProbeMsg sample_probe() {
   return DdbProbeMsg{
       DdbProbeTag{SiteId{3}, 0x123456789ULL},
       42,
-      InterEdge{AgentId{TransactionId{7}, SiteId{3}},
-                AgentId{TransactionId{7}, SiteId{9}}},
+      TransactionId{7},
       true,
       TransactionId{11},
       TransactionId{13}};
@@ -66,7 +65,7 @@ TEST(DdbCodecRoundTrip, AllMessageTypes) {
   const DdbProbeMsg expected = sample_probe();
   EXPECT_EQ(p.tag, expected.tag);
   EXPECT_EQ(p.floor, expected.floor);
-  EXPECT_EQ(p.edge, expected.edge);
+  EXPECT_EQ(p.txn, expected.txn);
   EXPECT_EQ(p.via_release_wait, expected.via_release_wait);
   EXPECT_EQ(p.candidate, expected.candidate);
   EXPECT_EQ(p.target, expected.target);

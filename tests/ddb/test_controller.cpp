@@ -530,8 +530,7 @@ TEST(ControllerFollow, ReachBelowItsInitiatorsFloorIsNotFollowed) {
   Rig rig(2, follow_options());
   const ReachedCloser rc = build_reached_closer(rig);
   const std::uint64_t floor = rc.tag.sequence + 1;
-  const InterEdge not_black{AgentId{t3, SiteId{1}}, AgentId{t3, SiteId{0}}};
-  const DdbProbeMsg newer{DdbProbeTag{SiteId{1}, floor}, floor, not_black,
+  const DdbProbeMsg newer{DdbProbeTag{SiteId{1}, floor}, floor, t3,
                           false, t3, t3};
   rig.inject(1, 0, encode(newer));
   ASSERT_EQ(rig.c(0).stats().meaningful_probes, 1u);  // only rc.tag's
@@ -571,8 +570,7 @@ TEST(ControllerFollow, NewRequestToASiteAskedBeforeIsProbedAgain) {
   ASSERT_TRUE(std::holds_alternative<DdbProbeMsg>(*probe));
   const auto& msg = std::get<DdbProbeMsg>(*probe);
   EXPECT_EQ(msg.tag, rc.tag);
-  EXPECT_EQ(msg.edge,
-            (InterEdge{AgentId{t5, SiteId{0}}, AgentId{t5, SiteId{1}}}));
+  EXPECT_EQ(msg.txn, t5);
   for (const Bytes& frame : frames) rig.inject(0, 1, frame);
   rig.deliver_all();
   EXPECT_TRUE(rig.c(1).locks().holds(rD, t5));
@@ -881,11 +879,12 @@ TEST(ControllerEarly, DeclarationThatStartsAComputationKeepsWalking) {
   // S2) waits for rB.  t7 also holds rX@S1, for which t5 and then t6 (both
   // home S1) queue.  S0's walk reaches t1's agent at S1 through t3's wait
   // and S1 declares t7, the youngest.  The abort grants rX to t5 and
-  // re-arms t6, whose check (kOnBlock) starts a computation inside the
+  // re-arms t6, whose check (T = 0) starts a computation inside the
   // declaration.  The walk then goes on from t3 along t1's release-wait
   // edge; S0 closes it behind t7's purge and does not abort t7 again.
   DdbOptions o;
-  o.initiation = DdbInitiation::kOnBlock;
+  o.initiation = DdbInitiation::kDelayed;
+  o.initiation_delay = SimTime::zero();
   o.abort_victim = true;
   Rig rig(3, o);
   const TransactionId t6{6};
@@ -1040,10 +1039,11 @@ TEST(ControllerProbe, OwnComputationSupersededTwiceIsRetired) {
 TEST(ControllerRegression, GrantReshuffleReArmsDetection) {
   // t3 holds rA; t1 and t2 queue behind it (t1 first).  When t3 finishes,
   // t1 is granted and t2 now waits on t1 -- a NEW edge created by the
-  // grant.  With kOnBlock initiation the re-arm hook must fire probes for
+  // grant.  With initiation at T = 0 the re-arm hook must fire probes for
   // t2 (visible as computations initiated after the release).
   DdbOptions o;
-  o.initiation = DdbInitiation::kOnBlock;
+  o.initiation = DdbInitiation::kDelayed;
+  o.initiation_delay = SimTime::zero();
   o.abort_victim = false;
   Rig rig(2, o);
   const TransactionId t3{3};
@@ -1221,8 +1221,7 @@ TEST(Controller, ProbeWithTargetFarOutOfRangeRejected) {
   Rig rig(2);
   ResourceId rA, rB;
   build_cross_deadlock(rig, rA, rB);
-  const InterEdge edge{AgentId{t2, SiteId{1}}, AgentId{t2, SiteId{0}}};
-  const DdbProbeMsg probe{DdbProbeTag{SiteId{1}, 1}, 1, edge, false, t2,
+  const DdbProbeMsg probe{DdbProbeTag{SiteId{1}, 1}, 1, t2, false, t2,
                           TransactionId{0xFFFFFFF0u}};
   EXPECT_FALSE(rig.c(0).on_message(SiteId{1}, encode(probe)).ok());
   EXPECT_EQ(rig.c(0).stats().probes_received, 0u);
@@ -1239,12 +1238,33 @@ TEST(Controller, ProbeFromUnknownInitiatorDropped) {
   Rig rig(2);
   ResourceId rA, rB;
   build_cross_deadlock(rig, rA, rB);
-  const InterEdge edge{AgentId{t2, SiteId{1}}, AgentId{t2, SiteId{0}}};
-  const DdbProbeMsg probe{DdbProbeTag{SiteId{9}, 1}, 0, edge, false, t2, t2};
+  const DdbProbeMsg probe{DdbProbeTag{SiteId{9}, 1}, 0, t2, false, t2, t2};
   ASSERT_TRUE(rig.c(0).on_message(SiteId{1}, encode(probe)).ok());
   EXPECT_EQ(rig.c(0).stats().probes_received, 1u);
   EXPECT_EQ(rig.c(0).stats().meaningful_probes, 0u);
   EXPECT_EQ(rig.pending(0, 1), 0u);  // nothing forwarded
+}
+
+// A probe names only its entry transaction; the edge it travels starts at
+// the wire sender.  t2 (home S1) has a request forwarded from S1 queued at
+// S0, so an acquisition probe for t2 is meaningful from S1 and from no
+// other site.
+TEST(Controller, AcquisitionProbeMeaningfulOnlyFromTheForwardingSite) {
+  Rig rig(3);
+  const ResourceId rA = res_at(0, 0, 3);
+  ASSERT_TRUE(rig.c(0).lock(t1, rA, LockMode::kWrite));
+  rig.c(1).lock(t2, rA, LockMode::kWrite);
+  rig.deliver_all();
+  ASSERT_TRUE(rig.c(0).locks().queued_from(t2, SiteId{1}));
+  const Bytes probe =
+      encode(DdbProbeMsg{DdbProbeTag{SiteId{1}, 1}, 1, t2, false, t2, t2});
+
+  rig.inject(2, 0, probe);
+  EXPECT_EQ(rig.c(0).stats().probes_received, 1u);
+  EXPECT_EQ(rig.c(0).stats().meaningful_probes, 0u);
+  rig.inject(1, 0, probe);
+  EXPECT_EQ(rig.c(0).stats().probes_received, 2u);
+  EXPECT_EQ(rig.c(0).stats().meaningful_probes, 1u);
 }
 
 TEST(Controller, StatsAccumulate) {

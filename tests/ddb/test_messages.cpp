@@ -49,8 +49,7 @@ TEST(DdbMessages, ProbeRoundTrip) {
     DdbProbeMsg probe;
     probe.tag = DdbProbeTag{SiteId{2}, 77};
     probe.floor = 70;
-    probe.edge = InterEdge{AgentId{TransactionId{5}, SiteId{2}},
-                           AgentId{TransactionId{5}, SiteId{3}}};
+    probe.txn = TransactionId{5};
     probe.via_release_wait = release_wait;
     probe.candidate = TransactionId{9};
     probe.target = TransactionId{4};
@@ -59,27 +58,26 @@ TEST(DdbMessages, ProbeRoundTrip) {
     const auto& got = std::get<DdbProbeMsg>(*m);
     EXPECT_EQ(got.tag, probe.tag);
     EXPECT_EQ(got.floor, 70u);
-    EXPECT_EQ(got.edge, probe.edge);
+    EXPECT_EQ(got.txn, TransactionId{5});
     EXPECT_EQ(got.via_release_wait, release_wait);
     EXPECT_EQ(got.candidate, TransactionId{9});
     EXPECT_EQ(got.target, TransactionId{4});
   }
 }
 
-TEST(DdbMessages, ProbeFrameIs46Bytes) {
-  const DdbProbeMsg probe{DdbProbeTag{SiteId{1}, 3}, 2,
-                          InterEdge{AgentId{TransactionId{4}, SiteId{1}},
-                                    AgentId{TransactionId{4}, SiteId{0}}},
+TEST(DdbMessages, ProbeFrameIs34Bytes) {
+  const DdbProbeMsg probe{DdbProbeTag{SiteId{1}, 3}, 2, TransactionId{4},
                           false, TransactionId{0xABCDEF01u},
                           TransactionId{0x12345678u}};
   const Bytes b = encode(DdbMessage{probe});
-  ASSERT_EQ(b.size(), 46u);
+  ASSERT_EQ(b.size(), 34u);
   EXPECT_EQ(b.size(), kDdbFrameCapacity);
   const auto m = decode(b);
   ASSERT_TRUE(m.ok());
+  EXPECT_EQ(std::get<DdbProbeMsg>(*m).txn, TransactionId{4});
   EXPECT_EQ(std::get<DdbProbeMsg>(*m).candidate, TransactionId{0xABCDEF01u});
   EXPECT_EQ(std::get<DdbProbeMsg>(*m).target, TransactionId{0x12345678u});
-  const auto truncated = decode(BytesView(b.data(), 45));
+  const auto truncated = decode(BytesView(b.data(), 33));
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
 }
