@@ -1,6 +1,8 @@
 // Closure-to-declaration latency of DDB deadlock detection against the
-// initiation delay T (EXPERIMENTS.md P6, P7 and P8), and what each
-// declaration names at its instant.
+// initiation delay T (EXPERIMENTS.md P6, P7, P8 and P10), and what each
+// declaration names at its instant.  T delays only the computations of
+// waits on transactions running at the waiter's site that no live
+// computation has reached (DESIGN.md section 4b, notes 5 and 7).
 //
 //   bench_closure_latency [--first-seed S] [--seeds N] [--episodes E]
 //
@@ -405,7 +407,8 @@ int main(int argc, char** argv) {
   kinds_table.print();
   std::printf(
       "Expected shape: latency and the share waiting at least T grow with T\n"
-      "and commits per simulated second fall; a cycle closed by a transaction\n"
-      "that a live computation had reached is declared without waiting T.\n");
+      "and commits per simulated second fall; a cycle closed by a wait on a\n"
+      "transaction blocked at the waiter's site, or by a transaction that a\n"
+      "live computation had reached, is declared without waiting T.\n");
   return failed == 0 ? 0 : 1;
 }

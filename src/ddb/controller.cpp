@@ -166,6 +166,7 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
       if (on_grant_) on_grant_(txn, resource);
       return true;
     }
+    ++s.queued;
     follow_reaches(txn);
     schedule_block_check(txn);
     return false;
@@ -191,7 +192,11 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
 }
 
 void Controller::purge_local(TransactionId txn) {
-  dispatch_grants(locks_.abort(txn));
+  const GrantList grants = locks_.abort(txn);
+  // The abort cancelled txn's queued requests; the grant callbacks may ask
+  // blocked(txn).
+  if (txn.value() < txns_.size()) txns_[txn.value()].queued = 0;
+  dispatch_grants(grants);
   if (txn.value() < txns_.size()) {
     TxnSlot& s = txns_[txn.value()];
     s.pending.clear();
@@ -295,6 +300,7 @@ void Controller::handle_lock_request(SiteId from,
   }
   // The forwarded request is queued: agent (txn, here) is now blocked on
   // local holders, i.e. new intra edges appeared.
+  ++slot_for(msg.txn).queued;
   schedule_block_check(msg.txn);
 }
 
@@ -321,6 +327,8 @@ void Controller::handle_purge(SiteId /*from*/, const PurgeTxnMsg& msg) {
 }
 
 void Controller::dispatch_grants(const GrantList& grants) {
+  // Every count is settled before the first callback can re-enter.
+  for (const Grant& g : grants) --txns_[g.request.txn.value()].queued;
   for (const auto& [resource, req] : grants) {
     if (req.origin == id_) {
       if (on_grant_) on_grant_(req.txn, resource);
@@ -349,8 +357,12 @@ void Controller::rearm_waiters(ResourceId resource) {
 
 bool Controller::blocked(TransactionId txn) const {
   const TxnSlot* s = slot(txn);
-  if (s != nullptr && !s->pending.empty()) return true;
-  return locks_.queued(txn);
+  return s != nullptr && (s->queued > 0 || !s->pending.empty());
+}
+
+std::uint32_t Controller::queued_count(TransactionId txn) const {
+  const TxnSlot* s = slot(txn);
+  return s != nullptr ? s->queued : 0;
 }
 
 void Controller::incoming_black_processes(
@@ -699,10 +711,16 @@ void Controller::schedule_block_check(TransactionId txn) {
       // probe computation, whose messages it exists to save.
       if (blocked(txn)) {
         if (declare_local_cycle(txn)) return;
-        // T skips computations for waits that end on their own.  A live
-        // computation at txn's home agent shows that someone waits on txn,
-        // so this block may close a cycle: start at once, as T = 0 does.
-        if (reached_by_live_computation(txn)) {
+        // T skips computations for waits that end on their own.  Two kinds
+        // of block may close a cycle, so they start at once, as T = 0 does:
+        // a wait that reaches a blocked transaction here (paths_ still holds
+        // A0's BFS; its first entry is txn), and a block at a home agent a
+        // live computation has reached, which shows that someone waits on
+        // txn.  Only a wait on running transactions waits T.
+        const bool on_blocked =
+            std::any_of(paths_.begin() + 1, paths_.end(),
+                        [this](const PathBest& p) { return blocked(p.txn); });
+        if (on_blocked || reached_by_live_computation(txn)) {
           if (initiate_for(txn)) ++stats_.eager_initiations;
           return;
         }

@@ -21,8 +21,11 @@
 //   * continue the computations that reached a transaction's home agent
 //     along its next request the moment it blocks again, and start that
 //     transaction's own computation at once: a live computation there shows
-//     that someone waits on it, so the initiation delay T gates only the
-//     computations of unreached transactions (DESIGN.md section 4b).
+//     that someone waits on it (DESIGN.md section 4b, notes 4 and 5).
+//   * start a blocked agent's computation at once, too, when its wait
+//     reaches a blocked transaction at this site: only such a wait can
+//     close a cycle, so the initiation delay T gates only waits on running
+//     transactions (DESIGN.md section 4b, note 7).
 //
 // Like BasicProcess, the controller is a transport-agnostic state machine;
 // callers must serialize calls per instance (the paper's atomic-step note),
@@ -60,11 +63,12 @@ namespace cmh::ddb {
 enum class DdbInitiation {
   kManual,  // harness calls initiate_for()/check_all()
   // Run A0 the instant a local process blocks; start its probe computation
-  // T later, if it is still blocked -- or at once when a live computation
-  // has reached its home agent, which shows an incoming wait (the block may
-  // close a cycle), so there is no wait for T to outlast.  At T = 0 the
-  // computation starts the instant the process blocks (section 4.2), and
-  // no timer is needed.
+  // T later, if it is still blocked -- or at once when the block may close
+  // a cycle: A0's BFS reaches another transaction that is blocked here, or
+  // a live computation has reached the process's home agent, which shows
+  // an incoming wait.  Only a wait on running transactions waits T.  At
+  // T = 0 the computation starts the instant the process blocks (section
+  // 4.2), and no timer is needed.
   kDelayed,
 };
 
@@ -96,7 +100,8 @@ struct ControllerStats {
   /// Computations continued along a re-blocked transaction's new request.
   std::uint64_t reaches_followed{0};
   /// kDelayed computations started at block time, without waiting T,
-  /// because a live computation had reached the blocked home agent.
+  /// because the blocked agent waits on a transaction blocked here, or a
+  /// live computation had reached the blocked home agent.
   std::uint64_t eager_initiations{0};
   /// Walks of other sites' computations declared here, where the BFS of a
   /// probe reached an agent of the computation's target.
@@ -184,6 +189,10 @@ class Controller {
   /// an outstanding remote request.
   [[nodiscard]] bool blocked(TransactionId txn) const;
 
+  /// Requests of txn queued in this site's lock table, as the controller
+  /// counts them (LockManager::queued() is the scan it replaces).
+  [[nodiscard]] std::uint32_t queued_count(TransactionId txn) const;
+
   /// Intra-controller wait edges between local agents, sorted (replaces
   /// `out`; see LockManager::wait_edges).
   void intra_edges(std::vector<WaitEdge>& out) const { locks_.wait_edges(out); }
@@ -257,6 +266,9 @@ class Controller {
     bool aborted{false};
     // txn's transaction layer runs here: lock() has been called for it.
     bool home{false};
+    // Requests of txn queued in this site's lock table, from any origin, so
+    // blocked() needs no table scan.
+    std::uint32_t queued{0};
   };
 
   /// A computation's record at this site.  An own computation's record is
@@ -367,8 +379,9 @@ class Controller {
   /// Records the declaration and aborts the victim, unless this site has
   /// already aborted it.
   void declare(TransactionId victim, const DdbProbeTag& tag);
-  /// Under kDelayed: A0 at once, then txn's probe computation at once if a
-  /// live computation has reached txn's home agent, else T later.
+  /// Under kDelayed: A0 at once, then txn's probe computation at once if
+  /// A0's BFS reaches another transaction blocked here or a live
+  /// computation has reached txn's home agent, else T later.
   void schedule_block_check(TransactionId txn);
   /// True iff a computation recorded at txn's home agent is live: its
   /// record is still here.  Evidence that someone waits on txn, whether or

@@ -170,6 +170,9 @@ TEST(Exhaustive, DdbCrossLockEverySchedule) {
   EXPECT_TRUE(res.ok()) << diagnose(res);
   EXPECT_TRUE(res.complete) << diagnose(res);
   EXPECT_GT(res.states_visited, 20u);
+  // The checker runs the DDB at T = 0, so a change to when a T > 0 check
+  // starts its computation must leave every state count here unchanged.
+  EXPECT_EQ(res.states_visited, 116u) << diagnose(res);
 }
 
 TEST(Exhaustive, DdbReBlockEverySchedule) {
@@ -178,6 +181,7 @@ TEST(Exhaustive, DdbReBlockEverySchedule) {
   EXPECT_TRUE(res.ok()) << diagnose(res);
   EXPECT_TRUE(res.complete) << diagnose(res);
   EXPECT_GT(res.states_visited, 400u) << diagnose(res);
+  EXPECT_EQ(res.states_visited, 634u) << diagnose(res);
 }
 
 TEST(Exhaustive, DdbReleaseWaitCycleEverySchedule) {
@@ -186,6 +190,7 @@ TEST(Exhaustive, DdbReleaseWaitCycleEverySchedule) {
   EXPECT_TRUE(res.ok()) << diagnose(res);
   EXPECT_TRUE(res.complete) << diagnose(res);
   EXPECT_GT(res.states_visited, 200u) << diagnose(res);
+  EXPECT_EQ(res.states_visited, 457u) << diagnose(res);
   // Every schedule that forms the cycle declares it early somewhere, with
   // QRP1 and QRP2 held (4 such leaves and 10 early closures today).
   const DdbSystem::LeafTally& tally = sys.leaf_tally();

@@ -9,7 +9,10 @@
 //   * victim election: one abort per cycle, repeat declarations, stale
 //     walks,
 //   * early closure: a walk declared where it first reaches an agent of
-//     its target through an intra edge, and continued from there.
+//     its target through an intra edge, and continued from there,
+//   * the initiation delay T: a wait on a blocked transaction, or a block
+//     a live computation has reached, starts its computation at once; a
+//     wait on running transactions waits T.
 #include "ddb/controller.h"
 
 #include <gtest/gtest.h>
@@ -210,6 +213,35 @@ TEST(Controller, BlockedQueries) {
   EXPECT_TRUE(rig.c(0).blocked(t2));
 }
 
+TEST(Controller, QueuedCountsAreSettledBeforeGrantCallbacks) {
+  // t1 holds rA and queues for rB behind t2; t3 queues for rA.  Aborting
+  // t1 cancels its request and grants rA to t3.  A grant callback may
+  // re-enter the controller, so both counts are settled before it runs.
+  Rig rig(1);
+  Controller& c = rig.c(0);
+  const ResourceId rA{0};
+  const ResourceId rB{1};
+  ASSERT_TRUE(c.lock(t1, rA, LockMode::kWrite));
+  ASSERT_TRUE(c.lock(t2, rB, LockMode::kWrite));
+  EXPECT_FALSE(c.lock(t1, rB, LockMode::kWrite));
+  EXPECT_FALSE(c.lock(t3, rA, LockMode::kWrite));
+  EXPECT_EQ(c.queued_count(t1), 1u);
+  EXPECT_EQ(c.queued_count(t3), 1u);
+  int grants = 0;
+  c.set_grant_callback([&](TransactionId txn, ResourceId resource) {
+    ++grants;
+    EXPECT_EQ(txn, t3);
+    EXPECT_EQ(resource, rA);
+    EXPECT_EQ(c.queued_count(t1), 0u);
+    EXPECT_FALSE(c.blocked(t1));
+    EXPECT_EQ(c.queued_count(t3), 0u);
+    EXPECT_FALSE(c.blocked(t3));
+  });
+  c.abort(t1);
+  EXPECT_EQ(grants, 1);
+  EXPECT_EQ(c.queued_count(t2), 0u);
+}
+
 TEST(Controller, FinishPurgesOnlyParticipants) {
   // t1 holds a lock at S1 and never touched S2: the commit purge goes to
   // S1 alone.
@@ -391,26 +423,36 @@ TEST(ControllerProbe, VictimAlreadyAbortedHereIsDeclaredWithoutASecondAbort) {
 }
 
 TEST(ControllerProbe, StaleWalkReArmsTheTargetsBlockCheck) {
-  // t1 (home S0) holds rA@S0 and waits for rB@S1 (held by t2) and rC@S1
-  // (held by t5); t2 and t5 both wait for rA.  Two cycles through t1.  The
-  // walk through t2 closes first and elects t2, which its home has
+  // t1 (home S0) holds rA and rD@S0 and waits for rB@S1 (held by t2) and
+  // rC@S1 (held by t5); t2 waits for rA and t5 for rD.  Two cycles through
+  // t1.  The walk through t2 closes first and elects t2, which its home has
   // already aborted, so the declaration resolves nothing new.  t1 still
   // sits on the cycle with t5; the re-armed block check must find it.
+  //
+  // t2 and t5 block first, on t1 still running, so S0's checks wait T.
+  // t1's requests then queue at S1 behind blocked holders, so S1 starts a
+  // computation at once for each; their probes are dropped.  Only S0's computation for
+  // t1 runs, and no computation has reached t1's home agent.
   DdbOptions o;
   o.initiation = DdbInitiation::kDelayed;
   o.abort_victim = true;
   Rig rig(2, o);
   const ResourceId rA = res_at(0, 0, 2);
+  const ResourceId rD = res_at(0, 1, 2);
   const ResourceId rB = res_at(1, 0, 2);
   const ResourceId rC = res_at(1, 1, 2);
   ASSERT_TRUE(rig.c(0).lock(t1, rA, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(0).lock(t1, rD, LockMode::kWrite));
   ASSERT_TRUE(rig.c(1).lock(t2, rB, LockMode::kWrite));
   ASSERT_TRUE(rig.c(1).lock(t5, rC, LockMode::kWrite));
+  rig.c(1).lock(t2, rA, LockMode::kWrite);
+  rig.c(1).lock(t5, rD, LockMode::kWrite);
+  rig.deliver_all();
+  ASSERT_EQ(rig.c(0).stats().computations_initiated, 0u);
   rig.c(0).lock(t1, rB, LockMode::kWrite);
   rig.c(0).lock(t1, rC, LockMode::kWrite);
-  rig.c(1).lock(t2, rA, LockMode::kWrite);
-  rig.c(1).lock(t5, rA, LockMode::kWrite);
-  rig.deliver_all();
+  rig.settle_dropping_probes();
+  ASSERT_EQ(rig.c(1).stats().eager_initiations, 2u);
   rig.drop_timers();  // only t1's computation runs
   ASSERT_EQ(rig.oracle_deadlocked(),
             (std::vector<TransactionId>{t1, t2, t5}));
@@ -446,29 +488,42 @@ DdbOptions follow_options() {
 }
 
 struct ReachedCloser {
+  static constexpr std::uint32_t kSites = 3;
   ResourceId rA;  // @S0, held by t5
   ResourceId rB;  // @S1, held by t2
   ResourceId rC;  // @S1, held by t3; t5 waits for it
   DdbProbeTag tag;
 };
 
-/// t5 (home S0) holds rA@S0 and waits for rC@S1, held by t3 (home S1, on
-/// no cycle).  t2 (home S1) holds rB@S1 and waits for rA@S0.  S1's
-/// computation for t2 reaches t5's home agent through t2's wait at S0,
-/// follows t5's request to S1 and dies at t3.  No cycle exists yet; t5
-/// asking S1 for rB would close t2 -> t5 -> t2.
+/// On a rig of ReachedCloser::kSites sites: t5 (home S0) holds rA@S0 and
+/// waits for rC@S1, held by t3 (home S1, on no cycle).  t2 (home S2) holds
+/// rB@S1 and waits for rA@S0.  S2's computation for t2 reaches t5's home
+/// agent through t2's wait at S0, follows t5's request to S1 and dies at
+/// t3.  No cycle exists yet; t5 asking S1 for rB would close
+/// t2 -> t5 -> t2.
+///
+/// Every wait here is on a running transaction, so no check starts a
+/// computation before T: t2 blocks while t5 still runs, and at S1 t2 only
+/// holds, on behalf of S2, so a request queued behind it there waits T too.
 ReachedCloser build_reached_closer(Rig& rig) {
-  ReachedCloser rc{res_at(0, 0, 2), res_at(1, 0, 2), res_at(1, 1, 2),
+  const std::uint32_t n = ReachedCloser::kSites;
+  ReachedCloser rc{res_at(0, 0, n), res_at(1, 0, n), res_at(1, 1, n),
                    DdbProbeTag{}};
   EXPECT_TRUE(rig.c(0).lock(t5, rc.rA, LockMode::kWrite));
-  EXPECT_TRUE(rig.c(1).lock(t2, rc.rB, LockMode::kWrite));
   EXPECT_TRUE(rig.c(1).lock(t3, rc.rC, LockMode::kWrite));
-  rig.c(0).lock(t5, rc.rC, LockMode::kWrite);  // t5 waits t3
-  rig.c(1).lock(t2, rc.rA, LockMode::kWrite);  // t2 waits t5
+  rig.c(2).lock(t2, rc.rB, LockMode::kWrite);
   rig.deliver_all();
+  EXPECT_TRUE(rig.c(1).locks().holds(rc.rB, t2));
+  rig.c(2).lock(t2, rc.rA, LockMode::kWrite);  // t2 waits t5
+  rig.deliver_all();
+  rig.c(0).lock(t5, rc.rC, LockMode::kWrite);  // t5 waits t3
+  rig.deliver_all();
+  for (std::uint32_t s = 0; s < n; ++s) {
+    EXPECT_EQ(rig.c(s).stats().computations_initiated, 0u) << "site " << s;
+  }
   rig.drop_timers();  // only the computation started below runs
   EXPECT_TRUE(rig.oracle_deadlocked().empty());
-  const std::optional<DdbProbeTag> tag = rig.c(1).initiate_for(t2);
+  const std::optional<DdbProbeTag> tag = rig.c(2).initiate_for(t2);
   EXPECT_TRUE(tag.has_value());
   rig.deliver_all();
   EXPECT_TRUE(rig.declared().empty());
@@ -478,10 +533,10 @@ ReachedCloser build_reached_closer(Rig& rig) {
 
 TEST(ControllerFollow, ReBlockClosingACycleIsDeclaredBeforeTheClosersCheck) {
   // t3 commits and t5, granted rC, asks S1 for rB.  The request's
-  // follow-up probe closes S1's walk at once, ahead of t5's own
-  // computation, whose probe queues behind it; the victim is t5, the
-  // youngest on the walk t2 -> t5 -> t2.
-  Rig rig(2, follow_options());
+  // follow-up probe reaches t2 at S1 and declares S2's walk there at once,
+  // ahead of t5's own computation, whose probe queues behind it; the
+  // victim is t5, the youngest on the walk t2 -> t5 -> t2.
+  Rig rig(ReachedCloser::kSites, follow_options());
   const ReachedCloser rc = build_reached_closer(rig);
   rig.c(1).finish(t3);
   rig.deliver_all();
@@ -505,7 +560,7 @@ TEST(ControllerFollow, NothingIsFollowedAfterCommitOrAbort) {
   // under its id continues nothing; after its abort the tombstone refuses
   // the request.
   for (const bool commit : {true, false}) {
-    Rig rig(2, follow_options());
+    Rig rig(ReachedCloser::kSites, follow_options());
     const ReachedCloser rc = build_reached_closer(rig);
     if (commit) {
       rig.c(0).finish(t5);
@@ -523,16 +578,16 @@ TEST(ControllerFollow, NothingIsFollowedAfterCommitOrAbort) {
 }
 
 TEST(ControllerFollow, ReachBelowItsInitiatorsFloorIsNotFollowed) {
-  // A probe of S1 carrying a floor above the recorded computation's
+  // A probe of S2 carrying a floor above the recorded computation's
   // sequence reaches S0 (on an edge that is not black there).  The
   // computation is stale, so t5's re-block continues nothing: the cycle
   // waits for a fresh computation.
-  Rig rig(2, follow_options());
+  Rig rig(ReachedCloser::kSites, follow_options());
   const ReachedCloser rc = build_reached_closer(rig);
   const std::uint64_t floor = rc.tag.sequence + 1;
-  const DdbProbeMsg newer{DdbProbeTag{SiteId{1}, floor}, floor, t3,
+  const DdbProbeMsg newer{DdbProbeTag{SiteId{2}, floor}, floor, t3,
                           false, t3, t3};
-  rig.inject(1, 0, encode(newer));
+  rig.inject(2, 0, encode(newer));
   ASSERT_EQ(rig.c(0).stats().meaningful_probes, 1u);  // only rc.tag's
   rig.c(1).finish(t3);
   rig.deliver_all();
@@ -553,11 +608,11 @@ TEST(ControllerFollow, NewRequestToASiteAskedBeforeIsProbedAgain) {
   // request to S1 is a new instance of that edge, so the follow probes it
   // again -- on the same channel, right behind the request.  (t5's own
   // computation, started at once because it was reached, probes it last.)
-  Rig rig(2, follow_options());
+  Rig rig(ReachedCloser::kSites, follow_options());
   const ReachedCloser rc = build_reached_closer(rig);
   rig.c(1).finish(t3);
   rig.deliver_all();
-  const ResourceId rD = res_at(1, 2, 2);  // free at S1
+  const ResourceId rD = res_at(1, 2, ReachedCloser::kSites);  // free at S1
 
   rig.c(0).lock(t5, rD, LockMode::kWrite);
   EXPECT_EQ(rig.c(0).stats().reaches_followed, 1u);
@@ -580,26 +635,28 @@ TEST(ControllerFollow, NewRequestToASiteAskedBeforeIsProbedAgain) {
 // ---- starting a reached transaction's computation at once ---------------------
 
 TEST(ControllerEager, ReachedReBlockClosesACycleTheFollowsCannotBeforeT) {
-  // t3 commits and t5, granted rC, takes rF@S0.  t6 (home S1) holds rE@S1
+  // t3 commits and t5, granted rC, takes rF@S0.  t6 (home S2) holds rE@S1
   // and waits for rF, held by t5; then t5 asks S1 for rE.  The cycle
   // t5 -> t6 -> t5 does not pass through t2 (t6 does not queue behind t2
   // for rA), so the followed computation of t2 cannot close it.  t5 was
   // reached, so its own computation starts at once and closes it; no timer
-  // fires.  The victim is t6, the youngest.
-  Rig rig(2, follow_options());
+  // fires.  The victim is t6, the youngest.  (t6 blocks while t5 runs, and
+  // at S1 it only holds, so no other check starts before T.)
+  Rig rig(ReachedCloser::kSites, follow_options());
   build_reached_closer(rig);
   const TransactionId t6{6};
-  const ResourceId rE = res_at(1, 2, 2);
-  const ResourceId rF = res_at(0, 2, 2);
-  ASSERT_TRUE(rig.c(1).lock(t6, rE, LockMode::kWrite));
+  const ResourceId rE = res_at(1, 2, ReachedCloser::kSites);
+  const ResourceId rF = res_at(0, 2, ReachedCloser::kSites);
+  rig.c(2).lock(t6, rE, LockMode::kWrite);
   rig.c(1).finish(t3);
   rig.deliver_all();
+  ASSERT_TRUE(rig.c(1).locks().holds(rE, t6));
   ASSERT_FALSE(rig.c(0).blocked(t5));
   ASSERT_TRUE(rig.c(0).lock(t5, rF, LockMode::kWrite));
-  rig.c(1).lock(t6, rF, LockMode::kWrite);
+  rig.c(2).lock(t6, rF, LockMode::kWrite);
   rig.deliver_all();
   rig.drop_timers();
-  ASSERT_TRUE(rig.c(0).locks().queued_from(t6, SiteId{1}));
+  ASSERT_TRUE(rig.c(0).locks().queued_from(t6, SiteId{2}));
 
   rig.c(0).lock(t5, rE, LockMode::kWrite);
   EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
@@ -614,33 +671,41 @@ TEST(ControllerEager, ReachedReBlockClosesACycleTheFollowsCannotBeforeT) {
 }
 
 TEST(ControllerEager, UnreachedBlockWaitsForT) {
-  // t1 (home S0) queues behind t5 for rA.  No computation has reached t1's
-  // home agent, so its computation waits T, while t5, reached, starts its
-  // own at once when it blocks again.
-  Rig rig(2, follow_options());
-  const ReachedCloser rc = build_reached_closer(rig);
+  // t5, granted rC, takes rG@S0, and t1 (home S0) queues behind it.  No
+  // computation has reached t1's home agent, and t5 runs, so t1's
+  // computation waits T, while t5, reached, starts its own at once when it
+  // blocks again.  (t1 queues for rG, not rA: behind t2's queued request
+  // for rA it would wait on a blocked transaction and start at once.)
+  Rig rig(ReachedCloser::kSites, follow_options());
+  build_reached_closer(rig);
   rig.c(1).finish(t3);
   rig.deliver_all();
   rig.drop_timers();
+  const ResourceId rG = res_at(0, 1, ReachedCloser::kSites);
+  ASSERT_TRUE(rig.c(0).lock(t5, rG, LockMode::kWrite));
 
-  rig.c(0).lock(t1, rc.rA, LockMode::kWrite);
+  rig.c(0).lock(t1, rG, LockMode::kWrite);
   EXPECT_TRUE(rig.c(0).blocked(t1));
   EXPECT_EQ(rig.c(0).stats().computations_initiated, 0u);
   EXPECT_EQ(rig.c(0).stats().eager_initiations, 0u);
   rig.fire_timers();  // t1's check, T later
   EXPECT_EQ(rig.c(0).stats().computations_initiated, 1u);
 
-  rig.c(0).lock(t5, res_at(1, 2, 2), LockMode::kWrite);
+  rig.c(0).lock(t5, res_at(1, 2, ReachedCloser::kSites), LockMode::kWrite);
   EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
   EXPECT_EQ(rig.c(0).stats().computations_initiated, 2u);
 }
 
 TEST(ControllerEager, ReachedWaiterReArmedByAGrantReshuffleStartsAtOnce) {
-  // At S0: t5 holds rA; t6 holds rE, and t7 (read) and t5 (write) queue
-  // for it; t2 (home S1) queues for rA.  S1's computation for t2 reaches
+  // At S0: t5 holds rA; t2 (home S1) queues for rA; t6 holds rE, and t7
+  // (read) and t5 (write) queue for it.  S1's computation for t2 reaches
   // t5's home agent.  When t6 commits, t7 is granted and t5 now waits on
   // t7: no lock() call, but the re-armed check of t5 starts its
-  // computation at once.
+  // computation at once.  t7 then runs, so the reach alone starts it.
+  //
+  // t2 queues while t5 still runs, so S0 starts nothing for it.  t5 queues
+  // behind t7's queued request, so its first check starts a computation at
+  // once; the re-arm must start a second.
   Rig rig(2, follow_options());
   const TransactionId t6{6};
   const TransactionId t7{7};
@@ -648,21 +713,25 @@ TEST(ControllerEager, ReachedWaiterReArmedByAGrantReshuffleStartsAtOnce) {
   const ResourceId rE = res_at(0, 1, 2);
   ASSERT_TRUE(rig.c(0).lock(t5, rA, LockMode::kWrite));
   ASSERT_TRUE(rig.c(0).lock(t6, rE, LockMode::kWrite));
-  EXPECT_FALSE(rig.c(0).lock(t7, rE, LockMode::kRead));
-  EXPECT_FALSE(rig.c(0).lock(t5, rE, LockMode::kWrite));
   rig.c(1).lock(t2, rA, LockMode::kWrite);
   rig.deliver_all();
+  ASSERT_EQ(rig.c(0).stats().computations_initiated, 0u);
+  EXPECT_FALSE(rig.c(0).lock(t7, rE, LockMode::kRead));
+  EXPECT_FALSE(rig.c(0).lock(t5, rE, LockMode::kWrite));
+  rig.deliver_all();
   rig.drop_timers();
+  ASSERT_EQ(rig.c(0).stats().eager_initiations, 1u);
+  ASSERT_EQ(rig.c(0).stats().computations_initiated, 1u);
   ASSERT_TRUE(rig.c(1).initiate_for(t2).has_value());
   rig.deliver_all();
   ASSERT_EQ(rig.c(0).stats().meaningful_probes, 1u);
-  ASSERT_EQ(rig.c(0).stats().computations_initiated, 0u);
+  ASSERT_EQ(rig.c(0).stats().computations_initiated, 1u);
 
   rig.c(0).finish(t6);
   ASSERT_TRUE(rig.c(0).locks().holds(rE, t7));
   ASSERT_TRUE(rig.c(0).blocked(t5));
-  EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
-  EXPECT_EQ(rig.c(0).stats().computations_initiated, 1u);
+  EXPECT_EQ(rig.c(0).stats().eager_initiations, 2u);
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 2u);
   rig.deliver_all();
   EXPECT_TRUE(rig.declared().empty());
 }
@@ -670,8 +739,9 @@ TEST(ControllerEager, ReachedWaiterReArmedByAGrantReshuffleStartsAtOnce) {
 TEST(ControllerEager, NonHomeAgentQueuedByAForwardedRequestWaitsForT) {
   // t3 commits and t5, reached at its home S0, asks S1 for rB, held by
   // t2.  S0 starts t5's computation at once.  At S1 the forwarded request
-  // queues (S1's agent of t5 is not its home), and S1's check waits T.
-  Rig rig(2, follow_options());
+  // queues (S1's agent of t5 is not its home, and t2 only holds there), and
+  // S1's check waits T.
+  Rig rig(ReachedCloser::kSites, follow_options());
   const ReachedCloser rc = build_reached_closer(rig);
   rig.c(1).finish(t3);
   rig.deliver_all();
@@ -685,6 +755,84 @@ TEST(ControllerEager, NonHomeAgentQueuedByAForwardedRequestWaitsForT) {
   ASSERT_TRUE(rig.c(1).locks().queued_from(t5, SiteId{0}));
   EXPECT_EQ(rig.c(1).stats().eager_initiations, 0u);
   EXPECT_EQ(rig.c(1).stats().computations_initiated, s1_computations);
+}
+
+// ---- starting a wait on a blocked transaction at once -------------------------
+
+TEST(ControllerEager, WaitOnABlockedTransactionStartsAtOnce) {
+  // t1 (home S0) holds rA@S0 and waits for rB@S1, held by t2 (home S1),
+  // which still runs: S1 queues t1's request and waits T.  Then t2 asks S0
+  // for rA.  The request queues behind t1, which is blocked, so S0 starts
+  // a computation at once, and it closes t1 -> t2 -> t1 with no timer
+  // fired.  No computation had reached anyone.  The victim is t2, the
+  // youngest, declared at S1, where the walk first reaches t2.
+  Rig rig(2, follow_options());
+  const ResourceId rA = res_at(0, 0, 2);
+  const ResourceId rB = res_at(1, 0, 2);
+  ASSERT_TRUE(rig.c(0).lock(t1, rA, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(1).lock(t2, rB, LockMode::kWrite));
+  rig.c(0).lock(t1, rB, LockMode::kWrite);
+  rig.deliver_all();
+  ASSERT_TRUE(rig.c(1).locks().queued_from(t1, SiteId{0}));
+  EXPECT_EQ(rig.c(1).stats().computations_initiated, 0u);
+
+  rig.c(1).lock(t2, rA, LockMode::kWrite);
+  EXPECT_EQ(rig.c(1).stats().computations_initiated, 0u);  // t2's: T
+  rig.deliver_one(1, 0);  // the request
+  EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 1u);
+  rig.deliver_all();  // no timer fires
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].victim, t2);
+  EXPECT_EQ(rig.declared()[0].site, SiteId{1});
+  EXPECT_EQ(rig.declared()[0].tag.initiator, SiteId{0});
+  EXPECT_EQ(rig.c(0).stats().reaches_followed, 0u);
+  EXPECT_TRUE(rig.oracle_deadlocked().empty());
+  EXPECT_TRUE(rig.c(1).locks().holds(rB, t1));
+}
+
+TEST(ControllerEager, WaitOnRunningTransactionsWaitsForT) {
+  // t1 and t3 read rA@S0; t2 (home S1) asks S0 to write it.  The request
+  // queues behind two running readers, and t2's home agent waits only on
+  // the remote grant: no computation starts and no probe is sent until the
+  // timers fire.
+  Rig rig(2, follow_options());
+  const ResourceId rA = res_at(0, 0, 2);
+  ASSERT_TRUE(rig.c(0).lock(t1, rA, LockMode::kRead));
+  ASSERT_TRUE(rig.c(0).lock(t3, rA, LockMode::kRead));
+  rig.c(1).lock(t2, rA, LockMode::kWrite);
+  rig.deliver_all();
+  ASSERT_TRUE(rig.c(0).locks().queued_from(t2, SiteId{1}));
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(rig.c(s).stats().computations_initiated, 0u) << "site " << s;
+    EXPECT_EQ(rig.c(s).stats().eager_initiations, 0u) << "site " << s;
+    EXPECT_EQ(rig.c(s).stats().probes_sent, 0u) << "site " << s;
+  }
+
+  rig.fire_timers();  // S0's check of (t2, S0) and S1's of t2's home agent
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 1u);
+  EXPECT_EQ(rig.c(1).stats().computations_initiated, 1u);
+  EXPECT_EQ(rig.c(1).stats().probes_sent, 1u);
+  rig.deliver_all();
+  EXPECT_TRUE(rig.declared().empty());
+}
+
+TEST(ControllerEager, RequestQueuedBehindAQueuedWaiterStartsAtOnce) {
+  // FIFO queues: t1 holds rA@S0 and runs; t2 queues behind it and waits T;
+  // t3 queues behind t2's conflicting request, so it waits on a blocked
+  // transaction and starts its computation at once.
+  Rig rig(2, follow_options());
+  const ResourceId rA = res_at(0, 0, 2);
+  ASSERT_TRUE(rig.c(0).lock(t1, rA, LockMode::kRead));
+  EXPECT_FALSE(rig.c(0).lock(t2, rA, LockMode::kWrite));
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 0u);
+  EXPECT_FALSE(rig.c(0).lock(t3, rA, LockMode::kRead));
+  EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 1u);
+  rig.fire_timers();  // t2's check, T later
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 2u);
+  EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
+  EXPECT_TRUE(rig.declared().empty());
 }
 
 TEST(ControllerProbe, InitiateForUnblockedProcessReturnsNothing) {

@@ -1,8 +1,12 @@
-// TxnWorkload driver: retry-on-abort, client lock-wait timeouts, and the
-// q-optimization on/off behavioural equivalence under random load.
+// TxnWorkload driver: retry-on-abort, client lock-wait timeouts, the
+// controllers' queued-request counts under load, and the q-optimization
+// on/off behavioural equivalence under random load.
 #include "ddb/workload.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 namespace cmh::ddb {
 namespace {
@@ -78,6 +82,57 @@ TEST(TxnWorkload, ClientTimeoutResolvesWithoutDetector) {
   EXPECT_EQ(r.committed + r.given_up, 8u);
   EXPECT_EQ(db.total_stats().probes_sent, 0u);
   EXPECT_TRUE(db.oracle_deadlocked().empty());
+}
+
+TEST(TxnWorkload, QueuedCountsMatchTheLockTablesAfterEveryEvent) {
+  // Controller::blocked() reads a per-transaction count of queued requests
+  // instead of scanning the lock table.  After every event of T5-shaped
+  // episodes (victim aborts, retries, grant reshuffles), each site's count
+  // must equal its lock table's, and blocked() must agree with the scan.
+  constexpr std::uint32_t kClients = 24;
+  for (const std::uint32_t hot_set : {8u, 16u}) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      Cluster db({.n_sites = 4,
+                  .n_resources = hot_set,
+                  .options = detecting(),
+                  .seed = seed});
+      TxnScriptConfig cfg;
+      cfg.locks_per_txn = 3;
+      cfg.write_fraction = 0.8;
+      cfg.hot_set = hot_set;
+      cfg.max_retries = 25;
+      TxnWorkload workload(db, cfg, seed * 7 + 3);
+      workload.start(kClients);
+      // Every attempt takes a fresh id below this bound.
+      const std::uint32_t ids = kClients * (cfg.max_retries + 1);
+      std::vector<std::uint32_t> in_table(ids);
+      std::uint64_t events = 0;
+      std::uint64_t queued_seen = 0;
+      while (db.simulator().step()) {
+        ++events;
+        for (std::uint32_t s = 0; s < db.n_sites(); ++s) {
+          const Controller& c = db.controller(SiteId{s});
+          std::fill(in_table.begin(), in_table.end(), 0u);
+          c.locks().for_each_queued([&](ResourceId, const LockRequest& r) {
+            ++in_table.at(r.txn.value());
+          });
+          for (std::uint32_t t = 0; t < ids; ++t) {
+            const TransactionId txn{t};
+            ASSERT_EQ(c.queued_count(txn), in_table[t])
+                << "hot set " << hot_set << " seed " << seed << " event "
+                << events << " site " << s << " txn " << t;
+            ASSERT_EQ(in_table[t] > 0, c.locks().queued(txn));
+            ASSERT_EQ(c.blocked(txn),
+                      in_table[t] > 0 || !c.pending_remote_sites(txn).empty());
+            queued_seen += in_table[t];
+          }
+        }
+      }
+      EXPECT_EQ(workload.result().committed, kClients);
+      EXPECT_GT(workload.result().aborted, 0u);
+      EXPECT_GT(queued_seen, 0u);
+    }
+  }
 }
 
 class QOptEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
