@@ -1,8 +1,9 @@
 // Closure-to-declaration latency of DDB deadlock detection against the
-// initiation delay T (EXPERIMENTS.md P6, P7, P8 and P10), and what each
-// declaration names at its instant.  T delays only the computations of
-// waits on transactions running at the waiter's site that no live
-// computation has reached (DESIGN.md section 4b, notes 5 and 7).
+// initiation delay T (EXPERIMENTS.md P6, P7, P8 and P10), what each
+// declaration names at its instant, and the retry tail (P11).  T delays
+// only the computations of waits on transactions running at the waiter's
+// site that no live computation has reached (DESIGN.md section 4b, notes
+// 5 and 7).
 //
 //   bench_closure_latency [--first-seed S] [--seeds N] [--episodes E]
 //
@@ -28,6 +29,11 @@
 // abort a live transaction for nothing.  "named before" counts the last
 // kind whose victim an earlier declaration had already named (its abort is
 // on its way).
+//
+// The third table is the retry tail of the same episodes: the share of
+// commits whose client needed at least 5 retries, the most retries any
+// commit needed, and the mean number of locks a declared victim held at
+// the declaration's instant (the work its abort throws away).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -133,6 +139,10 @@ class ClosureClients {
     return latencies_ms_;
   }
   [[nodiscard]] const DeclarationKinds& kinds() const { return kinds_; }
+  [[nodiscard]] const std::vector<std::uint32_t>& commit_retries() const {
+    return commit_retries_;
+  }
+  [[nodiscard]] std::uint64_t victim_locks() const { return victim_locks_; }
 
  private:
   struct Client {
@@ -209,6 +219,9 @@ class ClosureClients {
   void on_detection(const ddb::DdbDetection& d) {
     if (locking_) note_closure();
     classify(d.victim);
+    for (std::uint32_t r = 0; r < hot_set_; ++r) {
+      if (db_.granted(d.victim, ResourceId{r})) ++victim_locks_;
+    }
     const auto it =
         std::find_if(open_.begin(), open_.end(), [&](const Closure& c) {
           return std::binary_search(c.newly.begin(), c.newly.end(), d.victim);
@@ -269,6 +282,7 @@ class ClosureClients {
     owner_.erase(txn);
     c.txn.reset();
     ++committed_;
+    commit_retries_.push_back(c.retries);
   }
 
   ddb::Cluster& db_;
@@ -282,6 +296,8 @@ class ClosureClients {
   std::vector<double> latencies_ms_;
   std::unordered_set<TransactionId> named_;  // victims declared so far
   DeclarationKinds kinds_;
+  std::vector<std::uint32_t> commit_retries_;  // the client's, per commit
+  std::uint64_t victim_locks_{0};  // held by each declared victim, summed
   std::uint64_t committed_{0};
   std::uint64_t failed_{0};
 };
@@ -289,6 +305,8 @@ class ClosureClients {
 struct Row {
   std::vector<double> latencies_ms;
   DeclarationKinds kinds;
+  std::vector<std::uint32_t> commit_retries;
+  std::uint64_t victim_locks{0};
   std::uint64_t committed{0};
   std::uint64_t failed{0};
   double sim_s{0};
@@ -315,6 +333,10 @@ Row run(std::uint32_t hot_set, SimTime delay, std::uint64_t first_seed,
       row.committed += clients.committed();
       row.failed += clients.failed();
       row.kinds += clients.kinds();
+      row.commit_retries.insert(row.commit_retries.end(),
+                                clients.commit_retries().begin(),
+                                clients.commit_retries().end());
+      row.victim_locks += clients.victim_locks();
       row.latencies_ms.insert(row.latencies_ms.end(),
                               clients.latencies_ms().begin(),
                               clients.latencies_ms().end());
@@ -369,6 +391,10 @@ int main(int argc, char** argv) {
       "episodes)",
       {"hot set", "T (ms)", "declarations", "on a cycle", "already over",
        "active, on no cycle", "named before"});
+  bench::Table retries_table(
+      "Retry tail and the work victims held (same episodes)",
+      {"hot set", "T (ms)", "commits", "share >= 5 retries", "max retries",
+       "locks held per declared victim"});
   std::uint64_t failed = 0;
   for (const std::uint32_t hot : {16u, 32u}) {
     for (const std::int64_t t_ms : {0, 1, 2}) {
@@ -401,14 +427,36 @@ int main(int argc, char** argv) {
                        per_commit(k.on_cycle), per_commit(k.over),
                        per_commit(k.active_off_cycle),
                        per_commit(k.named_before)});
+      const auto& retries = row.commit_retries;
+      const auto tail = std::count_if(retries.begin(), retries.end(),
+                                      [](std::uint32_t n) { return n >= 5; });
+      const std::uint64_t declarations =
+          k.on_cycle + k.over + k.active_off_cycle;
+      retries_table.row(
+          {fmt(hot), fmt(t_ms), fmt(retries.size()),
+           retries.empty()
+               ? "-"
+               : fmt(100.0 * static_cast<double>(tail) /
+                         static_cast<double>(retries.size()),
+                     2) + "%",
+           fmt(retries.empty()
+                   ? 0u
+                   : *std::max_element(retries.begin(), retries.end())),
+           fmt(declarations > 0 ? static_cast<double>(row.victim_locks) /
+                                      static_cast<double>(declarations)
+                                : 0.0,
+               3)});
     }
   }
   table.print();
   kinds_table.print();
+  retries_table.print();
   std::printf(
       "Expected shape: latency and the share waiting at least T grow with T\n"
       "and commits per simulated second fall; a cycle closed by a wait on a\n"
       "transaction blocked at the waiter's site, or by a transaction that a\n"
-      "live computation had reached, is declared without waiting T.\n");
+      "live computation had reached, is declared without waiting T.  Victims\n"
+      "hold few locks (the fewest on their cycle), and few commits need many\n"
+      "retries.\n");
   return failed == 0 ? 0 : 1;
 }

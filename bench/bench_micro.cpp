@@ -105,8 +105,8 @@ void BM_DdbHandleProbe(benchmark::State& state) {
   // One meaningful probe of a foreign computation at a warmed-up DDB
   // controller: stale-floor pruning, the section-6.5 black-edge check,
   // intra-reachability, labelling and one forwarded probe.  Local picture
-  // at S0: t1 holds r0 and waits for r1@S1; t2, forwarded from S1, is
-  // queued on r0 behind t1.
+  // at S0: t1 holds r0 and waits for r1@S1; t2, forwarded from S1 while
+  // it holds one lock there, is queued on r0 behind t1.
   ddb::DdbOptions options;
   options.initiation = ddb::DdbInitiation::kManual;
   options.abort_victim = false;
@@ -120,7 +120,7 @@ void BM_DdbHandleProbe(benchmark::State& state) {
   (void)c.lock(t1, ResourceId{1}, ddb::LockMode::kWrite);
   if (!c.on_message(SiteId{1},
                     ddb::encode_small(ddb::RemoteLockRequestMsg{
-                                          t2, ResourceId{0},
+                                          t2, ResourceId{0}, 1,
                                           ddb::LockMode::kWrite})
                         .view())
            .ok()) {
@@ -132,7 +132,7 @@ void BM_DdbHandleProbe(benchmark::State& state) {
     ++seq;
     const ddb::DdbFrame probe = ddb::encode_small(
         ddb::DdbProbeMsg{ddb::DdbProbeTag{SiteId{1}, seq}, seq, t2, false,
-                         t2, t2});
+                         t2, 1, t2});
     benchmark::DoNotOptimize(c.on_message(SiteId{1}, probe.view()));
   }
   benchmark::DoNotOptimize(sink);

@@ -35,6 +35,11 @@ using BytesView = std::span<const std::uint8_t>;
 
 namespace detail {
 
+inline void store_u16(std::uint8_t* out, std::uint16_t v) {
+  out[0] = static_cast<std::uint8_t>(v);
+  out[1] = static_cast<std::uint8_t>(v >> 8);
+}
+
 inline void store_u32(std::uint8_t* out, std::uint32_t v) {
   out[0] = static_cast<std::uint8_t>(v);
   out[1] = static_cast<std::uint8_t>(v >> 8);
@@ -46,6 +51,10 @@ inline void store_u64(std::uint8_t* out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
+}
+
+[[nodiscard]] inline std::uint16_t load_u16(const std::uint8_t* in) {
+  return static_cast<std::uint16_t>(in[0] | in[1] << 8);
 }
 
 [[nodiscard]] inline std::uint32_t load_u32(const std::uint8_t* in) {
@@ -91,6 +100,12 @@ class Writer {
   void reserve(std::size_t n) { out_->reserve(out_->size() + n); }
 
   void u8(std::uint8_t v) { out_->push_back(v); }
+
+  void u16(std::uint16_t v) {
+    std::uint8_t b[2];
+    detail::store_u16(b, v);
+    append(b, 2);
+  }
 
   void u32(std::uint32_t v) {
     std::uint8_t b[4];
@@ -158,6 +173,12 @@ class StackWriter {
     buf_[len_++] = v;
   }
 
+  void u16(std::uint16_t v) {
+    assert(len_ + 2 <= N);
+    detail::store_u16(buf_.data() + len_, v);
+    len_ += 2;
+  }
+
   void u32(std::uint32_t v) {
     assert(len_ + 4 <= N);
     detail::store_u32(buf_.data() + len_, v);
@@ -202,6 +223,13 @@ class Reader {
   Status u8(std::uint8_t& v) {
     if (remaining() < 1) return truncated();
     v = data_[pos_++];
+    return Status::Ok();
+  }
+
+  Status u16(std::uint16_t& v) {
+    if (remaining() < 2) return truncated();
+    v = detail::load_u16(data_ + pos_);
+    pos_ += 2;
     return Status::Ok();
   }
 
@@ -261,6 +289,13 @@ class Reader {
   [[nodiscard]] std::uint8_t u8_unchecked() {
     assert(remaining() >= 1);
     return data_[pos_++];
+  }
+
+  [[nodiscard]] std::uint16_t u16_unchecked() {
+    assert(remaining() >= 2);
+    const std::uint16_t v = detail::load_u16(data_ + pos_);
+    pos_ += 2;
+    return v;
   }
 
   [[nodiscard]] std::uint32_t u32_unchecked() {

@@ -80,6 +80,10 @@ class Cluster {
   [[nodiscard]] bool granted(TransactionId txn, ResourceId resource) const;
   [[nodiscard]] bool all_granted(TransactionId txn) const;
   [[nodiscard]] SiteId home_of(TransactionId txn) const;
+  /// Transactions begun so far; their ids are 0 up to this count.
+  [[nodiscard]] std::uint32_t transactions_begun() const {
+    return static_cast<std::uint32_t>(txns_.size());
+  }
 
   /// Observer invoked when a lock is granted to a transaction (after the
   /// cluster's own bookkeeping).  Workload drivers use this to advance.

@@ -6,6 +6,7 @@
 #include "ddb/controller.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -16,6 +17,11 @@ namespace {
 // Transaction ids are handed out densely; one this far past the highest id
 // seen is a corrupt frame, not a transaction, and must not size the table.
 constexpr std::uint64_t kMaxTxnIdGap = std::uint64_t{1} << 20;
+
+// One more lock granted, saturating at the wire field's range.
+void count_grant(LockCount& held) {
+  if (held < std::numeric_limits<LockCount>::max()) ++held;
+}
 
 // Position of `key` in a vector of (key, value) pairs sorted by key.
 template <typename Pairs, typename Key>
@@ -158,8 +164,11 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
   const SiteId owner = resource_map_(resource);
   if (owner == id_) {
     ++stats_.local_requests;
+    const bool upgrade =
+        mode == LockMode::kWrite && locks_.holds(resource, txn);
     const AcquireResult r = locks_.acquire(resource, txn, mode, id_);
     if (r != AcquireResult::kQueued) {
+      if (r == AcquireResult::kGranted && !upgrade) count_grant(s.held);
       // An in-place read->write upgrade can create fresh conflicts with
       // already-queued readers; re-arm detection for them.
       if (mode == LockMode::kWrite) rearm_waiters(resource);
@@ -184,7 +193,8 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
     pending.insert(it, PendingRemote{owner, 1});
   }
   ++stats_.remote_requests_sent;
-  send_(owner, encode_small(RemoteLockRequestMsg{txn, resource, mode}).view());
+  send_(owner,
+        encode_small(RemoteLockRequestMsg{txn, resource, s.held, mode}).view());
   // The follow-up probes travel behind the request on the same channel.
   follow_reaches(txn);
   schedule_block_check(txn);
@@ -208,6 +218,7 @@ void Controller::purge_local(TransactionId txn) {
     s.own_latest = 0;
     s.own_previous = 0;
     s.own_in_floor = false;
+    s.held = 0;
   }
 }
 
@@ -299,8 +310,11 @@ void Controller::handle_lock_request(SiteId from,
     return;
   }
   // The forwarded request is queued: agent (txn, here) is now blocked on
-  // local holders, i.e. new intra edges appeared.
-  ++slot_for(msg.txn).queued;
+  // local holders, i.e. new intra edges appeared.  txn waits on it, so the
+  // count it carries stays txn's count as long as it is queued.
+  TxnSlot& s = slot_for(msg.txn);
+  ++s.queued;
+  s.held = msg.held;
   schedule_block_check(msg.txn);
 }
 
@@ -312,6 +326,8 @@ void Controller::handle_grant(SiteId from, const RemoteLockGrantMsg& msg) {
   // at `from`.  Recording the holding or reporting the grant would make an
   // aborted transaction look like a lock holder.
   if (s.aborted) return;
+  // A remote upgrade counts too: the grant frame does not tell it apart.
+  count_grant(s.held);
   s.remote_holdings.insert(from);
   const auto it = std::find_if(
       s.pending.begin(), s.pending.end(),
@@ -328,14 +344,19 @@ void Controller::handle_purge(SiteId /*from*/, const PurgeTxnMsg& msg) {
 
 void Controller::dispatch_grants(const GrantList& grants) {
   // Every count is settled before the first callback can re-enter.
-  for (const Grant& g : grants) --txns_[g.request.txn.value()].queued;
-  for (const auto& [resource, req] : grants) {
+  for (const Grant& g : grants) {
+    TxnSlot& s = txns_[g.request.txn.value()];
+    --s.queued;
+    if (g.request.origin == id_ && !g.upgrade) count_grant(s.held);
+  }
+  for (const Grant& g : grants) {
+    const LockRequest& req = g.request;
     if (req.origin == id_) {
-      if (on_grant_) on_grant_(req.txn, resource);
+      if (on_grant_) on_grant_(req.txn, g.resource);
     } else {
       ++stats_.grants_sent;
       send_(req.origin,
-            encode_small(RemoteLockGrantMsg{req.txn, resource}).view());
+            encode_small(RemoteLockGrantMsg{req.txn, g.resource}).view());
     }
   }
   // A grant reshuffles the waits-for relation: transactions still queued on
@@ -365,6 +386,11 @@ std::uint32_t Controller::queued_count(TransactionId txn) const {
   return s != nullptr ? s->queued : 0;
 }
 
+LockCount Controller::lock_count(TransactionId txn) const {
+  const TxnSlot* s = slot(txn);
+  return s != nullptr ? s->held : 0;
+}
+
 void Controller::incoming_black_processes(
     std::vector<TransactionId>& out) const {
   out.clear();
@@ -391,22 +417,36 @@ FlatSet<SiteId, 8> Controller::pending_remote_sites(TransactionId txn) const {
   return result;
 }
 
+VictimKey Controller::extend(const VictimKey& best, TransactionId txn) const {
+  // Where txn waits, its count is frozen (DESIGN.md section 4f): at its
+  // home it blocks on its request, and elsewhere the request that queued
+  // here carried the home's count.
+  if (!blocked(txn)) return best;
+  const VictimKey key{txn, txns_[txn.value()].held};
+  return better_victim(key, best) ? key : best;
+}
+
 std::optional<TransactionId> Controller::intra_reachable(TransactionId txn,
-                                                         TransactionId best) {
+                                                         VictimKey best) {
   locks_.wait_edges(edges_);
   paths_.clear();
-  paths_.push_back({txn, std::max(best, txn)});
-  std::optional<TransactionId> cycle;
+  paths_.push_back({txn, best, extend(best, txn)});
+  std::optional<VictimKey> cycle;
   for (std::size_t head = 0; head < paths_.size(); ++head) {
     const PathBest u = paths_[head];
     const auto [lo, hi] = out_edges(edges_, u.txn);
     for (const WaitEdge* e = lo; e != hi; ++e) {
       const TransactionId v = e->second;
-      if (v == txn) cycle = std::max(cycle.value_or(u.best), u.best);
-      if (reached(v) == nullptr) paths_.push_back({v, std::max(u.best, v)});
+      if (v == txn && (!cycle || better_victim(u.best, *cycle))) {
+        cycle = u.best;
+      }
+      if (reached(v) == nullptr) {
+        paths_.push_back({v, u.best, extend(u.best, v)});
+      }
     }
   }
-  return cycle;
+  if (!cycle) return std::nullopt;
+  return cycle->txn;
 }
 
 const Controller::PathBest* Controller::reached(TransactionId txn) const {
@@ -416,7 +456,8 @@ const Controller::PathBest* Controller::reached(TransactionId txn) const {
 }
 
 bool Controller::declare_local_cycle(TransactionId txn, TxnSet* declared) {
-  const std::optional<TransactionId> victim = intra_reachable(txn, txn);
+  const std::optional<TransactionId> victim =
+      intra_reachable(txn, VictimKey{txn, lock_count(txn)});
   if (!victim) return false;
   if (declared != nullptr && !declared->insert(*victim)) return true;
   // Step A0: black cycle of intra-controller edges, no probes needed.
@@ -500,7 +541,9 @@ void Controller::send_probes(
     const DdbProbeTag& tag, Computation& comp,
     const std::vector<PathBest>& processes,
     std::optional<TransactionId> skip_release_wait_for) {
-  for (const auto [txn, best] : processes) {
+  for (const PathBest& path : processes) {
+    const TransactionId txn = path.txn;
+    const VictimKey best = path.best;
     // Acquisition edges: (txn, here) awaits grants from remote controllers.
     if (const TxnSlot* s = slot(txn)) {
       for (const PendingRemote& p : s->pending) {
@@ -509,7 +552,8 @@ void Controller::send_probes(
         CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " acq " << txn
                                << " to " << p.site;
         send_(p.site, encode_small(DdbProbeMsg{tag, comp.floor, txn, false,
-                                               best, comp.target})
+                                               best.txn, best.held,
+                                               comp.target})
                           .view());
       }
     }
@@ -524,8 +568,8 @@ void Controller::send_probes(
       ++stats_.probes_sent;
       CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " rel " << txn
                              << " to " << origin;
-      send_(origin, encode_small(DdbProbeMsg{tag, comp.floor, txn, true, best,
-                                             comp.target})
+      send_(origin, encode_small(DdbProbeMsg{tag, comp.floor, txn, true,
+                                             best.txn, best.held, comp.target})
                         .view());
     }
   }
@@ -565,11 +609,11 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
                           ? find_computation(msg.tag)
                           : &computation(msg.tag, msg.target, msg.floor);
   if (comp == nullptr) return;
-  advance(msg.tag, *comp, txn, msg.candidate);
+  advance(msg.tag, *comp, txn, VictimKey{msg.candidate, msg.candidate_held});
 }
 
 void Controller::advance(const DdbProbeTag& tag, Computation& comp,
-                         TransactionId txn, TransactionId candidate) {
+                         TransactionId txn, VictimKey candidate) {
   // Steps A1/A2: label (txn, here) and everything intra-reachable.
   //
   // The label is the *fresh* reachable set of this receipt; nothing from
@@ -580,17 +624,17 @@ void Controller::advance(const DdbProbeTag& tag, Computation& comp,
   // that never coexisted (a false deadlock).  probes_sent keeps each edge
   // to one probe per computation.
   //
-  // The candidate so far is the youngest transaction on the walk up to txn;
-  // each newly reachable agent extends it along its BFS-tree path, so the
-  // candidate always names a transaction on the walk the probe follows,
-  // never one that is merely reachable from it.
+  // The candidate so far is the best victim on the walk up to txn; each
+  // newly reachable agent that waits here extends it along its BFS-tree
+  // path, so the candidate always names a transaction on the walk the probe
+  // follows, never one that is merely reachable from it.
   intra_reachable(txn, candidate);
 
   Computation* c = &comp;
   if (tag.initiator == id_) {
     if (const PathBest* closing = reached(c->target)) {
       retire_own(tag.sequence);
-      close_walk(closing->best, closing->txn, tag);
+      close_walk(closing->best.txn, closing->txn, tag);
       return;
     }
   } else if (!c->closed_early && c->target != txn) {
@@ -603,7 +647,7 @@ void Controller::advance(const DdbProbeTag& tag, Computation& comp,
     if (const PathBest* closing = reached(c->target)) {
       c->closed_early = true;
       ++stats_.early_closures;
-      declare(closing->best, tag);
+      declare(closing->best.txn, tag);
       // The abort can re-enter the controller (its grants re-arm block
       // checks, which start computations): the pool may have grown and
       // paths_ been rebuilt.  Continue as a probe arriving now would.
@@ -630,7 +674,8 @@ void Controller::record_reaches(const DdbProbeTag& tag,
   // Under kManual the harness owns every detection step, and a re-block
   // continues nothing (follow_reaches), so there is nothing to record.
   if (options_.initiation == DdbInitiation::kManual) return;
-  for (const auto [txn, best] : paths_) {
+  for (const PathBest& path : paths_) {
+    const TransactionId txn = path.txn;
     // The target's own walk is empty: following it from the target would
     // "close" at once.  At every site: elsewhere the walk reaches the
     // target's agent either through an intra edge, and has closed there,
@@ -647,7 +692,7 @@ void Controller::record_reaches(const DdbProbeTag& tag,
     } else if (reaches.size() == kReachesPerTxn) {
       reaches.erase(reaches.begin());  // the oldest recorded
     }
-    reaches.push_back(Reach{tag, best});
+    reaches.push_back(Reach{tag, path.before});
   }
 }
 
@@ -673,7 +718,9 @@ void Controller::follow_reaches(TransactionId txn) {
       comp->probes_sent.erase(AgentId{txn, p.site});
     }
     ++stats_.reaches_followed;
-    advance(r.tag, *comp, txn, r.candidate);
+    // The walk resumes from the candidate it had before txn: advance()
+    // keys txn afresh, with the locks it was granted before blocking again.
+    advance(r.tag, *comp, txn, r.before);
   }
 }
 
@@ -760,6 +807,13 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
   mix(0xC2);
 
   for (std::uint32_t t = 0; t < txns_.size(); ++t) {
+    if (txns_[t].held == 0) continue;
+    mix(t);
+    mix(txns_[t].held);
+  }
+  mix(0xC9);
+
+  for (std::uint32_t t = 0; t < txns_.size(); ++t) {
     if (txns_[t].pending.empty()) continue;
     mix(t);
     for (const PendingRemote& p : txns_[t].pending) {
@@ -783,7 +837,8 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
     for (const Reach& r : txns_[t].reaches) {
       mix(r.tag.initiator.value());
       mix(r.tag.sequence);
-      mix(r.candidate.value());
+      mix(r.before.txn.value());
+      mix(r.before.held);
     }
   }
   mix(0xC8);

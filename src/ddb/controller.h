@@ -9,10 +9,11 @@
 //     local intra-controller graph and the inter-controller edges,
 //   * optionally abort detected victims (resolution) -- the paper defers
 //     "how deadlocks should be broken" to [3,6].  Probes elect the victim:
-//     each carries the youngest transaction (highest dense id) on the path
-//     it has travelled, and that transaction is declared when the walk
-//     closes, so every computation that closes the same cycle aborts the
-//     same one (DESIGN.md, victim election).
+//     each carries the best victim among the transactions waiting on the
+//     path it has travelled -- the one holding the fewest locks, ties to
+//     the youngest (highest dense id) -- and that transaction is declared
+//     when the walk closes, so every computation that closes the same
+//     cycle aborts the same one (DESIGN.md section 4f).
 //   * declare a computation's cycle at the first site where its probe's
 //     intra-controller BFS reaches any agent of the target transaction,
 //     one hop or more before the walk returns to the initiator; the walk
@@ -172,8 +173,8 @@ class Controller {
 
   /// Step A0 for local process (txn, this site).  Returns the tag if a
   /// probe computation started, nullopt if txn is not blocked here or a
-  /// local (intra-controller) cycle was declared directly (its youngest
-  /// transaction is the victim).
+  /// local (intra-controller) cycle was declared directly (its best victim
+  /// is declared).
   std::optional<DdbProbeTag> initiate_for(TransactionId txn);
 
   /// "Controller wishes to determine if any of its processes are
@@ -192,6 +193,11 @@ class Controller {
   /// Requests of txn queued in this site's lock table, as the controller
   /// counts them (LockManager::queued() is the scan it replaces).
   [[nodiscard]] std::uint32_t queued_count(TransactionId txn) const;
+
+  /// The lock count victim election reads for txn here: at its home, the
+  /// distinct resources granted through this controller; elsewhere, the
+  /// count its latest queued forwarded request carried.
+  [[nodiscard]] LockCount lock_count(TransactionId txn) const;
 
   /// Intra-controller wait edges between local agents, sorted (replaces
   /// `out`; see LockManager::wait_edges).
@@ -223,13 +229,15 @@ class Controller {
   };
 
   /// A live probe computation that reached (txn, here), txn's home agent:
-  /// `tag`, and `candidate`, the youngest transaction on its walk up to and
-  /// including txn.  Everything else the follow needs is in the
-  /// computation's record.
+  /// `tag`, and `before`, the best victim on its walk up to txn's home
+  /// agent, txn excluded.  A follow keys txn afresh: txn is the only member
+  /// of the walk whose count can have grown since.  Everything else the
+  /// follow needs is in the computation's record.
   struct Reach {
     DdbProbeTag tag;
-    TransactionId candidate;
+    VictimKey before;
   };
+  static_assert(sizeof(Reach) == 24);
   /// Reaches kept per home agent, newest per initiator; beyond this the
   /// oldest is dropped, so the list never leaves its inline storage.
   static constexpr std::size_t kReachesPerTxn = 4;
@@ -269,6 +277,11 @@ class Controller {
     // Requests of txn queued in this site's lock table, from any origin, so
     // blocked() needs no table scan.
     std::uint32_t queued{0};
+    // Victim election's lock count (DESIGN.md section 4f).  At txn's home:
+    // distinct resources granted through this controller (upgrades add
+    // nothing).  Elsewhere: the count txn's latest queued forwarded request
+    // carried.  Read only while txn waits here, when neither can change.
+    LockCount held{0};
   };
 
   /// A computation's record at this site.  An own computation's record is
@@ -293,12 +306,14 @@ class Controller {
     bool closed_early{false};
   };
 
-  /// A transaction intra-reachable from a BFS root, with the youngest
-  /// transaction on its BFS-tree path (root and the path before the root
-  /// included).
+  /// A transaction intra-reachable from a BFS root, with the best victim
+  /// among the transactions waiting here on its BFS-tree path (root and the
+  /// path before the root included): `before` up to its agent, `best` with
+  /// it.
   struct PathBest {
     TransactionId txn;
-    TransactionId best;
+    VictimKey before;
+    VictimKey best;
   };
 
   void handle_lock_request(SiteId from, const RemoteLockRequestMsg& msg);
@@ -318,18 +333,23 @@ class Controller {
   void purge_local(TransactionId txn);
 
   /// Replaces paths_ with the agents intra-reachable from `txn`
-  /// (reflexive), in BFS order, each with the youngest transaction on its
-  /// BFS-tree path from `txn`; `best` is the youngest transaction on the
-  /// path that led to `txn`.  If txn reaches itself through at least one
-  /// edge (a local cycle), returns the youngest transaction on such a
-  /// cycle.
+  /// (reflexive), in BFS order, each with the best victim on its BFS-tree
+  /// path from `txn`; `best` is the best victim on the path that led to
+  /// `txn`.  Only agents that wait here (blocked()) are keyed: a
+  /// transaction that merely holds here joins the walk's candidate at its
+  /// waiting agent, one hop on.  If txn reaches itself through at least one
+  /// edge (a local cycle), returns the best victim on such a cycle.
   std::optional<TransactionId> intra_reachable(TransactionId txn,
-                                               TransactionId best);
+                                               VictimKey best);
+  /// `best` extended by agent (txn, here): txn's key if txn waits here and
+  /// is the better victim.
+  [[nodiscard]] VictimKey extend(const VictimKey& best,
+                                 TransactionId txn) const;
   /// The entry of `txn` in paths_, or null if the last BFS missed it.
   [[nodiscard]] const PathBest* reached(TransactionId txn) const;
 
   /// Steps A1/A2 of `comp` at agent (txn, here), entered with `candidate`
-  /// as the youngest transaction on the walk so far: labels the freshly
+  /// as the best victim on the walk so far: labels the freshly
   /// intra-reachable set, then closes the walk (retiring the record) if it
   /// reached the computation's target, or records the home agents it
   /// reached and probes their un-probed outgoing inter edges.  At another
@@ -338,7 +358,7 @@ class Controller {
   /// the walk goes on.  `comp` may be gone once this returns (a declaration
   /// can re-enter the controller and grow the pool).
   void advance(const DdbProbeTag& tag, Computation& comp, TransactionId txn,
-               TransactionId candidate);
+               VictimKey candidate);
   /// Records `tag` at every home agent in paths_ but `comp`'s own target.
   void record_reaches(const DdbProbeTag& tag, const Computation& comp);
   /// txn (home here) has just blocked on a new request: continues each
@@ -347,7 +367,7 @@ class Controller {
   void follow_reaches(TransactionId txn);
 
   /// Step A0 for (txn, here): if txn is on an intra-controller cycle,
-  /// declares the cycle's youngest transaction and returns true.  With a
+  /// declares the cycle's best victim and returns true.  With a
   /// `declared` set, a victim already in it is not declared again, and a
   /// new one is added.
   bool declare_local_cycle(TransactionId txn, TxnSet* declared = nullptr);
@@ -369,8 +389,8 @@ class Controller {
                    std::optional<TransactionId> skip_release_wait_for =
                        std::nullopt);
 
-  /// A walk from `target` closed on itself with `victim` the youngest
-  /// transaction on it: ends target's computation and declares the victim.
+  /// A walk from `target` closed on itself with `victim` the best victim
+  /// on it: ends target's computation and declares the victim.
   /// If the victim is another transaction and victims are aborted, target's
   /// block check is re-armed: the walk may have been stale (the victim
   /// already gone) while target still sits on another cycle.

@@ -96,14 +96,15 @@ void LockManager::grant_eligible(ResourceState& rs, F&& on_grant) {
       const LockRequest req = rs.queue[i];
       if (!grantable(rs, req, i)) continue;
       rs.queue.erase(rs.queue.begin() + i);
-      if (Holder* held = rs.holder(req.txn)) {
+      Holder* held = rs.holder(req.txn);
+      if (held != nullptr) {
         // A queued upgrade completes.
         if (req.mode == LockMode::kWrite) held->holding.mode = LockMode::kWrite;
       } else {
         rs.holders.insert(rs.lower_holder(req.txn),
                           Holder{req.txn, Holding{req.mode, req.origin}});
       }
-      on_grant(req);
+      on_grant(req, /*upgrade=*/held != nullptr);
       progressed = true;
       break;  // holders changed; rescan from the front
     }
@@ -116,7 +117,8 @@ RequestList LockManager::release(ResourceId resource, TransactionId txn) {
   const Holder* held = rs != nullptr ? rs->holder(txn) : nullptr;
   if (held == nullptr) return granted;
   rs->holders.erase(held);
-  grant_eligible(*rs, [&](const LockRequest& r) { granted.push_back(r); });
+  grant_eligible(*rs,
+                 [&](const LockRequest& r, bool) { granted.push_back(r); });
   return granted;
 }
 
@@ -131,8 +133,8 @@ GrantList LockManager::abort(TransactionId txn) {
     const auto own = [txn](const LockRequest& r) { return r.txn == txn; };
     if (rs.queue.erase_if(own) > 0) changed = true;
     if (changed) {
-      grant_eligible(rs, [&](const LockRequest& r) {
-        granted.push_back(Grant{rs.id, r});
+      grant_eligible(rs, [&](const LockRequest& r, bool upgrade) {
+        granted.push_back(Grant{rs.id, r, upgrade});
       });
     }
   }

@@ -55,6 +55,8 @@ struct Holding {
 struct Grant {
   ResourceId resource;
   LockRequest request;
+  /// The request upgraded a lock its transaction already held.
+  bool upgrade{false};
 };
 
 /// A local waits-for pair (waiter, blocker) over transactions.
@@ -168,7 +170,7 @@ class LockManager {
                                       const LockRequest& req, std::size_t pos);
 
   /// Pops every grantable request from the front region of the queue,
-  /// calling on_grant(request) for each in grant order.
+  /// calling on_grant(request, upgrade) for each in grant order.
   template <typename F>
   static void grant_eligible(ResourceState& rs, F&& on_grant);
 

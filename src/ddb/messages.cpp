@@ -22,6 +22,7 @@ void put_probe(W& w, const DdbProbeMsg& m) {
   w.id(m.txn);
   w.u8(m.via_release_wait ? 1 : 0);
   w.id(m.candidate);
+  w.u16(m.candidate_held);
   w.id(m.target);
 }
 
@@ -34,6 +35,7 @@ void put(W& w, const DdbMessage& msg) {
           w.u8(kLockRequest);
           w.id(m.txn);
           w.id(m.resource);
+          w.u16(m.held);
           w.u8(static_cast<std::uint8_t>(m.mode));
         } else if constexpr (std::is_same_v<T, RemoteLockGrantMsg>) {
           w.u8(kLockGrant);
@@ -85,6 +87,7 @@ Result<DdbMessage> decode(BytesView payload) {
       std::uint8_t mode = 0;
       if (auto st = r.id(m.txn); !st.ok()) return st;
       if (auto st = r.id(m.resource); !st.ok()) return st;
+      if (auto st = r.u16(m.held); !st.ok()) return st;
       if (auto st = r.u8(mode); !st.ok()) return st;
       if (mode > 1) {
         return Status{StatusCode::kInvalidArgument, "bad lock mode"};
@@ -118,6 +121,7 @@ Result<DdbMessage> decode(BytesView payload) {
       m.txn = r.id_unchecked<TransactionId>();
       m.via_release_wait = r.u8_unchecked() != 0;
       m.candidate = r.id_unchecked<TransactionId>();
+      m.candidate_held = r.u16_unchecked();
       m.target = r.id_unchecked<TransactionId>();
       return DdbMessage{m};
     }

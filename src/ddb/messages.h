@@ -29,6 +29,11 @@ namespace cmh::ddb {
 struct RemoteLockRequestMsg {
   TransactionId txn;
   ResourceId resource;
+  /// Locks txn holds through its home controller as the request leaves
+  /// (saturating).  The request blocks txn, so the count stays frozen while
+  /// it waits here, and the receiver keys victim election with it
+  /// (DESIGN.md section 4f).
+  LockCount held{0};
   LockMode mode{LockMode::kRead};
 };
 
@@ -65,12 +70,15 @@ struct DdbProbeMsg {
   /// (it cannot have committed while blocked, so the holding at the sender
   /// still exists).
   bool via_release_wait{false};
-  /// Victim election: the youngest transaction (highest dense id) on the
+  /// Victim election: the best victim (better_victim(): fewest locks held,
+  /// then youngest) among the transactions that wait at an agent on the
   /// path this probe has travelled from the initiator's target, entry
   /// transaction `txn` included.  When the walk closes on the target,
   /// this transaction is declared, so every computation that closes the
   /// same simple cycle aborts the same one.
   TransactionId candidate;
+  /// The locks `candidate` held, read where it waits.
+  LockCount candidate_held{0};
   /// The transaction whose blocked agent at the initiator the computation
   /// checks.  The walk closes at the first site whose intra-controller
   /// edges lead from the probe's entry agent to any agent of `target`:
@@ -83,9 +91,9 @@ using DdbMessage = std::variant<RemoteLockRequestMsg, RemoteLockGrantMsg,
                                 PurgeTxnMsg, DdbProbeMsg>;
 
 /// Wire size of a DdbProbeMsg frame: 1 (type) + 4 (initiator) + 8 (sequence)
-/// + 8 (floor) + 4 (txn) + 1 (kind) + 4 (candidate) + 4 (target).  Every
-/// DDB frame fits.
-inline constexpr std::size_t kDdbFrameCapacity = 34;
+/// + 8 (floor) + 4 (txn) + 1 (kind) + 4 (candidate) + 2 (candidate_held)
+/// + 4 (target).  Every DDB frame fits.
+inline constexpr std::size_t kDdbFrameCapacity = 36;
 
 /// A stack-encoded frame; view() is valid for the frame's lifetime.  The
 /// detection hot path (one probe per inter-controller edge, every round)

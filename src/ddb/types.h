@@ -21,6 +21,25 @@ enum class LockMode : std::uint8_t { kRead, kWrite };
   return a == LockMode::kWrite || b == LockMode::kWrite;
 }
 
+/// Locks a transaction holds, as victim election counts them: distinct
+/// resources granted through its home controller, saturating.
+using LockCount = std::uint16_t;
+
+/// A victim candidate: a transaction and the locks it held, read at a site
+/// where it waits.
+struct VictimKey {
+  TransactionId txn;
+  LockCount held{0};
+};
+
+/// True iff `a` is the better deadlock victim than `b`: it holds fewer
+/// locks, so aborting it wastes less work; ties go to the younger (higher
+/// dense id).
+[[nodiscard]] constexpr bool better_victim(const VictimKey& a,
+                                           const VictimKey& b) {
+  return a.held != b.held ? a.held < b.held : a.txn > b.txn;
+}
+
 /// Tag (j, n) of the n-th probe computation initiated by controller C_j
 /// (section 6.5).
 struct DdbProbeTag {

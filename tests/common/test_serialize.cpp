@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace cmh {
 namespace {
 
@@ -17,6 +19,30 @@ TEST(Serialize, U8RoundTrip) {
   EXPECT_EQ(a, 0);
   EXPECT_EQ(b, 255);
   EXPECT_TRUE(r.done());
+}
+
+TEST(Serialize, U16RoundTripsLittleEndianOnEveryPath) {
+  Writer w;
+  w.u16(0);
+  w.u16(0xBEEF);
+  StackWriter<4> sw;
+  sw.u16(0);
+  sw.u16(0xBEEF);
+  ASSERT_EQ(w.bytes().size(), 4u);
+  EXPECT_EQ(w.bytes()[2], 0xEF);
+  EXPECT_EQ(w.bytes()[3], 0xBE);
+  EXPECT_TRUE(std::equal(sw.data(), sw.data() + sw.size(),
+                         w.bytes().begin(), w.bytes().end()));
+  Reader r(w.bytes());
+  std::uint16_t v = 1;
+  ASSERT_TRUE(r.u16(v).ok());
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(r.u16_unchecked(), 0xBEEFu);
+  EXPECT_TRUE(r.done());
+  EXPECT_FALSE(r.u16(v).ok());
+  const Bytes one{7};
+  Reader truncated(one);
+  EXPECT_FALSE(truncated.u16(v).ok());
 }
 
 TEST(Serialize, U32RoundTrip) {

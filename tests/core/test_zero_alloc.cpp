@@ -254,10 +254,10 @@ TEST(ZeroAlloc, WarmDdbControllerProbesGrantsAndInitiation) {
   };
   ASSERT_TRUE(c.lock(t1, rA, LockMode::kWrite));
   ASSERT_FALSE(c.lock(t1, rB, LockMode::kWrite));
-  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, LockMode::kWrite}));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, 0, LockMode::kWrite}));
   ASSERT_TRUE(c.lock(t4, rC, LockMode::kWrite));
   ASSERT_FALSE(c.lock(t4, rD, LockMode::kWrite));
-  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t3, rC, LockMode::kWrite}));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t3, rC, 0, LockMode::kWrite}));
 
   std::uint64_t foreign_seq = 0;
   const auto round = [&]() {
@@ -265,10 +265,11 @@ TEST(ZeroAlloc, WarmDdbControllerProbesGrantsAndInitiation) {
     const std::optional<DdbProbeTag> tag = c.initiate_for(t2);
     ok &= tag.has_value();
     if (!tag) return false;
-    ok &= deliver(s1, DdbProbeMsg{*tag, tag->sequence, t3, false, t3, t2});
+    ok &= deliver(s1,
+                  DdbProbeMsg{*tag, tag->sequence, t3, false, t3, 0, t2});
     ++foreign_seq;
     ok &= deliver(s1, DdbProbeMsg{DdbProbeTag{s1, foreign_seq}, foreign_seq,
-                                  t2, false, t2, t2});
+                                  t2, false, t2, 0, t2});
     ok &= deliver(s1, RemoteLockGrantMsg{t1, rB});
     ok &= !c.lock(t1, rB, LockMode::kWrite);
     return ok;
@@ -340,10 +341,10 @@ TEST(ZeroAlloc, WarmDdbControllerCheckAll) {
   };
   ASSERT_TRUE(c.lock(t1, rA, LockMode::kWrite));
   ASSERT_FALSE(c.lock(t1, rB, LockMode::kWrite));
-  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, LockMode::kWrite}));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, 0, LockMode::kWrite}));
   ASSERT_TRUE(c.lock(t4, rC, LockMode::kWrite));
   ASSERT_FALSE(c.lock(t4, rD, LockMode::kWrite));
-  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t3, rC, LockMode::kWrite}));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t3, rC, 0, LockMode::kWrite}));
   ASSERT_TRUE(c.lock(t5, rE, LockMode::kWrite));
   ASSERT_TRUE(c.lock(t6, rF, LockMode::kWrite));
   ASSERT_FALSE(c.lock(t5, rF, LockMode::kWrite));
@@ -356,7 +357,8 @@ TEST(ZeroAlloc, WarmDdbControllerCheckAll) {
     // after the local-cycle declaration took one sequence number.
     const DdbProbeTag first{s0, last_seq + 2};
     last_seq += 3;
-    ok &= deliver(s1, DdbProbeMsg{first, first.sequence, t3, false, t3, t2});
+    ok &= deliver(s1,
+                  DdbProbeMsg{first, first.sequence, t3, false, t3, 0, t2});
     return ok;
   };
 
@@ -420,14 +422,14 @@ TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
     return c.on_message(from, encode_small(m).view()).ok();
   };
   ASSERT_TRUE(c.lock(t1, rA, LockMode::kWrite));
-  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, LockMode::kWrite}));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, 0, LockMode::kWrite}));
   ASSERT_FALSE(c.lock(t1, rB, LockMode::kWrite));
 
   std::uint64_t seq = 0;
   const auto round = [&]() {
     ++seq;
     bool ok = deliver(
-        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2, false, t2, t2});
+        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2, false, t2, 0, t2});
     ok &= deliver(s1, RemoteLockGrantMsg{t1, rB});
     ok &= !c.lock(t1, rB, LockMode::kWrite);
     return ok;
@@ -499,7 +501,7 @@ TEST(ZeroAlloc, WarmDdbControllerEagerInitiation) {
   const auto round = [&]() {
     ++seq;
     bool ok = deliver(
-        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t1, true, t2, t2});
+        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t1, true, t2, 0, t2});
     ok &= deliver(s1, RemoteLockGrantMsg{t1, rD});
     ok &= !c.lock(t1, rD, LockMode::kWrite);
     return ok;
@@ -536,8 +538,8 @@ TEST(ZeroAlloc, WarmDdbControllerEagerInitiation) {
 // and t2's request for rA, forwarded from S1, queues behind it.  Each
 // round a new S1 computation for t1 arrives on t2's edge (its floor prunes
 // the last round's record); the BFS from t2 reaches t1's agent through
-// t2's wait, so S0 declares t2, the walk's youngest, and then goes on
-// along t1's release-wait edge back to S1.
+// t2's wait, so S0 declares t2, the walk's only waiting member, and then
+// goes on along t1's release-wait edge back to S1.
 TEST(ZeroAlloc, WarmDdbControllerEarlyClosure) {
   const SiteId s0{0};
   const SiteId s1{1};
@@ -561,14 +563,14 @@ TEST(ZeroAlloc, WarmDdbControllerEarlyClosure) {
   const auto deliver = [&c](SiteId from, const DdbMessage& m) {
     return c.on_message(from, encode_small(m).view()).ok();
   };
-  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t1, rA, LockMode::kWrite}));
-  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, LockMode::kWrite}));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t1, rA, 0, LockMode::kWrite}));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, 0, LockMode::kWrite}));
 
   std::uint64_t seq = 0;
   const auto round = [&]() {
     ++seq;
     return deliver(
-        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2, false, t2, t1});
+        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2, false, t2, 0, t1});
   };
 
   // Warm-up: tables, pools and scratch buffers reach their working size.

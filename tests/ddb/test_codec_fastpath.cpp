@@ -17,15 +17,16 @@ DdbProbeMsg sample_probe() {
       TransactionId{7},
       true,
       TransactionId{11},
+      0x0A0B,
       TransactionId{13}};
 }
 
 std::vector<DdbMessage> sample_messages() {
   return {
-      DdbMessage{RemoteLockRequestMsg{TransactionId{1}, ResourceId{2},
+      DdbMessage{RemoteLockRequestMsg{TransactionId{1}, ResourceId{2}, 3,
                                       LockMode::kWrite}},
       DdbMessage{RemoteLockRequestMsg{TransactionId{0xFFFFFFFF},
-                                      ResourceId{0}, LockMode::kRead}},
+                                      ResourceId{0}, 0xFFFF, LockMode::kRead}},
       DdbMessage{RemoteLockGrantMsg{TransactionId{5}, ResourceId{6}}},
       DdbMessage{PurgeTxnMsg{TransactionId{8}, true}},
       DdbMessage{PurgeTxnMsg{TransactionId{9}, false}},
@@ -68,7 +69,11 @@ TEST(DdbCodecRoundTrip, AllMessageTypes) {
   EXPECT_EQ(p.txn, expected.txn);
   EXPECT_EQ(p.via_release_wait, expected.via_release_wait);
   EXPECT_EQ(p.candidate, expected.candidate);
+  EXPECT_EQ(p.candidate_held, expected.candidate_held);
   EXPECT_EQ(p.target, expected.target);
+  const auto request = decode(encode(sample_messages()[1]));
+  ASSERT_TRUE(request.ok());
+  EXPECT_EQ(std::get<RemoteLockRequestMsg>(*request).held, 0xFFFFu);
 }
 
 TEST(DdbCodecTruncation, EveryProperPrefixRejected) {

@@ -242,6 +242,47 @@ TEST(Controller, QueuedCountsAreSettledBeforeGrantCallbacks) {
   EXPECT_EQ(c.queued_count(t2), 0u);
 }
 
+TEST(Controller, LockCountCountsDistinctResourcesGranted) {
+  // The count victim election reads: a synchronous grant, a queued local
+  // grant and a remote grant each add one; an upgrade, in place or queued,
+  // adds nothing.
+  Rig rig(2);
+  Controller& c = rig.c(0);
+  const ResourceId rA = res_at(0, 0, 2);
+  const ResourceId rB = res_at(0, 1, 2);
+  const ResourceId rC = res_at(0, 2, 2);
+  ASSERT_TRUE(c.lock(t1, rA, LockMode::kRead));
+  EXPECT_EQ(c.lock_count(t1), 1u);
+  ASSERT_TRUE(c.lock(t1, rA, LockMode::kWrite));  // in place: sole holder
+  EXPECT_EQ(c.lock_count(t1), 1u);
+  ASSERT_TRUE(c.lock(t1, rA, LockMode::kRead));  // already held
+  EXPECT_EQ(c.lock_count(t1), 1u);
+
+  ASSERT_TRUE(c.lock(t2, rB, LockMode::kRead));
+  ASSERT_TRUE(c.lock(t2, rC, LockMode::kWrite));
+  ASSERT_TRUE(c.lock(t3, rB, LockMode::kRead));
+  EXPECT_FALSE(c.lock(t3, rC, LockMode::kRead));  // queued behind t2
+  EXPECT_FALSE(c.lock(t2, rB, LockMode::kWrite));  // queued upgrade
+  EXPECT_EQ(c.lock_count(t2), 2u);
+  EXPECT_EQ(c.lock_count(t3), 1u);
+  c.abort(t3);  // grants t2's upgrade
+  ASSERT_FALSE(c.blocked(t2));
+  EXPECT_EQ(c.locks().held_mode(rB, t2), LockMode::kWrite);
+  EXPECT_EQ(c.lock_count(t2), 2u);
+
+  ASSERT_TRUE(c.lock(t5, res_at(0, 3, 2), LockMode::kWrite));
+  EXPECT_FALSE(c.lock(t5, rC, LockMode::kRead));  // queued behind t2
+  EXPECT_EQ(c.lock_count(t5), 1u);
+  c.finish(t2);  // grants rC to t5
+  EXPECT_EQ(c.lock_count(t5), 2u);
+
+  c.lock(t1, res_at(1, 0, 2), LockMode::kWrite);  // remote
+  EXPECT_EQ(c.lock_count(t1), 1u);                // not granted yet
+  rig.deliver_all();
+  EXPECT_EQ(c.lock_count(t1), 2u);
+  EXPECT_EQ(rig.c(1).lock_count(t1), 0u);  // granted at once: none stored
+}
+
 TEST(Controller, FinishPurgesOnlyParticipants) {
   // t1 holds a lock at S1 and never touched S2: the commit purge goes to
   // S1 alone.
@@ -353,7 +394,8 @@ TEST(ControllerProbe, CrossSiteDeadlockDetectedFromEitherSide) {
     ASSERT_TRUE(rig.c(initiator).initiate_for(target).has_value());
     rig.deliver_all();
     ASSERT_EQ(rig.declared().size(), 1u) << "initiator " << initiator;
-    // The youngest transaction on the cycle, whichever side initiates.
+    // Both hold one lock, so the tie goes to the younger t2, whichever
+    // side initiates.
     EXPECT_EQ(rig.declared()[0].victim, t2);
     EXPECT_EQ(rig.declared()[0].site, SiteId{initiator});
   }
@@ -475,6 +517,164 @@ TEST(ControllerProbe, StaleWalkReArmsTheTargetsBlockCheck) {
   EXPECT_TRUE(rig.c(1).locks().holds(rC, t1));
 }
 
+// ---- victim election: fewest locks held, then youngest ---------------------
+
+/// build_cross_deadlock() with extra locks taken first: t1 also holds
+/// `extra_t1` resources at S0 and t2 `extra_t2` at S1.
+void build_weighted_cross_deadlock(Rig& rig, std::uint32_t extra_t1,
+                                   std::uint32_t extra_t2, ResourceId& rA,
+                                   ResourceId& rB) {
+  for (std::uint32_t k = 1; k <= extra_t1; ++k) {
+    ASSERT_TRUE(rig.c(0).lock(t1, res_at(0, k, 2), LockMode::kWrite));
+  }
+  for (std::uint32_t k = 1; k <= extra_t2; ++k) {
+    ASSERT_TRUE(rig.c(1).lock(t2, res_at(1, k, 2), LockMode::kWrite));
+  }
+  build_cross_deadlock(rig, rA, rB);
+}
+
+TEST(ControllerElection, FewerLocksElectedWhicheverSideInitiates) {
+  // t2 is the younger but holds two locks (rB and another), t1 one.  Every
+  // site reads the same counts: each home counts its grants, and t1's
+  // request carried its count to S1, t2's to S0.
+  for (const std::uint32_t initiator : {0u, 1u}) {
+    Rig rig(2);
+    ResourceId rA, rB;
+    build_weighted_cross_deadlock(rig, 0, 1, rA, rB);
+    EXPECT_EQ(rig.c(0).lock_count(t1), 1u);
+    EXPECT_EQ(rig.c(1).lock_count(t1), 1u);
+    EXPECT_EQ(rig.c(1).lock_count(t2), 2u);
+    EXPECT_EQ(rig.c(0).lock_count(t2), 2u);
+    const TransactionId target = initiator == 0 ? t1 : t2;
+    ASSERT_TRUE(rig.c(initiator).initiate_for(target).has_value());
+    rig.deliver_all();
+    ASSERT_EQ(rig.declared().size(), 1u) << "initiator " << initiator;
+    EXPECT_EQ(rig.declared()[0].victim, t1) << "initiator " << initiator;
+    EXPECT_EQ(rig.declared()[0].site, SiteId{initiator});
+  }
+}
+
+TEST(ControllerElection, BothSidesAbortOnlyTheMemberHoldingFewerLocks) {
+  // Both sites start a computation in the same step; every declaration
+  // names t1, so t2 survives and ends up holding rA too.
+  DdbOptions o = Rig::manual_options();
+  o.abort_victim = true;
+  Rig rig(2, o);
+  std::vector<TransactionId> aborted;
+  for (const std::uint32_t s : {0u, 1u}) {
+    rig.c(s).set_abort_callback(
+        [&aborted](TransactionId t) { aborted.push_back(t); });
+  }
+  ResourceId rA, rB;
+  build_weighted_cross_deadlock(rig, 0, 1, rA, rB);
+  ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
+  ASSERT_TRUE(rig.c(1).initiate_for(t2).has_value());
+  rig.deliver_all();
+  ASSERT_FALSE(rig.declared().empty());
+  for (const auto& d : rig.declared()) EXPECT_EQ(d.victim, t1);
+  ASSERT_FALSE(aborted.empty());
+  for (const TransactionId t : aborted) EXPECT_EQ(t, t1);
+  EXPECT_TRUE(rig.c(0).locks().holds(rA, t2));
+  EXPECT_TRUE(rig.c(1).locks().holds(rB, t2));
+  EXPECT_TRUE(rig.oracle_deadlocked().empty());
+}
+
+TEST(ControllerElection, TieGoesToTheYoungest) {
+  // Both hold three locks: the younger t2 is elected, whichever side
+  // initiates.
+  for (const std::uint32_t initiator : {0u, 1u}) {
+    Rig rig(2);
+    ResourceId rA, rB;
+    build_weighted_cross_deadlock(rig, 2, 2, rA, rB);
+    ASSERT_EQ(rig.c(0).lock_count(t1), 3u);
+    ASSERT_EQ(rig.c(1).lock_count(t2), 3u);
+    const TransactionId target = initiator == 0 ? t1 : t2;
+    ASSERT_TRUE(rig.c(initiator).initiate_for(target).has_value());
+    rig.deliver_all();
+    ASSERT_EQ(rig.declared().size(), 1u) << "initiator " << initiator;
+    EXPECT_EQ(rig.declared()[0].victim, t2) << "initiator " << initiator;
+  }
+}
+
+TEST(ControllerElection, HoldersAreKeyedOnlyWhereTheyWait) {
+  // t3 (home S1) queued for rZ@S0 behind t1 while it held nothing, so S0
+  // stored a count of 0; t1 commits, and t3 takes rZ, then rV and rU at
+  // home: three locks.  t2 (home S0) holds rW@S1.  Then t2 waits for rZ,
+  // which t3 only holds at S0, and t3 waits for rW at S1: a cycle.  At S0
+  // t3 is no candidate -- the count stored there is stale -- and its own
+  // count joins the walk at its home, where it waits.  t2, with one lock,
+  // is elected.
+  Rig rig(2);
+  const ResourceId rZ = res_at(0, 0, 2);
+  const ResourceId rW = res_at(1, 0, 2);
+  const ResourceId rV = res_at(1, 1, 2);
+  const ResourceId rU = res_at(1, 2, 2);
+  ASSERT_TRUE(rig.c(0).lock(t1, rZ, LockMode::kWrite));
+  rig.c(1).lock(t3, rZ, LockMode::kWrite);
+  rig.deliver_all();
+  rig.c(0).finish(t1);
+  rig.deliver_all();
+  ASSERT_TRUE(rig.c(0).locks().holds(rZ, t3));
+  ASSERT_TRUE(rig.c(1).lock(t3, rV, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(1).lock(t3, rU, LockMode::kWrite));
+  rig.c(0).lock(t2, rW, LockMode::kWrite);
+  rig.deliver_all();
+  ASSERT_TRUE(rig.c(1).locks().holds(rW, t2));
+  rig.c(0).lock(t2, rZ, LockMode::kWrite);  // t2 waits on t3's holding
+  rig.c(1).lock(t3, rW, LockMode::kWrite);  // t3 waits on t2's holding
+  rig.deliver_all();
+  ASSERT_EQ(rig.oracle_deadlocked(), (std::vector<TransactionId>{t2, t3}));
+  EXPECT_EQ(rig.c(0).lock_count(t3), 0u);  // stale: t3 no longer waits here
+  EXPECT_EQ(rig.c(1).lock_count(t3), 3u);
+  EXPECT_EQ(rig.c(0).lock_count(t2), 1u);
+
+  ASSERT_TRUE(rig.c(0).initiate_for(t2).has_value());
+  rig.deliver_all();
+  ASSERT_FALSE(rig.declared().empty());
+  for (const auto& d : rig.declared()) EXPECT_EQ(d.victim, t2);
+}
+
+TEST(ControllerElection, TwoOutstandingRequestsNeverElectOffTheWalk) {
+  // t5 (home S0) holds rA@S0 and asks S2 for rC, held by t2, and S1 for
+  // the free rB in the same step: both requests carry one lock.  rB is
+  // granted, so t5's home counts two while S2 still reads one -- t5 is
+  // blocked while granted, the one case where its count moves while it
+  // waits.  t2 (home S2, holding rC) then asks S0 for rA.  However the
+  // counts differ, every walk of t5 -> t2 -> t5 passes both of t5's
+  // agents, and each election names a member of the walk; the counts can
+  // cost at most a second victim, never one off the cycle.
+  DdbOptions o = Rig::manual_options();
+  o.abort_victim = true;
+  Rig rig(3, o);
+  const ResourceId rA = res_at(0, 0, 3);
+  const ResourceId rB = res_at(1, 0, 3);
+  const ResourceId rC = res_at(2, 0, 3);
+  ASSERT_TRUE(rig.c(0).lock(t5, rA, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(2).lock(t2, rC, LockMode::kWrite));
+  rig.c(0).lock(t5, rC, LockMode::kWrite);
+  rig.c(0).lock(t5, rB, LockMode::kWrite);
+  rig.c(2).lock(t2, rA, LockMode::kWrite);
+  rig.deliver_all();
+  ASSERT_TRUE(rig.c(1).locks().holds(rB, t5));
+  ASSERT_EQ(rig.oracle_deadlocked(), (std::vector<TransactionId>{t2, t5}));
+  EXPECT_EQ(rig.c(0).lock_count(t5), 2u);
+  EXPECT_EQ(rig.c(2).lock_count(t5), 1u);
+  EXPECT_EQ(rig.c(0).lock_count(t2), 1u);
+
+  ASSERT_TRUE(rig.c(0).initiate_for(t5).has_value());
+  ASSERT_TRUE(rig.c(0).initiate_for(t2).has_value());
+  ASSERT_TRUE(rig.c(2).initiate_for(t2).has_value());
+  ASSERT_TRUE(rig.c(2).initiate_for(t5).has_value());
+  rig.deliver_all();
+  ASSERT_FALSE(rig.declared().empty());
+  for (const auto& d : rig.declared()) {
+    EXPECT_TRUE(d.victim == t2 || d.victim == t5) << d.victim;
+  }
+  EXPECT_GE(rig.total_aborts(), 1u);
+  EXPECT_LE(rig.total_aborts(), 2u);
+  EXPECT_TRUE(rig.oracle_deadlocked().empty());
+}
+
 // ---- following a re-blocked transaction ----------------------------------------
 
 /// Delayed initiation, T = 5 ms; the rig's timers never fire in these tests
@@ -492,15 +692,17 @@ struct ReachedCloser {
   ResourceId rA;  // @S0, held by t5
   ResourceId rB;  // @S1, held by t2
   ResourceId rC;  // @S1, held by t3; t5 waits for it
+  ResourceId rH;  // @S2, held by t2
   DdbProbeTag tag;
 };
 
 /// On a rig of ReachedCloser::kSites sites: t5 (home S0) holds rA@S0 and
 /// waits for rC@S1, held by t3 (home S1, on no cycle).  t2 (home S2) holds
-/// rB@S1 and waits for rA@S0.  S2's computation for t2 reaches t5's home
-/// agent through t2's wait at S0, follows t5's request to S1 and dies at
-/// t3.  No cycle exists yet; t5 asking S1 for rB would close
-/// t2 -> t5 -> t2.
+/// rH@S2 and rB@S1 and waits for rA@S0.  S2's computation for t2 reaches
+/// t5's home agent through t2's wait at S0, follows t5's request to S1 and
+/// dies at t3.  No cycle exists yet; t5 asking S1 for rB would close
+/// t2 -> t5 -> t2.  Once t5 is granted rC, both hold two locks, and the
+/// election's tie goes to the younger t5.
 ///
 /// Every wait here is on a running transaction, so no check starts a
 /// computation before T: t2 blocks while t5 still runs, and at S1 t2 only
@@ -508,9 +710,10 @@ struct ReachedCloser {
 ReachedCloser build_reached_closer(Rig& rig) {
   const std::uint32_t n = ReachedCloser::kSites;
   ReachedCloser rc{res_at(0, 0, n), res_at(1, 0, n), res_at(1, 1, n),
-                   DdbProbeTag{}};
+                   res_at(2, 0, n), DdbProbeTag{}};
   EXPECT_TRUE(rig.c(0).lock(t5, rc.rA, LockMode::kWrite));
   EXPECT_TRUE(rig.c(1).lock(t3, rc.rC, LockMode::kWrite));
+  EXPECT_TRUE(rig.c(2).lock(t2, rc.rH, LockMode::kWrite));
   rig.c(2).lock(t2, rc.rB, LockMode::kWrite);
   rig.deliver_all();
   EXPECT_TRUE(rig.c(1).locks().holds(rc.rB, t2));
@@ -534,8 +737,9 @@ ReachedCloser build_reached_closer(Rig& rig) {
 TEST(ControllerFollow, ReBlockClosingACycleIsDeclaredBeforeTheClosersCheck) {
   // t3 commits and t5, granted rC, asks S1 for rB.  The request's
   // follow-up probe reaches t2 at S1 and declares S2's walk there at once,
-  // ahead of t5's own computation, whose probe queues behind it; the
-  // victim is t5, the youngest on the walk t2 -> t5 -> t2.
+  // ahead of t5's own computation, whose probe queues behind it.  On the
+  // walk t2 -> t5 -> t2 both hold two locks, so the victim is the younger
+  // t5.
   Rig rig(ReachedCloser::kSites, follow_options());
   const ReachedCloser rc = build_reached_closer(rig);
   rig.c(1).finish(t3);
@@ -553,6 +757,45 @@ TEST(ControllerFollow, ReBlockClosingACycleIsDeclaredBeforeTheClosersCheck) {
   EXPECT_TRUE(rig.oracle_deadlocked().empty());
   EXPECT_TRUE(rig.c(1).locks().holds(rc.rB, t2));
   EXPECT_TRUE(rig.c(0).locks().holds(rc.rA, t2));
+}
+
+TEST(ControllerFollow, FollowKeysTheReBlockedTransactionWithItsCurrentCount) {
+  // The reach at t5's home agent was recorded while t5 held one lock.  t3
+  // commits, and t5 takes rC and rG before asking S1 for rB: it now holds
+  // three, t2 two.  The follow resumes from the candidate the walk had
+  // before t5 and keys t5 with its current count, so the probe behind the
+  // request names t2, and every site that closes the walk declares t2.
+  Rig rig(ReachedCloser::kSites, follow_options());
+  const ReachedCloser rc = build_reached_closer(rig);
+  rig.c(1).finish(t3);
+  rig.deliver_all();
+  const ResourceId rG = res_at(0, 1, ReachedCloser::kSites);
+  ASSERT_TRUE(rig.c(0).lock(t5, rG, LockMode::kWrite));
+  ASSERT_EQ(rig.c(0).lock_count(t5), 3u);
+  ASSERT_EQ(rig.c(2).lock_count(t2), 2u);
+
+  rig.c(0).lock(t5, rc.rB, LockMode::kWrite);
+  EXPECT_EQ(rig.c(0).stats().reaches_followed, 1u);
+  const std::deque<Bytes> frames = rig.take_channel(0, 1);
+  ASSERT_GE(frames.size(), 2u);
+  const auto request = decode(frames[0]);
+  const auto probe = decode(frames[1]);
+  ASSERT_TRUE(request.ok() && probe.ok());
+  ASSERT_TRUE(std::holds_alternative<RemoteLockRequestMsg>(*request));
+  EXPECT_EQ(std::get<RemoteLockRequestMsg>(*request).held, 3u);
+  ASSERT_TRUE(std::holds_alternative<DdbProbeMsg>(*probe));
+  const auto& msg = std::get<DdbProbeMsg>(*probe);
+  EXPECT_EQ(msg.tag, rc.tag);
+  EXPECT_EQ(msg.candidate, t2);
+  EXPECT_EQ(msg.candidate_held, 2u);
+  for (const Bytes& frame : frames) rig.inject(0, 1, frame);
+  rig.deliver_all();
+  ASSERT_FALSE(rig.declared().empty());
+  EXPECT_EQ(rig.declared()[0].site, SiteId{1});
+  EXPECT_EQ(rig.declared()[0].tag, rc.tag);
+  for (const auto& d : rig.declared()) EXPECT_EQ(d.victim, t2);
+  EXPECT_TRUE(rig.oracle_deadlocked().empty());
+  EXPECT_TRUE(rig.c(1).locks().holds(rc.rB, t5));
 }
 
 TEST(ControllerFollow, NothingIsFollowedAfterCommitOrAbort) {
@@ -586,7 +829,7 @@ TEST(ControllerFollow, ReachBelowItsInitiatorsFloorIsNotFollowed) {
   const ReachedCloser rc = build_reached_closer(rig);
   const std::uint64_t floor = rc.tag.sequence + 1;
   const DdbProbeMsg newer{DdbProbeTag{SiteId{2}, floor}, floor, t3,
-                          false, t3, t3};
+                          false, t3, 1, t3};
   rig.inject(2, 0, encode(newer));
   ASSERT_EQ(rig.c(0).stats().meaningful_probes, 1u);  // only rc.tag's
   rig.c(1).finish(t3);
@@ -640,7 +883,8 @@ TEST(ControllerEager, ReachedReBlockClosesACycleTheFollowsCannotBeforeT) {
   // t5 -> t6 -> t5 does not pass through t2 (t6 does not queue behind t2
   // for rA), so the followed computation of t2 cannot close it.  t5 was
   // reached, so its own computation starts at once and closes it; no timer
-  // fires.  The victim is t6, the youngest.  (t6 blocks while t5 runs, and
+  // fires.  The victim is t6, which holds one lock to t5's three.  (t6
+  // blocks while t5 runs, and
   // at S1 it only holds, so no other check starts before T.)
   Rig rig(ReachedCloser::kSites, follow_options());
   build_reached_closer(rig);
@@ -764,8 +1008,9 @@ TEST(ControllerEager, WaitOnABlockedTransactionStartsAtOnce) {
   // which still runs: S1 queues t1's request and waits T.  Then t2 asks S0
   // for rA.  The request queues behind t1, which is blocked, so S0 starts
   // a computation at once, and it closes t1 -> t2 -> t1 with no timer
-  // fired.  No computation had reached anyone.  The victim is t2, the
-  // youngest, declared at S1, where the walk first reaches t2.
+  // fired.  No computation had reached anyone.  Both hold one lock, so the
+  // victim is the younger t2, declared at S1, where the walk first reaches
+  // t2.
   Rig rig(2, follow_options());
   const ResourceId rA = res_at(0, 0, 2);
   const ResourceId rB = res_at(1, 0, 2);
@@ -898,7 +1143,7 @@ TEST(ControllerProbe, ReleaseWaitCycleDetected) {
   // along the release-wait edge; S0 then declares the same victim.
   ASSERT_EQ(rig.declared().size(), 2u);
   for (const auto& d : rig.declared()) {
-    EXPECT_EQ(d.victim, t2);  // youngest on the cycle
+    EXPECT_EQ(d.victim, t2);  // one lock each: the younger
   }
   EXPECT_EQ(rig.declared()[0].site, SiteId{1});
   EXPECT_EQ(rig.declared()[1].site, SiteId{0});
@@ -923,9 +1168,9 @@ void build_release_wait_cycle(Rig& rig) {
 
 TEST(ControllerEarly, HolderSiteDeclaresBeforeTheWalkReturns) {
   // S0's walk for t1 reaches t1's agent at S1 through t2's wait on t1's
-  // holding.  S1 declares t2, the youngest on the walk, at once; the probe
-  // along t1's release-wait edge back to S0 is still in flight.  When it
-  // arrives, S0 closes the walk and declares t2 again.
+  // holding.  S1 declares t2 at once (both hold one lock, and t2 is the
+  // younger); the probe along t1's release-wait edge back to S0 is still in
+  // flight.  When it arrives, S0 closes the walk and declares t2 again.
   Rig rig(3);
   build_release_wait_cycle(rig);
   const std::optional<DdbProbeTag> tag = rig.c(0).initiate_for(t1);
@@ -993,7 +1238,7 @@ TEST(ControllerEarly, EachSiteDeclaresAComputationOnce) {
   // t1 (home S0) holds rB@S1 and waits for rC@S2, read-held by t2 and t4
   // (home S2), which both queue for rB at S1.  S0's walk branches at S2
   // and enters S1 twice, each time reaching t1's agent: S1 declares the
-  // first arrival's youngest only, and S0 closes the walk once.
+  // first arrival's candidate only, and S0 closes the walk once.
   Rig rig(3);
   const TransactionId t4{4};
   const ResourceId rB = res_at(1, 0, 3);
@@ -1022,11 +1267,12 @@ TEST(ControllerEarly, EachSiteDeclaresAComputationOnce) {
 }
 
 TEST(ControllerEarly, DeclarationThatStartsAComputationKeepsWalking) {
-  // Cycle t1 -> t7 -> t3 -> t1: t1 (home S0) holds rB@S1 and waits for
-  // rC@S2, held by t7; t7 (home S2) waits for rE@S2, held by t3; t3 (home
-  // S2) waits for rB.  t7 also holds rX@S1, for which t5 and then t6 (both
-  // home S1) queue.  S0's walk reaches t1's agent at S1 through t3's wait
-  // and S1 declares t7, the youngest.  The abort grants rX to t5 and
+  // Cycle t1 -> t7 -> t3 -> t1: t1 (home S0) holds rF@S0 and rB@S1 and
+  // waits for rC@S2, held by t7; t7 (home S2) waits for rE@S2, held by t3;
+  // t3 (home S2) holds rG@S2 too and waits for rB.  t7 also holds rX@S1,
+  // for which t5 and then t6 (both home S1) queue.  S0's walk reaches t1's
+  // agent at S1 through t3's wait and S1 declares t7: all three hold two
+  // locks, and the tie goes to the youngest.  The abort grants rX to t5 and
   // re-arms t6, whose check (T = 0) starts a computation inside the
   // declaration.  The walk then goes on from t3 along t1's release-wait
   // edge; S0 closes it behind t7's purge and does not abort t7 again.
@@ -1041,9 +1287,13 @@ TEST(ControllerEarly, DeclarationThatStartsAComputationKeepsWalking) {
   const ResourceId rX = res_at(1, 1, 3);
   const ResourceId rC = res_at(2, 0, 3);
   const ResourceId rE = res_at(2, 1, 3);
+  const ResourceId rF = res_at(0, 0, 3);
+  const ResourceId rG = res_at(2, 2, 3);
+  ASSERT_TRUE(rig.c(0).lock(t1, rF, LockMode::kWrite));
   rig.c(0).lock(t1, rB, LockMode::kWrite);
   rig.c(2).lock(t7, rX, LockMode::kWrite);
   ASSERT_TRUE(rig.c(2).lock(t7, rC, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(2).lock(t3, rG, LockMode::kWrite));
   ASSERT_TRUE(rig.c(2).lock(t3, rE, LockMode::kWrite));
   rig.settle_dropping_probes();
   rig.c(1).lock(t5, rX, LockMode::kWrite);
@@ -1158,7 +1408,8 @@ TEST(ControllerProbe, StaleComputationSupersededByNewerFloor) {
   EXPECT_LT(tag1->sequence, tag2->sequence);
   rig.deliver_all();
   // Both computations' probes circulate; at least the newer declares, and
-  // every declaration elects the cycle's youngest transaction.
+  // every declaration elects the same transaction: both hold one lock, so
+  // the younger t2.
   ASSERT_FALSE(rig.declared().empty());
   for (const auto& d : rig.declared()) EXPECT_EQ(d.victim, t2);
 }
@@ -1226,8 +1477,8 @@ TEST(ControllerProbe, LocalCycleDeclaredWithoutMessages) {
 
 TEST(ControllerProbe, DelayedInitiationRunsA0AtBlockTime) {
   // Under kDelayed only the probe computation waits T: a local cycle is
-  // declared the moment the closing request queues, before any timer, and
-  // its youngest transaction is the victim.
+  // declared the moment the closing request queues, before any timer.  t1
+  // and t2 hold one lock each, so the younger t2 is the victim.
   DdbOptions o;
   o.initiation = DdbInitiation::kDelayed;
   o.abort_victim = true;
@@ -1246,8 +1497,9 @@ TEST(ControllerProbe, DelayedInitiationRunsA0AtBlockTime) {
 }
 
 TEST(ControllerProbe, CheckAllElectsTheLocalCyclesYoungest) {
-  // The sweep runs the same A0 election as initiate_for(): t2, declared
-  // once although both t1 and t2 sit on the cycle.
+  // The sweep runs the same A0 election as initiate_for(): t2 (both hold
+  // one lock; the younger), declared once although both t1 and t2 sit on
+  // the cycle.
   Rig rig(1);
   const ResourceId r0{0};
   const ResourceId r1{1};
@@ -1265,7 +1517,8 @@ TEST(ControllerProbe, CheckAllElectsTheLocalCyclesYoungest) {
 TEST(ControllerProbe, CheckAllAbortsOneVictimForCyclesSharingIt) {
   // t1 and t2 share-hold rS; t1 waits for t2's rY, t2 for t3's rZ, and t3
   // for rS: the local cycles t1 -> t2 -> t3 -> t1 and t2 -> t3 -> t2 both
-  // have t3 as their youngest, whose abort breaks both.
+  // have t3 as their best victim (one lock, like t1, and younger), whose
+  // abort breaks both.
   DdbOptions o = Rig::manual_options();
   o.abort_victim = true;
   Rig rig(1, o);
@@ -1343,7 +1596,7 @@ TEST(Controller, FrameWithTransactionIdFarOutOfRangeRejected) {
   EXPECT_FALSE(rig.c(0)
                    .on_message(SiteId{1},
                                encode(RemoteLockRequestMsg{
-                                   bogus, ResourceId{0}, LockMode::kWrite}))
+                                   bogus, ResourceId{0}, 0, LockMode::kWrite}))
                    .ok());
   EXPECT_FALSE(rig.c(0)
                    .on_message(SiteId{1},
@@ -1356,7 +1609,7 @@ TEST(Controller, FrameWithTransactionIdFarOutOfRangeRejected) {
     EXPECT_TRUE(rig.c(0)
                     .on_message(SiteId{1},
                                 encode(RemoteLockRequestMsg{
-                                    TransactionId{t}, ResourceId{0},
+                                    TransactionId{t}, ResourceId{0}, 0,
                                     LockMode::kRead}))
                     .ok())
         << t;
@@ -1369,7 +1622,7 @@ TEST(Controller, ProbeWithTargetFarOutOfRangeRejected) {
   Rig rig(2);
   ResourceId rA, rB;
   build_cross_deadlock(rig, rA, rB);
-  const DdbProbeMsg probe{DdbProbeTag{SiteId{1}, 1}, 1, t2, false, t2,
+  const DdbProbeMsg probe{DdbProbeTag{SiteId{1}, 1}, 1, t2, false, t2, 1,
                           TransactionId{0xFFFFFFF0u}};
   EXPECT_FALSE(rig.c(0).on_message(SiteId{1}, encode(probe)).ok());
   EXPECT_EQ(rig.c(0).stats().probes_received, 0u);
@@ -1386,7 +1639,7 @@ TEST(Controller, ProbeFromUnknownInitiatorDropped) {
   Rig rig(2);
   ResourceId rA, rB;
   build_cross_deadlock(rig, rA, rB);
-  const DdbProbeMsg probe{DdbProbeTag{SiteId{9}, 1}, 0, t2, false, t2, t2};
+  const DdbProbeMsg probe{DdbProbeTag{SiteId{9}, 1}, 0, t2, false, t2, 1, t2};
   ASSERT_TRUE(rig.c(0).on_message(SiteId{1}, encode(probe)).ok());
   EXPECT_EQ(rig.c(0).stats().probes_received, 1u);
   EXPECT_EQ(rig.c(0).stats().meaningful_probes, 0u);
@@ -1405,7 +1658,7 @@ TEST(Controller, AcquisitionProbeMeaningfulOnlyFromTheForwardingSite) {
   rig.deliver_all();
   ASSERT_TRUE(rig.c(0).locks().queued_from(t2, SiteId{1}));
   const Bytes probe =
-      encode(DdbProbeMsg{DdbProbeTag{SiteId{1}, 1}, 1, t2, false, t2, t2});
+      encode(DdbProbeMsg{DdbProbeTag{SiteId{1}, 1}, 1, t2, false, t2, 0, t2});
 
   rig.inject(2, 0, probe);
   EXPECT_EQ(rig.c(0).stats().probes_received, 1u);

@@ -105,14 +105,14 @@ GoldenDdb run_t5_episode(std::uint32_t hot_set) {
 TEST(GoldenDdbSchedule, T5EpisodeIsPinned) {
   const GoldenDdb g = run_t5_episode(16);
   EXPECT_EQ(g.committed, 24u);
-  EXPECT_EQ(g.aborted, 19u);
+  EXPECT_EQ(g.aborted, 16u);
   EXPECT_EQ(g.given_up, 0u);
-  EXPECT_EQ(g.messages, 1211u);
-  EXPECT_EQ(g.events, 1399u);
-  EXPECT_EQ(g.makespan_us, 59148);
-  EXPECT_EQ(g.declarations, 42u);
-  EXPECT_EQ(g.detection_hash, 1307744345742680372ULL);
-  EXPECT_EQ(g.frame_hash, 2386782770197255228ULL);
+  EXPECT_EQ(g.messages, 1005u);
+  EXPECT_EQ(g.events, 1196u);
+  EXPECT_EQ(g.makespan_us, 50130);
+  EXPECT_EQ(g.declarations, 28u);
+  EXPECT_EQ(g.detection_hash, 7421018861675864120ULL);
+  EXPECT_EQ(g.frame_hash, 18097194014249661892ULL);
 }
 
 // Hot set 32, T5's low-contention row: few deadlocks, so the schedule is
@@ -120,14 +120,14 @@ TEST(GoldenDdbSchedule, T5EpisodeIsPinned) {
 TEST(GoldenDdbSchedule, T5Hot32EpisodeIsPinned) {
   const GoldenDdb g = run_t5_episode(32);
   EXPECT_EQ(g.committed, 24u);
-  EXPECT_EQ(g.aborted, 7u);
+  EXPECT_EQ(g.aborted, 6u);
   EXPECT_EQ(g.given_up, 0u);
-  EXPECT_EQ(g.messages, 564u);
-  EXPECT_EQ(g.events, 713u);
-  EXPECT_EQ(g.makespan_us, 32027);
-  EXPECT_EQ(g.declarations, 9u);
-  EXPECT_EQ(g.detection_hash, 12483667000223258475ULL);
-  EXPECT_EQ(g.frame_hash, 11712418783362448342ULL);
+  EXPECT_EQ(g.messages, 575u);
+  EXPECT_EQ(g.events, 709u);
+  EXPECT_EQ(g.makespan_us, 29426);
+  EXPECT_EQ(g.declarations, 10u);
+  EXPECT_EQ(g.detection_hash, 15415964246547357721ULL);
+  EXPECT_EQ(g.frame_hash, 13418228490596871892ULL);
 }
 
 TEST(GoldenDdbSchedule, ReplaysInProcess) {

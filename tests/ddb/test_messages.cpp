@@ -6,7 +6,7 @@ namespace cmh::ddb {
 namespace {
 
 TEST(DdbMessages, LockRequestRoundTrip) {
-  const RemoteLockRequestMsg msg{TransactionId{5}, ResourceId{9},
+  const RemoteLockRequestMsg msg{TransactionId{5}, ResourceId{9}, 2,
                                  LockMode::kWrite};
   const auto m = decode(encode(DdbMessage{msg}));
   ASSERT_TRUE(m.ok());
@@ -14,15 +14,44 @@ TEST(DdbMessages, LockRequestRoundTrip) {
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->txn, msg.txn);
   EXPECT_EQ(got->resource, msg.resource);
+  EXPECT_EQ(got->held, 2u);
   EXPECT_EQ(got->mode, LockMode::kWrite);
 }
 
 TEST(DdbMessages, LockRequestReadMode) {
   const auto m = decode(encode(
-      DdbMessage{RemoteLockRequestMsg{TransactionId{1}, ResourceId{2},
+      DdbMessage{RemoteLockRequestMsg{TransactionId{1}, ResourceId{2}, 0,
                                       LockMode::kRead}}));
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(std::get<RemoteLockRequestMsg>(*m).mode, LockMode::kRead);
+}
+
+// The lock count is two little-endian bytes between the resource and the
+// mode byte: 1 (type) + 4 (txn) + 4 (resource) + 2 (held) + 1 (mode).
+TEST(DdbMessages, LockRequestCountRoundTrips) {
+  for (const LockCount held : {LockCount{0}, LockCount{1}, LockCount{0x1234},
+                               LockCount{0xFFFF}}) {
+    const Bytes b = encode(DdbMessage{RemoteLockRequestMsg{
+        TransactionId{5}, ResourceId{9}, held, LockMode::kRead}});
+    ASSERT_EQ(b.size(), 12u);
+    EXPECT_EQ(b[9], static_cast<std::uint8_t>(held));
+    EXPECT_EQ(b[10], static_cast<std::uint8_t>(held >> 8));
+    const auto m = decode(b);
+    ASSERT_TRUE(m.ok());
+    const auto& got = std::get<RemoteLockRequestMsg>(*m);
+    EXPECT_EQ(got.held, held);
+    EXPECT_EQ(got.mode, LockMode::kRead);
+  }
+}
+
+TEST(DdbMessages, LockRequestCutInItsCountRejected) {
+  const Bytes b = encode(DdbMessage{RemoteLockRequestMsg{
+      TransactionId{5}, ResourceId{9}, 3, LockMode::kWrite}});
+  for (const std::size_t cut : {9u, 10u, 11u}) {
+    const auto r = decode(BytesView(b.data(), cut));
+    EXPECT_FALSE(r.ok()) << cut;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(DdbMessages, GrantRoundTrip) {
@@ -52,6 +81,7 @@ TEST(DdbMessages, ProbeRoundTrip) {
     probe.txn = TransactionId{5};
     probe.via_release_wait = release_wait;
     probe.candidate = TransactionId{9};
+    probe.candidate_held = 3;
     probe.target = TransactionId{4};
     const auto m = decode(encode(DdbMessage{probe}));
     ASSERT_TRUE(m.ok());
@@ -61,25 +91,59 @@ TEST(DdbMessages, ProbeRoundTrip) {
     EXPECT_EQ(got.txn, TransactionId{5});
     EXPECT_EQ(got.via_release_wait, release_wait);
     EXPECT_EQ(got.candidate, TransactionId{9});
+    EXPECT_EQ(got.candidate_held, 3u);
     EXPECT_EQ(got.target, TransactionId{4});
   }
 }
 
-TEST(DdbMessages, ProbeFrameIs34Bytes) {
+TEST(DdbMessages, ProbeFrameIs36Bytes) {
   const DdbProbeMsg probe{DdbProbeTag{SiteId{1}, 3}, 2, TransactionId{4},
-                          false, TransactionId{0xABCDEF01u},
+                          false, TransactionId{0xABCDEF01u}, 0xBEEF,
                           TransactionId{0x12345678u}};
   const Bytes b = encode(DdbMessage{probe});
-  ASSERT_EQ(b.size(), 34u);
+  ASSERT_EQ(b.size(), 36u);
   EXPECT_EQ(b.size(), kDdbFrameCapacity);
   const auto m = decode(b);
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(std::get<DdbProbeMsg>(*m).txn, TransactionId{4});
   EXPECT_EQ(std::get<DdbProbeMsg>(*m).candidate, TransactionId{0xABCDEF01u});
+  EXPECT_EQ(std::get<DdbProbeMsg>(*m).candidate_held, 0xBEEFu);
   EXPECT_EQ(std::get<DdbProbeMsg>(*m).target, TransactionId{0x12345678u});
-  const auto truncated = decode(BytesView(b.data(), 33));
+  const auto truncated = decode(BytesView(b.data(), 35));
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The candidate's count sits between the candidate and the target, at
+// offsets 30-31; the target's four bytes follow.
+TEST(DdbMessages, ProbeCandidateCountRoundTrips) {
+  for (const LockCount held : {LockCount{0}, LockCount{1}, LockCount{0x0102},
+                               LockCount{0xFFFF}}) {
+    DdbProbeMsg probe;
+    probe.candidate = TransactionId{9};
+    probe.candidate_held = held;
+    probe.target = TransactionId{0x12345678u};
+    const Bytes b = encode(DdbMessage{probe});
+    EXPECT_EQ(b[30], static_cast<std::uint8_t>(held));
+    EXPECT_EQ(b[31], static_cast<std::uint8_t>(held >> 8));
+    const auto m = decode(b);
+    ASSERT_TRUE(m.ok());
+    const auto& got = std::get<DdbProbeMsg>(*m);
+    EXPECT_EQ(got.candidate_held, held);
+    EXPECT_EQ(got.candidate, TransactionId{9});
+    EXPECT_EQ(got.target, TransactionId{0x12345678u});
+  }
+}
+
+TEST(DdbMessages, ProbeCutInItsCandidateCountRejected) {
+  DdbProbeMsg probe;
+  probe.candidate_held = 7;
+  const Bytes b = encode(DdbMessage{probe});
+  for (const std::size_t cut : {30u, 31u, 32u}) {
+    const auto r = decode(BytesView(b.data(), cut));
+    EXPECT_FALSE(r.ok()) << cut;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(DdbMessages, EmptyRejected) { EXPECT_FALSE(decode(Bytes{}).ok()); }
@@ -90,8 +154,9 @@ TEST(DdbMessages, UnknownTypeRejected) {
 
 TEST(DdbMessages, BadLockModeRejected) {
   Bytes b = encode(DdbMessage{
-      RemoteLockRequestMsg{TransactionId{1}, ResourceId{1}, LockMode::kRead}});
-  b.back() = 7;  // corrupt the mode byte
+      RemoteLockRequestMsg{TransactionId{1}, ResourceId{1}, 0xFFFF,
+                           LockMode::kRead}});
+  b.back() = 7;  // corrupt the mode byte, which follows the count
   EXPECT_FALSE(decode(b).ok());
 }
 
@@ -106,6 +171,17 @@ TEST(DdbTypes, ConflictMatrix) {
   EXPECT_TRUE(conflicts(LockMode::kRead, LockMode::kWrite));
   EXPECT_TRUE(conflicts(LockMode::kWrite, LockMode::kRead));
   EXPECT_TRUE(conflicts(LockMode::kWrite, LockMode::kWrite));
+}
+
+TEST(DdbTypes, BetterVictimHoldsFewerLocksThenIsYounger) {
+  const VictimKey young_rich{TransactionId{9}, 3};
+  const VictimKey old_poor{TransactionId{2}, 1};
+  const VictimKey young_poor{TransactionId{7}, 1};
+  EXPECT_TRUE(better_victim(old_poor, young_rich));
+  EXPECT_FALSE(better_victim(young_rich, old_poor));
+  EXPECT_TRUE(better_victim(young_poor, old_poor));  // tie: the younger
+  EXPECT_FALSE(better_victim(old_poor, young_poor));
+  EXPECT_FALSE(better_victim(old_poor, old_poor));
 }
 
 TEST(DdbTypes, ProbeTagOrdering) {
