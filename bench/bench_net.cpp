@@ -1,9 +1,7 @@
 // Transport microbenchmarks (google-benchmark): small-frame throughput of
-// the three threaded transports.  The number CI gates on is the epoll
-// transport's items/s -- the enqueue-and-wake + coalesced-sendmsg hot path
-// this tree's event-loop rewrite bought.  The blocking and in-memory rows
-// are context: the former is the architecture baseline, the latter the
-// no-syscall upper bound.
+// the two threaded transports.  The number CI gates on is the epoll
+// transport's items/s -- the enqueue-and-wake + coalesced-sendmsg hot path.
+// The in-memory rows are context: the no-syscall upper bound.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -11,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/blocking_tcp_transport.h"
 #include "net/inmemory_transport.h"
 #include "net/tcp_transport.h"
 
@@ -65,16 +62,11 @@ void BM_NetEpollTcpSmallFrames(benchmark::State& state) {
   run_small_frames<TcpTransport>(state);
 }
 
-void BM_NetBlockingTcpSmallFrames(benchmark::State& state) {
-  run_small_frames<BlockingTcpTransport>(state);
-}
-
 void BM_NetInMemorySmallFrames(benchmark::State& state) {
   run_small_frames<InMemoryTransport>(state);
 }
 
 BENCHMARK(BM_NetEpollTcpSmallFrames)->Arg(4)->Arg(16)->UseRealTime();
-BENCHMARK(BM_NetBlockingTcpSmallFrames)->Arg(4)->Arg(16)->UseRealTime();
 BENCHMARK(BM_NetInMemorySmallFrames)->Arg(4)->Arg(16)->UseRealTime();
 
 }  // namespace

@@ -1,25 +1,22 @@
 // Experiment T6 -- transport plumbing overhead.
 //
 // Part one: the same ring-deadlock scenario runs on the simulator and on
-// the three threaded transports.  The simulator column reports virtual
+// the two threaded transports.  The simulator column reports virtual
 // detection time (the algorithm's view); the threaded columns report
 // wall-clock time including scheduler and socket overhead -- the "more
 // plumbing required" the reproduction notes call out.
 //
 // Part two: small-frame throughput under multi-threaded senders, the
 // workload the epoll event-loop transport was built for.  Reported per
-// transport: frames/s, measured write syscalls per frame (sendmsg
-// coalescing pushes it below one), and speedup over the retained
-// thread-per-connection BlockingTcpTransport.  The acceptance bar from the
-// event-loop PR: >= 2x blocking throughput at 16 nodes with < 1 write
-// syscall per frame.
+// transport: frames/s and measured read/write syscalls per frame.  The
+// acceptance bar for the epoll transport: sendmsg coalescing keeps it below
+// one write syscall per frame.
 #include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
 #include "graph/generators.h"
-#include "net/blocking_tcp_transport.h"
 #include "net/inmemory_transport.h"
 #include "net/tcp_transport.h"
 #include "runtime/sim_cluster.h"
@@ -61,19 +58,16 @@ void run_detection_table() {
   bench::Table table(
       "T6a: ring-deadlock detection across transports (ms; sim column is "
       "virtual time, threaded columns are wall clock)",
-      {"ring size", "simulator", "in-memory threads", "blocking tcp",
-       "epoll tcp"});
+      {"ring size", "simulator", "in-memory threads", "epoll tcp"});
 
   for (const std::uint32_t n : {4u, 8u, 16u, 32u}) {
     const double sim_ms = sim_run(n);
     const double mem_ms = threaded_run<net::InMemoryTransport>(n);
-    const double blk_ms = threaded_run<net::BlockingTcpTransport>(n);
     const double epl_ms = threaded_run<net::TcpTransport>(n);
     auto cell = [](double v) {
       return v < 0 ? std::string("miss") : bench::fmt(v, 2);
     };
-    table.row({fmt(n), cell(sim_ms), cell(mem_ms), cell(blk_ms),
-               cell(epl_ms)});
+    table.row({fmt(n), cell(sim_ms), cell(mem_ms), cell(epl_ms)});
   }
   table.print();
 }
@@ -142,36 +136,27 @@ void run_throughput_table() {
 
   const auto mem =
       measure_throughput<net::InMemoryTransport>(kNodes, kSenders, kFrames);
-  const auto blk = measure_throughput<net::BlockingTcpTransport>(
-      kNodes, kSenders, kFrames);
   const auto epl =
       measure_throughput<net::TcpTransport>(kNodes, kSenders, kFrames);
 
   bench::Table table(
       "T6b: 64-byte frame throughput, 16 nodes, 4 concurrent senders",
-      {"transport", "frames/s", "write sys/frame", "read sys/frame",
-       "vs blocking"});
+      {"transport", "frames/s", "write sys/frame", "read sys/frame"});
   auto sys_cell = [](double v) {
     return v < 0 ? std::string("-") : bench::fmt(v, 3);
   };
   auto row = [&](const char* name, const ThroughputResult& r) {
     table.row({name, fmt(r.frames_per_sec, 0),
                sys_cell(r.write_sys_per_frame),
-               sys_cell(r.read_sys_per_frame),
-               fmt(r.frames_per_sec / blk.frames_per_sec, 2) + "x"});
+               sys_cell(r.read_sys_per_frame)});
   };
   row("in-memory threads", mem);
-  row("blocking tcp", blk);
   row("epoll tcp", epl);
   table.print();
 
-  std::printf(
-      "Acceptance (event-loop PR): epoll tcp >= 2x blocking tcp -> %s "
-      "(%.2fx); write syscalls/frame < 1 -> %s (%.3f)\n",
-      epl.frames_per_sec >= 2 * blk.frames_per_sec ? "PASS" : "FAIL",
-      epl.frames_per_sec / blk.frames_per_sec,
-      epl.write_sys_per_frame < 1.0 ? "PASS" : "FAIL",
-      epl.write_sys_per_frame);
+  std::printf("Acceptance: epoll tcp write syscalls/frame < 1 -> %s (%.3f)\n",
+              epl.write_sys_per_frame < 1.0 ? "PASS" : "FAIL",
+              epl.write_sys_per_frame);
 }
 
 void run() {

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark-trajectory harness.
 
-Runs the google-benchmark binaries (bench_micro, bench_sim) and reduces
-their JSON output to a small, stable schema so successive runs can be
-committed and diffed:
+Runs the google-benchmark binaries (bench_micro, bench_sim, bench_net) and
+reduces their JSON output to a small, stable schema so successive runs can
+be committed and diffed:
 
     {
       "schema": "cmh-bench/1",
-      "suite": "micro" | "sim",
+      "suite": "micro" | "sim" | "net",
       "benchmarks": [
         {"name": ..., "time_ns": ..., "cpu_ns": ...,
          "iterations": ..., "items_per_second": ...},   # last key optional
@@ -21,7 +21,7 @@ dropped, so the schema stays byte-stable apart from the numbers.
 
 Usage:
     bench/run_benchmarks.py [--build-dir build] [--out-dir .]
-                            [--suite micro|sim|all] [--min-time SECS]
+                            [--suite micro|sim|net|all] [--min-time SECS]
                             [--compare OLD.json]
                             [--fail-on-regress PCT] [--hot NAME ...]
 
@@ -33,7 +33,8 @@ benchmark got more than PCT percent slower than the old file.  Hot
 benchmarks are named with repeated --hot flags (prefix match, so
 "--hot BM_SimMessageChurn" covers every /N variant); with no --hot flags a
 built-in list of the event-loop-bound benchmarks is used.  Only regressions
-gate -- new or removed benchmarks are reported but never fail the run.
+gate -- a new benchmark is marked "new" and a removed one is skipped; neither
+fails the run.
 """
 
 from __future__ import annotations

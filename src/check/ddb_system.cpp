@@ -142,11 +142,8 @@ void DdbSystem::execute(const Transition& t) {
 }
 
 std::vector<TransactionId> DdbSystem::oracle_deadlocked() const {
-  // Same construction as ddb::Cluster::oracle_deadlocked(): every site's
-  // intra-controller wait edges, plus the waits implied by in-flight (grey)
-  // requests -- a request issued but not yet queued at the owner will wait
-  // on the owner's current conflicting holders/waiters, and grey edges are
-  // dark (they make cycles permanent too).
+  // Every site's intra-controller wait edges, plus the waits implied by
+  // in-flight (grey) requests (ddb::append_grey_waits()).
   std::vector<ddb::WaitEdge> edges;
   std::vector<ddb::WaitEdge> site_edges;
   for (const auto& c : controllers_) {
@@ -159,12 +156,7 @@ std::vector<TransactionId> DdbSystem::oracle_deadlocked() const {
       if (state.granted.contains(resource)) continue;
       const auto& owner =
           *controllers_.at(scenario_.resource_owner.at(resource.value()).value());
-      if (owner.locks().waiting(resource, txn)) continue;  // already queued
-      if (owner.locks().holds(resource, txn)) continue;    // grant in flight
-      for (const TransactionId blocker :
-           owner.locks().blockers(resource, txn, mode)) {
-        edges.emplace_back(txn, blocker);
-      }
+      ddb::append_grey_waits(owner.locks(), txn, resource, mode, edges);
     }
   }
   ddb::CycleFinder finder;

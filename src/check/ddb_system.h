@@ -11,8 +11,8 @@
 //   QRP2  a controller declares `victim` only while the victim is truly
 //         deadlocked per the transaction-level oracle (intra-controller wait
 //         edges from every lock manager, plus the waits implied by in-flight
-//         grey requests -- the same construction as ddb::Cluster's oracle,
-//         recomputed here from harness bookkeeping),
+//         grey requests -- ddb::append_grey_waits(), the rule ddb::Cluster's
+//         oracle applies, fed here from harness bookkeeping),
 //   QRP1  at quiescence, if any transaction is oracle-deadlocked, some
 //         deadlocked transaction was declared.  (The paper promises one
 //         declaration per cycle -- the last closer's computation -- not one

@@ -139,12 +139,9 @@ SiteId Cluster::home_of(TransactionId txn) const { return state(txn).home; }
 
 std::span<const TransactionId> Cluster::oracle_deadlocked() const {
   // Union of every site's local wait edges at the transaction level, plus
-  // the waits implied by *in-flight* (grey) requests -- a request that has
-  // been issued but not yet queued at the owner will wait on the owner's
-  // current conflicting holders/waiters when it lands, and grey edges are
-  // dark in the paper's model (they make cycles permanent too).  At
-  // simulator idle there are no in-flight requests and this is exactly the
-  // global transaction-wait-for graph.
+  // the waits implied by in-flight (grey) requests (append_grey_waits()).
+  // At simulator idle there are no in-flight requests and this is exactly
+  // the global transaction-wait-for graph.
   oracle_edges_.clear();
   for (const auto& c : controllers_) {
     c->intra_edges(oracle_site_edges_);
@@ -157,13 +154,8 @@ std::span<const TransactionId> Cluster::oracle_deadlocked() const {
     const TransactionId txn{t};
     for (const TxnLock& l : s.locks) {
       if (l.granted) continue;
-      const auto& owner = controllers_[owner_of(l.resource).value()]->locks();
-      if (owner.waiting(l.resource, txn)) continue;  // already queued
-      if (owner.holds(l.resource, txn)) continue;    // grant in flight
-      for (const TransactionId blocker :
-           owner.blockers(l.resource, txn, l.mode)) {
-        oracle_edges_.emplace_back(txn, blocker);
-      }
+      append_grey_waits(controllers_[owner_of(l.resource).value()]->locks(),
+                        txn, l.resource, l.mode, oracle_edges_);
     }
   }
   return oracle_.on_cycle(oracle_edges_);

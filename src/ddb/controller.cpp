@@ -299,14 +299,15 @@ void Controller::handle_lock_request(SiteId from,
   }
   // The inter-controller edge ((txn, from), (txn, here)) blackened on
   // receipt (section 6.4, G4).
+  const bool adds_lock = !locks_.holds(msg.resource, msg.txn);
   const AcquireResult r = locks_.acquire(msg.resource, msg.txn, msg.mode, from);
   if (r != AcquireResult::kQueued) {
     // In-place upgrade may newly conflict with queued readers.
     if (msg.mode == LockMode::kWrite) rearm_waiters(msg.resource);
     // Granted at once: the edge whitens as the grant is sent (G5).
     ++stats_.grants_sent;
-    send_(from,
-          encode_small(RemoteLockGrantMsg{msg.txn, msg.resource}).view());
+    const RemoteLockGrantMsg grant{msg.txn, msg.resource, adds_lock};
+    send_(from, encode_small(grant).view());
     return;
   }
   // The forwarded request is queued: agent (txn, here) is now blocked on
@@ -326,8 +327,7 @@ void Controller::handle_grant(SiteId from, const RemoteLockGrantMsg& msg) {
   // at `from`.  Recording the holding or reporting the grant would make an
   // aborted transaction look like a lock holder.
   if (s.aborted) return;
-  // A remote upgrade counts too: the grant frame does not tell it apart.
-  count_grant(s.held);
+  if (msg.adds_lock) count_grant(s.held);
   s.remote_holdings.insert(from);
   const auto it = std::find_if(
       s.pending.begin(), s.pending.end(),
@@ -355,8 +355,8 @@ void Controller::dispatch_grants(const GrantList& grants) {
       if (on_grant_) on_grant_(req.txn, g.resource);
     } else {
       ++stats_.grants_sent;
-      send_(req.origin,
-            encode_small(RemoteLockGrantMsg{req.txn, g.resource}).view());
+      const RemoteLockGrantMsg grant{req.txn, g.resource, !g.upgrade};
+      send_(req.origin, encode_small(grant).view());
     }
   }
   // A grant reshuffles the waits-for relation: transactions still queued on

@@ -51,4 +51,14 @@ std::span<const TransactionId> CycleFinder::on_cycle(
   return result_;
 }
 
+void append_grey_waits(const LockManager& owner, TransactionId txn,
+                       ResourceId resource, LockMode mode,
+                       std::vector<WaitEdge>& edges) {
+  if (owner.waiting(resource, txn)) return;  // already queued
+  if (owner.holds(resource, txn)) return;    // grant in flight
+  for (const TransactionId blocker : owner.blockers(resource, txn, mode)) {
+    edges.emplace_back(txn, blocker);
+  }
+}
+
 }  // namespace cmh::ddb

@@ -11,6 +11,7 @@ enum WireType : std::uint8_t {
   kLockGrant = 2,
   kPurge = 3,
   kProbe = 4,
+  kLockGrantHeld = 5,  // a RemoteLockGrantMsg with adds_lock == false
 };
 
 template <typename W>
@@ -38,7 +39,7 @@ void put(W& w, const DdbMessage& msg) {
           w.u16(m.held);
           w.u8(static_cast<std::uint8_t>(m.mode));
         } else if constexpr (std::is_same_v<T, RemoteLockGrantMsg>) {
-          w.u8(kLockGrant);
+          w.u8(m.adds_lock ? kLockGrant : kLockGrantHeld);
           w.id(m.txn);
           w.id(m.resource);
         } else if constexpr (std::is_same_v<T, PurgeTxnMsg>) {
@@ -95,10 +96,12 @@ Result<DdbMessage> decode(BytesView payload) {
       m.mode = static_cast<LockMode>(mode);
       return DdbMessage{m};
     }
-    case kLockGrant: {
+    case kLockGrant:
+    case kLockGrantHeld: {
       RemoteLockGrantMsg m;
       if (auto st = r.id(m.txn); !st.ok()) return st;
       if (auto st = r.id(m.resource); !st.ok()) return st;
+      m.adds_lock = type == kLockGrant;
       return DdbMessage{m};
     }
     case kPurge: {

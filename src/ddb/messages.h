@@ -41,6 +41,11 @@ struct RemoteLockRequestMsg {
 struct RemoteLockGrantMsg {
   TransactionId txn;
   ResourceId resource;
+  /// False when txn already held the resource at C_m: the grant completes
+  /// a read->write upgrade or answers a redundant request, and adds no
+  /// lock to the count victim election reads.  The flag rides in the wire
+  /// type, so a grant of a new lock keeps its 9-byte frame.
+  bool adds_lock{true};
 };
 
 /// Drop all local state of `txn` (locks held, queued requests).  Sent at

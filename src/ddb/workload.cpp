@@ -5,6 +5,10 @@
 
 namespace cmh::ddb {
 
+namespace {
+constexpr std::uint32_t kNoClient = ~std::uint32_t{0};
+}  // namespace
+
 TxnWorkload::TxnWorkload(Cluster& cluster, TxnScriptConfig config,
                          std::uint64_t seed)
     : cluster_(cluster), config_(config), rng_(seed) {}
@@ -36,28 +40,21 @@ void TxnWorkload::start(std::uint32_t n_txns) {
   }
 
   cluster_.set_grant_listener([this](TransactionId txn, ResourceId) {
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-      if (clients_[i].txn == txn) {
-        step(i);
-        return;
-      }
-    }
+    if (const auto i = client_of(txn)) step(*i);
   });
   cluster_.set_abort_listener([this](TransactionId txn) {
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-      Client& c = clients_[i];
-      if (c.txn != txn) continue;
-      ++result_.aborted;
-      c.txn.reset();
-      c.next_lock = 0;
-      if (++c.retries > config_.max_retries) {
-        ++result_.given_up;
-        return;
-      }
-      cluster_.simulator().schedule(config_.retry_backoff,
-                                    [this, i] { launch(i); });
+    const auto i = client_of(txn);
+    if (!i) return;
+    Client& c = clients_[*i];
+    ++result_.aborted;
+    c.txn.reset();
+    c.next_lock = 0;
+    if (++c.retries > config_.max_retries) {
+      ++result_.given_up;
       return;
     }
+    cluster_.simulator().schedule(config_.retry_backoff,
+                                  [this, client = *i] { launch(client); });
   });
 
   for (std::uint32_t i = 0; i < n_txns; ++i) {
@@ -71,8 +68,20 @@ void TxnWorkload::start(std::uint32_t n_txns) {
 void TxnWorkload::launch(std::size_t client) {
   Client& c = clients_[client];
   c.txn = cluster_.begin(c.home);
+  if (client_by_txn_.size() <= c.txn->value()) {
+    client_by_txn_.resize(c.txn->value() + 1, kNoClient);
+  }
+  client_by_txn_[c.txn->value()] = static_cast<std::uint32_t>(client);
   c.next_lock = 0;
   step(client);
+}
+
+std::optional<std::size_t> TxnWorkload::client_of(TransactionId txn) const {
+  if (txn.value() >= client_by_txn_.size()) return std::nullopt;
+  const std::uint32_t i = client_by_txn_[txn.value()];
+  // A client that was aborted or has committed no longer runs txn.
+  if (i == kNoClient || clients_[i].txn != txn) return std::nullopt;
+  return i;
 }
 
 void TxnWorkload::step(std::size_t client) {

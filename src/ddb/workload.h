@@ -61,12 +61,15 @@ class TxnWorkload {
 
   void launch(std::size_t client);
   void step(std::size_t client);  // issue next lock / hold / commit
-  void poll(std::size_t client);  // wait for grant or abort
+  /// The client running `txn`, if one runs it now.
+  [[nodiscard]] std::optional<std::size_t> client_of(TransactionId txn) const;
 
   Cluster& cluster_;
   TxnScriptConfig config_;
   Rng rng_;
   std::vector<Client> clients_;
+  /// Indexed by the dense transaction id: the client that began it.
+  std::vector<std::uint32_t> client_by_txn_;
   WorkloadResult result_;
 };
 

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -19,9 +20,12 @@ namespace cmh::net {
 
 namespace {
 
-/// Stack iovec array bound for one sendmsg(); max_coalesced_frames is
-/// clamped to this.
-constexpr std::size_t kIovCap = 64;
+/// Upper bound on frames folded into a single sendmsg(), clamped to the
+/// OS IOV_MAX; also the size of the stack iovec array.
+constexpr std::size_t kMaxCoalescedFrames = std::min<std::size_t>(64, IOV_MAX);
+
+/// Readable space requested from the ring buffer per recv() call.
+constexpr std::size_t kRecvChunk = 64 * 1024;
 
 /// Pre-frames a payload: 4-byte big-endian length prefix + bytes, one
 /// contiguous buffer so a single iovec carries the whole frame.
@@ -167,7 +171,7 @@ void TcpTransport::InboundConn::on_events(std::uint32_t) {
   // Level-triggered: read until the socket is drained (short read / EAGAIN)
   // so one readiness event never leaves buffered frames behind.
   for (;;) {
-    std::uint8_t* dst = buf.writable(t.config_.recv_chunk);
+    std::uint8_t* dst = buf.writable(kRecvChunk);
     const std::size_t cap = buf.writable_size();
     const ssize_t n = ::recv(fd(), dst, cap, 0);
     if (n > 0) {
@@ -529,9 +533,7 @@ void TcpTransport::flush_channel(Channel& ch) {
 }
 
 void TcpTransport::flush_channel_locked(Channel& ch) {
-  iovec iov[kIovCap];
-  const std::size_t max_iov = std::clamp<std::size_t>(
-      config_.max_coalesced_frames, 1, kIovCap);
+  iovec iov[kMaxCoalescedFrames];
   for (;;) {
     if (ch.queue.empty()) {
       ch.flush_scheduled = false;
@@ -541,11 +543,12 @@ void TcpTransport::flush_channel_locked(Channel& ch) {
       }
       return;
     }
-    // One sendmsg() carries prefix+payload of up to max_iov queued frames.
+    // One sendmsg() carries prefix+payload of up to kMaxCoalescedFrames
+    // queued frames.
     std::size_t cnt = 0;
     std::size_t requested = 0;
-    for (auto it = ch.queue.begin(); it != ch.queue.end() && cnt < max_iov;
-         ++it, ++cnt) {
+    for (auto it = ch.queue.begin();
+         it != ch.queue.end() && cnt < kMaxCoalescedFrames; ++it, ++cnt) {
       const std::size_t off = cnt == 0 ? ch.front_offset : 0;
       iov[cnt].iov_base = it->data() + off;
       iov[cnt].iov_len = it->size() - off;

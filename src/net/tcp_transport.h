@@ -12,7 +12,7 @@
 //     pending) wakes the channel's event loop through an eventfd.  The
 //     caller thread never touches the socket.
 //   * The loop flushes with one sendmsg() carrying the length prefixes AND
-//     payloads of up to `max_coalesced_frames` queued frames -- under load
+//     payloads of up to 64 queued frames -- under load
 //     the measured syscalls-per-frame drops well below one.
 //   * The receive side reads into a per-connection ring buffer (one recv()
 //     per readiness, many frames) and slices complete frames out of it
@@ -25,8 +25,7 @@
 //
 // Delivered messages still funnel through a per-destination mailbox thread
 // so handlers stay sequential per node (the paper's atomic-step
-// requirement).  The thread-per-connection implementation this replaced
-// survives as BlockingTcpTransport for comparison benchmarks.
+// requirement).
 //
 // Capability model (DESIGN.md section 7.2): the node registry is guarded
 // by nodes_mutex_ and frozen at start() (node_index_ is the lock-free
@@ -52,18 +51,32 @@
 
 namespace cmh::net {
 
+/// Framing bound: a length prefix larger than this is treated as stream
+/// corruption and the connection is dropped.
+inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;  // 64 MiB
+
+/// Monotonic I/O counters (relaxed atomics; a snapshot is consistent only
+/// in the quiescent state).  `frames_sent` versus `write_syscalls` is the
+/// coalescing ratio the event loop optimizes: under load one sendmsg()
+/// carries many queued frames.
+struct TransportIoStats {
+  std::uint64_t frames_enqueued{0};   ///< accepted by send()
+  std::uint64_t frames_sent{0};       ///< fully handed to the kernel
+  std::uint64_t frames_dropped{0};    ///< lost to connect failure / backoff
+  std::uint64_t frames_delivered{0};  ///< handler invocations completed
+  std::uint64_t write_syscalls{0};    ///< sendmsg() calls
+  std::uint64_t read_syscalls{0};     ///< recv() calls
+  std::uint64_t bytes_sent{0};        ///< payload + prefix bytes written
+  std::uint64_t connect_attempts{0};  ///< outbound dials (incl. retries)
+};
+
 struct TcpTransportConfig {
   /// Event-loop threads to run; 0 means min(4, hardware_concurrency).
   unsigned event_loops = 0;
-  /// Upper bound on frames folded into a single sendmsg() (also clamped to
-  /// the OS IOV_MAX).
-  std::uint32_t max_coalesced_frames = 64;
   /// First retry delay after a failed connect; doubles per failure.
   std::chrono::milliseconds reconnect_backoff_initial{5};
   /// Ceiling for the exponential backoff.
   std::chrono::milliseconds reconnect_backoff_max{1000};
-  /// Readable space requested from the ring buffer per recv() call.
-  std::size_t recv_chunk = 64 * 1024;
 };
 
 class TcpTransport final : public Transport {

@@ -1,15 +1,14 @@
 // Transport abstraction.
 //
 // Algorithm code never talks to a socket or a simulator directly; it sends
-// byte payloads to node ids through this interface.  Three implementations
+// byte payloads to node ids through this interface.  Two implementations
 // exist:
-//   * InMemoryTransport     -- real threads, lock-protected FIFO queues
-//   * TcpTransport          -- localhost TCP sockets, length-prefixed frames,
-//                              epoll event loops
-//   * BlockingTcpTransport  -- the same frames, thread per connection
-// All three guarantee the paper's communication model: reliable, in-order
-// (per channel), finite-delay delivery.  The deterministic simulator
-// (sim::Simulator) is the fourth host of the same model; it has its own
+//   * InMemoryTransport  -- real threads, lock-protected FIFO queues
+//   * TcpTransport       -- localhost TCP sockets, length-prefixed frames,
+//                           epoll event loops
+// Both guarantee the paper's communication model: reliable, in-order (per
+// channel), finite-delay delivery.  The deterministic simulator
+// (sim::Simulator) is the third host of the same model; it has its own
 // interface.
 #pragma once
 
@@ -21,25 +20,6 @@
 namespace cmh::net {
 
 using NodeId = std::uint32_t;
-
-/// Framing bound shared by the socket transports: a length prefix larger
-/// than this is treated as stream corruption and the connection is dropped.
-inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;  // 64 MiB
-
-/// Monotonic I/O counters kept by the socket transports (relaxed atomics;
-/// a snapshot is consistent only in the quiescent state).  `frames_sent`
-/// versus `write_syscalls` is the coalescing ratio the event-loop transport
-/// optimizes: under load one sendmsg() carries many queued frames.
-struct TransportIoStats {
-  std::uint64_t frames_enqueued{0};   ///< accepted by send()
-  std::uint64_t frames_sent{0};       ///< fully handed to the kernel
-  std::uint64_t frames_dropped{0};    ///< lost to connect failure / backoff
-  std::uint64_t frames_delivered{0};  ///< handler invocations completed
-  std::uint64_t write_syscalls{0};    ///< sendmsg()/writev() calls
-  std::uint64_t read_syscalls{0};     ///< recv()/read() calls
-  std::uint64_t bytes_sent{0};        ///< payload + prefix bytes written
-  std::uint64_t connect_attempts{0};  ///< outbound dials (incl. retries)
-};
 
 class Transport {
  public:

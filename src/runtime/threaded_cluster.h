@@ -1,6 +1,5 @@
 // ThreadedCluster -- hosts BasicProcess instances on a real (threaded)
-// Transport: InMemoryTransport, the epoll TcpTransport, or
-// BlockingTcpTransport.
+// Transport: InMemoryTransport or the epoll TcpTransport.
 //
 // Each process is guarded by its own mutex; the transport's per-node
 // delivery serialization plus this mutex give the paper's atomic-step

@@ -245,7 +245,7 @@ TEST(Controller, QueuedCountsAreSettledBeforeGrantCallbacks) {
 TEST(Controller, LockCountCountsDistinctResourcesGranted) {
   // The count victim election reads: a synchronous grant, a queued local
   // grant and a remote grant each add one; an upgrade, in place or queued,
-  // adds nothing.
+  // local or remote, and a redundant request add nothing.
   Rig rig(2);
   Controller& c = rig.c(0);
   const ResourceId rA = res_at(0, 0, 2);
@@ -281,6 +281,36 @@ TEST(Controller, LockCountCountsDistinctResourcesGranted) {
   rig.deliver_all();
   EXPECT_EQ(c.lock_count(t1), 2u);
   EXPECT_EQ(rig.c(1).lock_count(t1), 0u);  // granted at once: none stored
+
+  // The owner answers a remote upgrade and a remote redundant request with
+  // a grant too; neither adds a lock.
+  const ResourceId rX = res_at(1, 1, 2);
+  c.lock(t1, rX, LockMode::kRead);
+  rig.deliver_all();
+  EXPECT_EQ(c.lock_count(t1), 3u);
+  c.lock(t1, rX, LockMode::kWrite);  // in place at the owner: sole holder
+  rig.deliver_all();
+  ASSERT_EQ(rig.c(1).locks().held_mode(rX, t1), LockMode::kWrite);
+  EXPECT_EQ(c.lock_count(t1), 3u);
+  c.lock(t1, rX, LockMode::kRead);  // already held
+  rig.deliver_all();
+  ASSERT_FALSE(c.blocked(t1));
+  EXPECT_EQ(c.lock_count(t1), 3u);
+
+  const ResourceId rY = res_at(1, 2, 2);
+  const TransactionId reader{6};  // homed at the owner
+  c.lock(t1, rY, LockMode::kRead);
+  ASSERT_TRUE(rig.c(1).lock(reader, rY, LockMode::kRead));
+  rig.deliver_all();
+  EXPECT_EQ(c.lock_count(t1), 4u);
+  c.lock(t1, rY, LockMode::kWrite);  // queued behind the other read
+  rig.deliver_all();
+  ASSERT_TRUE(c.blocked(t1));
+  rig.c(1).finish(reader);  // grants the queued remote upgrade
+  rig.deliver_all();
+  ASSERT_FALSE(c.blocked(t1));
+  ASSERT_EQ(rig.c(1).locks().held_mode(rY, t1), LockMode::kWrite);
+  EXPECT_EQ(c.lock_count(t1), 4u);
 }
 
 TEST(Controller, FinishPurgesOnlyParticipants) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace cmh::ddb {
 namespace {
 
@@ -54,13 +56,39 @@ TEST(DdbMessages, LockRequestCutInItsCountRejected) {
   }
 }
 
+// 1 (type) + 4 (txn) + 4 (resource).  A grant that adds no lock (an
+// upgrade or a redundant request) differs from a grant of a new lock only
+// in its type byte.
 TEST(DdbMessages, GrantRoundTrip) {
-  const auto m = decode(
-      encode(DdbMessage{RemoteLockGrantMsg{TransactionId{3}, ResourceId{4}}}));
-  ASSERT_TRUE(m.ok());
-  const auto& got = std::get<RemoteLockGrantMsg>(*m);
-  EXPECT_EQ(got.txn, TransactionId{3});
-  EXPECT_EQ(got.resource, ResourceId{4});
+  const Bytes fresh = encode(
+      DdbMessage{RemoteLockGrantMsg{TransactionId{3}, ResourceId{4}, true}});
+  const Bytes held = encode(
+      DdbMessage{RemoteLockGrantMsg{TransactionId{3}, ResourceId{4}, false}});
+  ASSERT_EQ(fresh.size(), 9u);
+  ASSERT_EQ(held.size(), 9u);
+  EXPECT_EQ(fresh[0], 2u);  // the grant type every workload frame carries
+  EXPECT_NE(fresh[0], held[0]);
+  EXPECT_TRUE(std::equal(fresh.begin() + 1, fresh.end(), held.begin() + 1));
+  for (const bool adds_lock : {true, false}) {
+    const auto m = decode(adds_lock ? fresh : held);
+    ASSERT_TRUE(m.ok());
+    const auto& got = std::get<RemoteLockGrantMsg>(*m);
+    EXPECT_EQ(got.txn, TransactionId{3});
+    EXPECT_EQ(got.resource, ResourceId{4});
+    EXPECT_EQ(got.adds_lock, adds_lock);
+  }
+}
+
+TEST(DdbMessages, GrantCutShortRejected) {
+  for (const bool adds_lock : {true, false}) {
+    const Bytes b = encode(DdbMessage{
+        RemoteLockGrantMsg{TransactionId{3}, ResourceId{4}, adds_lock}});
+    for (std::size_t cut = 1; cut < b.size(); ++cut) {
+      const auto r = decode(BytesView(b.data(), cut));
+      EXPECT_FALSE(r.ok()) << adds_lock << " " << cut;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(DdbMessages, PurgeRoundTrip) {

@@ -3,7 +3,7 @@
 // plus the interface contracts the runtime layer leans on -- zero-length
 // payloads, large frames, per-node handler serialization (atomic steps),
 // and a stop() that is safe under concurrent traffic.  The same test body
-// runs against all three implementations via a typed fixture, so a new
+// runs against both implementations via a typed fixture, so a new
 // transport cannot pass review without passing the model.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/sync.h"
-#include "net/blocking_tcp_transport.h"
 #include "net/inmemory_transport.h"
 #include "net/tcp_transport.h"
 
@@ -62,14 +61,12 @@ struct TransportNames {
   template <typename T>
   static std::string GetName(int) {
     if (std::is_same_v<T, InMemoryTransport>) return "InMemory";
-    if (std::is_same_v<T, BlockingTcpTransport>) return "BlockingTcp";
     if (std::is_same_v<T, TcpTransport>) return "EpollTcp";
     return "Unknown";
   }
 };
 
-using TransportTypes =
-    ::testing::Types<InMemoryTransport, BlockingTcpTransport, TcpTransport>;
+using TransportTypes = ::testing::Types<InMemoryTransport, TcpTransport>;
 TYPED_TEST_SUITE(TransportConformance, TransportTypes, TransportNames);
 
 // Per-channel FIFO with concurrent senders: interleaving across threads is

@@ -1,10 +1,9 @@
 // The algorithm is transport-agnostic: the same scenario must produce the
 // same detection verdict on the simulator, on in-memory threads, and on
-// both TCP transports (epoll event-loop and blocking thread-per-connection).
+// the epoll TCP transport.
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
-#include "net/blocking_tcp_transport.h"
 #include "net/inmemory_transport.h"
 #include "net/tcp_transport.h"
 #include "runtime/sim_cluster.h"
@@ -51,7 +50,6 @@ TEST_P(TransportEquivalence, VerdictsAgree) {
   const bool expected = len > 0;
   EXPECT_EQ(sim_verdict(s), expected);
   EXPECT_EQ(threaded_verdict<net::InMemoryTransport>(s), expected);
-  EXPECT_EQ(threaded_verdict<net::BlockingTcpTransport>(s), expected);
   EXPECT_EQ(threaded_verdict<net::TcpTransport>(s), expected);
 }
 
