@@ -24,7 +24,12 @@ auto find_lock(Locks& locks, ResourceId resource) {
 Cluster::Cluster(ClusterConfig config)
     : config_(config),
       sim_(config.seed, config.delays),
+      outbox_(config.n_sites,
+              [this](SiteId from, SiteId to, BytesView payload) {
+                sim_.send(from.value(), to.value(), payload);
+              }),
       controllers_(config.n_sites) {
+  sim_.set_step_hook(this);
   sim_.reserve_nodes(config_.n_sites);
   for (std::uint32_t i = 0; i < config_.n_sites; ++i) sim_.add_node({});
   for (std::uint32_t i = 0; i < config_.n_sites; ++i) {
@@ -32,7 +37,7 @@ Cluster::Cluster(ClusterConfig config)
     Controller& controller = controllers_[i].emplace(
         site, config_.n_sites,
         [this, site](SiteId to, BytesView payload) {
-          sim_.send(site.value(), to.value(), payload);
+          outbox_.send(site, to, payload);
         },
         [this](ResourceId r) { return owner_of(r); }, config_.options,
         [this](SimTime delay, std::function<void()> fn) {
@@ -64,8 +69,10 @@ Cluster::Cluster(ClusterConfig config)
           if (detection_listener_) detection_listener_(d);
         });
     sim_.set_handler(i, [this, i](sim::NodeId from, BytesView payload) {
-      const auto st =
-          controllers_[i]->on_message(SiteId{from}, payload);
+      Controller& c = *controllers_[i];
+      const Status st = for_each_frame(payload, [&c, from](BytesView frame) {
+        return c.on_message(SiteId{from}, frame);
+      });
       if (!st.ok()) {
         throw std::logic_error("ddb::Cluster: bad frame: " + st.to_string());
       }
@@ -103,6 +110,7 @@ void Cluster::lock(TransactionId txn, ResourceId resource, LockMode mode) {
     it->mode = mode;
     it->granted = false;
   }
+  const Outbox::Step step(outbox_);
   controller(s.home).lock(txn, resource, mode);
 }
 
@@ -110,6 +118,7 @@ void Cluster::finish(TransactionId txn) {
   auto& s = state(txn);
   if (s.status != TxnStatus::kActive) return;
   s.status = TxnStatus::kCommitted;
+  const Outbox::Step step(outbox_);
   controller(s.home).finish(txn);
 }
 
@@ -118,6 +127,7 @@ void Cluster::abort(TransactionId txn) {
   if (s.status != TxnStatus::kActive) return;
   // The controller's abort broadcast triggers the home-site abort callback,
   // which flips the status and notifies the listener.
+  const Outbox::Step step(outbox_);
   controller(s.home).abort(txn);
 }
 

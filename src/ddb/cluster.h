@@ -17,6 +17,7 @@
 #include "common/small_vector.h"
 #include "ddb/controller.h"
 #include "ddb/cycle_finder.h"
+#include "ddb/outbox.h"
 #include "sim/simulator.h"
 
 namespace cmh::ddb {
@@ -38,7 +39,12 @@ struct DdbDetection {
   SimTime at;
 };
 
-class Cluster {
+// Every controller frame leaves through one Outbox: each simulator dispatch
+// (a message or a timer) and each lock()/finish()/abort() call is one step,
+// and a step's frames to one site travel as one simulator message
+// (outbox.h).  A controller driven directly from outside any step, such as
+// controller(s).check_all() under kManual, sends at once.
+class Cluster : private sim::StepHook {
  public:
   explicit Cluster(ClusterConfig config);
 
@@ -140,8 +146,12 @@ class Cluster {
   [[nodiscard]] const TxnState& state(TransactionId txn) const;
   [[nodiscard]] TxnState& state(TransactionId txn);
 
+  void begin_step() override { outbox_.begin_step(); }
+  void end_step() override { outbox_.end_step(); }
+
   ClusterConfig config_;
   sim::Simulator sim_;
+  Outbox outbox_;
   // One contiguous block, sized once: a Controller is neither copyable nor
   // movable (its timers capture `this`), so each is emplaced in place.
   std::vector<std::optional<Controller>> controllers_;

@@ -430,7 +430,12 @@ std::optional<TransactionId> Controller::intra_reachable(TransactionId txn,
                                                          VictimKey best) {
   locks_.wait_edges(edges_);
   paths_.clear();
-  paths_.push_back({txn, best, extend(best, txn)});
+  if (++bfs_epoch_ == 0) {
+    // The stamp wrapped: clear the old marks so none matches by accident.
+    for (TxnSlot& s : txns_) s.visit = 0;
+    bfs_epoch_ = 1;
+  }
+  bfs_visit(txn, best);
   std::optional<VictimKey> cycle;
   for (std::size_t head = 0; head < paths_.size(); ++head) {
     const PathBest u = paths_[head];
@@ -440,19 +445,29 @@ std::optional<TransactionId> Controller::intra_reachable(TransactionId txn,
       if (v == txn && (!cycle || better_victim(u.best, *cycle))) {
         cycle = u.best;
       }
-      if (reached(v) == nullptr) {
-        paths_.push_back({v, u.best, extend(u.best, v)});
-      }
+      bfs_visit(v, u.best);
     }
   }
   if (!cycle) return std::nullopt;
   return cycle->txn;
 }
 
+void Controller::bfs_visit(TransactionId txn, const VictimKey& before) {
+  // Every agent the BFS reaches is in this site's lock table, so its id has
+  // been admitted; a holder granted at once on a forwarded request gets its
+  // (empty) slot here.
+  TxnSlot& s = slot_for(txn);
+  if (s.visit == bfs_epoch_) return;
+  s.visit = bfs_epoch_;
+  s.path = static_cast<std::uint32_t>(paths_.size());
+  paths_.push_back({txn, before, extend(before, txn)});
+}
+
 const Controller::PathBest* Controller::reached(TransactionId txn) const {
-  const auto it = std::find_if(paths_.begin(), paths_.end(),
-                               [txn](const PathBest& p) { return p.txn == txn; });
-  return it != paths_.end() ? &*it : nullptr;
+  const TxnSlot* s = slot(txn);
+  return s != nullptr && bfs_epoch_ != 0 && s->visit == bfs_epoch_
+             ? &paths_[s->path]
+             : nullptr;
 }
 
 bool Controller::declare_local_cycle(TransactionId txn, TxnSet* declared) {

@@ -282,6 +282,10 @@ class Controller {
     // nothing).  Elsewhere: the count txn's latest queued forwarded request
     // carried.  Read only while txn waits here, when neither can change.
     LockCount held{0};
+    // BFS visit mark: txn is in paths_ at `path` iff `visit` equals the
+    // controller's bfs_epoch_, so reached() is one index.
+    std::uint32_t visit{0};
+    std::uint32_t path{0};
   };
 
   /// A computation's record at this site.  An own computation's record is
@@ -345,6 +349,9 @@ class Controller {
   /// is the better victim.
   [[nodiscard]] VictimKey extend(const VictimKey& best,
                                  TransactionId txn) const;
+  /// Appends `txn` to paths_, `before` the best victim on the path that led
+  /// to it, unless this BFS has reached it already.
+  void bfs_visit(TransactionId txn, const VictimKey& before);
   /// The entry of `txn` in paths_, or null if the last BFS missed it.
   [[nodiscard]] const PathBest* reached(TransactionId txn) const;
 
@@ -465,6 +472,7 @@ class Controller {
   std::vector<WaitEdge> edges_;            // intra_reachable()
   std::vector<PathBest> paths_;            // intra_reachable() BFS queue
                                            // and result
+  std::uint32_t bfs_epoch_{0};             // paths_'s stamp in TxnSlot::visit
   std::vector<TransactionId> processes_;   // check_all(): blocked, then Q
   TxnSet swept_;                           // check_all(): victims declared
 

@@ -3,6 +3,8 @@
 // cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #include "ddb/messages.h"
 
+#include <stdexcept>
+
 namespace cmh::ddb {
 
 namespace {
@@ -12,6 +14,7 @@ enum WireType : std::uint8_t {
   kPurge = 3,
   kProbe = 4,
   kLockGrantHeld = 5,  // a RemoteLockGrantMsg with adds_lock == false
+  // 6 is kBatch (messages.h): an envelope of frames, not a message.
 };
 
 template <typename W>
@@ -76,6 +79,31 @@ Bytes encode(const DdbMessage& msg) {
   Bytes out;
   encode_into(msg, out);
   return out;
+}
+
+void append_to_batch(Bytes& envelope, BytesView frame) {
+  if (frame.empty() || frame.size() > kDdbFrameCapacity) {
+    throw std::length_error("ddb::append_to_batch: frame size out of range");
+  }
+  if (envelope.empty()) envelope.push_back(kBatch);
+  envelope.push_back(static_cast<std::uint8_t>(frame.size()));
+  envelope.insert(envelope.end(), frame.begin(), frame.end());
+}
+
+Status check_batch(BytesView envelope) {
+  if (envelope.size() < 2) {
+    return Status{StatusCode::kInvalidArgument, "empty batch"};
+  }
+  for (std::size_t at = 1; at < envelope.size(); at += 1 + envelope[at]) {
+    const std::size_t length = envelope[at];
+    if (length == 0 || length > kDdbFrameCapacity) {
+      return Status{StatusCode::kInvalidArgument, "bad batched frame length"};
+    }
+    if (length > envelope.size() - at - 1) {
+      return Status{StatusCode::kInvalidArgument, "truncated batch"};
+    }
+  }
+  return Status::Ok();
 }
 
 Result<DdbMessage> decode(BytesView payload) {

@@ -100,6 +100,14 @@ using DdbMessage = std::variant<RemoteLockRequestMsg, RemoteLockGrantMsg,
 /// + 4 (target).  Every DDB frame fits.
 inline constexpr std::size_t kDdbFrameCapacity = 36;
 
+/// Wire type of a batch envelope: the frames that one atomic step of a site
+/// sends to one destination, as this byte followed by (u8 length, frame)
+/// pairs in send order.  A host sends a step's lone frame bare and two or
+/// more in one envelope (ddb::Outbox), so a receiver splits what arrives
+/// with for_each_frame().  An envelope is not a DdbMessage: decode()
+/// rejects it.
+inline constexpr std::uint8_t kBatch = 6;
+
 /// A stack-encoded frame; view() is valid for the frame's lifetime.  The
 /// detection hot path (one probe per inter-controller edge, every round)
 /// heap-allocates nothing.
@@ -116,5 +124,30 @@ void encode_into(const DdbMessage& msg, Bytes& out);
 
 [[nodiscard]] Bytes encode(const DdbMessage& msg);
 [[nodiscard]] Result<DdbMessage> decode(BytesView payload);
+
+/// Appends `frame` to `envelope`, starting the envelope if it is empty.
+/// A frame is 1 to kDdbFrameCapacity bytes; any other size throws
+/// std::length_error.
+void append_to_batch(Bytes& envelope, BytesView frame);
+
+/// Checks the framing of a kBatch envelope: at least one frame, and every
+/// length between 1 and kDdbFrameCapacity and inside the payload.
+[[nodiscard]] Status check_batch(BytesView envelope);
+
+/// Calls `fn(frame)` for each frame `payload` carries, in send order: the
+/// payload itself if it is a bare frame, else every frame of its kBatch
+/// envelope.  Returns the first non-ok status `fn` returns.  A malformed
+/// envelope is rejected before any of its frames is handed on.
+template <typename Fn>
+[[nodiscard]] Status for_each_frame(BytesView payload, Fn&& fn) {
+  if (payload.empty() || payload.front() != kBatch) return fn(payload);
+  if (Status st = check_batch(payload); !st.ok()) return st;
+  for (std::size_t at = 1; at < payload.size(); at += 1 + payload[at]) {
+    if (Status st = fn(payload.subspan(at + 1, payload[at])); !st.ok()) {
+      return st;
+    }
+  }
+  return Status::Ok();
+}
 
 }  // namespace cmh::ddb

@@ -56,6 +56,22 @@ struct CtxGuard {
   CtxGuard& operator=(const CtxGuard&) = delete;
 };
 
+// One dispatch as a step of the attached StepHook, if any.
+class StepScope {
+ public:
+  explicit StepScope(StepHook* hook) : hook_(hook) {
+    if (hook_ != nullptr) hook_->begin_step();
+  }
+  ~StepScope() {
+    if (hook_ != nullptr) hook_->end_step();
+  }
+  StepScope(const StepScope&) = delete;
+  StepScope& operator=(const StepScope&) = delete;
+
+ private:
+  StepHook* hook_;
+};
+
 }  // namespace
 
 Simulator::Simulator(std::uint64_t seed, DelayModel delays,
@@ -106,6 +122,15 @@ void Simulator::set_observer(SimObserver* observer) {
         "shard workers would race on the observer)");
   }
   observer_ = observer;
+}
+
+void Simulator::set_step_hook(StepHook* hook) {
+  if (hook != nullptr && shard_count_ > 1) {
+    throw std::logic_error(
+        "Simulator::set_step_hook: step hooks require shards == 1 (concurrent "
+        "shard workers would race on the hook)");
+  }
+  step_hook_ = hook;
 }
 
 void Simulator::ensure_partition() {
@@ -329,6 +354,8 @@ void Simulator::dispatch_on(std::uint32_t shard_idx,
     sh.timers.release(entry.slot);
     ++sh.stats.timers_fired;
     CtxGuard guard(this, shard_idx, entry.a);
+    // Inside the guard: the hook's end_step() may send at this instant.
+    const StepScope step(step_hook_);
     fn();
   }
 }
@@ -339,6 +366,7 @@ void Simulator::deliver(std::uint32_t shard_idx,
     observer_->on_deliver(entry.a, entry.b, payload, shards_[shard_idx].now);
   }
   const CtxGuard guard(this, shard_idx, entry.b);
+  const StepScope step(step_hook_);
   const MessageHandler& handler = nodes_[entry.b].handler;
   if (handler) handler(entry.a, payload);
 }

@@ -107,6 +107,19 @@ class SimObserver {
                           SimTime at) = 0;
 };
 
+/// Brackets every dispatched event, message or timer: begin_step() runs
+/// before the node's handler or the timer's callable, end_step() after it
+/// returns or throws, both inside the dispatch (now() is the event's time
+/// and sends leave at that instant).  A host uses it to treat each dispatch
+/// as one atomic step; ddb::Cluster flushes its per-step outbox at
+/// end_step().  Single-shard only, like SimObserver.
+class StepHook {
+ public:
+  virtual ~StepHook() = default;
+  virtual void begin_step() = 0;
+  virtual void end_step() = 0;
+};
+
 class Simulator {
  public:
   /// Invoked once per delivered message.  The payload view is only valid
@@ -142,6 +155,10 @@ class Simulator {
   void set_observer(SimObserver* observer);
 
   [[nodiscard]] SimObserver* observer() const { return observer_; }
+
+  /// Attaches (or detaches, with nullptr) the step hook; borrowed like the
+  /// observer.  Throws std::logic_error in multi-shard mode -- see StepHook.
+  void set_step_hook(StepHook* hook);
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
@@ -328,6 +345,7 @@ class Simulator {
 
   SimTime now_{SimTime::zero()};
   SimObserver* observer_{nullptr};
+  StepHook* step_hook_{nullptr};
   std::vector<Node> nodes_;
   std::vector<ShardState> shards_;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace cmh::sim {
@@ -292,6 +294,58 @@ TEST(Simulator, HandlerViewSurvivesSendsFromTheHandler) {
     EXPECT_EQ(seen, sent) << "size " << size;
     EXPECT_EQ(sim.stats().messages_delivered, 65u);
   }
+}
+
+// The step hook brackets each dispatch, message or timer, and runs inside
+// it: a send from end_step() leaves at the dispatched event's instant.
+TEST(Simulator, StepHookBracketsEveryDispatch) {
+  struct Hook final : StepHook {
+    Simulator* sim{nullptr};
+    std::vector<std::pair<char, SimTime>> log;
+    int depth{0};
+    void begin_step() override {
+      ++depth;
+      log.emplace_back('(', sim->now());
+    }
+    void end_step() override {
+      --depth;
+      log.emplace_back(')', sim->now());
+      if (log.size() == 2) sim->send(0, 1, payload(2));  // the timer's step
+    }
+  };
+  Simulator sim(1, DelayModel::fixed(SimTime::us(10)));
+  Hook hook;
+  hook.sim = &sim;
+  sim.set_step_hook(&hook);
+  int depth_in_handler = -1;
+  SimTime delivered{-1};
+  sim.add_node({});
+  sim.add_node([&](NodeId, BytesView) {
+    depth_in_handler = hook.depth;
+    delivered = sim.now();
+  });
+  sim.schedule(SimTime::us(5), [&] { EXPECT_EQ(hook.depth, 1); });
+  sim.run();
+  EXPECT_EQ(depth_in_handler, 1);
+  EXPECT_EQ(delivered, SimTime::us(15));  // sent at 5 us, not later
+  const std::vector<std::pair<char, SimTime>> expected = {
+      {'(', SimTime::us(5)},
+      {')', SimTime::us(5)},
+      {'(', SimTime::us(15)},
+      {')', SimTime::us(15)}};
+  EXPECT_EQ(hook.log, expected);
+  sim.set_step_hook(nullptr);
+}
+
+TEST(Simulator, StepHookRequiresOneShard) {
+  struct Hook final : StepHook {
+    void begin_step() override {}
+    void end_step() override {}
+  };
+  Hook hook;
+  Simulator sharded(1, DelayModel{}, 2);
+  EXPECT_THROW(sharded.set_step_hook(&hook), std::logic_error);
+  sharded.set_step_hook(nullptr);  // detaching is always allowed
 }
 
 TEST(SimTime, Arithmetic) {
