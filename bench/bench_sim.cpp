@@ -168,8 +168,7 @@ BENCHMARK(BM_ShardedDetectionWave)
 /// paper's "normal operation" overhead measurements.  ordered_requests
 /// keeps the traffic contended but deadlock-free so every round drains.
 void BM_WorkloadChurn(benchmark::State& state) {
-  core::Options options;
-  options.initiation = core::InitiationMode::kOnRequest;
+  const core::Options options;  // T = 0: every request initiates
   runtime::WorkloadConfig cfg;
   cfg.issue_until = SimTime::ms(20);
   cfg.ordered_requests = true;

@@ -13,10 +13,9 @@
 using namespace cmh;
 
 int main() {
-  // Three processes, on-request probe initiation (section 4.2 rule),
-  // WFGD propagation on.
+  // Three processes; the default T = 0 starts a probe computation with
+  // every request (the section 4.2 rule).  WFGD propagation on.
   core::Options options;
-  options.initiation = core::InitiationMode::kOnRequest;
   options.propagate_wfgd = true;
   runtime::SimCluster cluster(/*n=*/3, options, /*seed=*/42);
 

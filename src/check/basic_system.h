@@ -59,6 +59,7 @@ struct FaultPlan {
 struct BasicScenario {
   std::string name;
   std::uint32_t n{0};
+  /// Exploration is timer-free: kDelayed at T = 0 (the default) or kManual.
   core::Options options{};
   /// scripts[i] = ordered ops of process i (may be shorter than n entries).
   std::vector<std::vector<ScriptOp>> scripts;

@@ -7,14 +7,15 @@
 namespace cmh::core {
 
 BasicProcess::BasicProcess(ProcessId id, Sender sender, Options options,
-                           TimerService* timers)
+                           TimerFn timers)
     : id_(id),
       sender_(std::move(sender)),
       options_(options),
-      timers_(timers) {
-  if (options_.initiation == InitiationMode::kDelayed && timers_ == nullptr) {
+      timers_(std::move(timers)) {
+  if (options_.initiation == InitiationMode::kDelayed &&
+      options_.initiation_delay > SimTime::zero() && !timers_) {
     throw std::invalid_argument(
-        "BasicProcess: kDelayed initiation requires a TimerService");
+        "BasicProcess: kDelayed with a positive delay requires timers");
   }
 }
 
@@ -31,23 +32,19 @@ void BasicProcess::send_request(ProcessId to) {
   sender_(to, encode_small(RequestMsg{}).view());
   CMH_LOG(kDebug, "basic") << id_ << " requests " << to;
 
-  switch (options_.initiation) {
-    case InitiationMode::kOnRequest:
-      initiate();
-      break;
-    case InitiationMode::kDelayed:
-      // Section 4.3: initiate only if this edge still exists, and has
-      // existed *continuously*, T time units from now.  The epoch check
-      // rejects delete-then-recreate within the window.
-      timers_->schedule(options_.initiation_delay, [this, to, epoch] {
-        if (out_edges_.contains(to) && out_edge_epoch_[to] == epoch) {
-          initiate();
-        }
-      });
-      break;
-    case InitiationMode::kManual:
-      break;
+  if (options_.initiation == InitiationMode::kManual) return;
+  if (options_.initiation_delay <= SimTime::zero()) {
+    initiate();  // section 4.2: the edge was just added
+    return;
   }
+  // Section 4.3: initiate only if this edge still exists, and has existed
+  // *continuously*, T time units from now.  The epoch check rejects
+  // delete-then-recreate within the window.
+  timers_(options_.initiation_delay, [this, to, epoch] {
+    if (out_edges_.contains(to) && out_edge_epoch_[to] == epoch) {
+      initiate();
+    }
+  });
 }
 
 void BasicProcess::send_reply(ProcessId to) {

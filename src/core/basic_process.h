@@ -36,14 +36,6 @@ namespace cmh::core {
 /// copy it.
 using Sender = std::function<void(ProcessId to, BytesView payload)>;
 
-/// Schedules a callback after a delay; used by the kDelayed initiation
-/// policy.  The simulator and threaded runtimes provide implementations.
-class TimerService {
- public:
-  virtual ~TimerService() = default;
-  virtual void schedule(SimTime delay, std::function<void()> fn) = 0;
-};
-
 /// Raised on misuse of the model (e.g. a blocked process trying to reply).
 class ModelViolation : public std::logic_error {
   using std::logic_error::logic_error;
@@ -70,8 +62,9 @@ class BasicProcess {
   using EdgeSet = FlatSet<ProcessId, 8>;
   using WfgdEdgeSet = FlatSet<graph::Edge, 8>;
 
+  /// `timers` is required only for kDelayed with a positive T.
   BasicProcess(ProcessId id, Sender sender, Options options = {},
-               TimerService* timers = nullptr);
+               TimerFn timers = {});
 
   BasicProcess(const BasicProcess&) = delete;
   BasicProcess& operator=(const BasicProcess&) = delete;
@@ -85,7 +78,8 @@ class BasicProcess {
   // ---- underlying computation --------------------------------------------
 
   /// Sends a request to `to`, creating wait-for edge (this, to).  Fires the
-  /// initiation policy.  Requires the edge not to exist already.
+  /// initiation policy: at T = 0 the computation starts before this returns.
+  /// Requires the edge not to exist already.
   void send_request(ProcessId to);
 
   /// Sends the reply for `to`'s pending request.  Per G3 only an *active*
@@ -156,7 +150,7 @@ class BasicProcess {
   ProcessId id_;
   Sender sender_;
   Options options_;
-  TimerService* timers_;
+  TimerFn timers_;
   DeadlockCallback on_deadlock_;
 
   EdgeSet out_edges_;

@@ -7,21 +7,20 @@
 namespace cmh::core {
 
 enum class InitiationMode {
-  /// Section 4.2: initiate a probe computation whenever an outgoing edge is
-  /// added to the wait-for graph.
-  kOnRequest,
   /// Section 4.3: initiate only if the outgoing edge has existed
-  /// continuously for T time units.
+  /// continuously for T time units.  At T = 0 this is section 4.2's rule:
+  /// the computation starts inside send_request(), with no timer.
   kDelayed,
   /// The application calls initiate() explicitly (tests, examples).
   kManual,
 };
 
 struct Options {
-  InitiationMode initiation{InitiationMode::kOnRequest};
+  InitiationMode initiation{InitiationMode::kDelayed};
 
-  /// The T of section 4.3 (only used with kDelayed).
-  SimTime initiation_delay{SimTime::ms(10)};
+  /// The T of section 4.3 (only used with kDelayed).  A positive T needs a
+  /// timer hook; the default 0 initiates on every request.
+  SimTime initiation_delay{SimTime::zero()};
 
   /// Run the section-5 WFGD computation after declaring deadlock.
   bool propagate_wfgd{true};

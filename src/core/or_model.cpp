@@ -56,10 +56,8 @@ Result<OrMessage> or_decode(BytesView payload) {
   }
 }
 
-OrProcess::OrProcess(ProcessId id, Sender sender, bool initiate_on_block)
-    : id_(id),
-      sender_(std::move(sender)),
-      initiate_on_block_(initiate_on_block) {}
+OrProcess::OrProcess(ProcessId id, Sender sender)
+    : id_(id), sender_(std::move(sender)) {}
 
 void OrProcess::block_on(const std::set<ProcessId>& dependents) {
   if (blocked()) {
@@ -73,7 +71,7 @@ void OrProcess::block_on(const std::set<ProcessId>& dependents) {
   }
   dependent_set_ = dependents;
   ++wait_epoch_;
-  if (initiate_on_block_) initiate();
+  initiate();
 }
 
 void OrProcess::signal(ProcessId to) {

@@ -75,7 +75,7 @@ class OrProcess {
   using Sender = std::function<void(ProcessId to, BytesView payload)>;
   using DeadlockCallback = std::function<void(const ProbeTag& tag)>;
 
-  OrProcess(ProcessId id, Sender sender, bool initiate_on_block = true);
+  OrProcess(ProcessId id, Sender sender);
 
   OrProcess(const OrProcess&) = delete;
   OrProcess& operator=(const OrProcess&) = delete;
@@ -94,8 +94,8 @@ class OrProcess {
     on_deadlock_ = std::move(cb);
   }
 
-  /// Blocks on `dependents` (OR semantics: any signal releases).  Initiates
-  /// a detection computation if configured.  Must be active.
+  /// Blocks on `dependents` (OR semantics: any signal releases) and
+  /// initiates a detection computation.  Must be active.
   void block_on(const std::set<ProcessId>& dependents);
 
   /// Sends a signal to `to` (only an active process can help others).
@@ -123,7 +123,6 @@ class OrProcess {
 
   ProcessId id_;
   Sender sender_;
-  bool initiate_on_block_;
   DeadlockCallback on_deadlock_;
 
   std::optional<std::set<ProcessId>> dependent_set_;

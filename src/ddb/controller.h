@@ -119,7 +119,7 @@ class Controller {
  public:
   /// The payload view is only valid for the duration of the call.
   using Sender = std::function<void(SiteId to, BytesView payload)>;
-  using TimerFn = std::function<void(SimTime delay, std::function<void()>)>;
+  using TimerFn = cmh::TimerFn;
 
   /// Maps a resource to its managing site (static data placement).
   using ResourceMap = std::function<SiteId(ResourceId)>;

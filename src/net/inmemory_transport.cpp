@@ -15,16 +15,6 @@ NodeId InMemoryTransport::add_node(Handler handler) {
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
-void InMemoryTransport::set_handler(NodeId node, Handler handler) {
-  const MutexLock lock(nodes_mutex_);
-  if (started_) {
-    // The worker threads read handlers without a lock (frozen-after-start
-    // protocol); replacing one mid-flight would race with delivery.
-    throw std::logic_error("InMemoryTransport: set_handler after start()");
-  }
-  nodes_.at(node)->handler = std::move(handler);
-}
-
 std::vector<InMemoryTransport::Node*> InMemoryTransport::snapshot_nodes() {
   const MutexLock lock(nodes_mutex_);
   std::vector<Node*> out;
@@ -92,24 +82,8 @@ void InMemoryTransport::worker_loop(Node& node) {
       if (node.queue.empty()) return;  // stopping and drained
       mail = std::move(node.queue.front());
       node.queue.pop_front();
-      node.busy = true;
     }
     if (node.handler) node.handler(mail.from, mail.payload);
-    {
-      const MutexLock lock(node.mutex);
-      node.busy = false;
-    }
-    node.cv.notify_all();
-  }
-}
-
-void InMemoryTransport::drain() {
-  for (Node* node : snapshot_nodes()) {
-    const MutexLock lock(node->mutex);
-    node->cv.wait(node->mutex, [&] {
-      node->mutex.assert_held();  // held by CondVar::wait's contract
-      return node->queue.empty() && !node->busy;
-    });
   }
 }
 

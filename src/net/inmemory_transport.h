@@ -31,18 +31,12 @@ class InMemoryTransport final : public Transport {
   InMemoryTransport(const InMemoryTransport&) = delete;
   InMemoryTransport& operator=(const InMemoryTransport&) = delete;
 
-  NodeId add_node(Handler handler) override;
   /// Rejected after start(): the delivery threads read node handlers without
   /// a lock, which is only sound while the handler set is frozen.
-  void set_handler(NodeId node, Handler handler) override;
+  NodeId add_node(Handler handler) override;
   void send(NodeId from, NodeId to, BytesView payload) override;
   void start() override;
   void stop() override;
-
-  /// Blocks until every mailbox is empty and every delivery thread is idle.
-  /// Note: a handler may send new messages, so callers typically loop on an
-  /// application-level condition; this is a best-effort quiesce for tests.
-  void drain();
 
  private:
   struct Mail {
@@ -50,14 +44,13 @@ class InMemoryTransport final : public Transport {
     Bytes payload;
   };
   struct Node {
-    // Written only before start() (add_node/set_handler enforce it), read
+    // Written only before start() (add_node enforces it), read
     // by the worker thread afterwards: the thread creation in start()
     // publishes it, so no lock is needed once the set is frozen.
     Handler handler;
     Mutex mutex;
     CondVar cv;
     std::deque<Mail> queue CMH_GUARDED_BY(mutex);
-    bool busy CMH_GUARDED_BY(mutex){false};  // a message is in its handler
     std::thread worker;
   };
 

@@ -264,16 +264,6 @@ NodeId TcpTransport::add_node(Handler handler) {
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
-void TcpTransport::set_handler(NodeId node, Handler handler) {
-  const MutexLock lock(nodes_mutex_);
-  if (started_) {
-    // Deliverer threads read handlers without a lock (frozen-after-start
-    // protocol); replacing one mid-flight would race with delivery.
-    throw std::logic_error("TcpTransport: set_handler after start()");
-  }
-  nodes_.at(node)->handler = std::move(handler);
-}
-
 std::uint16_t TcpTransport::port(NodeId node) const {
   const MutexLock lock(nodes_mutex_);
   return nodes_.at(node)->port;

@@ -91,10 +91,9 @@ class TcpTransport final : public Transport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
-  NodeId add_node(Handler handler) override;
   /// Rejected after start(): deliverer and loop threads read node state
   /// without a lock, which is only sound while the node set is frozen.
-  void set_handler(NodeId node, Handler handler) override;
+  NodeId add_node(Handler handler) override;
   /// Enqueue-and-wake; never performs socket I/O on the caller thread.
   /// Throws std::logic_error before start().
   void send(NodeId from, NodeId to, BytesView payload) override;

@@ -37,10 +37,6 @@ class Transport {
   /// Registers a node; ids are dense from 0 in registration order.
   virtual NodeId add_node(Handler handler) = 0;
 
-  /// Replaces a node's handler (must not race with delivery; call before
-  /// start() or from within the node's own handler context).
-  virtual void set_handler(NodeId node, Handler handler) = 0;
-
   /// Sends payload from `from` to `to`.  Never blocks on the receiver.
   /// The view is only valid for the duration of the call; transports that
   /// defer delivery copy it (into pooled or queued storage).

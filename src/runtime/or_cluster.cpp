@@ -6,18 +6,16 @@
 namespace cmh::runtime {
 
 OrCluster::OrCluster(std::uint32_t n, std::uint64_t seed,
-                     sim::DelayModel delays, bool initiate_on_block)
+                     sim::DelayModel delays)
     : sim_(seed, delays) {
   processes_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) sim_.add_node({});
   for (std::uint32_t i = 0; i < n; ++i) {
     const ProcessId id{i};
     auto process = std::make_unique<core::OrProcess>(
-        id,
-        [this, id](ProcessId to, BytesView payload) {
+        id, [this, id](ProcessId to, BytesView payload) {
           sim_.send(id.value(), to.value(), payload);
-        },
-        initiate_on_block);
+        });
     process->set_deadlock_callback([this, id](const ProbeTag& tag) {
       const OrDetection d{tag, id, sim_.now()};
       detections_.push_back(d);

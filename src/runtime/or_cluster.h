@@ -21,7 +21,7 @@ struct OrDetection {
 class OrCluster {
  public:
   OrCluster(std::uint32_t n, std::uint64_t seed = 1,
-            sim::DelayModel delays = {}, bool initiate_on_block = true);
+            sim::DelayModel delays = {});
 
   [[nodiscard]] std::uint32_t size() const {
     return static_cast<std::uint32_t>(processes_.size());

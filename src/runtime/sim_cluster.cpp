@@ -12,7 +12,6 @@ SimCluster::SimCluster(std::uint32_t n, core::Options options,
 SimCluster::SimCluster(std::uint32_t n, core::Options options,
                        const SimClusterConfig& config)
     : sim_(config.seed, config.delays, config.shards),
-      timers_(sim_),
       track_oracle_(config.track_oracle) {
   if (track_oracle_ && config.shards > 1) {
     throw std::invalid_argument(
@@ -46,7 +45,10 @@ SimCluster::SimCluster(std::uint32_t n, core::Options options,
         [this, id](ProcessId to, BytesView payload) {
           sim_.send(id.value(), to.value(), payload);
         },
-        options, &timers_);
+        options,
+        [this](SimTime delay, std::function<void()> fn) {
+          sim_.schedule(delay, std::move(fn));
+        });
     process->set_deadlock_callback([this, id](const ProbeTag& tag) {
       const DeadlockEvent event{tag, id, sim_.now()};
       // QRP2 is checked at this exact instant: the shadow graph still

@@ -38,18 +38,6 @@ inline constexpr bool kAuditDefault = false;
 inline constexpr bool kAuditDefault = true;
 #endif
 
-/// TimerService backed by simulator virtual time.
-class SimTimerService final : public core::TimerService {
- public:
-  explicit SimTimerService(sim::Simulator& simulator) : sim_(simulator) {}
-  void schedule(SimTime delay, std::function<void()> fn) override {
-    sim_.schedule(delay, std::move(fn));
-  }
-
- private:
-  sim::Simulator& sim_;
-};
-
 struct DeadlockEvent {
   ProbeTag tag;       // which computation detected
   ProcessId process;  // who declared (== tag.initiator)
@@ -172,7 +160,6 @@ class SimCluster {
   void on_delivery(ProcessId to, ProcessId from, BytesView payload);
 
   sim::Simulator sim_;
-  SimTimerService timers_;
   bool track_oracle_;
   std::unique_ptr<check::InvariantAuditor> auditor_;
   std::unique_ptr<AuditAdapter> audit_adapter_;

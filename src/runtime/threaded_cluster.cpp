@@ -71,30 +71,6 @@ void ThreadTimerService::loop() {
 
 // ---- ThreadedCluster --------------------------------------------------------
 
-namespace {
-
-/// Wraps the shared timer service so that a process's scheduled callbacks
-/// run under that process's mutex (the kDelayed initiation timer calls back
-/// into BasicProcess and must not race with message delivery).
-class LockingTimerService final : public core::TimerService {
- public:
-  LockingTimerService(core::TimerService& inner, Mutex& mutex)
-      : inner_(inner), mutex_(mutex) {}
-
-  void schedule(SimTime delay, std::function<void()> fn) override {
-    inner_.schedule(delay, [&m = mutex_, f = std::move(fn)] {
-      const MutexLock lock(m);
-      f();
-    });
-  }
-
- private:
-  core::TimerService& inner_;
-  Mutex& mutex_;
-};
-
-}  // namespace
-
 ThreadedCluster::ThreadedCluster(net::Transport& transport, std::uint32_t n,
                                  core::Options options)
     : transport_(transport) {
@@ -105,8 +81,6 @@ ThreadedCluster::ThreadedCluster(net::Transport& transport, std::uint32_t n,
   for (std::uint32_t i = 0; i < n; ++i) {
     const ProcessId id{i};
     Cell& cell = *cells_[i];
-    cell.timer_adapter =
-        std::make_unique<LockingTimerService>(timers_, cell.mutex);
     // Built and wired while still thread-local, then published into the
     // cell; the pointee is only ever dereferenced under cell.mutex once the
     // transport starts.
@@ -115,7 +89,15 @@ ThreadedCluster::ThreadedCluster(net::Transport& transport, std::uint32_t n,
         [this, id](ProcessId to, BytesView payload) {
           transport_.send(id.value(), to.value(), payload);
         },
-        options, cell.timer_adapter.get());
+        options,
+        // The kDelayed timer calls back into the process, so it runs under
+        // the cell's mutex like every other touch of the process.
+        [this, &cell](SimTime delay, std::function<void()> fn) {
+          timers_.schedule(delay, [&cell, f = std::move(fn)] {
+            const MutexLock lock(cell.mutex);
+            f();
+          });
+        });
     process->set_deadlock_callback([this, id](const ProbeTag&) {
       {
         const MutexLock lock(detect_mutex_);

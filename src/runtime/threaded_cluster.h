@@ -9,7 +9,7 @@
 // Capability model (DESIGN.md section 7.2): Cell::mutex guards the hosted
 // BasicProcess (every touch of the process happens under it, whether from
 // the application thread, a transport deliverer, or a timer callback --
-// LockingTimerService re-takes it around scheduled callbacks); detect_mutex_
+// each process's timer hook re-takes it around the callback); detect_mutex_
 // guards the detection log.  Lock order where they nest: Cell::mutex before
 // detect_mutex_ (the deadlock callback runs inside on_message).
 #pragma once
@@ -26,16 +26,17 @@
 
 namespace cmh::runtime {
 
-/// TimerService driven by a dedicated scheduler thread (wall clock).
-class ThreadTimerService final : public core::TimerService {
+/// Runs callbacks after a delay on a dedicated scheduler thread (wall
+/// clock).
+class ThreadTimerService {
  public:
   ThreadTimerService();
-  ~ThreadTimerService() override;
+  ~ThreadTimerService();
 
   ThreadTimerService(const ThreadTimerService&) = delete;
   ThreadTimerService& operator=(const ThreadTimerService&) = delete;
 
-  void schedule(SimTime delay, std::function<void()> fn) override;
+  void schedule(SimTime delay, std::function<void()> fn);
   void stop();
 
  private:
@@ -86,7 +87,6 @@ class ThreadedCluster {
  private:
   struct Cell {
     mutable Mutex mutex;
-    std::unique_ptr<core::TimerService> timer_adapter;
     // The pointer is set once during construction (pre-concurrency); the
     // pointee is the per-process critical state.
     std::unique_ptr<core::BasicProcess> process CMH_PT_GUARDED_BY(mutex);

@@ -14,12 +14,6 @@
 namespace cmh::runtime {
 namespace {
 
-core::Options on_request_options() {
-  core::Options o;
-  o.initiation = core::InitiationMode::kOnRequest;
-  return o;
-}
-
 SimClusterConfig audited(bool abort_on_violation = true) {
   SimClusterConfig config;
   config.seed = 7;
@@ -36,7 +30,7 @@ Bytes forged_probe() {
 TEST(AuditedCluster, RingDeadlockRunsCleanUnderAbortModeAudit) {
   // abort_on_violation means the run itself is the assertion: any axiom
   // violation would throw out of the event loop.
-  SimCluster cluster(3, on_request_options(), audited());
+  SimCluster cluster(3, core::Options{}, audited());
   cluster.request(ProcessId{0}, ProcessId{1});
   cluster.request(ProcessId{1}, ProcessId{2});
   cluster.request(ProcessId{2}, ProcessId{0});
@@ -53,7 +47,7 @@ TEST(AuditedCluster, RingDeadlockRunsCleanUnderAbortModeAudit) {
 }
 
 TEST(AuditedCluster, RequestReplyChurnRunsClean) {
-  SimCluster cluster(3, on_request_options(), audited());
+  SimCluster cluster(3, core::Options{}, audited());
   cluster.request(ProcessId{0}, ProcessId{1});
   cluster.run();
   cluster.request(ProcessId{1}, ProcessId{2});
@@ -71,7 +65,7 @@ TEST(AuditedCluster, RequestReplyChurnRunsClean) {
 }
 
 TEST(AuditedCluster, ForgedProbeThrowsInAbortMode) {
-  SimCluster cluster(2, on_request_options(), audited());
+  SimCluster cluster(2, core::Options{}, audited());
   // A probe along a wait-for edge that does not exist (P1), injected
   // directly at the transport below the process layer.
   EXPECT_THROW(cluster.simulator().send(1, 0, forged_probe()),
@@ -79,7 +73,7 @@ TEST(AuditedCluster, ForgedProbeThrowsInAbortMode) {
 }
 
 TEST(AuditedCluster, ForgedProbeAccumulatesStructuredP1Report) {
-  SimCluster cluster(2, on_request_options(),
+  SimCluster cluster(2, core::Options{},
                      audited(/*abort_on_violation=*/false));
   cluster.simulator().send(1, 0, forged_probe());
   cluster.run();
@@ -113,7 +107,7 @@ TEST(AuditedCluster, ManualInitiationGatesQRP1Off) {
 TEST(AuditedCluster, AuditOffMeansNoAuditor) {
   SimClusterConfig config;
   config.audit = false;
-  SimCluster cluster(2, on_request_options(), config);
+  SimCluster cluster(2, core::Options{}, config);
   EXPECT_EQ(cluster.auditor(), nullptr);
   EXPECT_EQ(cluster.audit_report(), "");
 }
@@ -123,7 +117,7 @@ TEST(AuditedCluster, AuditRejectsMultiShard) {
   config.shards = 2;
   config.track_oracle = false;
   config.audit = true;
-  EXPECT_THROW(SimCluster(4, on_request_options(), config),
+  EXPECT_THROW(SimCluster(4, core::Options{}, config),
                std::invalid_argument);
 }
 

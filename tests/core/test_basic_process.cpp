@@ -7,6 +7,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <vector>
 
 namespace cmh::core {
 namespace {
@@ -304,7 +305,7 @@ TEST(Probe, ConcurrentInitiatorsBothDetect) {
 }
 
 TEST(Probe, OnRequestModeInitiatesAutomatically) {
-  Options o;  // default kOnRequest
+  Options o;  // default: kDelayed at T = 0, section 4.2's rule
   Rig rig(2, o);
   rig.p(0).send_request(ProcessId{1});
   EXPECT_EQ(rig.p(0).stats().computations_initiated, 1u);
@@ -314,12 +315,28 @@ TEST(Probe, OnRequestModeInitiatesAutomatically) {
   EXPECT_TRUE(rig.p(1).declared_deadlock());
 }
 
+TEST(Probe, DefaultOptionsInitiateInsideSendRequestWithoutTimer) {
+  // T = 0 needs no timer hook: the request and the computation's probe
+  // leave inside the one send_request() call.
+  std::vector<Bytes> sent;
+  BasicProcess p(ProcessId{0}, [&sent](ProcessId, BytesView payload) {
+    sent.emplace_back(payload.begin(), payload.end());
+  });
+  p.send_request(ProcessId{1});
+  EXPECT_EQ(p.stats().computations_initiated, 1u);
+  ASSERT_EQ(sent.size(), 2u);
+  const auto probe = decode(sent[1]);
+  ASSERT_TRUE(probe.ok());
+  ASSERT_TRUE(std::holds_alternative<ProbeMsg>(*probe));
+  EXPECT_EQ(std::get<ProbeMsg>(*probe).tag, (ProbeTag{ProcessId{0}, 1}));
+}
+
 TEST(Probe, DelayedModeRequiresTimerService) {
   Options o;
   o.initiation = InitiationMode::kDelayed;
-  EXPECT_THROW(
-      BasicProcess(ProcessId{0}, [](ProcessId, BytesView) {}, o, nullptr),
-      std::invalid_argument);
+  o.initiation_delay = SimTime::ms(10);
+  EXPECT_THROW(BasicProcess(ProcessId{0}, [](ProcessId, BytesView) {}, o),
+               std::invalid_argument);
 }
 
 // ---- stats ------------------------------------------------------------------------

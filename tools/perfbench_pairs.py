@@ -18,8 +18,13 @@ Prints one table per workload and trace with every run, then the summary:
 each side's median with its interquartile range (quartiles interpolated
 linearly), change/parent, the number of pairs in which the change is better
 (ties count for neither) by the direction BENCHMARK.json gives each metric,
-and the number of pairs that read exactly equal.  Exits non-zero if a run
-fails, reports correct=false, or counts a failed operation.
+and the number of pairs that read exactly equal.  Each metric with a
+`bound` in BENCHMARK.json (the end-to-end ones) also gets a verdict:
+"worse beyond bound" when the change's median is worse than the parent's by
+more than the bound, else "unresolved" when the parent's IQR/median exceeds
+the bound and not every change run beats every parent run, else "within
+bound".  Exits non-zero if a run fails, reports correct=false, or counts a
+failed operation.
 """
 
 from __future__ import annotations
@@ -76,6 +81,26 @@ def fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """The no-regression verdict of one bounded metric (see module doc)."""
+    bound = metric["bound"]
+    higher = metric["better"] == "higher"
+    p_lo, p_med, p_hi = quartiles(parent)
+    c_med = quartiles(change)[1]
+    if p_med:
+        worse = (p_med - c_med if higher else c_med - p_med) / abs(p_med)
+        if worse > bound:
+            return "worse beyond bound"
+        spread = (p_hi - p_lo) / abs(p_med)
+    else:
+        spread = 0.0
+    beats_all = (min(change) > max(parent) if higher
+                 else max(change) < min(parent))
+    if spread > bound and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def report(workload: str, trace: int, metrics: list[dict],
            runs: list[tuple[int, str, dict, dict]]) -> None:
     names = [m["name"] for m in metrics]
@@ -88,10 +113,12 @@ def report(workload: str, trace: int, metrics: list[dict],
                  f"{fmt(change['metrics'][n]['value'])}" for n in names]
         print(f"| {seed} | {first} | " + " | ".join(cells) + " |")
 
+    bounded = any("bound" in m for m in metrics)
     print(f"\n{workload}, --trace {trace}: medians (IQR)\n")
     print("| metric | parent median (IQR) | change median (IQR) "
-          "| change/parent | change better in | equal in |")
-    print("|---|---|---|---|---|---|")
+          "| change/parent | change better in | equal in |"
+          + (" verdict |" if bounded else ""))
+    print("|---|---|---|---|---|---|" + ("---|" if bounded else ""))
     for m in metrics:
         name = m["name"]
         higher = m["better"] == "higher"
@@ -102,9 +129,12 @@ def report(workload: str, trace: int, metrics: list[dict],
                    if (b > a if higher else b < a))
         ties = sum(1 for a, b in zip(p, c) if a == b)
         ratio = f"{cq[1] / pq[1]:.3f}" if pq[1] else "-"
-        print(f"| {name} | {fmt(pq[1])} ({fmt(pq[0])}..{fmt(pq[2])}) "
-              f"| {fmt(cq[1])} ({fmt(cq[0])}..{fmt(cq[2])}) | {ratio} "
-              f"| {wins}/{len(runs)} | {ties}/{len(runs)} |")
+        row = (f"| {name} | {fmt(pq[1])} ({fmt(pq[0])}..{fmt(pq[2])}) "
+               f"| {fmt(cq[1])} ({fmt(cq[0])}..{fmt(cq[2])}) | {ratio} "
+               f"| {wins}/{len(runs)} | {ties}/{len(runs)} |")
+        if bounded:
+            row += f" {verdict(m, p, c) if 'bound' in m else '-'} |"
+        print(row)
 
 
 def main() -> int:
