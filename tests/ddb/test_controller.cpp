@@ -10,9 +10,10 @@
 //     walks,
 //   * early closure: a walk declared where it first reaches an agent of
 //     its target through an intra edge, and continued from there,
-//   * the initiation delay T: a wait on a blocked transaction, or a block
-//     a live computation has reached, starts its computation at once; a
-//     wait on running transactions waits T.
+//   * the initiation delay T: a wait on a blocked transaction or on one
+//     homed at another site, or a block a live computation has reached,
+//     starts its computation at once; a wait on transactions running at
+//     their home here waits T.
 #include "ddb/controller.h"
 
 #include <gtest/gtest.h>
@@ -734,9 +735,9 @@ struct ReachedCloser {
 /// t2 -> t5 -> t2.  Once t5 is granted rC, both hold two locks, and the
 /// election's tie goes to the younger t5.
 ///
-/// Every wait here is on a running transaction, so no check starts a
-/// computation before T: t2 blocks while t5 still runs, and at S1 t2 only
-/// holds, on behalf of S2, so a request queued behind it there waits T too.
+/// Every wait here is on a transaction running at its home, where it
+/// holds, so no check starts a computation before T: t2 blocks while t5
+/// still runs, and t5 queues behind t3 at t3's home.
 ReachedCloser build_reached_closer(Rig& rig) {
   const std::uint32_t n = ReachedCloser::kSites;
   ReachedCloser rc{res_at(0, 0, n), res_at(1, 0, n), res_at(1, 1, n),
@@ -853,8 +854,11 @@ TEST(ControllerFollow, NothingIsFollowedAfterCommitOrAbort) {
 TEST(ControllerFollow, ReachBelowItsInitiatorsFloorIsNotFollowed) {
   // A probe of S2 carrying a floor above the recorded computation's
   // sequence reaches S0 (on an edge that is not black there).  The
-  // computation is stale, so t5's re-block continues nothing: the cycle
-  // waits for a fresh computation.
+  // computation is stale, so t5's re-block continues nothing: S0 sends the
+  // request alone, and the cycle it closes at S1 waits for a fresh
+  // computation.  (S1 starts one as the request queues behind t2, which
+  // only holds there; its probes are still in flight when the cycle is
+  // checked.)
   Rig rig(ReachedCloser::kSites, follow_options());
   const ReachedCloser rc = build_reached_closer(rig);
   const std::uint64_t floor = rc.tag.sequence + 1;
@@ -866,7 +870,8 @@ TEST(ControllerFollow, ReachBelowItsInitiatorsFloorIsNotFollowed) {
   rig.deliver_all();
 
   rig.c(0).lock(t5, rc.rB, LockMode::kWrite);
-  rig.deliver_all();
+  ASSERT_EQ(rig.pending(0, 1), 1u);
+  rig.deliver_one(0, 1);  // the request
   EXPECT_EQ(rig.c(0).stats().reaches_followed, 0u);
   EXPECT_TRUE(rig.declared().empty());
   EXPECT_EQ(rig.oracle_deadlocked(), (std::vector<TransactionId>{t2, t5}));
@@ -908,31 +913,42 @@ TEST(ControllerFollow, NewRequestToASiteAskedBeforeIsProbedAgain) {
 // ---- starting a reached transaction's computation at once ---------------------
 
 TEST(ControllerEager, ReachedReBlockClosesACycleTheFollowsCannotBeforeT) {
-  // t3 commits and t5, granted rC, takes rF@S0.  t6 (home S2) holds rE@S1
-  // and waits for rF, held by t5; then t5 asks S1 for rE.  The cycle
-  // t5 -> t6 -> t5 does not pass through t2 (t6 does not queue behind t2
-  // for rA), so the followed computation of t2 cannot close it.  t5 was
-  // reached, so its own computation starts at once and closes it; no timer
-  // fires.  The victim is t6, which holds one lock to t5's three.  (t6
-  // blocks while t5 runs, and
-  // at S1 it only holds, so no other check starts before T.)
+  // t3 commits and t5, granted rC, takes rF@S0.  t6 (home S2) holds rE@S0;
+  // t7 (home S1) holds rK and rL@S1.  t6 waits for rK, held by t7, and t7
+  // waits for rF, held by t5; then t5 asks for rE.  The cycle t5 -> t6 ->
+  // t7 -> t5 does not pass through t2 (t7 does not queue behind t2 for
+  // rA), so the followed computation of t2 cannot close it.  t5 was
+  // reached, so its own computation starts at once and closes it at S0,
+  // where t7 waits on t5; no timer fires.  The victim is t6, which holds
+  // one lock to t7's two and t5's three.  (t6 and t7 block while the
+  // transactions they wait on run at their homes, so no other check starts
+  // before T.  t5's block is local: a request to another site would start
+  // a computation there too, where the cycle closes first.)
   Rig rig(ReachedCloser::kSites, follow_options());
   build_reached_closer(rig);
   const TransactionId t6{6};
-  const ResourceId rE = res_at(1, 2, ReachedCloser::kSites);
+  const TransactionId t7{7};
+  const ResourceId rE = res_at(0, 1, ReachedCloser::kSites);
   const ResourceId rF = res_at(0, 2, ReachedCloser::kSites);
+  const ResourceId rK = res_at(1, 2, ReachedCloser::kSites);
+  const ResourceId rL = res_at(1, 3, ReachedCloser::kSites);
   rig.c(2).lock(t6, rE, LockMode::kWrite);
+  ASSERT_TRUE(rig.c(1).lock(t7, rK, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(1).lock(t7, rL, LockMode::kWrite));
   rig.c(1).finish(t3);
   rig.deliver_all();
-  ASSERT_TRUE(rig.c(1).locks().holds(rE, t6));
+  ASSERT_TRUE(rig.c(0).locks().holds(rE, t6));
   ASSERT_FALSE(rig.c(0).blocked(t5));
   ASSERT_TRUE(rig.c(0).lock(t5, rF, LockMode::kWrite));
-  rig.c(2).lock(t6, rF, LockMode::kWrite);
+  rig.c(2).lock(t6, rK, LockMode::kWrite);
+  rig.deliver_all();
+  rig.c(1).lock(t7, rF, LockMode::kWrite);
   rig.deliver_all();
   rig.drop_timers();
-  ASSERT_TRUE(rig.c(0).locks().queued_from(t6, SiteId{2}));
+  ASSERT_TRUE(rig.c(0).locks().queued_from(t7, SiteId{1}));
 
   rig.c(0).lock(t5, rE, LockMode::kWrite);
+  EXPECT_EQ(rig.c(0).stats().reaches_followed, 1u);
   EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
   EXPECT_EQ(rig.c(0).stats().computations_initiated, 1u);
   rig.deliver_all();  // no timer fires
@@ -941,7 +957,7 @@ TEST(ControllerEager, ReachedReBlockClosesACycleTheFollowsCannotBeforeT) {
   EXPECT_EQ(rig.declared()[0].site, SiteId{0});
   EXPECT_EQ(rig.declared()[0].tag.initiator, SiteId{0});
   EXPECT_TRUE(rig.oracle_deadlocked().empty());
-  EXPECT_TRUE(rig.c(1).locks().holds(rE, t5));
+  EXPECT_TRUE(rig.c(0).locks().holds(rE, t5));
 }
 
 TEST(ControllerEager, UnreachedBlockWaitsForT) {
@@ -1010,11 +1026,12 @@ TEST(ControllerEager, ReachedWaiterReArmedByAGrantReshuffleStartsAtOnce) {
   EXPECT_TRUE(rig.declared().empty());
 }
 
-TEST(ControllerEager, NonHomeAgentQueuedByAForwardedRequestWaitsForT) {
+TEST(ControllerEager, WaitOnARemoteHolderStartsAtOnce) {
   // t3 commits and t5, reached at its home S0, asks S1 for rB, held by
   // t2.  S0 starts t5's computation at once.  At S1 the forwarded request
-  // queues (S1's agent of t5 is not its home, and t2 only holds there), and
-  // S1's check waits T.
+  // queues behind t2, which only holds there, for its home S2: S1 cannot
+  // see whether t2 waits, so it starts its own computation at once too,
+  // and probes t2's release-wait edge before S0's probe arrives.
   Rig rig(ReachedCloser::kSites, follow_options());
   const ReachedCloser rc = build_reached_closer(rig);
   rig.c(1).finish(t3);
@@ -1026,9 +1043,15 @@ TEST(ControllerEager, NonHomeAgentQueuedByAForwardedRequestWaitsForT) {
   rig.c(0).lock(t5, rc.rB, LockMode::kWrite);
   EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
   rig.deliver_one(0, 1);  // the request alone; the probes stay queued
-  ASSERT_TRUE(rig.c(1).locks().queued_from(t5, SiteId{0}));
-  EXPECT_EQ(rig.c(1).stats().eager_initiations, 0u);
-  EXPECT_EQ(rig.c(1).stats().computations_initiated, s1_computations);
+  ASSERT_TRUE(rig.c(1).queued_from(t5, SiteId{0}));
+  EXPECT_EQ(rig.c(1).stats().eager_initiations, 1u);
+  EXPECT_EQ(rig.c(1).stats().computations_initiated, s1_computations + 1);
+  EXPECT_EQ(rig.c(1).stats().probes_sent, 1u);
+  EXPECT_EQ(rig.pending(1, 2), 1u);
+  rig.deliver_all();  // no timer fires
+  ASSERT_FALSE(rig.declared().empty());
+  for (const auto& d : rig.declared()) EXPECT_EQ(d.victim, t5);
+  EXPECT_TRUE(rig.oracle_deadlocked().empty());
 }
 
 // ---- starting a wait on a blocked transaction at once -------------------------
@@ -1367,7 +1390,10 @@ TEST(ControllerEarly, WalkEndsWhereTheDeclaredAbortUnblocksItsEntry) {
   // walk enters t3's home agent along t3's release-wait edge and reaches
   // t1's agent at S1 through t7: S1 declares t7, whose abort grants rX to
   // t3.  t3 no longer waits, so the walk ends there and records nothing at
-  // t3's home agent: t3's next block continues no computation.
+  // t3's home agent: t3's next block continues no computation.  (Every
+  // wait on the cycle is on a transaction homed at another site, so each
+  // block starts a computation at once, and the last would close the cycle
+  // first; the setup drops their probes.)
   Rig rig(3, follow_options());
   const TransactionId t7{7};
   const ResourceId rB = res_at(1, 0, 3);
@@ -1382,9 +1408,10 @@ TEST(ControllerEarly, WalkEndsWhereTheDeclaredAbortUnblocksItsEntry) {
   rig.c(0).lock(t1, rW, LockMode::kWrite);
   rig.c(1).lock(t3, rX, LockMode::kWrite);
   rig.c(2).lock(t7, rB, LockMode::kWrite);
-  rig.deliver_all();
+  rig.settle_dropping_probes();
   rig.drop_timers();
   ASSERT_EQ(rig.oracle_deadlocked(), (std::vector<TransactionId>{t1, t3, t7}));
+  ASSERT_TRUE(rig.declared().empty());
 
   ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
   rig.deliver_one(0, 2);  // t1 -> t3 at S2: on along t3's release-wait edge
@@ -1395,11 +1422,12 @@ TEST(ControllerEarly, WalkEndsWhereTheDeclaredAbortUnblocksItsEntry) {
   ASSERT_TRUE(rig.c(1).locks().holds(rX, t3));
   rig.deliver_all();
   rig.drop_timers();
+  const std::uint64_t s1_eager = rig.c(1).stats().eager_initiations;
 
   rig.c(1).lock(t3, rY, LockMode::kWrite);  // queues behind t5
   ASSERT_TRUE(rig.c(1).blocked(t3));
   EXPECT_EQ(rig.c(1).stats().reaches_followed, 0u);
-  EXPECT_EQ(rig.c(1).stats().eager_initiations, 0u);
+  EXPECT_EQ(rig.c(1).stats().eager_initiations, s1_eager);
 }
 
 // ---- regression: floor propagation --------------------------------------------------
