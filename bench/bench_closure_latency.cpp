@@ -1,9 +1,9 @@
 // Closure-to-declaration latency of DDB deadlock detection against the
 // initiation delay T (EXPERIMENTS.md P6, P7, P8 and P10), what each
 // declaration names at its instant, and the retry tail (P11).  T delays
-// only the computations of waits on transactions running at the waiter's
-// site that no live computation has reached (DESIGN.md section 4b, notes
-// 5 and 7).
+// only the computations of waits on transactions running at their home,
+// the waiter's site, that no live computation has reached (DESIGN.md
+// section 4b, notes 5 and 7; P13).
 //
 //   bench_closure_latency [--first-seed S] [--seeds N] [--episodes E]
 //
@@ -452,10 +452,10 @@ int main(int argc, char** argv) {
   kinds_table.print();
   retries_table.print();
   std::printf(
-      "Expected shape: latency and the share waiting at least T grow with T\n"
-      "and commits per simulated second fall; a cycle closed by a wait on a\n"
-      "transaction blocked at the waiter's site, or by a transaction that a\n"
-      "live computation had reached, is declared without waiting T.  Victims\n"
+      "Expected shape: the share waiting at least T grows with T but stays\n"
+      "small: a cycle closed by a wait on a transaction blocked at the\n"
+      "waiter's site or homed at another, or by a transaction that a live\n"
+      "computation had reached, is declared without waiting T.  Victims\n"
       "hold few locks (the fewest on their cycle), and few commits need many\n"
       "retries.\n");
   return failed == 0 ? 0 : 1;

@@ -96,7 +96,9 @@ class LockManager {
   /// True iff txn has a queued request on any resource.
   [[nodiscard]] bool queued(TransactionId txn) const;
 
-  /// True iff txn has a queued request forwarded from `origin`.
+  /// True iff txn has a queued request forwarded from `origin`.  A scan;
+  /// Controller::queued_from() answers it from its slot, and tests compare
+  /// the two.
   [[nodiscard]] bool queued_from(TransactionId txn, SiteId origin) const;
 
   /// Resources txn currently holds, ascending.
