@@ -129,7 +129,7 @@ void DdbSystem::execute(const Transition& t) {
   if (op.kind == DdbOp::Kind::kLock) {
     TxnState& txn = txns_[op.txn];
     txn.home = SiteId{t.a};
-    txn.requested[op.resource] = op.mode;
+    txn.requested[op.resource] = {op.mode, home.lock_count(op.txn)};
     if (home.lock(op.txn, op.resource, op.mode)) {
       txn.granted.insert(op.resource);
     } else {
@@ -152,11 +152,12 @@ std::vector<TransactionId> DdbSystem::oracle_deadlocked() const {
   }
   for (const auto& [txn, state] : txns_) {
     if (state.finished) continue;
-    for (const auto& [resource, mode] : state.requested) {
+    for (const auto& [resource, request] : state.requested) {
       if (state.granted.contains(resource)) continue;
       const auto& owner =
           *controllers_.at(scenario_.resource_owner.at(resource.value()).value());
-      ddb::append_grey_waits(owner.locks(), txn, resource, mode, edges);
+      ddb::append_grey_waits(owner.locks(), txn, resource, request.mode,
+                             request.held, edges);
     }
   }
   ddb::CycleFinder finder;
@@ -191,9 +192,9 @@ std::uint64_t DdbSystem::fingerprint() {
     const TxnState& state = txns_.at(t);
     mix(t.value());
     mix(state.home.value());
-    for (const auto& [r, mode] : state.requested) {
+    for (const auto& [r, request] : state.requested) {
       mix(r.value());
-      mix(static_cast<std::uint64_t>(mode));
+      mix(static_cast<std::uint64_t>(request.mode));
       mix(state.granted.contains(r));
     }
     mix(state.finished);

@@ -115,10 +115,15 @@ class DdbSystem final : public System {
   std::uint64_t event_seq_{0};
 
   // Harness-side transaction bookkeeping for the oracle (what ddb::Cluster
-  // tracks in txns_): requested resources with modes, granted set, home.
+  // tracks in txns_): requested resources with modes and the lock count
+  // each request carried, granted set, home.
+  struct Request {
+    ddb::LockMode mode;
+    ddb::LockCount held;
+  };
   struct TxnState {
     SiteId home{};
-    std::map<ResourceId, ddb::LockMode> requested;
+    std::map<ResourceId, Request> requested;
     std::set<ResourceId> granted;
     bool finished{false};
   };

@@ -102,13 +102,15 @@ void Cluster::lock(TransactionId txn, ResourceId resource, LockMode mode) {
   if (s.status != TxnStatus::kActive) {
     throw std::logic_error("Cluster::lock: transaction not active");
   }
+  const LockCount held = controller(s.home).lock_count(txn);
   const auto it = lower_lock(s.locks, resource);
   if (it == s.locks.end() || it->resource != resource) {
-    s.locks.insert(it, TxnLock{resource, mode, false});
+    s.locks.insert(it, TxnLock{resource, mode, false, held});
   } else if (mode == LockMode::kWrite && it->mode == LockMode::kRead) {
     // Upgrade: not granted again until the write lock is actually held.
     it->mode = mode;
     it->granted = false;
+    it->held = held;
   }
   const Outbox::Step step(outbox_);
   controller(s.home).lock(txn, resource, mode);
@@ -165,7 +167,7 @@ std::span<const TransactionId> Cluster::oracle_deadlocked() const {
     for (const TxnLock& l : s.locks) {
       if (l.granted) continue;
       append_grey_waits(controllers_[owner_of(l.resource).value()]->locks(),
-                        txn, l.resource, l.mode, oracle_edges_);
+                        txn, l.resource, l.mode, l.held, oracle_edges_);
     }
   }
   return oracle_.on_cycle(oracle_edges_);

@@ -136,6 +136,9 @@ class Cluster : private sim::StepHook {
     ResourceId resource;
     LockMode mode;
     bool granted;
+    // The home's lock count when the request left: the count a forwarded
+    // request carries, which places it in the owner's queue.
+    LockCount held;
   };
   struct TxnState {
     SiteId home;

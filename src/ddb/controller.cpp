@@ -166,12 +166,11 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
     ++stats_.local_requests;
     const bool upgrade =
         mode == LockMode::kWrite && locks_.holds(resource, txn);
-    const AcquireResult r = locks_.acquire(resource, txn, mode, id_);
+    const LockCount held = s.held;
+    const AcquireResult r = locks_.acquire(resource, txn, mode, id_, held);
     if (r != AcquireResult::kQueued) {
       if (r == AcquireResult::kGranted && !upgrade) count_grant(s.held);
-      // An in-place read->write upgrade can create fresh conflicts with
-      // already-queued readers; re-arm detection for them.
-      if (mode == LockMode::kWrite) rearm_waiters(resource);
+      rearm_after_grant(resource, mode, r);
       if (on_grant_) on_grant_(txn, resource);
       return true;
     }
@@ -179,6 +178,7 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
     s.origin = id_;
     follow_reaches(txn);
     schedule_block_check(txn);
+    rearm_overtaken(resource, held);
     return false;
   }
   // Remote resource: forward to the owning controller.  This creates the
@@ -301,10 +301,10 @@ void Controller::handle_lock_request(SiteId from,
   // The inter-controller edge ((txn, from), (txn, here)) blackened on
   // receipt (section 6.4, G4).
   const bool adds_lock = !locks_.holds(msg.resource, msg.txn);
-  const AcquireResult r = locks_.acquire(msg.resource, msg.txn, msg.mode, from);
+  const AcquireResult r =
+      locks_.acquire(msg.resource, msg.txn, msg.mode, from, msg.held);
   if (r != AcquireResult::kQueued) {
-    // In-place upgrade may newly conflict with queued readers.
-    if (msg.mode == LockMode::kWrite) rearm_waiters(msg.resource);
+    rearm_after_grant(msg.resource, msg.mode, r);
     // Granted at once: the edge whitens as the grant is sent (G5).
     ++stats_.grants_sent;
     const RemoteLockGrantMsg grant{msg.txn, msg.resource, adds_lock};
@@ -319,6 +319,7 @@ void Controller::handle_lock_request(SiteId from,
   s.origin = from;
   s.held = msg.held;
   schedule_block_check(msg.txn);
+  rearm_overtaken(msg.resource, msg.held);
 }
 
 void Controller::handle_grant(SiteId from, const RemoteLockGrantMsg& msg) {
@@ -373,6 +374,26 @@ void Controller::dispatch_grants(const GrantList& grants) {
 void Controller::rearm_waiters(ResourceId resource) {
   for (const TransactionId waiter : locks_.waiters(resource)) {
     schedule_block_check(waiter);
+  }
+}
+
+void Controller::rearm_overtaken(ResourceId resource, LockCount held) {
+  // A request that queues ahead of lower-count waiters gives them a new
+  // transaction to wait on without any block event of theirs: the same
+  // case as a grant reshuffle.
+  for (const TransactionId waiter : locks_.waiters_behind(resource, held)) {
+    schedule_block_check(waiter);
+  }
+}
+
+void Controller::rearm_after_grant(ResourceId resource, LockMode mode,
+                                   AcquireResult r) {
+  // A request is granted only where no waiter is ahead of it (every queued
+  // request is blocked, so one ahead would block it too): a grant that
+  // found waiters overtook them all, and they now wait on a new holder.
+  // An in-place read->write upgrade can conflict with every waiter too.
+  if (r == AcquireResult::kGranted || mode == LockMode::kWrite) {
+    rearm_waiters(resource);
   }
 }
 

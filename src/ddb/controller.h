@@ -344,6 +344,12 @@ class Controller {
   /// Re-arms the block check of every transaction queued on `resource`:
   /// its holders changed, so their wait edges did too.
   void rearm_waiters(ResourceId resource);
+  /// Re-arms the waiters on `resource` that a request holding `held` locks
+  /// just went ahead of (LockManager::waiters_behind()).
+  void rearm_overtaken(ResourceId resource, LockCount held);
+  /// The re-arms after acquire() returned `r` (not kQueued) for a request
+  /// in `mode`.
+  void rearm_after_grant(ResourceId resource, LockMode mode, AcquireResult r);
 
   /// Drops txn's locks, queued requests and remote bookkeeping after a
   /// commit or an abort, dispatching the grants that frees.

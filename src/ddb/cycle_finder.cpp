@@ -52,11 +52,12 @@ std::span<const TransactionId> CycleFinder::on_cycle(
 }
 
 void append_grey_waits(const LockManager& owner, TransactionId txn,
-                       ResourceId resource, LockMode mode,
+                       ResourceId resource, LockMode mode, LockCount held,
                        std::vector<WaitEdge>& edges) {
   if (owner.waiting(resource, txn)) return;  // already queued
   if (owner.holds(resource, txn)) return;    // grant in flight
-  for (const TransactionId blocker : owner.blockers(resource, txn, mode)) {
+  for (const TransactionId blocker :
+       owner.blockers(resource, txn, mode, held)) {
     edges.emplace_back(txn, blocker);
   }
 }

@@ -28,14 +28,15 @@ class CycleFinder {
 };
 
 /// The oracle's rule for a request of `txn` on `resource` that is not yet
-/// granted.  If `owner` (the resource's lock manager) neither queues it nor
-/// holds it for `txn` (a grant in flight), the request is still on the wire
-/// (grey).  When it lands it waits on the owner's current blockers(), and
+/// granted; `held` is the lock count it carries.  If `owner` (the
+/// resource's lock manager) neither queues it nor holds it for `txn` (a
+/// grant in flight), the request is still on the wire (grey).  When it
+/// lands it waits on the owner's current blockers() for that count, and
 /// grey edges are dark in the paper's model (they make cycles permanent
 /// too), so those waits are appended to `edges`.  At quiescence no request
 /// is grey and this appends nothing.
 void append_grey_waits(const LockManager& owner, TransactionId txn,
-                       ResourceId resource, LockMode mode,
+                       ResourceId resource, LockMode mode, LockCount held,
                        std::vector<WaitEdge>& edges);
 
 }  // namespace cmh::ddb

@@ -46,6 +46,13 @@ LockManager::ResourceState& LockManager::row(ResourceId resource) {
   return *table_.insert(it, std::move(fresh));
 }
 
+std::size_t LockManager::insertion_point(const ResourceState& rs,
+                                        LockCount held) {
+  std::size_t pos = rs.queue.size();
+  while (pos > 0 && rs.queue[pos - 1].held < held) --pos;
+  return pos;
+}
+
 bool LockManager::grantable(const ResourceState& rs, const LockRequest& req,
                             std::size_t pos) {
   for (const Holder& h : rs.holders) {
@@ -61,29 +68,35 @@ bool LockManager::grantable(const ResourceState& rs, const LockRequest& req,
 }
 
 AcquireResult LockManager::acquire(ResourceId resource, TransactionId txn,
-                                   LockMode mode, SiteId origin) {
+                                   LockMode mode, SiteId origin,
+                                   LockCount held) {
   ResourceState& rs = row(resource);
-  const LockRequest req{txn, mode, origin};
+  const LockRequest req{txn, mode, held, origin};
 
-  if (Holder* held = rs.holder(txn)) {
-    if (held->holding.mode == LockMode::kWrite || mode == LockMode::kRead) {
+  if (Holder* own = rs.holder(txn)) {
+    if (own->holding.mode == LockMode::kWrite || mode == LockMode::kRead) {
       return AcquireResult::kRedundant;
     }
     // Upgrade read -> write: in place iff sole holder.  The original
     // acquisition's origin is kept.
     if (rs.holders.size() == 1) {
-      held->holding.mode = LockMode::kWrite;
+      own->holding.mode = LockMode::kWrite;
       return AcquireResult::kGranted;
     }
     rs.queue.push_back(req);
     return AcquireResult::kQueued;
   }
 
-  if (grantable(rs, req, rs.queue.size())) {
+  // Grantability is judged at the insertion point, not at the end.  A
+  // request queued where nothing blocks it would have no wait edge, yet
+  // wait until some release here rescans the queue; a holder that waits on
+  // its transaction never releases, a wedge no detector can see.
+  const std::size_t pos = insertion_point(rs, held);
+  if (grantable(rs, req, pos)) {
     rs.holders.insert(rs.lower_holder(txn), Holder{txn, Holding{mode, origin}});
     return AcquireResult::kGranted;
   }
-  rs.queue.push_back(req);
+  rs.queue.insert(rs.queue.begin() + pos, req);
   return AcquireResult::kQueued;
 }
 
@@ -235,14 +248,20 @@ std::size_t LockManager::queue_depth(ResourceId resource) const {
 
 FlatSet<TransactionId, 8> LockManager::blockers(ResourceId resource,
                                                 TransactionId txn,
-                                                LockMode mode) const {
+                                                LockMode mode,
+                                                LockCount held) const {
   FlatSet<TransactionId, 8> result;
   const ResourceState* rs = find(resource);
   if (rs == nullptr) return result;
   for (const Holder& h : rs->holders) {
     if (h.txn != txn && conflicts(h.holding.mode, mode)) result.insert(h.txn);
   }
-  for (const LockRequest& r : rs->queue) {
+  // A contended upgrade queues at the end (acquire()).
+  const std::size_t pos = rs->holder(txn) != nullptr
+                              ? rs->queue.size()
+                              : insertion_point(*rs, held);
+  for (std::size_t i = 0; i < pos; ++i) {
+    const LockRequest& r = rs->queue[i];
     if (r.txn != txn && conflicts(r.mode, mode)) result.insert(r.txn);
   }
   return result;
@@ -253,6 +272,17 @@ TxnList LockManager::waiters(ResourceId resource) const {
   const ResourceState* rs = find(resource);
   if (rs == nullptr) return result;
   for (const LockRequest& r : rs->queue) result.push_back(r.txn);
+  return result;
+}
+
+TxnList LockManager::waiters_behind(ResourceId resource,
+                                    LockCount held) const {
+  TxnList result;
+  const ResourceState* rs = find(resource);
+  if (rs == nullptr) return result;
+  for (std::size_t i = insertion_point(*rs, held); i < rs->queue.size(); ++i) {
+    result.push_back(rs->queue[i].txn);
+  }
   return result;
 }
 
@@ -274,6 +304,7 @@ void LockManager::mix_state_hash(std::uint64_t& h) const {
     for (const LockRequest& r : rs.queue) {
       mix(r.txn.value());
       mix(static_cast<std::uint64_t>(r.mode));
+      mix(r.held);
       mix(r.origin.value());
     }
     mix(0xD2);

@@ -1,15 +1,20 @@
 // Per-site resource lock manager.
 //
-// Read/write locks with FIFO queueing: a request is granted iff it does not
-// conflict with any current holder and no earlier queued request conflicts
-// with it (no overtaking past conflicting waiters, which prevents
-// starvation).  Lock upgrades (read -> write by the sole holder) are granted
-// in place; contended upgrades queue like any other request and can
-// deadlock -- the classic upgrade deadlock the detector must find.
+// Read/write locks with contention-aware queueing: each request carries its
+// transaction's lock count (the count victim election reads), and a
+// resource's queue is ordered by that count, most first, FIFO among equal
+// counts.  A new request goes in behind every queued request whose count is
+// at least its own, and is granted iff it conflicts with no holder and no
+// request ahead of that point.  A transaction that holds locks thus waits
+// less, so fewer waits close a cycle; a request that holds nothing is
+// overtaken only while higher counts keep arriving (DESIGN.md section 4g).
+// Lock upgrades (read -> write by the sole holder) are granted in place;
+// contended upgrades queue at the end and can deadlock -- the classic
+// upgrade deadlock the detector must find.
 //
 // The manager also derives the local waits-for relation used for the
 // intra-controller edges of section 6.4: a blocked request waits for every
-// conflicting holder and every conflicting earlier waiter.
+// conflicting holder and every conflicting waiter ahead of it.
 // cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #pragma once
 
@@ -36,11 +41,15 @@ enum class AcquireResult : std::uint8_t {
 struct LockRequest {
   TransactionId txn;
   LockMode mode;
+  /// The locks txn held when it asked (victim election's count): the
+  /// queue's order key.  Sits in the padding after `mode`.
+  LockCount held{0};
   /// Site the request was forwarded from (== local site for local
   /// requests); carried so the controller can reply along the right
   /// inter-controller edge.
   SiteId origin;
 };
+static_assert(sizeof(LockRequest) == 12, "the count fits the padding");
 
 /// A granted lock.  The origin is kept because the holding agent (T, here)
 /// conceptually waits on the agent (T, origin) that commanded the
@@ -72,10 +81,13 @@ using TxnList = SmallVector<TransactionId, 8>;
 
 class LockManager {
  public:
-  /// Requests `mode` on `resource` for `txn`.  Never blocks the caller;
-  /// kQueued means the grant will surface via release()/abort() later.
+  /// Requests `mode` on `resource` for `txn`, which holds `held` locks.
+  /// The request queues behind every waiter whose count is at least
+  /// `held` (a contended upgrade behind every waiter) and is granted at
+  /// once iff nothing there blocks it.  Never blocks the caller; kQueued
+  /// means the grant will surface via release()/abort() later.
   AcquireResult acquire(ResourceId resource, TransactionId txn, LockMode mode,
-                        SiteId origin);
+                        SiteId origin, LockCount held = 0);
 
   /// Releases txn's hold on `resource` (no-op if not held) and grants any
   /// now-eligible queued requests, returning them in grant order.
@@ -115,7 +127,7 @@ class LockManager {
   void wait_edges(std::vector<WaitEdge>& out) const;
 
   /// Calls f(resource, request) for every queued request, in ascending
-  /// resource order and FIFO order within a resource.
+  /// resource order and queue order within a resource.
   template <typename F>
   void for_each_queued(F&& f) const {
     for (const ResourceState& rs : table_) {
@@ -129,16 +141,23 @@ class LockManager {
 
   [[nodiscard]] std::size_t queue_depth(ResourceId resource) const;
 
-  /// Transactions currently queued on `resource` (FIFO order).
+  /// Transactions currently queued on `resource` (queue order).
   [[nodiscard]] TxnList waiters(ResourceId resource) const;
 
-  /// Transactions a hypothetical request (txn, mode) on `resource` would
-  /// wait for right now: conflicting holders and conflicting queued
-  /// requests.  Used by the harness oracle to account for in-flight (grey)
-  /// requests.
+  /// Transactions queued on `resource` that a new request by a transaction
+  /// holding `held` locks would go ahead of (queue order).  Right after
+  /// acquire(..., held) these are the waiters the request overtook.
+  [[nodiscard]] TxnList waiters_behind(ResourceId resource,
+                                       LockCount held) const;
+
+  /// Transactions a hypothetical request (txn, mode) by a transaction
+  /// holding `held` locks would wait for right now: conflicting holders
+  /// and the conflicting queued requests ahead of its insertion point.
+  /// Used by the harness oracle to account for in-flight (grey) requests.
   [[nodiscard]] FlatSet<TransactionId, 8> blockers(ResourceId resource,
                                                    TransactionId txn,
-                                                   LockMode mode) const;
+                                                   LockMode mode,
+                                                   LockCount held = 0) const;
 
   /// Folds holders and queues into `h` (ascending resource and holder
   /// order).  Used by the exhaustive interleaving checker to fingerprint
@@ -158,7 +177,9 @@ class LockManager {
     ResourceId id;
     // Multiple readers, or one writer; sorted by transaction.
     SmallVector<Holder, 4> holders;
-    SmallVector<LockRequest, 8> queue;  // FIFO
+    // By count, most first, FIFO among equal counts (contended upgrades
+    // excepted: they join at the end).
+    SmallVector<LockRequest, 8> queue;
 
     /// First holder not ordered before `txn` (its insertion point).
     [[nodiscard]] const Holder* lower_holder(TransactionId txn) const;
@@ -166,6 +187,11 @@ class LockManager {
     [[nodiscard]] Holder* holder(TransactionId txn);
     [[nodiscard]] bool idle() const { return holders.empty() && queue.empty(); }
   };
+
+  /// Queue position a new request holding `held` locks takes: behind the
+  /// last waiter whose count is at least `held`.
+  [[nodiscard]] static std::size_t insertion_point(const ResourceState& rs,
+                                                   LockCount held);
 
   /// True iff `req` (at queue position `pos`) can be granted now.
   [[nodiscard]] static bool grantable(const ResourceState& rs,

@@ -122,6 +122,30 @@ DdbScenario ddb_release_wait_cycle() {
                   {DdbOp::lock(t2, r2), DdbOp::lock(t2, r1)}}};
 }
 
+/// Lock queues ordered by lock count: t2 (home S0) takes r0@S0 and t1
+/// (home S1) takes r1@S1, so each holds one lock; t0 (home S0) holds none
+/// and asks for r0.  t1 then asks S0 for r0 and t2 asks S1 for r1.  When
+/// t1's request lands behind t0's it goes ahead of it (one lock against
+/// none), and t0, overtaken with no block event of its own, is re-armed.
+/// Schedules in which both cross requests queue close t1 <-> t2 with t0
+/// waiting behind the cycle; in others t1 wins r0 first and nothing
+/// deadlocks.
+DdbScenario ddb_overtake() {
+  const TransactionId t0{0};
+  const TransactionId t1{1};
+  const TransactionId t2{2};
+  const ResourceId r0{0};
+  const ResourceId r1{1};
+  return DdbScenario{
+      .name = "ddb-overtake",
+      .n_sites = 2,
+      .resource_owner = {SiteId{0}, SiteId{1}},
+      .scripts = {{DdbOp::lock(t2, r0), DdbOp::lock(t0, r0),
+                   DdbOp::lock(t2, r1), DdbOp::finish(t2)},
+                  {DdbOp::lock(t1, r1), DdbOp::lock(t1, r0),
+                   DdbOp::finish(t1)}}};
+}
+
 TEST(Exhaustive, RingOfThreeEverySchedule) {
   BasicSystem sys(ring_of_three());
   const ExploreResult res = explore(sys);
@@ -192,6 +216,19 @@ TEST(Exhaustive, DdbReleaseWaitCycleEverySchedule) {
   EXPECT_GE(tally.deadlocked, 2u);
   EXPECT_EQ(tally.with_early_closure, tally.deadlocked);
   EXPECT_GE(tally.early_closures, 2 * tally.deadlocked);
+}
+
+TEST(Exhaustive, DdbOvertakeEverySchedule) {
+  DdbSystem sys(ddb_overtake());
+  const ExploreResult res = explore(sys);
+  EXPECT_TRUE(res.ok()) << diagnose(res);
+  EXPECT_TRUE(res.complete) << diagnose(res);
+  EXPECT_GE(sys.leaf_tally().deadlocked, 1u);
+  // The overtaken waiter's re-armed check is part of the pinned count: with
+  // the re-arm dropped, QRP1 and QRP2 still hold (every cycle the overtake
+  // closes runs through t1, whose own check covers it) but the count reads
+  // 295.
+  EXPECT_EQ(res.states_visited, 315u) << diagnose(res);
 }
 
 TEST(Exhaustive, DdbRejectsTimerBasedInitiation) {

@@ -404,16 +404,18 @@ using StatWords = std::array<std::uint64_t, kStatCounters>;
 
 TEST(DdbCluster, TotalStatsSumsEveryCounterOfEverySite) {
   // A contended T5-shaped episode, in which every counter is non-zero at
-  // two sites at least.
+  // two sites at least.  48 transactions of 4 locks on a hot set of 8:
+  // with 24 of 3, lock queues ordered by count leave too few local cycles
+  // for local_cycle_detections to fire at two sites.
   Cluster db({.n_sites = 4, .n_resources = 8, .options = delayed_opts(),
               .seed = 3});
   TxnScriptConfig cfg;
-  cfg.locks_per_txn = 3;
+  cfg.locks_per_txn = 4;
   cfg.write_fraction = 0.8;
   cfg.hot_set = 8;
   cfg.max_retries = 25;
   TxnWorkload workload(db, cfg, 29);
-  workload.start(24);
+  workload.start(48);
   db.simulator().run();
 
   StatWords sum{};

@@ -987,21 +987,24 @@ TEST(ControllerEager, UnreachedBlockWaitsForT) {
 }
 
 TEST(ControllerEager, ReachedWaiterReArmedByAGrantReshuffleStartsAtOnce) {
-  // At S0: t5 holds rA; t2 (home S1) queues for rA; t6 holds rE, and t7
-  // (read) and t5 (write) queue for it.  S1's computation for t2 reaches
-  // t5's home agent.  When t6 commits, t7 is granted and t5 now waits on
-  // t7: no lock() call, but the re-armed check of t5 starts its
-  // computation at once.  t7 then runs, so the reach alone starts it.
+  // At S0: t5 holds rA and t7 holds rF; t2 (home S1) queues for rA; t6
+  // holds rE, and t7 (read) and t5 (write) queue for it.  S1's computation
+  // for t2 reaches t5's home agent.  When t6 commits, t7 is granted and t5
+  // now waits on t7: no lock() call, but the re-armed check of t5 starts
+  // its computation at once.  t7 then runs, so the reach alone starts it.
   //
-  // t2 queues while t5 still runs, so S0 starts nothing for it.  t5 queues
-  // behind t7's queued request, so its first check starts a computation at
-  // once; the re-arm must start a second.
+  // t2 queues while t5 still runs, so S0 starts nothing for it.  t5 and t7
+  // hold one lock each, so t5 queues behind t7's earlier request (equal
+  // counts keep their arrival order) and its first check starts a
+  // computation at once; the re-arm must start a second.
   Rig rig(2, follow_options());
   const TransactionId t6{6};
   const TransactionId t7{7};
   const ResourceId rA = res_at(0, 0, 2);
   const ResourceId rE = res_at(0, 1, 2);
+  const ResourceId rF = res_at(0, 2, 2);
   ASSERT_TRUE(rig.c(0).lock(t5, rA, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(0).lock(t7, rF, LockMode::kWrite));
   ASSERT_TRUE(rig.c(0).lock(t6, rE, LockMode::kWrite));
   rig.c(1).lock(t2, rA, LockMode::kWrite);
   rig.deliver_all();
@@ -1149,6 +1152,49 @@ TEST(ControllerProbe, NoCycleNoDeclaration) {
   ASSERT_TRUE(rig.c(0).initiate_for(t1).has_value());
   rig.deliver_all();
   EXPECT_TRUE(rig.declared().empty());
+}
+
+// ---- a request that overtakes waiters re-arms them ---------------------------------
+
+TEST(ControllerEager, WaiterOvertakenByAQueuedRequestReArms) {
+  // t1 holds rA@S0 and runs; t3 (no locks) queues for it and waits T.
+  // t2, holding rB, asks for rA too and queues ahead of t3 (one lock
+  // against none).  No block event of t3's, but it now waits on t2, which
+  // is blocked here, so its re-armed check starts a computation at once.
+  Rig rig(2, follow_options());
+  const ResourceId rA = res_at(0, 0, 2);
+  const ResourceId rB = res_at(0, 1, 2);
+  ASSERT_TRUE(rig.c(0).lock(t1, rA, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(0).lock(t2, rB, LockMode::kWrite));
+  EXPECT_FALSE(rig.c(0).lock(t3, rA, LockMode::kWrite));
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 0u);
+
+  EXPECT_FALSE(rig.c(0).lock(t2, rA, LockMode::kWrite));
+  EXPECT_EQ(rig.c(0).locks().waiters(rA), (TxnList{t2, t3}));
+  EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 1u);
+}
+
+TEST(ControllerEager, WaiterOvertakenByAGrantedRemoteRequestReArms) {
+  // t1 reads rA@S0 and runs; t3 (home S0, no locks) queues to write it and
+  // waits T.  t2 (home S1) holds rB@S1 and asks S0 to read rA: one lock
+  // against none, so the request goes ahead of t3's write and is granted
+  // beside t1.  t3 now also waits on t2, an agent of a transaction homed
+  // elsewhere, so its re-armed check starts a computation at once.
+  Rig rig(2, follow_options());
+  const ResourceId rA = res_at(0, 0, 2);
+  const ResourceId rB = res_at(1, 0, 2);
+  ASSERT_TRUE(rig.c(0).lock(t1, rA, LockMode::kRead));
+  EXPECT_FALSE(rig.c(0).lock(t3, rA, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(1).lock(t2, rB, LockMode::kWrite));
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 0u);
+
+  rig.c(1).lock(t2, rA, LockMode::kRead);
+  rig.deliver_one(1, 0);
+  EXPECT_TRUE(rig.c(0).locks().holds(rA, t2));
+  EXPECT_EQ(rig.c(0).locks().waiters(rA), (TxnList{t3}));
+  EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 1u);
 }
 
 // ---- regression: degenerate release-wait bounce ------------------------------------

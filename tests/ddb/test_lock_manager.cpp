@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 namespace cmh::ddb {
 namespace {
 
 const TransactionId t1{1};
 const TransactionId t2{2};
 const TransactionId t3{3};
+const TransactionId t4{4};
 const ResourceId r1{1};
 const ResourceId r2{2};
 const SiteId here{0};
@@ -135,7 +140,8 @@ TEST(LockManager, ReleaseGrantsMultipleReaders) {
 }
 
 TEST(LockManager, NoOvertakingPastConflictingWaiter) {
-  // Writer queued behind reader-holder; a later read must NOT overtake it.
+  // Writer queued behind reader-holder; a later read holding no more locks
+  // must NOT overtake it.
   LockManager lm;
   ASSERT_EQ(lm.acquire(r1, t1, LockMode::kRead, here),
             AcquireResult::kGranted);
@@ -251,6 +257,177 @@ TEST(LockManager, QueuedRequestsEnumeratesAll) {
   ASSERT_EQ(lm.acquire(r2, t3, LockMode::kRead, here),
             AcquireResult::kQueued);
   EXPECT_EQ(lm.queued_requests().size(), 2u);
+}
+
+// ---- queue order: most locks first, FIFO among equal counts ------------------
+
+TEST(LockManager, HigherCountOvertakesOnlyLowerCounts) {
+  LockManager lm;
+  ASSERT_EQ(lm.acquire(r1, t1, LockMode::kWrite, here, 0),
+            AcquireResult::kGranted);
+  ASSERT_EQ(lm.acquire(r1, t2, LockMode::kWrite, here, 2),
+            AcquireResult::kQueued);
+  ASSERT_EQ(lm.acquire(r1, t3, LockMode::kWrite, here, 0),
+            AcquireResult::kQueued);
+  // One lock: behind t2's two, ahead of t3's none.
+  EXPECT_EQ(lm.acquire(r1, t4, LockMode::kWrite, here, 1),
+            AcquireResult::kQueued);
+  EXPECT_EQ(lm.waiters(r1), (TxnList{t2, t4, t3}));
+  EXPECT_EQ(lm.waiters_behind(r1, 1), (TxnList{t3}));
+  EXPECT_EQ(lm.waiters_behind(r1, 3), (TxnList{t2, t4, t3}));
+  EXPECT_TRUE(lm.waiters_behind(r1, 0).empty());
+  std::vector<WaitEdge> edges;
+  lm.wait_edges(edges);
+  EXPECT_NE(std::find(edges.begin(), edges.end(), std::pair{t4, t2}),
+            edges.end());
+  EXPECT_NE(std::find(edges.begin(), edges.end(), std::pair{t3, t4}),
+            edges.end());
+  EXPECT_EQ(std::find(edges.begin(), edges.end(), std::pair{t2, t4}),
+            edges.end());
+  // Grants follow the queue order.
+  auto granted = lm.release(r1, t1);
+  ASSERT_EQ(granted.size(), 1u);
+  EXPECT_EQ(granted[0].txn, t2);
+  granted = lm.release(r1, t2);
+  ASSERT_EQ(granted.size(), 1u);
+  EXPECT_EQ(granted[0].txn, t4);
+  EXPECT_EQ(granted[0].held, 1u);
+}
+
+TEST(LockManager, EqualCountsStayFifo) {
+  LockManager lm;
+  ASSERT_EQ(lm.acquire(r1, t1, LockMode::kWrite, here, 3),
+            AcquireResult::kGranted);
+  for (const TransactionId t : {t2, t3, t4}) {
+    ASSERT_EQ(lm.acquire(r1, t, LockMode::kWrite, here, 2),
+              AcquireResult::kQueued);
+  }
+  EXPECT_EQ(lm.waiters(r1), (TxnList{t2, t3, t4}));
+  EXPECT_TRUE(lm.waiters_behind(r1, 2).empty());
+  TransactionId holder = t1;
+  for (const TransactionId next : {t2, t3, t4}) {
+    const auto granted = lm.release(r1, holder);
+    ASSERT_EQ(granted.size(), 1u);
+    EXPECT_EQ(granted[0].txn, next);
+    holder = next;
+  }
+}
+
+TEST(LockManager, GrantedAtItsInsertionPointPastLowerCountWaiters) {
+  // t1 reads; t2 (no locks) queues to write.  t3, holding one lock, asks
+  // to read: its place is ahead of t2, where nothing conflicts, so it is
+  // granted at once although a conflicting waiter is queued.  (Judged at
+  // the queue's end it would queue behind t2, and nothing would ever grant
+  // it while t1 reads: the queue only grants from its front.)
+  LockManager lm;
+  ASSERT_EQ(lm.acquire(r1, t1, LockMode::kRead, here, 0),
+            AcquireResult::kGranted);
+  ASSERT_EQ(lm.acquire(r1, t2, LockMode::kWrite, here, 0),
+            AcquireResult::kQueued);
+  EXPECT_TRUE(lm.blockers(r1, t3, LockMode::kRead, 1).empty());
+  EXPECT_EQ(lm.acquire(r1, t3, LockMode::kRead, here, 1),
+            AcquireResult::kGranted);
+  EXPECT_TRUE(lm.holds(r1, t3));
+  EXPECT_EQ(lm.waiters_behind(r1, 1), (TxnList{t2}));
+  // t2 now waits on both readers.
+  std::vector<WaitEdge> edges;
+  lm.wait_edges(edges);
+  EXPECT_EQ(edges, (std::vector<WaitEdge>{{t2, t1}, {t2, t3}}));
+  // A reader with no locks still queues behind the writer.
+  EXPECT_EQ(lm.acquire(r1, t4, LockMode::kRead, here, 0),
+            AcquireResult::kQueued);
+}
+
+TEST(LockManager, ContendedUpgradeKeepsItsPlacement) {
+  // t1 and t2 read; t3 and t4 (no locks) queue to write.  t1's contended
+  // upgrade queues at the end whatever its count, as it always did.
+  LockManager lm;
+  ASSERT_EQ(lm.acquire(r1, t1, LockMode::kRead, here, 0),
+            AcquireResult::kGranted);
+  ASSERT_EQ(lm.acquire(r1, t2, LockMode::kRead, here, 0),
+            AcquireResult::kGranted);
+  ASSERT_EQ(lm.acquire(r1, t3, LockMode::kWrite, here, 0),
+            AcquireResult::kQueued);
+  ASSERT_EQ(lm.acquire(r1, t4, LockMode::kWrite, here, 0),
+            AcquireResult::kQueued);
+  EXPECT_EQ(lm.blockers(r1, t1, LockMode::kWrite, 5),
+            (FlatSet<TransactionId, 8>{t2, t3, t4}));
+  EXPECT_EQ(lm.acquire(r1, t1, LockMode::kWrite, here, 5),
+            AcquireResult::kQueued);
+  EXPECT_EQ(lm.waiters(r1), (TxnList{t3, t4, t1}));
+  EXPECT_TRUE(lm.waiters_behind(r1, 5).empty());
+}
+
+TEST(LockManager, StateHashFoldsQueuedCounts) {
+  const auto hash_with = [](LockCount held) {
+    LockManager lm;
+    EXPECT_EQ(lm.acquire(r1, t1, LockMode::kWrite, here, 0),
+              AcquireResult::kGranted);
+    EXPECT_EQ(lm.acquire(r1, t2, LockMode::kWrite, here, held),
+              AcquireResult::kQueued);
+    std::uint64_t h = 0;
+    lm.mix_state_hash(h);
+    return h;
+  };
+  EXPECT_EQ(hash_with(1), hash_with(1));
+  EXPECT_NE(hash_with(0), hash_with(1));
+}
+
+// For random lock tables, the blockers() a request is told it would wait
+// on are exactly its out-edges once acquire() queues it, and it is granted
+// iff it has none.  The grey-request oracle rests on this.
+TEST(LockManager, BlockersMatchTheWaitEdgesOfTheQueuedRequest) {
+  std::mt19937 rng(20221);
+  const auto pick = [&rng](std::uint32_t n) {
+    return std::uniform_int_distribution<std::uint32_t>(0, n - 1)(rng);
+  };
+  constexpr std::uint32_t kTxns = 6;
+  std::size_t queued = 0;
+  std::size_t overtaking_grants = 0;
+  for (int trial = 0; trial < 5000; ++trial) {
+    LockManager lm;
+    const std::uint32_t ops = 1 + pick(10);
+    for (std::uint32_t i = 0; i < ops; ++i) {
+      const TransactionId t{1 + pick(kTxns)};
+      if (lm.holds(r1, t) && pick(3) == 0) {
+        lm.release(r1, t);
+      } else if (!lm.waiting(r1, t)) {
+        lm.acquire(r1, t, pick(2) == 0 ? LockMode::kRead : LockMode::kWrite,
+                   here, static_cast<LockCount>(pick(4)));
+      }
+    }
+    const TransactionId t{1 + pick(kTxns)};
+    if (lm.waiting(r1, t)) continue;
+    const LockMode mode = pick(2) == 0 ? LockMode::kRead : LockMode::kWrite;
+    const auto held_mode = lm.held_mode(r1, t);
+    const bool upgrade = held_mode.has_value();
+    if (upgrade && (*held_mode == LockMode::kWrite || mode == LockMode::kRead)) {
+      continue;  // redundant
+    }
+    const auto count = static_cast<LockCount>(pick(4));
+    const auto blockers = lm.blockers(r1, t, mode, count);
+    const AcquireResult r = lm.acquire(r1, t, mode, here, count);
+    if (r == AcquireResult::kGranted) {
+      // An in-place upgrade ignores the queue; any other grant has no
+      // blocker.
+      if (!upgrade) EXPECT_TRUE(blockers.empty()) << "trial " << trial;
+      if (!upgrade && !lm.waiters_behind(r1, count).empty()) {
+        ++overtaking_grants;
+      }
+      continue;
+    }
+    ASSERT_EQ(r, AcquireResult::kQueued);
+    std::vector<WaitEdge> edges;
+    lm.wait_edges(edges);
+    FlatSet<TransactionId, 8> out;
+    for (const auto& [w, b] : edges) {
+      if (w == t) out.insert(b);
+    }
+    EXPECT_EQ(out, blockers) << "trial " << trial;
+    ++queued;
+  }
+  EXPECT_GT(queued, 1000u);
+  EXPECT_GT(overtaking_grants, 20u);
 }
 
 }  // namespace
