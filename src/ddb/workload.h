@@ -4,9 +4,12 @@
 // substitutions): each transaction acquires a sequence of locks (in order),
 // holds them for a think time, then commits.  Aborted victims are retried
 // with a fresh transaction id after a backoff, which is how real lock
-// managers consume deadlock detection.
+// managers consume deadlock detection.  These are the T5 clients that
+// perfbench/ runs: the same draws and the same decisions, so an episode
+// seeded as perfbench seeds it is perfbench's episode.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -37,12 +40,43 @@ struct WorkloadResult {
   std::uint64_t given_up{0};
 };
 
+/// Episode `index` of a run seeded `seed`: an independent stream per (run
+/// seed, index), so an episode sees the same inputs whatever ran before it.
+/// perfbench/ seeds episode i's Cluster with episode_seed(seed, i) and its
+/// TxnWorkload with episode_seed(seed, i) ^ kWorkloadSeedSalt.
+[[nodiscard]] std::uint64_t episode_seed(std::uint64_t seed,
+                                         std::uint64_t index);
+inline constexpr std::uint64_t kWorkloadSeedSalt = 0x5bd1e995;
+
+/// Sees what a TxnWorkload's clients do, and changes none of it.
+class TxnObserver {
+ public:
+  virtual ~TxnObserver() = default;
+  /// Bracket each Cluster::lock() a client calls.  Whatever the call does
+  /// synchronously (a grant, a local cycle's declaration, an abort) is seen
+  /// between the two.
+  virtual void before_lock(TransactionId /*txn*/) {}
+  virtual void after_lock(TransactionId /*txn*/) {}
+  /// A deadlock declaration at its instant, before its victim is aborted.
+  virtual void on_declaration(const DdbDetection& /*d*/) {}
+  /// A commit; `retries` counts the aborted attempts of its client before it.
+  virtual void on_commit(TransactionId /*txn*/, std::uint32_t /*retries*/) {}
+};
+
 /// Runs `n_txns` scripted transactions concurrently (all started at virtual
 /// time 0, with small random stagger) and drives each to commit or
-/// exhausted retries.
+/// exhausted retries.  The workload owns the cluster's grant, abort and
+/// detection listeners; a caller that needs to see declarations attaches a
+/// TxnObserver.
 class TxnWorkload {
  public:
   TxnWorkload(Cluster& cluster, TxnScriptConfig config, std::uint64_t seed);
+
+  TxnWorkload(const TxnWorkload&) = delete;
+  TxnWorkload& operator=(const TxnWorkload&) = delete;
+
+  /// nullptr detaches.  The observer must outlive the run.
+  void set_observer(TxnObserver* observer) { observer_ = observer; }
 
   /// Launches `n_txns` clients; run the cluster simulator afterwards.
   void start(std::uint32_t n_txns);
@@ -57,10 +91,14 @@ class TxnWorkload {
     std::uint32_t retries{0};
     std::optional<TransactionId> txn;
     bool stepping{false};  // re-entrancy guard (synchronous grants)
+    bool doomed{false};    // declared a victim; the abort is on its way
   };
 
   void launch(std::size_t client);
-  void step(std::size_t client);  // issue next lock / hold / commit
+  void step(std::size_t client);  // issue the next lock, or hold and commit
+  void commit(std::size_t client, TransactionId txn);
+  void on_abort(TransactionId txn);
+  void on_declaration(const DdbDetection& d);
   /// The client running `txn`, if one runs it now.
   [[nodiscard]] std::optional<std::size_t> client_of(TransactionId txn) const;
 
@@ -70,6 +108,7 @@ class TxnWorkload {
   std::vector<Client> clients_;
   /// Indexed by the dense transaction id: the client that began it.
   std::vector<std::uint32_t> client_by_txn_;
+  TxnObserver* observer_{nullptr};
   WorkloadResult result_;
 };
 

@@ -1,11 +1,13 @@
-// TxnWorkload driver: retry-on-abort, client lock-wait timeouts, the
-// controllers' queued-request counts under load, and the q-optimization
-// on/off behavioural equivalence under random load.
+// TxnWorkload driver: retry-on-abort, client lock-wait timeouts, declared
+// victims that stay idle, observers that change nothing, the controllers'
+// queued-request counts under load, and the q-optimization on/off
+// behavioural equivalence under random load.
 #include "ddb/workload.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 namespace cmh::ddb {
@@ -245,6 +247,122 @@ TEST(TxnWorkload, NoTransactionGivesUpAtHotSet4) {
   // seed range was fixed before the rule ran on it (EXPERIMENTS.md section
   // P13 has the give-up counts over 307,200 transactions).
   expect_no_give_ups(4, 4001, 4100);
+}
+
+/// One T5 episode as perfbench/ draws episode `index` of run seed `seed`.
+struct T5Episode {
+  T5Episode(std::uint32_t hot_set, std::uint64_t seed,
+                     std::uint64_t index)
+      : db({.n_sites = 4,
+            .n_resources = hot_set,
+            .options = detecting(),
+            .seed = episode_seed(seed, index)}),
+        workload(db, script(hot_set),
+                 episode_seed(seed, index) ^ kWorkloadSeedSalt) {}
+
+  static TxnScriptConfig script(std::uint32_t hot_set) {
+    TxnScriptConfig cfg;
+    cfg.locks_per_txn = 3;
+    cfg.write_fraction = 0.8;
+    cfg.hot_set = hot_set;
+    cfg.hold_time = SimTime::ms(2);
+    cfg.max_retries = 25;
+    return cfg;
+  }
+
+  Cluster db;
+  TxnWorkload workload;
+};
+
+/// Fails the test if a declared victim calls lock() or commits afterwards.
+class DoomedStayIdle final : public TxnObserver {
+ public:
+  explicit DoomedStayIdle(const Cluster& db) : db_(db) {}
+  void before_lock(TransactionId txn) override {
+    ++locks;
+    EXPECT_FALSE(declared_.contains(txn))
+        << txn << " locks after its declaration";
+  }
+  void on_declaration(const DdbDetection& d) override {
+    ++declarations;
+    // A victim still active here is one whose abort is on its way.
+    if (db_.status(d.victim) == TxnStatus::kActive) ++active_victims;
+    declared_.insert(d.victim);
+  }
+  void on_commit(TransactionId txn, std::uint32_t) override {
+    EXPECT_FALSE(declared_.contains(txn))
+        << txn << " commits after its declaration";
+  }
+
+  std::uint64_t locks{0};
+  std::uint64_t declarations{0};
+  std::uint64_t active_victims{0};
+
+ private:
+  const Cluster& db_;
+  std::set<TransactionId> declared_;
+};
+
+TEST(TxnWorkload, DeclaredVictimIssuesNoFurtherLock) {
+  std::uint64_t declarations = 0;
+  std::uint64_t active_victims = 0;
+  for (const std::uint32_t hot_set : {8u, 16u}) {
+    for (std::uint64_t index = 0; index < 16; ++index) {
+      T5Episode e(hot_set, 1, index);
+      DoomedStayIdle idle(e.db);
+      e.workload.set_observer(&idle);
+      e.workload.start(24);
+      e.db.simulator().run();
+      EXPECT_EQ(e.workload.result().committed, 24u);
+      EXPECT_GT(idle.locks, 0u);
+      declarations += idle.declarations;
+      active_victims += idle.active_victims;
+    }
+  }
+  EXPECT_GT(declarations, 0u);
+  EXPECT_GT(active_victims, 0u);
+}
+
+/// Watches everything and asks the cluster at every hook, as an observer
+/// that measures does.
+class Inquisitive final : public TxnObserver {
+ public:
+  explicit Inquisitive(const Cluster& db) : db_(db) {}
+  void before_lock(TransactionId) override { ask(); }
+  void after_lock(TransactionId) override { ask(); }
+  void on_declaration(const DdbDetection&) override { ask(); }
+  void on_commit(TransactionId, std::uint32_t) override { ask(); }
+  std::uint64_t asked{0};
+
+ private:
+  void ask() { asked += 1 + db_.oracle_deadlocked().size(); }
+  const Cluster& db_;
+};
+
+TEST(TxnWorkload, AnObserverLeavesTheEpisodeAsItIs) {
+  struct Outcome {
+    std::uint64_t committed, aborted, events;
+    std::int64_t makespan_us;
+    bool operator==(const Outcome&) const = default;
+  };
+  const auto run = [](std::uint32_t hot_set, std::uint64_t index,
+                      bool observed) {
+    T5Episode e(hot_set, 2, index);
+    Inquisitive inquisitive(e.db);
+    if (observed) e.workload.set_observer(&inquisitive);
+    e.workload.start(24);
+    const SimTime end = e.db.simulator().run();
+    EXPECT_EQ(inquisitive.asked > 0, observed);
+    return Outcome{e.workload.result().committed,
+                   e.workload.result().aborted,
+                   e.db.simulator().stats().events_processed, end.micros};
+  };
+  for (const std::uint32_t hot_set : {16u, 32u}) {
+    for (std::uint64_t index = 0; index < 8; ++index) {
+      EXPECT_EQ(run(hot_set, index, false), run(hot_set, index, true))
+          << "hot set " << hot_set << " episode " << index;
+    }
+  }
 }
 
 class QOptEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
