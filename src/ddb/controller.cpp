@@ -801,20 +801,18 @@ void Controller::schedule_block_check(TransactionId txn) {
       // probe computation, whose messages it exists to save.
       if (blocked(txn)) {
         if (declare_local_cycle(txn)) return;
-        // T skips computations for waits that end on their own.  Two kinds
-        // of block may close a cycle, so they start at once, as T = 0 does:
-        // a wait that reaches a transaction blocked here or homed elsewhere
-        // (paths_ still holds A0's BFS; its first entry is txn), and a block
-        // at a home agent a live computation has reached, which shows that
-        // someone waits on txn.  Whether another site's transaction waits at
-        // its home is not observable here, so a wait on its agent counts as
-        // a wait on a blocked transaction.  Only a wait on transactions
-        // running at their home here waits T.
+        // T skips computations for waits that end on their own.  A wait
+        // that reaches a transaction blocked here or homed elsewhere may
+        // close a cycle, so it starts at once, as T = 0 does (paths_ still
+        // holds A0's BFS; its first entry is txn).  Whether another site's
+        // transaction waits at its home is not observable here, so a wait
+        // on its agent counts as a wait on a blocked transaction.  Only a
+        // wait on transactions running at their home here waits T.
         const bool may_close = std::any_of(
             paths_.begin() + 1, paths_.end(), [this](const PathBest& p) {
               return blocked(p.txn) || !txns_[p.txn.value()].home;
             });
-        if (may_close || reached_by_live_computation(txn)) {
+        if (may_close) {
           if (initiate_for(txn)) ++stats_.eager_initiations;
           return;
         }
@@ -824,14 +822,6 @@ void Controller::schedule_block_check(TransactionId txn) {
       });
       return;
   }
-}
-
-bool Controller::reached_by_live_computation(TransactionId txn) {
-  if (txn.value() >= txns_.size()) return false;
-  const auto& reaches = txns_[txn.value()].reaches;
-  return std::any_of(reaches.begin(), reaches.end(), [this](const Reach& r) {
-    return find_computation(r.tag) != nullptr;
-  });
 }
 
 void Controller::mix_state_hash(std::uint64_t& h) const {

@@ -20,9 +20,8 @@
 //     goes on, so the initiator still closes it (DESIGN.md section 4b,
 //     note 6).
 //   * continue the computations that reached a transaction's home agent
-//     along its next request the moment it blocks again, and start that
-//     transaction's own computation at once: a live computation there shows
-//     that someone waits on it (DESIGN.md section 4b, notes 4 and 5).
+//     along its next request the moment it blocks again (DESIGN.md section
+//     4b, note 4).
 //   * start a blocked agent's computation at once, too, when its wait
 //     reaches a transaction blocked at this site, or one homed at another
 //     site, whose wait this site cannot see: only such a wait can close a
@@ -67,10 +66,9 @@ enum class DdbInitiation {
   // Run A0 the instant a local process blocks; start its probe computation
   // T later, if it is still blocked -- or at once when the block may close
   // a cycle: A0's BFS reaches another transaction that is blocked here or
-  // homed at another site, or a live computation has reached the process's
-  // home agent, which shows an incoming wait.  Only a wait on transactions
-  // running at their home here waits T.  At T = 0 the computation starts
-  // the instant the process blocks (section 4.2), and no timer is needed.
+  // homed at another site.  Only a wait on transactions running at their
+  // home here waits T.  At T = 0 the computation starts the instant the
+  // process blocks (section 4.2), and no timer is needed.
   kDelayed,
 };
 
@@ -103,8 +101,7 @@ struct ControllerStats {
   std::uint64_t reaches_followed{0};
   /// kDelayed computations started at block time, without waiting T,
   /// because the blocked agent waits on a transaction blocked here or
-  /// homed at another site, or a live computation had reached the blocked
-  /// home agent.
+  /// homed at another site.
   std::uint64_t eager_initiations{0};
   /// Walks of other sites' computations declared here, where the BFS of a
   /// probe reached an agent of the computation's target.
@@ -261,9 +258,8 @@ class Controller {
     // holdings.  Feeds the section-6.7 Q set.
     FlatSet<SiteId, 2> remote_holdings;
     // Computations that reached this home agent; lock() continues them
-    // along txn's next request (see follow_reaches), and a live one makes
-    // txn's block check start its computation at once.  Dropped at commit
-    // and abort.
+    // along txn's next request (see follow_reaches).  Dropped at commit and
+    // abort.
     SmallVector<Reach, kReachesPerTxn> reaches;
     // This controller's computations for txn as target: the sequences of
     // the latest and of the one before it (0: none), whose probes may still
@@ -427,13 +423,8 @@ class Controller {
   void declare(TransactionId victim, const DdbProbeTag& tag);
   /// Under kDelayed: A0 at once, then txn's probe computation at once if
   /// A0's BFS reaches another transaction blocked here or homed at another
-  /// site, or a live computation has reached txn's home agent, else T
-  /// later.
+  /// site, else T later.
   void schedule_block_check(TransactionId txn);
-  /// True iff a computation recorded at txn's home agent is live: its
-  /// record is still here.  Evidence that someone waits on txn, whether or
-  /// not follow_reaches() would continue it.
-  [[nodiscard]] bool reached_by_live_computation(TransactionId txn);
 
   /// Lowest still-live sequence of this controller's own computations, the
   /// one just begun (next_sequence_) included: walks the own records.

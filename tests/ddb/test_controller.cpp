@@ -884,8 +884,7 @@ TEST(ControllerFollow, ReachBelowItsInitiatorsFloorIsNotFollowed) {
 TEST(ControllerFollow, NewRequestToASiteAskedBeforeIsProbedAgain) {
   // The computation already probed t5's edge to S1 for rC.  t5's next
   // request to S1 is a new instance of that edge, so the follow probes it
-  // again -- on the same channel, right behind the request.  (t5's own
-  // computation, started at once because it was reached, probes it last.)
+  // again -- on the same channel, right behind the request.
   Rig rig(ReachedCloser::kSites, follow_options());
   const ReachedCloser rc = build_reached_closer(rig);
   rig.c(1).finish(t3);
@@ -917,9 +916,10 @@ TEST(ControllerEager, ReachedReBlockClosesACycleTheFollowsCannotBeforeT) {
   // t7 (home S1) holds rK and rL@S1.  t6 waits for rK, held by t7, and t7
   // waits for rF, held by t5; then t5 asks for rE.  The cycle t5 -> t6 ->
   // t7 -> t5 does not pass through t2 (t7 does not queue behind t2 for
-  // rA), so the followed computation of t2 cannot close it.  t5 was
-  // reached, so its own computation starts at once and closes it at S0,
-  // where t7 waits on t5; no timer fires.  The victim is t6, which holds
+  // rA), so the followed computation of t2 cannot close it.  t5 waits on
+  // t6, homed at S2, so its own computation starts at once (DESIGN.md
+  // section 4b, note 7) and closes it at S0, where t7 waits on t5; no timer
+  // fires.  The victim is t6, which holds
   // one lock to t7's two and t5's three.  (t6 and t7 block while the
   // transactions they wait on run at their homes, so no other check starts
   // before T.  t5's block is local: a request to another site would start
@@ -961,11 +961,12 @@ TEST(ControllerEager, ReachedReBlockClosesACycleTheFollowsCannotBeforeT) {
 }
 
 TEST(ControllerEager, UnreachedBlockWaitsForT) {
-  // t5, granted rC, takes rG@S0, and t1 (home S0) queues behind it.  No
-  // computation has reached t1's home agent, and t5 runs, so t1's
-  // computation waits T, while t5, reached, starts its own at once when it
-  // blocks again.  (t1 queues for rG, not rA: behind t2's queued request
-  // for rA it would wait on a blocked transaction and start at once.)
+  // t5, granted rC, takes rG@S0, and t1 (home S0) queues behind it.  t5
+  // runs, so t1's computation waits T.  So does t5's when it blocks again
+  // on S1, although computations have reached t5's home agent: a reach
+  // starts no computation, it is only followed along the new request.  (t1 queues
+  // for rG, not rA: behind t2's queued request for rA it would wait on a
+  // blocked transaction and start at once.)
   Rig rig(ReachedCloser::kSites, follow_options());
   build_reached_closer(rig);
   rig.c(1).finish(t3);
@@ -981,22 +982,27 @@ TEST(ControllerEager, UnreachedBlockWaitsForT) {
   rig.fire_timers();  // t1's check, T later
   EXPECT_EQ(rig.c(0).stats().computations_initiated, 1u);
 
+  const std::uint64_t followed = rig.c(0).stats().reaches_followed;
   rig.c(0).lock(t5, res_at(1, 2, ReachedCloser::kSites), LockMode::kWrite);
-  EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
+  EXPECT_GT(rig.c(0).stats().reaches_followed, followed);
+  EXPECT_EQ(rig.c(0).stats().eager_initiations, 0u);
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 1u);
+  rig.fire_timers();  // t5's check, T later
   EXPECT_EQ(rig.c(0).stats().computations_initiated, 2u);
 }
 
-TEST(ControllerEager, ReachedWaiterReArmedByAGrantReshuffleStartsAtOnce) {
+TEST(ControllerEager, ReachedWaiterReArmedByAGrantReshuffleWaitsForT) {
   // At S0: t5 holds rA and t7 holds rF; t2 (home S1) queues for rA; t6
   // holds rE, and t7 (read) and t5 (write) queue for it.  S1's computation
   // for t2 reaches t5's home agent.  When t6 commits, t7 is granted and t5
-  // now waits on t7: no lock() call, but the re-armed check of t5 starts
-  // its computation at once.  t7 then runs, so the reach alone starts it.
+  // now waits on t7: no lock() call, but t5's check is re-armed.  t7 then
+  // runs at its home here, so the check waits T, reach or no reach, and
+  // starts a second computation when it fires.
   //
   // t2 queues while t5 still runs, so S0 starts nothing for it.  t5 and t7
   // hold one lock each, so t5 queues behind t7's earlier request (equal
   // counts keep their arrival order) and its first check starts a
-  // computation at once; the re-arm must start a second.
+  // computation at once.
   Rig rig(2, follow_options());
   const TransactionId t6{6};
   const TransactionId t7{7};
@@ -1023,7 +1029,9 @@ TEST(ControllerEager, ReachedWaiterReArmedByAGrantReshuffleStartsAtOnce) {
   rig.c(0).finish(t6);
   ASSERT_TRUE(rig.c(0).locks().holds(rE, t7));
   ASSERT_TRUE(rig.c(0).blocked(t5));
-  EXPECT_EQ(rig.c(0).stats().eager_initiations, 2u);
+  EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
+  EXPECT_EQ(rig.c(0).stats().computations_initiated, 1u);
+  rig.fire_timers();  // the re-armed check, T later
   EXPECT_EQ(rig.c(0).stats().computations_initiated, 2u);
   rig.deliver_all();
   EXPECT_TRUE(rig.declared().empty());
@@ -1031,10 +1039,12 @@ TEST(ControllerEager, ReachedWaiterReArmedByAGrantReshuffleStartsAtOnce) {
 
 TEST(ControllerEager, WaitOnARemoteHolderStartsAtOnce) {
   // t3 commits and t5, reached at its home S0, asks S1 for rB, held by
-  // t2.  S0 starts t5's computation at once.  At S1 the forwarded request
-  // queues behind t2, which only holds there, for its home S2: S1 cannot
-  // see whether t2 waits, so it starts its own computation at once too,
-  // and probes t2's release-wait edge before S0's probe arrives.
+  // t2.  S0 cannot see what t5 waits on there, so its check waits T.  At
+  // S1 the forwarded request queues behind t2, which only holds there, for
+  // its home S2: S1 cannot see whether t2 waits, so it starts its own
+  // computation at once, and probes t2's release-wait edge ahead of the
+  // follow's probe.  That computation closes t5 -> t2 -> t5 before any
+  // timer fires.
   Rig rig(ReachedCloser::kSites, follow_options());
   const ReachedCloser rc = build_reached_closer(rig);
   rig.c(1).finish(t3);
@@ -1044,8 +1054,8 @@ TEST(ControllerEager, WaitOnARemoteHolderStartsAtOnce) {
       rig.c(1).stats().computations_initiated;
 
   rig.c(0).lock(t5, rc.rB, LockMode::kWrite);
-  EXPECT_EQ(rig.c(0).stats().eager_initiations, 1u);
-  rig.deliver_one(0, 1);  // the request alone; the probes stay queued
+  EXPECT_EQ(rig.c(0).stats().eager_initiations, 0u);
+  rig.deliver_one(0, 1);  // the request alone; the probe stays queued
   ASSERT_TRUE(rig.c(1).queued_from(t5, SiteId{0}));
   EXPECT_EQ(rig.c(1).stats().eager_initiations, 1u);
   EXPECT_EQ(rig.c(1).stats().computations_initiated, s1_computations + 1);
