@@ -168,7 +168,8 @@ void BM_DdbT5Episode(benchmark::State& state) {
   // One whole T5 episode (EXPERIMENTS.md T5 at hot set 16: 4 sites, 24
   // transactions of 3 locks, 80% writes, delayed initiation T = 2 ms, victim
   // abort and retry), construction and teardown included: the unit of work
-  // of the end-to-end benchmark in perfbench/.
+  // of the end-to-end benchmark in perfbench/: its ddb_hot16 episode 0 of
+  // seed 1.
   const ddb::DdbOptions options = t5_options();
   ddb::TxnScriptConfig cfg;
   cfg.locks_per_txn = 3;
@@ -176,13 +177,14 @@ void BM_DdbT5Episode(benchmark::State& state) {
   cfg.hot_set = 16;
   cfg.hold_time = SimTime::ms(2);
   cfg.max_retries = 25;
+  const std::uint64_t seed = ddb::episode_seed(1, 0);
   std::uint64_t events = 0;
   for (auto _ : state) {
     ddb::Cluster db({.n_sites = 4,
                      .n_resources = cfg.hot_set,
                      .options = options,
-                     .seed = 1});
-    ddb::TxnWorkload workload(db, cfg, 10);
+                     .seed = seed});
+    ddb::TxnWorkload workload(db, cfg, seed ^ ddb::kWorkloadSeedSalt);
     workload.start(24);
     (void)db.simulator().run();
     events += db.simulator().stats().events_processed;
