@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "common/block_pool.h"
 #include "common/small_vector.h"
 #include "ddb/controller.h"
 #include "ddb/cycle_finder.h"
@@ -102,7 +103,7 @@ class Cluster : private sim::StepHook {
 
   // ---- detection results ----------------------------------------------------
 
-  [[nodiscard]] const std::vector<DdbDetection>& detections() const {
+  [[nodiscard]] std::span<const DdbDetection> detections() const {
     return detections_;
   }
 
@@ -157,10 +158,12 @@ class Cluster : private sim::StepHook {
   Outbox outbox_;
   // One contiguous block, sized once: a Controller is neither copyable nor
   // movable (its timers capture `this`), so each is emplaced in place.
-  std::vector<std::optional<Controller>> controllers_;
+  // These tables and detections_ are pooled (common/block_pool.h): the
+  // next Cluster built on this thread reuses their blocks.
+  PooledVector<std::optional<Controller>> controllers_;
   // Indexed by transaction id: ids are handed out densely by begin().
-  std::vector<TxnState> txns_;
-  std::vector<DdbDetection> detections_;
+  PooledVector<TxnState> txns_;
+  PooledVector<DdbDetection> detections_;
   GrantListener grant_listener_;
   AbortListener abort_listener_;
   DetectionListener detection_listener_;

@@ -52,6 +52,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/block_pool.h"
 #include "common/flat_set.h"
 #include "common/ids.h"
 #include "common/small_vector.h"
@@ -461,16 +462,18 @@ class Controller {
   TimerFn timers_;
 
   LockManager locks_;
-  std::vector<TxnSlot> txns_;  // indexed by transaction id
+  // The tables below are pooled (common/block_pool.h): they grow past 1 KiB
+  // in an episode, and the next controller on the thread reuses the blocks.
+  PooledVector<TxnSlot> txns_;  // indexed by transaction id
   std::uint64_t id_horizon_{0};  // one past the highest id admitted
 
   std::uint64_t next_sequence_{0};
   // Computation records live in a recycled pool (their edge sets keep
   // their capacity); comp_index_ maps tags to pool slots, ascending, so the
   // own records are one contiguous range.
-  std::vector<Computation> comp_pool_;
-  std::vector<std::uint32_t> comp_free_;
-  std::vector<std::pair<DdbProbeTag, std::uint32_t>> comp_index_;
+  PooledVector<Computation> comp_pool_;
+  PooledVector<std::uint32_t> comp_free_;
+  PooledVector<std::pair<DdbProbeTag, std::uint32_t>> comp_index_;
   // Highest floor seen per initiator, indexed by site (section 4.3); 0:
   // none seen (sequences start at 1).  Probes below it are stale.  Inline
   // up to 8 sites, so constructing a controller allocates nothing.

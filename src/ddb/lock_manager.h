@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/block_pool.h"
 #include "common/flat_set.h"
 #include "common/ids.h"
 #include "common/small_vector.h"
@@ -208,8 +209,9 @@ class LockManager {
   [[nodiscard]] ResourceState& row(ResourceId resource);
 
   // Sorted by resource id: lookups are a binary search over contiguous
-  // rows, and every traversal runs in canonical resource order.
-  std::vector<ResourceState> table_;
+  // rows, and every traversal runs in canonical resource order.  Pooled
+  // (common/block_pool.h): eight rows already take 1.7 KiB.
+  PooledVector<ResourceState> table_;
 };
 
 }  // namespace cmh::ddb

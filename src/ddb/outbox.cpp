@@ -21,13 +21,13 @@ constexpr std::size_t kRecordHeader = 5;
 // past the allocator's small-chunk lists (DESIGN.md section 4e).
 constexpr std::size_t kInitialBytes = 512;
 
-std::uint32_t next_record(const Bytes& staged, std::uint32_t record) {
+std::uint32_t next_record(BytesView staged, std::uint32_t record) {
   std::uint32_t next = 0;
   std::memcpy(&next, staged.data() + record, sizeof next);
   return next;
 }
 
-BytesView record_frame(const Bytes& staged, std::uint32_t record) {
+BytesView record_frame(BytesView staged, std::uint32_t record) {
   return {staged.data() + record + kRecordHeader, staged[record + 4]};
 }
 }  // namespace

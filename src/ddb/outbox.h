@@ -31,6 +31,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/block_pool.h"
 #include "common/ids.h"
 #include "common/serialize.h"
 
@@ -95,8 +96,9 @@ class Outbox {
   std::uint32_t first_lane_{kNoLane};
   std::uint32_t last_lane_{kNoLane};
   // This step's frames in send order, each record the offset of the next
-  // record of its lane (u32), its length (u8) and the frame.
-  Bytes staged_;
+  // record of its lane (u32), its length (u8) and the frame.  Pooled
+  // (common/block_pool.h): a sweep's step can stage more than 1 KiB.
+  PooledVector<std::uint8_t> staged_;
   // Scratch: the envelope of a lane with more than one frame.
   Bytes envelope_;
 };

@@ -13,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/block_pool.h"
 #include "common/rng.h"
 #include "ddb/cluster.h"
 
@@ -105,7 +106,7 @@ class TxnWorkload {
   Cluster& cluster_;
   TxnScriptConfig config_;
   Rng rng_;
-  std::vector<Client> clients_;
+  PooledVector<Client> clients_;  // pooled: 24 clients take 1.3 KiB
   /// Indexed by the dense transaction id: the client that began it.
   std::vector<std::uint32_t> client_by_txn_;
   TxnObserver* observer_{nullptr};

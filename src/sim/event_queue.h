@@ -28,7 +28,8 @@
 // order they leave, so retuning is invisible to the schedule.
 //
 // Steady state allocates nothing: the chunk pool, the active run, the near
-// heap and the overflow list all recycle their capacity.
+// heap and the overflow list all recycle their capacity, and their blocks
+// come from the thread's BlockPool, so a new queue reuses an old one's.
 // cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #pragma once
 
@@ -38,6 +39,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/block_pool.h"
 #include "common/time.h"
 
 namespace cmh::sim {
@@ -302,16 +304,16 @@ class EventQueue {
     overflow_.swap(overflow_keep_);
   }
 
-  std::vector<Chunk> pool_;      // every bucket's chunks, one backing store
+  PooledVector<Chunk> pool_;     // every bucket's chunks, one backing store
   std::uint32_t free_{kNil};     // free-chunk chain through Chunk::next
   std::array<std::uint32_t, kBuckets> head_;  // per-bucket chain ends
   std::array<std::uint32_t, kBuckets> tail_;
   std::array<std::uint64_t, kBuckets / 64> occupied_{};  // non-empty buckets
-  std::vector<Entry> active_;   // sorted run of the bucket being consumed
+  PooledVector<Entry> active_;  // sorted run of the bucket being consumed
   std::size_t active_pos_{0};
-  std::vector<Entry> near_;     // min-heap: entries at/before the active bucket
-  std::vector<Entry> overflow_;  // beyond the ring horizon, unsorted
-  std::vector<Entry> overflow_keep_;
+  PooledVector<Entry> near_;    // min-heap: entries at/before the active bucket
+  PooledVector<Entry> overflow_;  // beyond the ring horizon, unsorted
+  PooledVector<Entry> overflow_keep_;
   std::size_t size_{0};
   std::size_t cur_{0};          // index of the bucket containing base_
   std::int64_t base_{0};        // start time of bucket cur_

@@ -62,6 +62,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/block_pool.h"
 #include "common/serialize.h"
 #include "common/sync.h"
 #include "common/time.h"
@@ -242,8 +243,8 @@ class Simulator {
   // timer record is just its callable and a message record its payload.
   template <typename T>
   struct Slab {
-    std::vector<T> items;
-    std::vector<std::uint32_t> free;
+    PooledVector<T> items;
+    PooledVector<std::uint32_t> free;
 
     std::uint32_t acquire() {
       if (!free.empty()) {
@@ -347,7 +348,9 @@ class Simulator {
   SimObserver* observer_{nullptr};
   StepHook* step_hook_{nullptr};
   std::vector<Node> nodes_;
-  std::vector<ShardState> shards_;
+  // Pooled (common/block_pool.h), like the slabs and the queue's vectors:
+  // a simulator built on a thread that has torn one down reuses its blocks.
+  PooledVector<ShardState> shards_;
 
   // Timer counter of the control context (see kControlNode).
   std::uint64_t control_timer_seq_{0};

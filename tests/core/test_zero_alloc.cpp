@@ -2,8 +2,9 @@
 // contract: once warmed up, probe encode/handle/forward at a process, a DDB
 // controller's probe, grant, initiation and re-block paths, and message traffic
 // through the simulator perform ZERO heap allocations; small simulator
-// frames never touch the heap, and a ddb::Cluster is built from a handful
-// of blocks.
+// frames never touch the heap, a ddb::Cluster is built from a handful
+// of blocks, and on a thread that has run one it takes its tables' blocks
+// from the thread's BlockPool.
 // A counting global operator new makes that an assertable property instead
 // of a benchmark anecdote.  (The override is binary-wide but only counts;
 // it delegates to malloc/free.)
@@ -19,16 +20,25 @@
 #include "core/messages.h"
 #include "ddb/cluster.h"
 #include "ddb/controller.h"
+#include "ddb/workload.h"
 #include "sim/simulator.h"
 
 namespace {
 // Atomic because the sharded round-trip test runs shard workers; the
 // measured tests themselves are single-threaded.
 std::atomic<std::size_t> g_alloc_count{0};
+// Requests of 1 KiB or more: the ones that send glibc down its large-block
+// path, which merges every parked small chunk first (DESIGN.md 4e).
+std::atomic<std::size_t> g_large_count{0};
+
+void count(std::size_t n) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (n >= 1024) g_large_count.fetch_add(1, std::memory_order_relaxed);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count(n);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -43,7 +53,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 // Over-aligned types go through the aligned forms; count them too, so an
 // over-aligned allocation cannot slip past the budgets below.
 void* operator new(std::size_t n, std::align_val_t al) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  count(n);
   const auto align = static_cast<std::size_t>(al);
   const std::size_t rounded = (n + align - 1) / align * align;
   if (void* p = std::aligned_alloc(align, rounded ? rounded : align)) return p;
@@ -160,6 +170,9 @@ TEST(ZeroAlloc, FreshSimulatorRelaysSmallFramesFromInlineStorage) {
   // allocations are the simulator's fixed set-up plus slab and queue growth
   // to the in-flight peak, however many frames pass and whatever their
   // size.  (Fixed delays keep that peak independent of the frame count.)
+  // Measured on a warm thread: the first simulator fills the thread's
+  // BlockPool, and the ones after it take their larger blocks from it.
+  (void)fresh_relay_allocations(500, 0);
   const std::size_t few = fresh_relay_allocations(500, 0);
   const std::size_t many = fresh_relay_allocations(4000, 0);
   const std::size_t many_full =
@@ -600,6 +613,8 @@ TEST(ZeroAlloc, ClusterConstructionTakesAFewBlocks) {
   // The T5 shape: four sites, delayed initiation, victim abort.  Three
   // blocks today: the simulator's shard state, its node table and the
   // controllers' block; each controller's tables start empty or inline.
+  // (Fewer on a thread whose BlockPool already holds the first and the
+  // last: WarmThreadBuildsAClusterFromRecycledBlocks.)
   DdbOptions options;
   options.initiation = DdbInitiation::kDelayed;
   options.initiation_delay = SimTime::ms(2);
@@ -611,6 +626,45 @@ TEST(ZeroAlloc, ClusterConstructionTakesAFewBlocks) {
   // The outbox sizes its buffers at the first frame it holds back.
   EXPECT_LE(allocations, 3u);
   EXPECT_EQ(db.n_sites(), 4u);
+}
+
+// One T5 episode (EXPERIMENTS.md T5 at hot set 16, perfbench's episode 0
+// of seed 1) on a Cluster built and torn down on this thread; returns the
+// allocations the Cluster's construction made.
+std::size_t run_t5_episode() {
+  DdbOptions options;
+  options.initiation = DdbInitiation::kDelayed;
+  options.initiation_delay = SimTime::ms(2);
+  options.abort_victim = true;
+  TxnScriptConfig script;
+  script.locks_per_txn = 3;
+  script.write_fraction = 0.8;
+  script.hot_set = 16;
+  script.max_retries = 25;
+  const std::uint64_t seed = episode_seed(1, 0);
+  const std::size_t before = g_alloc_count;
+  Cluster db({.n_sites = 4, .n_resources = script.hot_set,
+              .options = options, .seed = seed});
+  const std::size_t construction = g_alloc_count - before;
+  TxnWorkload workload(db, script, seed ^ kWorkloadSeedSalt);
+  workload.start(24);
+  (void)db.simulator().run();
+  EXPECT_EQ(workload.result().committed, 24u);
+  EXPECT_GT(db.total_stats().deadlocks_declared, 0u);
+  return construction;
+}
+
+TEST(ZeroAlloc, WarmThreadBuildsAClusterFromRecycledBlocks) {
+  // The first episode grows every table to its peak; its teardown parks
+  // the blocks in this thread's BlockPool.  The same episode again takes
+  // them back: its construction allocates only the simulator's node table
+  // (160 B), and nothing in it asks operator new for 1 KiB or more, so
+  // glibc never merges the small chunks the first episode left behind.
+  (void)run_t5_episode();
+  const std::size_t large_before = g_large_count;
+  const std::size_t construction = run_t5_episode();
+  EXPECT_LE(construction, 1u);
+  EXPECT_EQ(g_large_count - large_before, 0u);
 }
 
 // Steps that send several frames to one site: a control timer re-requests
