@@ -6,6 +6,7 @@
 // see why a DDB cannot ship without this.
 //
 //   $ ./bank_ddb
+#include <cstdint>
 #include <cstdio>
 
 #include "ddb/cluster.h"
@@ -15,6 +16,12 @@ using namespace cmh;
 using namespace cmh::ddb;
 
 namespace {
+
+// 4 branches, 16 hot account records, 40 concurrent transfers: enough
+// contention that transfers deadlock and both runs below abort some.
+constexpr std::uint32_t kBranches = 4;
+constexpr std::uint32_t kHotAccounts = 16;
+constexpr std::uint32_t kTransfers = 40;
 
 struct Summary {
   WorkloadResult result;
@@ -34,22 +41,21 @@ Summary run_bank(bool detection_enabled) {
     options.abort_victim = false;
   }
 
-  // 4 branches, 24 hot account records, 30 concurrent transfers.
-  Cluster bank({.n_sites = 4,
-                .n_resources = 24,
+  Cluster bank({.n_sites = kBranches,
+                .n_resources = kHotAccounts,
                 .options = options,
                 .seed = 11});
   TxnScriptConfig cfg;
   cfg.locks_per_txn = 2;        // debit account + credit account
   cfg.write_fraction = 1.0;     // transfers write both records
-  cfg.hot_set = 24;
+  cfg.hot_set = kHotAccounts;
   cfg.hold_time = SimTime::ms(1);
   cfg.max_retries = 20;
   if (!detection_enabled) {
     cfg.lock_wait_timeout = SimTime::ms(15);  // the pre-CMH fallback
   }
   TxnWorkload workload(bank, cfg, 12);
-  workload.start(30);
+  workload.start(kTransfers);
   const SimTime end = bank.simulator().run();
 
   return Summary{workload.result(), bank.total_stats(),
@@ -71,7 +77,8 @@ void print(const char* label, const Summary& s) {
 }  // namespace
 
 int main() {
-  std::printf("30 concurrent transfers over 4 branches, 24 hot accounts\n\n");
+  std::printf("%u concurrent transfers over %u branches, %u hot accounts\n\n",
+              kTransfers, kBranches, kHotAccounts);
   const Summary with_cmh = run_bank(/*detection_enabled=*/true);
   print("with CMH probe detection + victim abort:", with_cmh);
   const Summary with_timeouts = run_bank(/*detection_enabled=*/false);
@@ -80,7 +87,13 @@ int main() {
   std::printf("Deadlock victims are aborted within a couple of message\n"
               "round-trips instead of a full timeout, and only true victims\n"
               "are aborted -- fewer retries, shorter makespan.\n");
+  // Every transfer finishes, and the run shows what the lines above claim:
+  // CMH declares deadlocks and aborts their victims, with fewer aborts and
+  // a shorter makespan than the timeouts.
   const bool healthy =
-      with_cmh.result.committed + with_cmh.result.given_up == 30;
+      with_cmh.result.committed + with_cmh.result.given_up == kTransfers &&
+      with_cmh.detections > 0 && with_cmh.result.aborted > 0 &&
+      with_cmh.result.aborted < with_timeouts.result.aborted &&
+      with_cmh.makespan_ms < with_timeouts.makespan_ms;
   return healthy ? 0 : 1;
 }

@@ -116,7 +116,11 @@ struct GoldenDdb {
   std::uint64_t frame_hash{0};
 };
 
-GoldenDdb run_t5_episode(std::uint32_t hot_set) {
+// The workload seed of the pinned episodes unless a test names another.
+constexpr std::uint64_t kWorkloadSeed = 1 * 7 + 3;
+
+GoldenDdb run_t5_episode(std::uint32_t hot_set,
+                         std::uint64_t workload_seed = kWorkloadSeed) {
   DdbOptions options;
   options.initiation = DdbInitiation::kDelayed;
   options.initiation_delay = SimTime::ms(2);
@@ -133,7 +137,7 @@ GoldenDdb run_t5_episode(std::uint32_t hot_set) {
   cfg.hot_set = hot_set;
   cfg.hold_time = SimTime::ms(2);
   cfg.max_retries = 25;
-  TxnWorkload workload(db, cfg, 1 * 7 + 3);
+  TxnWorkload workload(db, cfg, workload_seed);
   DetectionTrace detections;
   workload.set_observer(&detections);
   workload.start(24);
@@ -179,6 +183,22 @@ TEST(GoldenDdbSchedule, T5Hot32EpisodeIsPinned) {
   EXPECT_EQ(g.declarations, 0u);
   EXPECT_EQ(g.detection_hash, 1469598103934665603ULL);  // none folded
   EXPECT_EQ(g.frame_hash, 1530408266053658601ULL);
+}
+
+// Hot set 32 again, on a workload seed (the first above 10) whose episode
+// declares and aborts, so the declaration sequence is pinned at this row
+// as well.
+TEST(GoldenDdbSchedule, T5Hot32DeclaringEpisodeIsPinned) {
+  const GoldenDdb g = run_t5_episode(32, 13);
+  EXPECT_EQ(g.committed, 24u);
+  EXPECT_EQ(g.aborted, 2u);
+  EXPECT_EQ(g.given_up, 0u);
+  EXPECT_EQ(g.messages, 258u);
+  EXPECT_EQ(g.events, 368u);
+  EXPECT_EQ(g.makespan_us, 19570);
+  EXPECT_EQ(g.declarations, 2u);
+  EXPECT_EQ(g.detection_hash, 10292488291886937316ULL);
+  EXPECT_EQ(g.frame_hash, 14585969826325285619ULL);
 }
 
 TEST(GoldenDdbSchedule, ReplaysInProcess) {
