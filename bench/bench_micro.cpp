@@ -4,6 +4,9 @@
 // checks.  These are the per-operation costs behind the experiment tables.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/basic_process.h"
 #include "core/messages.h"
 #include "ddb/cluster.h"
@@ -163,6 +166,34 @@ void BM_ClusterConstruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterConstruct);
+
+void BM_ClusterConstructAfterTeardown(benchmark::State& state) {
+  // Building the same cluster on the heap perfbench/ leaves between its
+  // episodes: the previous cluster torn down, then about 50 32-byte blocks
+  // freed (its clients).  glibc parks most of those small chunks in
+  // fastbins, and the next request of 1 KiB or more merges them all first
+  // (DESIGN.md section 4e).  BM_ClusterConstruct frees nothing small between
+  // iterations, so it cannot see that cost.  Only the construction is
+  // timed; the teardown and the small frees run with the timer paused.
+  std::optional<ddb::Cluster> db;
+  std::vector<void*> crumbs(50);
+  for (auto _ : state) {
+    state.PauseTiming();
+    db.reset();
+    for (void*& c : crumbs) {
+      c = ::operator new(32);
+      benchmark::DoNotOptimize(c);
+    }
+    for (void* c : crumbs) ::operator delete(c);
+    state.ResumeTiming();
+    db.emplace(ddb::ClusterConfig{.n_sites = 4,
+                                  .n_resources = 16,
+                                  .options = t5_options(),
+                                  .seed = 1});
+    benchmark::DoNotOptimize(&*db);
+  }
+}
+BENCHMARK(BM_ClusterConstructAfterTeardown);
 
 void BM_DdbT5Episode(benchmark::State& state) {
   // One whole T5 episode (EXPERIMENTS.md T5 at hot set 16: 4 sites, 24
