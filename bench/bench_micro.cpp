@@ -74,16 +74,16 @@ void BM_ProbeHandling(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeHandling);
 
-void BM_LockAcquireRelease(benchmark::State& state) {
+void BM_LockAcquireAbort(benchmark::State& state) {
   ddb::LockManager lm;
   const ddb::LockMode mode = ddb::LockMode::kWrite;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         lm.acquire(ResourceId{1}, TransactionId{1}, mode, SiteId{0}));
-    benchmark::DoNotOptimize(lm.release(ResourceId{1}, TransactionId{1}));
+    benchmark::DoNotOptimize(lm.abort(TransactionId{1}));
   }
 }
-BENCHMARK(BM_LockAcquireRelease);
+BENCHMARK(BM_LockAcquireAbort);
 
 void BM_LockContendedQueue(benchmark::State& state) {
   std::vector<ddb::WaitEdge> edges;

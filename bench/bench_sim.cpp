@@ -1,11 +1,14 @@
 // Simulator-level macro benchmarks (google-benchmark): end-to-end event
-// throughput of the discrete-event core and full detection waves on the
-// cluster harness.  These are the trajectory numbers behind BENCH_sim.json;
-// bench_micro.cpp covers the per-operation costs.
+// throughput of the discrete-event core, full detection waves on the
+// cluster harness and whole DDB episodes at scale.  These are the
+// trajectory numbers behind BENCH_sim.json; bench_micro.cpp covers the
+// per-operation costs.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 
+#include "ddb/cluster.h"
+#include "ddb/workload.h"
 #include "graph/generators.h"
 #include "runtime/sim_cluster.h"
 #include "runtime/workload.h"
@@ -182,6 +185,47 @@ void BM_WorkloadChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkloadChurn);
+
+/// One DDB transaction episode at scale: 4 sites and `txns` closed-loop
+/// transactions of 3 locks (80% writes) over `txns` resources, all of them
+/// hot; delayed initiation at T = 2 ms with victim abort and retry; cluster
+/// seed 1, workload seed 10.  Items are simulator events, so the rate reads
+/// as µs per event: flat in `txns` iff detection cost follows the wait-for
+/// neighbourhood rather than the size of a site's lock table.
+void BM_DdbScaleEpisode(benchmark::State& state) {
+  const auto txns = static_cast<std::uint32_t>(state.range(0));
+  ddb::DdbOptions options;
+  options.initiation = ddb::DdbInitiation::kDelayed;
+  options.initiation_delay = SimTime::ms(2);
+  options.abort_victim = true;
+  ddb::TxnScriptConfig cfg;
+  cfg.locks_per_txn = 3;
+  cfg.write_fraction = 0.8;
+  cfg.hot_set = txns;
+  cfg.hold_time = SimTime::ms(2);
+  cfg.max_retries = 25;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    ddb::Cluster db(
+        {.n_sites = 4, .n_resources = txns, .options = options, .seed = 1});
+    ddb::TxnWorkload workload(db, cfg, /*seed=*/10);
+    workload.start(txns);
+    (void)db.simulator().run();
+    if (workload.result().committed + workload.result().given_up != txns) {
+      state.SkipWithError("episode did not drain");
+      return;
+    }
+    events += db.simulator().stats().events_processed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["events"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_DdbScaleEpisode)
+    ->Arg(96)
+    ->Arg(384)
+    ->Arg(1536)
+    ->Arg(6144);
 
 }  // namespace
 

@@ -53,10 +53,11 @@ SUITES = {
 
 # Benchmarks whose regressions gate CI (prefix match).  These are the ones
 # dominated by the optimized hot paths: the simulator event loop, the probe
-# codecs, the epoll transport's small-frame throughput, and the DDB
+# codecs, the epoll transport's small-frame throughput, the DDB
 # controller's probe path, whole T5 episode (flat DDB state) and T5 cluster
-# construction; the macro detection-wave numbers are tracked but too
-# workload-shaped to gate.
+# construction, and DDB episodes of 96 to 6,144 transactions (detection
+# cost against lock-table size); the macro detection-wave numbers are
+# tracked but too workload-shaped to gate.
 DEFAULT_HOT = [
     "BM_SimMessageChurn",
     "BM_SimBatchedChurn",
@@ -67,6 +68,7 @@ DEFAULT_HOT = [
     "BM_DdbHandleProbe",
     "BM_DdbT5Episode",
     "BM_ClusterConstruct",
+    "BM_DdbScaleEpisode",
 ]
 
 

@@ -30,16 +30,6 @@ auto lower_bound_key(Pairs& pairs, const Key& key) {
       pairs.begin(), pairs.end(), key,
       [](const auto& entry, const Key& k) { return entry.first < k; });
 }
-
-// Sorted edge lists double as adjacency: the out-edges of `u` are the
-// contiguous run of pairs whose waiter is `u`.
-std::pair<const WaitEdge*, const WaitEdge*> out_edges(
-    const std::vector<WaitEdge>& edges, TransactionId u) {
-  const auto [lo, hi] = std::equal_range(
-      edges.data(), edges.data() + edges.size(), WaitEdge{u, u},
-      [](const WaitEdge& a, const WaitEdge& b) { return a.first < b.first; });
-  return {lo, hi};
-}
 }  // namespace
 
 ControllerStats& ControllerStats::operator+=(const ControllerStats& o) {
@@ -174,8 +164,6 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
       if (on_grant_) on_grant_(txn, resource);
       return true;
     }
-    ++s.queued;
-    s.origin = id_;
     follow_reaches(txn);
     schedule_block_check(txn);
     rearm_overtaken(resource, held);
@@ -203,11 +191,7 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
 }
 
 void Controller::purge_local(TransactionId txn) {
-  const GrantList grants = locks_.abort(txn);
-  // The abort cancelled txn's queued requests; the grant callbacks may ask
-  // blocked(txn).
-  if (txn.value() < txns_.size()) txns_[txn.value()].queued = 0;
-  dispatch_grants(grants);
+  dispatch_grants(locks_.abort(txn));
   if (txn.value() < txns_.size()) {
     TxnSlot& s = txns_[txn.value()];
     s.pending.clear();
@@ -314,10 +298,7 @@ void Controller::handle_lock_request(SiteId from,
   // The forwarded request is queued: agent (txn, here) is now blocked on
   // local holders, i.e. new intra edges appeared.  txn waits on it, so the
   // count it carries stays txn's count as long as it is queued.
-  TxnSlot& s = slot_for(msg.txn);
-  ++s.queued;
-  s.origin = from;
-  s.held = msg.held;
+  slot_for(msg.txn).held = msg.held;
   schedule_block_check(msg.txn);
   rearm_overtaken(msg.resource, msg.held);
 }
@@ -348,9 +329,9 @@ void Controller::handle_purge(SiteId /*from*/, const PurgeTxnMsg& msg) {
 void Controller::dispatch_grants(const GrantList& grants) {
   // Every count is settled before the first callback can re-enter.
   for (const Grant& g : grants) {
-    TxnSlot& s = txns_[g.request.txn.value()];
-    --s.queued;
-    if (g.request.origin == id_ && !g.upgrade) count_grant(s.held);
+    if (g.request.origin == id_ && !g.upgrade) {
+      count_grant(txns_[g.request.txn.value()].held);
+    }
   }
   for (const Grant& g : grants) {
     const LockRequest& req = g.request;
@@ -401,17 +382,7 @@ void Controller::rearm_after_grant(ResourceId resource, LockMode mode,
 
 bool Controller::blocked(TransactionId txn) const {
   const TxnSlot* s = slot(txn);
-  return s != nullptr && (s->queued > 0 || !s->pending.empty());
-}
-
-std::uint32_t Controller::queued_count(TransactionId txn) const {
-  const TxnSlot* s = slot(txn);
-  return s != nullptr ? s->queued : 0;
-}
-
-bool Controller::queued_from(TransactionId txn, SiteId origin) const {
-  const TxnSlot* s = slot(txn);
-  return s != nullptr && s->queued > 0 && s->origin == origin;
+  return (s != nullptr && !s->pending.empty()) || locks_.queued(txn) > 0;
 }
 
 LockCount Controller::lock_count(TransactionId txn) const {
@@ -456,7 +427,6 @@ VictimKey Controller::extend(const VictimKey& best, TransactionId txn) const {
 
 std::optional<TransactionId> Controller::intra_reachable(TransactionId txn,
                                                          VictimKey best) {
-  locks_.wait_edges(edges_);
   paths_.clear();
   if (++bfs_epoch_ == 0) {
     // The stamp wrapped: clear the old marks so none matches by accident.
@@ -465,11 +435,11 @@ std::optional<TransactionId> Controller::intra_reachable(TransactionId txn,
   }
   bfs_visit(txn, best);
   std::optional<VictimKey> cycle;
+  TxnSet waits;
   for (std::size_t head = 0; head < paths_.size(); ++head) {
     const PathBest u = paths_[head];
-    const auto [lo, hi] = out_edges(edges_, u.txn);
-    for (const WaitEdge* e = lo; e != hi; ++e) {
-      const TransactionId v = e->second;
+    locks_.waits_of(u.txn, waits);
+    for (const TransactionId v : waits) {
       if (v == txn && (!cycle || better_victim(u.best, *cycle))) {
         cycle = u.best;
       }
@@ -553,13 +523,8 @@ std::size_t Controller::check_all() {
   // grant and those queued here.
   processes_.clear();
   for (std::uint32_t t = 0; t < txns_.size(); ++t) {
-    if (!txns_[t].pending.empty()) processes_.push_back(TransactionId{t});
+    if (blocked(TransactionId{t})) processes_.push_back(TransactionId{t});
   }
-  locks_.wait_edges(edges_);
-  for (const auto& [w, b] : edges_) processes_.push_back(w);
-  std::sort(processes_.begin(), processes_.end());
-  processes_.erase(std::unique(processes_.begin(), processes_.end()),
-                   processes_.end());
   if (options_.q_optimization) {
     // Section 6.7: a free local-cycle sweep -- step A0 for every blocked
     // process, each elected victim declared once (with victims kept alive,
@@ -638,7 +603,7 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   // still-queued request forwarded from the sender (the paper's check).
   const TransactionId txn = msg.txn;
   const bool black =
-      msg.via_release_wait ? blocked(txn) : queued_from(txn, from);
+      msg.via_release_wait ? blocked(txn) : locks_.queued_from(txn, from);
   if (!black) return;
   ++stats_.meaningful_probes;
   CMH_LOG(kDebug, "ddb") << id_ << " meaningful probe " << msg.tag

@@ -44,7 +44,8 @@
 // record (Computation), which every other structure refers to by tag; an
 // own record is retired when its walk closes, and a missing record means a
 // dead computation.  A transaction's own-computation bookkeeping lives in
-// its TxnSlot.
+// its TxnSlot.  What it holds and where and on whom it waits here live in
+// the LockManager only.
 #pragma once
 
 #include <functional>
@@ -190,15 +191,6 @@ class Controller {
   /// an outstanding remote request.
   [[nodiscard]] bool blocked(TransactionId txn) const;
 
-  /// Requests of txn queued in this site's lock table, as the controller
-  /// counts them (LockManager::queued() is the scan it replaces).
-  [[nodiscard]] std::uint32_t queued_count(TransactionId txn) const;
-
-  /// True iff txn has a request queued here that `origin` made: this site
-  /// for txn's home agent, else the controller that forwarded it, txn's
-  /// home (LockManager::queued_from() is the scan it replaces).
-  [[nodiscard]] bool queued_from(TransactionId txn, SiteId origin) const;
-
   /// The lock count victim election reads for txn here: at its home, the
   /// distinct resources granted through this controller; elsewhere, the
   /// count its latest queued forwarded request carried.
@@ -280,18 +272,11 @@ class Controller {
     // Elsewhere its agent's wait is not observable, so a block check that
     // reaches the agent starts at once.
     bool home{false};
-    // Requests of txn queued in this site's lock table, from any origin, so
-    // blocked() needs no table scan.
-    std::uint32_t queued{0};
     // Victim election's lock count (DESIGN.md section 4f).  At txn's home:
     // distinct resources granted through this controller (upgrades add
     // nothing).  Elsewhere: the count txn's latest queued forwarded request
     // carried.  Read only while txn waits here, when neither can change.
     LockCount held{0};
-    // The site whose requests queued txn here, valid while queued > 0:
-    // this site at txn's home, else the controller that forwarded them.
-    // Every request of txn comes from its home, so one site serves them all.
-    SiteId origin;
     // BFS visit mark: txn is in paths_ at `path` iff `visit` equals the
     // controller's bfs_epoch_, so reached() is one index.
     std::uint32_t visit{0};
@@ -482,8 +467,7 @@ class Controller {
   // Scratch buffers of the graph queries, reused so the warmed-up
   // detection path allocates nothing.  check_all() walks processes_ while
   // its declarations may re-enter initiate_for(), which only touches
-  // edges_ and paths_.
-  std::vector<WaitEdge> edges_;            // intra_reachable()
+  // paths_.
   std::vector<PathBest> paths_;            // intra_reachable() BFS queue
                                            // and result
   std::uint32_t bfs_epoch_{0};             // paths_'s stamp in TxnSlot::visit

@@ -1,5 +1,6 @@
 // Flat-table lock manager: one sorted row per resource ever touched, inline
-// holder lists and queues (see lock_manager.h).
+// holder lists and queues, and a per-transaction index of rows (see
+// lock_manager.h).
 // cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #include "ddb/lock_manager.h"
 
@@ -46,6 +47,10 @@ LockManager::ResourceState& LockManager::row(ResourceId resource) {
   return *table_.insert(it, std::move(fresh));
 }
 
+const LockManager::TxnRows* LockManager::rows_of(TransactionId txn) const {
+  return txn.value() < index_.size() ? &index_[txn.value()] : nullptr;
+}
+
 std::size_t LockManager::insertion_point(const ResourceState& rs,
                                         LockCount held) {
   std::size_t pos = rs.queue.size();
@@ -53,23 +58,34 @@ std::size_t LockManager::insertion_point(const ResourceState& rs,
   return pos;
 }
 
-bool LockManager::grantable(const ResourceState& rs, const LockRequest& req,
-                            std::size_t pos) {
+template <typename F>
+bool LockManager::for_each_conflict(const ResourceState& rs, TransactionId txn,
+                                    LockMode mode, std::size_t pos, F&& f) {
   for (const Holder& h : rs.holders) {
-    if (h.txn == req.txn) continue;  // self-held (upgrade) never self-blocks
-    if (conflicts(h.holding.mode, req.mode)) return false;
+    if (h.txn != txn && conflicts(h.holding.mode, mode) && !f(h.txn)) {
+      return false;
+    }
   }
   for (std::size_t i = 0; i < pos && i < rs.queue.size(); ++i) {
     const LockRequest& ahead = rs.queue[i];
-    if (ahead.txn == req.txn) continue;
-    if (conflicts(ahead.mode, req.mode)) return false;
+    if (ahead.txn != txn && conflicts(ahead.mode, mode) && !f(ahead.txn)) {
+      return false;
+    }
   }
   return true;
+}
+
+bool LockManager::grantable(const ResourceState& rs, const LockRequest& req,
+                            std::size_t pos) {
+  return for_each_conflict(rs, req.txn, req.mode, pos,
+                           [](TransactionId) { return false; });
 }
 
 AcquireResult LockManager::acquire(ResourceId resource, TransactionId txn,
                                    LockMode mode, SiteId origin,
                                    LockCount held) {
+  if (txn.value() >= index_.size()) index_.resize(txn.value() + std::size_t{1});
+  TxnRows& own_rows = index_[txn.value()];
   ResourceState& rs = row(resource);
   const LockRequest req{txn, mode, held, origin};
 
@@ -84,9 +100,11 @@ AcquireResult LockManager::acquire(ResourceId resource, TransactionId txn,
       return AcquireResult::kGranted;
     }
     rs.queue.push_back(req);
+    ++own_rows.queued;
     return AcquireResult::kQueued;
   }
 
+  own_rows.resources.insert(resource);
   // Grantability is judged at the insertion point, not at the end.  A
   // request queued where nothing blocks it would have no wait edge, yet
   // wait until some release here rescans the queue; a holder that waits on
@@ -97,6 +115,7 @@ AcquireResult LockManager::acquire(ResourceId resource, TransactionId txn,
     return AcquireResult::kGranted;
   }
   rs.queue.insert(rs.queue.begin() + pos, req);
+  ++own_rows.queued;
   return AcquireResult::kQueued;
 }
 
@@ -117,6 +136,7 @@ void LockManager::grant_eligible(ResourceState& rs, F&& on_grant) {
         rs.holders.insert(rs.lower_holder(req.txn),
                           Holder{req.txn, Holding{req.mode, req.origin}});
       }
+      --index_[req.txn.value()].queued;
       on_grant(req, /*upgrade=*/held != nullptr);
       progressed = true;
       break;  // holders changed; rescan from the front
@@ -124,33 +144,22 @@ void LockManager::grant_eligible(ResourceState& rs, F&& on_grant) {
   }
 }
 
-RequestList LockManager::release(ResourceId resource, TransactionId txn) {
-  RequestList granted;
-  ResourceState* rs = find(resource);
-  const Holder* held = rs != nullptr ? rs->holder(txn) : nullptr;
-  if (held == nullptr) return granted;
-  rs->holders.erase(held);
-  grant_eligible(*rs,
-                 [&](const LockRequest& r, bool) { granted.push_back(r); });
-  return granted;
-}
-
 GrantList LockManager::abort(TransactionId txn) {
   GrantList granted;
-  for (ResourceState& rs : table_) {
-    bool changed = false;
-    if (const Holder* held = rs.holder(txn)) {
-      rs.holders.erase(held);
-      changed = true;
-    }
-    const auto own = [txn](const LockRequest& r) { return r.txn == txn; };
-    if (rs.queue.erase_if(own) > 0) changed = true;
-    if (changed) {
-      grant_eligible(rs, [&](const LockRequest& r, bool upgrade) {
-        granted.push_back(Grant{rs.id, r, upgrade});
-      });
-    }
+  if (txn.value() >= index_.size()) return granted;
+  // Grants to other transactions touch their entries only: nothing here
+  // grows the index, and txn, holding and queued nowhere, gets none.
+  TxnRows& own = index_[txn.value()];
+  for (const ResourceId resource : own.resources) {
+    ResourceState& rs = *find(resource);
+    if (const Holder* held = rs.holder(txn)) rs.holders.erase(held);
+    rs.queue.erase_if([txn](const LockRequest& r) { return r.txn == txn; });
+    grant_eligible(rs, [&](const LockRequest& r, bool upgrade) {
+      granted.push_back(Grant{rs.id, r, upgrade});
+    });
   }
+  own.resources.clear();
+  own.queued = 0;
   return granted;
 }
 
@@ -174,18 +183,15 @@ bool LockManager::waiting(ResourceId resource, TransactionId txn) const {
                      [&](const LockRequest& r) { return r.txn == txn; });
 }
 
-bool LockManager::queued(TransactionId txn) const {
-  for (const ResourceState& rs : table_) {
-    for (const LockRequest& r : rs.queue) {
-      if (r.txn == txn) return true;
-    }
-  }
-  return false;
+std::uint32_t LockManager::queued(TransactionId txn) const {
+  const TxnRows* rows = rows_of(txn);
+  return rows != nullptr ? rows->queued : 0;
 }
 
 bool LockManager::queued_from(TransactionId txn, SiteId origin) const {
-  for (const ResourceState& rs : table_) {
-    for (const LockRequest& r : rs.queue) {
+  if (queued(txn) == 0) return false;
+  for (const ResourceId resource : rows_of(txn)->resources) {
+    for (const LockRequest& r : find(resource)->queue) {
       if (r.txn == txn && r.origin == origin) return true;
     }
   }
@@ -194,8 +200,10 @@ bool LockManager::queued_from(TransactionId txn, SiteId origin) const {
 
 std::vector<ResourceId> LockManager::held_by(TransactionId txn) const {
   std::vector<ResourceId> result;
-  for (const ResourceState& rs : table_) {
-    if (rs.holder(txn) != nullptr) result.push_back(rs.id);
+  if (const TxnRows* rows = rows_of(txn)) {
+    for (const ResourceId resource : rows->resources) {
+      if (find(resource)->holder(txn) != nullptr) result.push_back(resource);
+    }
   }
   return result;
 }
@@ -205,28 +213,40 @@ void LockManager::wait_edges(std::vector<WaitEdge>& out) const {
   for (const ResourceState& rs : table_) {
     for (std::size_t i = 0; i < rs.queue.size(); ++i) {
       const LockRequest& w = rs.queue[i];
-      for (const Holder& h : rs.holders) {
-        if (h.txn != w.txn && conflicts(h.holding.mode, w.mode)) {
-          out.emplace_back(w.txn, h.txn);
-        }
-      }
-      for (std::size_t j = 0; j < i; ++j) {
-        const LockRequest& ahead = rs.queue[j];
-        if (ahead.txn != w.txn && conflicts(ahead.mode, w.mode)) {
-          out.emplace_back(w.txn, ahead.txn);
-        }
-      }
+      for_each_conflict(rs, w.txn, w.mode, i, [&](TransactionId blocker) {
+        out.emplace_back(w.txn, blocker);
+        return true;
+      });
     }
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
+void LockManager::waits_of(TransactionId txn,
+                           FlatSet<TransactionId, 8>& out) const {
+  out.clear();
+  if (queued(txn) == 0) return;
+  for (const ResourceId resource : rows_of(txn)->resources) {
+    const ResourceState& rs = *find(resource);
+    for (std::size_t i = 0; i < rs.queue.size(); ++i) {
+      if (rs.queue[i].txn != txn) continue;
+      for_each_conflict(rs, txn, rs.queue[i].mode, i,
+                        [&out](TransactionId blocker) {
+                          out.insert(blocker);
+                          return true;
+                        });
+    }
+  }
+}
+
 FlatSet<SiteId, 8> LockManager::holding_origins(TransactionId txn) const {
   FlatSet<SiteId, 8> origins;
-  for (const ResourceState& rs : table_) {
-    if (const Holder* held = rs.holder(txn)) {
-      origins.insert(held->holding.origin);
+  if (const TxnRows* rows = rows_of(txn)) {
+    for (const ResourceId resource : rows->resources) {
+      if (const Holder* held = find(resource)->holder(txn)) {
+        origins.insert(held->holding.origin);
+      }
     }
   }
   return origins;
@@ -253,17 +273,14 @@ FlatSet<TransactionId, 8> LockManager::blockers(ResourceId resource,
   FlatSet<TransactionId, 8> result;
   const ResourceState* rs = find(resource);
   if (rs == nullptr) return result;
-  for (const Holder& h : rs->holders) {
-    if (h.txn != txn && conflicts(h.holding.mode, mode)) result.insert(h.txn);
-  }
   // A contended upgrade queues at the end (acquire()).
   const std::size_t pos = rs->holder(txn) != nullptr
                               ? rs->queue.size()
                               : insertion_point(*rs, held);
-  for (std::size_t i = 0; i < pos; ++i) {
-    const LockRequest& r = rs->queue[i];
-    if (r.txn != txn && conflicts(r.mode, mode)) result.insert(r.txn);
-  }
+  for_each_conflict(*rs, txn, mode, pos, [&result](TransactionId blocker) {
+    result.insert(blocker);
+    return true;
+  });
   return result;
 }
 

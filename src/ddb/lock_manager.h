@@ -14,7 +14,10 @@
 //
 // The manager also derives the local waits-for relation used for the
 // intra-controller edges of section 6.4: a blocked request waits for every
-// conflicting holder and every conflicting waiter ahead of it.
+// conflicting holder and every conflicting waiter ahead of it.  A
+// per-transaction index lists the rows each transaction holds or is queued
+// on, so the per-transaction queries (and one transaction's out-edges, the
+// step of a probe's BFS) read a few rows instead of the whole table.
 // cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #pragma once
 
@@ -77,7 +80,6 @@ using WaitEdge = std::pair<TransactionId, TransactionId>;
 /// result owned by the caller's frame stays valid when a callback it
 /// triggers re-enters the manager.
 using GrantList = SmallVector<Grant, 8>;
-using RequestList = SmallVector<LockRequest, 8>;
 using TxnList = SmallVector<TransactionId, 8>;
 
 class LockManager {
@@ -86,17 +88,13 @@ class LockManager {
   /// The request queues behind every waiter whose count is at least
   /// `held` (a contended upgrade behind every waiter) and is granted at
   /// once iff nothing there blocks it.  Never blocks the caller; kQueued
-  /// means the grant will surface via release()/abort() later.
+  /// means the grant will surface via another transaction's abort() later.
   AcquireResult acquire(ResourceId resource, TransactionId txn, LockMode mode,
                         SiteId origin, LockCount held = 0);
 
-  /// Releases txn's hold on `resource` (no-op if not held) and grants any
-  /// now-eligible queued requests, returning them in grant order.
-  RequestList release(ResourceId resource, TransactionId txn);
-
-  /// Releases everything txn holds and cancels its queued requests.
-  /// Returns the requests newly granted to *other* transactions, in
-  /// ascending resource order (then grant order).
+  /// Releases everything txn holds and cancels its queued requests (commit
+  /// and abort alike).  Returns the requests newly granted to *other*
+  /// transactions, in ascending resource order (then grant order).
   GrantList abort(TransactionId txn);
 
   // ---- queries ------------------------------------------------------------
@@ -106,12 +104,13 @@ class LockManager {
                                                   TransactionId txn) const;
   [[nodiscard]] bool waiting(ResourceId resource, TransactionId txn) const;
 
-  /// True iff txn has a queued request on any resource.
-  [[nodiscard]] bool queued(TransactionId txn) const;
+  /// Number of txn's queued requests, over all resources.
+  [[nodiscard]] std::uint32_t queued(TransactionId txn) const;
 
-  /// True iff txn has a queued request forwarded from `origin`.  A scan;
-  /// Controller::queued_from() answers it from its slot, and tests compare
-  /// the two.
+  /// True iff txn has a queued request forwarded from `origin`: this site
+  /// for txn's home agent, else the controller that forwarded it.  Reads
+  /// only the rows txn is queued on (the acquisition-edge check of every
+  /// probe received).
   [[nodiscard]] bool queued_from(TransactionId txn, SiteId origin) const;
 
   /// Resources txn currently holds, ascending.
@@ -126,6 +125,11 @@ class LockManager {
   /// and deduplicated.  `out` keeps its capacity, so a caller reusing one
   /// buffer allocates nothing once it is warm.
   void wait_edges(std::vector<WaitEdge>& out) const;
+
+  /// The transactions txn waits for here, ascending: exactly its run of
+  /// out-edges in wait_edges(), derived from the rows txn is queued on.
+  /// Replaces `out`.
+  void waits_of(TransactionId txn, FlatSet<TransactionId, 8>& out) const;
 
   /// Calls f(resource, request) for every queued request, in ascending
   /// resource order and queue order within a resource.
@@ -189,10 +193,27 @@ class LockManager {
     [[nodiscard]] bool idle() const { return holders.empty() && queue.empty(); }
   };
 
+  // One entry of the per-transaction index.
+  struct TxnRows {
+    // The resources txn holds or is queued on, ascending.
+    FlatSet<ResourceId, 4> resources;
+    // txn's queued requests, over all of them.
+    std::uint32_t queued{0};
+  };
+
   /// Queue position a new request holding `held` locks takes: behind the
   /// last waiter whose count is at least `held`.
   [[nodiscard]] static std::size_t insertion_point(const ResourceState& rs,
                                                    LockCount held);
+
+  /// The conflict rule: calls f(blocker) for every transaction a request
+  /// (txn, mode) at queue position `pos` of `rs` waits for -- each
+  /// conflicting holder, then each conflicting request ahead of `pos` --
+  /// while f returns true.  Returns false iff f stopped it.  txn's own
+  /// holding (an upgrade) and requests never block it.
+  template <typename F>
+  static bool for_each_conflict(const ResourceState& rs, TransactionId txn,
+                                LockMode mode, std::size_t pos, F&& f);
 
   /// True iff `req` (at queue position `pos`) can be granted now.
   [[nodiscard]] static bool grantable(const ResourceState& rs,
@@ -201,17 +222,24 @@ class LockManager {
   /// Pops every grantable request from the front region of the queue,
   /// calling on_grant(request, upgrade) for each in grant order.
   template <typename F>
-  static void grant_eligible(ResourceState& rs, F&& on_grant);
+  void grant_eligible(ResourceState& rs, F&& on_grant);
 
   [[nodiscard]] const ResourceState* find(ResourceId resource) const;
   [[nodiscard]] ResourceState* find(ResourceId resource);
   /// The row of `resource`, created (in sorted position) on first use.
   [[nodiscard]] ResourceState& row(ResourceId resource);
+  /// txn's index entry, or null if txn never touched this table.
+  [[nodiscard]] const TxnRows* rows_of(TransactionId txn) const;
 
   // Sorted by resource id: lookups are a binary search over contiguous
   // rows, and every traversal runs in canonical resource order.  Pooled
   // (common/block_pool.h): eight rows already take 1.7 KiB.
   PooledVector<ResourceState> table_;
+  // Indexed by transaction id (ids are dense and never reused).  acquire()
+  // adds a row and abort() walks and clears them, so an entry lists
+  // exactly the rows where txn holds or waits.  Empty until the first
+  // acquire().
+  PooledVector<TxnRows> index_;
 };
 
 }  // namespace cmh::ddb

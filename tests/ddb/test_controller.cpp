@@ -217,7 +217,8 @@ TEST(Controller, BlockedQueries) {
 TEST(Controller, QueuedCountsAreSettledBeforeGrantCallbacks) {
   // t1 holds rA and queues for rB behind t2; t3 queues for rA.  Aborting
   // t1 cancels its request and grants rA to t3.  A grant callback may
-  // re-enter the controller, so both counts are settled before it runs.
+  // re-enter the controller, so the lock table's counts of both are
+  // settled before it runs.
   Rig rig(1);
   Controller& c = rig.c(0);
   const ResourceId rA{0};
@@ -226,21 +227,21 @@ TEST(Controller, QueuedCountsAreSettledBeforeGrantCallbacks) {
   ASSERT_TRUE(c.lock(t2, rB, LockMode::kWrite));
   EXPECT_FALSE(c.lock(t1, rB, LockMode::kWrite));
   EXPECT_FALSE(c.lock(t3, rA, LockMode::kWrite));
-  EXPECT_EQ(c.queued_count(t1), 1u);
-  EXPECT_EQ(c.queued_count(t3), 1u);
+  EXPECT_EQ(c.locks().queued(t1), 1u);
+  EXPECT_EQ(c.locks().queued(t3), 1u);
   int grants = 0;
   c.set_grant_callback([&](TransactionId txn, ResourceId resource) {
     ++grants;
     EXPECT_EQ(txn, t3);
     EXPECT_EQ(resource, rA);
-    EXPECT_EQ(c.queued_count(t1), 0u);
+    EXPECT_EQ(c.locks().queued(t1), 0u);
     EXPECT_FALSE(c.blocked(t1));
-    EXPECT_EQ(c.queued_count(t3), 0u);
+    EXPECT_EQ(c.locks().queued(t3), 0u);
     EXPECT_FALSE(c.blocked(t3));
   });
   c.abort(t1);
   EXPECT_EQ(grants, 1);
-  EXPECT_EQ(c.queued_count(t2), 0u);
+  EXPECT_EQ(c.locks().queued(t2), 0u);
 }
 
 TEST(Controller, LockCountCountsDistinctResourcesGranted) {
@@ -1056,7 +1057,7 @@ TEST(ControllerEager, WaitOnARemoteHolderStartsAtOnce) {
   rig.c(0).lock(t5, rc.rB, LockMode::kWrite);
   EXPECT_EQ(rig.c(0).stats().eager_initiations, 0u);
   rig.deliver_one(0, 1);  // the request alone; the probe stays queued
-  ASSERT_TRUE(rig.c(1).queued_from(t5, SiteId{0}));
+  ASSERT_TRUE(rig.c(1).locks().queued_from(t5, SiteId{0}));
   EXPECT_EQ(rig.c(1).stats().eager_initiations, 1u);
   EXPECT_EQ(rig.c(1).stats().computations_initiated, s1_computations + 1);
   EXPECT_EQ(rig.c(1).stats().probes_sent, 1u);

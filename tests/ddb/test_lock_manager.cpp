@@ -81,10 +81,11 @@ TEST(LockManager, ContendedUpgradeQueues) {
             AcquireResult::kGranted);
   EXPECT_EQ(lm.acquire(r1, t1, LockMode::kWrite, here),
             AcquireResult::kQueued);
-  // Release the other reader: the upgrade completes.
-  const auto granted = lm.release(r1, t2);
+  // The other reader ends: the upgrade completes.
+  const auto granted = lm.abort(t2);
   ASSERT_EQ(granted.size(), 1u);
-  EXPECT_EQ(granted[0].txn, t1);
+  EXPECT_EQ(granted[0].request.txn, t1);
+  EXPECT_TRUE(granted[0].upgrade);
   EXPECT_EQ(lm.held_mode(r1, t1), LockMode::kWrite);
 }
 
@@ -117,12 +118,12 @@ TEST(LockManager, ReleaseGrantsFifo) {
             AcquireResult::kQueued);
   ASSERT_EQ(lm.acquire(r1, t3, LockMode::kWrite, here),
             AcquireResult::kQueued);
-  auto granted = lm.release(r1, t1);
+  auto granted = lm.abort(t1);
   ASSERT_EQ(granted.size(), 1u);
-  EXPECT_EQ(granted[0].txn, t2);  // FIFO: t2 before t3
-  granted = lm.release(r1, t2);
+  EXPECT_EQ(granted[0].request.txn, t2);  // FIFO: t2 before t3
+  granted = lm.abort(t2);
   ASSERT_EQ(granted.size(), 1u);
-  EXPECT_EQ(granted[0].txn, t3);
+  EXPECT_EQ(granted[0].request.txn, t3);
 }
 
 TEST(LockManager, ReleaseGrantsMultipleReaders) {
@@ -133,7 +134,7 @@ TEST(LockManager, ReleaseGrantsMultipleReaders) {
             AcquireResult::kQueued);
   ASSERT_EQ(lm.acquire(r1, t3, LockMode::kRead, here),
             AcquireResult::kQueued);
-  const auto granted = lm.release(r1, t1);
+  const auto granted = lm.abort(t1);
   EXPECT_EQ(granted.size(), 2u);  // both readers at once
   EXPECT_TRUE(lm.holds(r1, t2));
   EXPECT_TRUE(lm.holds(r1, t3));
@@ -159,8 +160,13 @@ TEST(LockManager, NoOvertakingPastConflictingWaiter) {
 }
 
 TEST(LockManager, ReleaseUnheldIsNoop) {
+  // Aborting a transaction this table has never seen releases nothing.
   LockManager lm;
-  EXPECT_TRUE(lm.release(r1, t1).empty());
+  EXPECT_TRUE(lm.abort(t1).empty());
+  ASSERT_EQ(lm.acquire(r1, t2, LockMode::kWrite, here),
+            AcquireResult::kGranted);
+  EXPECT_TRUE(lm.abort(t3).empty());
+  EXPECT_TRUE(lm.holds(r1, t2));
 }
 
 TEST(LockManager, AbortReleasesEverythingAndCancelsQueued) {
@@ -189,7 +195,8 @@ TEST(LockManager, AbortCancelsOwnQueuedRequests) {
             AcquireResult::kQueued);
   (void)lm.abort(t2);
   EXPECT_FALSE(lm.waiting(r1, t2));
-  EXPECT_TRUE(lm.release(r1, t1).empty());  // nobody left to grant
+  EXPECT_EQ(lm.queued(t2), 0u);
+  EXPECT_TRUE(lm.abort(t1).empty());  // nobody left to grant
 }
 
 TEST(LockManager, HeldByListsResources) {
@@ -224,10 +231,10 @@ TEST(LockManager, QueuedForTracksOrigin) {
             AcquireResult::kGranted);
   ASSERT_EQ(lm.acquire(r1, t2, LockMode::kWrite, other),
             AcquireResult::kQueued);
-  EXPECT_TRUE(lm.queued(t2));
+  EXPECT_EQ(lm.queued(t2), 1u);
   EXPECT_TRUE(lm.queued_from(t2, other));
   EXPECT_FALSE(lm.queued_from(t2, here));
-  EXPECT_FALSE(lm.queued(t1));
+  EXPECT_EQ(lm.queued(t1), 0u);
   const auto queued = lm.queued_requests();
   ASSERT_EQ(queued.size(), 1u);
   EXPECT_EQ(queued[0].first, r1);
@@ -285,13 +292,13 @@ TEST(LockManager, HigherCountOvertakesOnlyLowerCounts) {
   EXPECT_EQ(std::find(edges.begin(), edges.end(), std::pair{t2, t4}),
             edges.end());
   // Grants follow the queue order.
-  auto granted = lm.release(r1, t1);
+  auto granted = lm.abort(t1);
   ASSERT_EQ(granted.size(), 1u);
-  EXPECT_EQ(granted[0].txn, t2);
-  granted = lm.release(r1, t2);
+  EXPECT_EQ(granted[0].request.txn, t2);
+  granted = lm.abort(t2);
   ASSERT_EQ(granted.size(), 1u);
-  EXPECT_EQ(granted[0].txn, t4);
-  EXPECT_EQ(granted[0].held, 1u);
+  EXPECT_EQ(granted[0].request.txn, t4);
+  EXPECT_EQ(granted[0].request.held, 1u);
 }
 
 TEST(LockManager, EqualCountsStayFifo) {
@@ -306,9 +313,9 @@ TEST(LockManager, EqualCountsStayFifo) {
   EXPECT_TRUE(lm.waiters_behind(r1, 2).empty());
   TransactionId holder = t1;
   for (const TransactionId next : {t2, t3, t4}) {
-    const auto granted = lm.release(r1, holder);
+    const auto granted = lm.abort(holder);
     ASSERT_EQ(granted.size(), 1u);
-    EXPECT_EQ(granted[0].txn, next);
+    EXPECT_EQ(granted[0].request.txn, next);
     holder = next;
   }
 }
@@ -390,7 +397,7 @@ TEST(LockManager, BlockersMatchTheWaitEdgesOfTheQueuedRequest) {
     for (std::uint32_t i = 0; i < ops; ++i) {
       const TransactionId t{1 + pick(kTxns)};
       if (lm.holds(r1, t) && pick(3) == 0) {
-        lm.release(r1, t);
+        lm.abort(t);
       } else if (!lm.waiting(r1, t)) {
         lm.acquire(r1, t, pick(2) == 0 ? LockMode::kRead : LockMode::kWrite,
                    here, static_cast<LockCount>(pick(4)));
@@ -424,6 +431,9 @@ TEST(LockManager, BlockersMatchTheWaitEdgesOfTheQueuedRequest) {
       if (w == t) out.insert(b);
     }
     EXPECT_EQ(out, blockers) << "trial " << trial;
+    FlatSet<TransactionId, 8> waits;
+    lm.waits_of(t, waits);
+    EXPECT_EQ(waits, out) << "trial " << trial;
     ++queued;
   }
   EXPECT_GT(queued, 1000u);

@@ -1,6 +1,6 @@
 // TxnWorkload driver: retry-on-abort, client lock-wait timeouts, declared
-// victims that stay idle, observers that change nothing, the controllers'
-// queued-request counts under load, and the q-optimization on/off
+// victims that stay idle, observers that change nothing, the lock managers'
+// per-transaction index under load, and the q-optimization on/off
 // behavioural equivalence under random load.
 #include "ddb/workload.h"
 
@@ -89,14 +89,15 @@ TEST(TxnWorkload, ClientTimeoutResolvesWithoutDetector) {
   EXPECT_TRUE(db.oracle_deadlocked().empty());
 }
 
-TEST(TxnWorkload, QueuedCountsMatchTheLockTablesAfterEveryEvent) {
-  // Controller::blocked() reads a per-transaction count of queued requests
-  // instead of scanning the lock table, and a probe's acquisition-edge
-  // check reads the site that queued them.  After every event of T5-shaped
-  // episodes (victim aborts, retries, grant reshuffles), each site's count
-  // must equal its lock table's, and blocked() and queued_from() must
-  // agree with the scan.
+TEST(TxnWorkload, LockIndexMatchesTheLockTablesAfterEveryEvent) {
+  // Each LockManager indexes the rows every transaction holds or is queued
+  // on, and its per-transaction queries read only those rows: blocked(), a
+  // probe's acquisition-edge check, the release-wait edges and the probe
+  // BFS's out-edges rest on them.  After every event of T5-shaped episodes
+  // (victim aborts, retries, grant reshuffles), at every site and for every
+  // id, each answer must equal the same fact read off the whole table.
   constexpr std::uint32_t kClients = 24;
+  std::vector<WaitEdge> edges;
   for (const std::uint32_t hot_set : {8u, 16u}) {
     for (const std::uint64_t seed : {1u, 2u}) {
       Cluster db({.n_sites = 4,
@@ -110,41 +111,66 @@ TEST(TxnWorkload, QueuedCountsMatchTheLockTablesAfterEveryEvent) {
       cfg.max_retries = 25;
       TxnWorkload workload(db, cfg, seed * 7 + 3);
       workload.start(kClients);
-      // Every attempt takes a fresh id below this bound.
-      const std::uint32_t ids = kClients * (cfg.max_retries + 1);
-      std::vector<std::uint32_t> in_table(ids);
       std::uint64_t events = 0;
       std::uint64_t queued_seen = 0;
+      std::uint64_t waits_seen = 0;
+      std::uint64_t origins_seen = 0;
       while (db.simulator().step()) {
         ++events;
+        const std::uint32_t ids = db.transactions_begun();
         for (std::uint32_t s = 0; s < db.n_sites(); ++s) {
           const Controller& c = db.controller(SiteId{s});
-          std::fill(in_table.begin(), in_table.end(), 0u);
-          c.locks().for_each_queued([&](ResourceId, const LockRequest& r) {
-            ++in_table.at(r.txn.value());
+          const LockManager& lm = c.locks();
+          std::vector<std::uint32_t> queued(ids);
+          std::vector<FlatSet<SiteId, 8>> queued_origins(ids);
+          lm.for_each_queued([&](ResourceId, const LockRequest& r) {
+            ++queued.at(r.txn.value());
+            queued_origins.at(r.txn.value()).insert(r.origin);
           });
+          lm.wait_edges(edges);
           for (std::uint32_t t = 0; t < ids; ++t) {
             const TransactionId txn{t};
-            ASSERT_EQ(c.queued_count(txn), in_table[t])
-                << "hot set " << hot_set << " seed " << seed << " event "
-                << events << " site " << s << " txn " << t;
-            ASSERT_EQ(in_table[t] > 0, c.locks().queued(txn));
+            const auto where = [&] {
+              return testing::Message()
+                     << "hot set " << hot_set << " seed " << seed << " event "
+                     << events << " site " << s << " txn " << t;
+            };
+            ASSERT_EQ(lm.queued(txn), queued[t]) << where();
             for (std::uint32_t o = 0; o < db.n_sites(); ++o) {
-              ASSERT_EQ(c.queued_from(txn, SiteId{o}),
-                        c.locks().queued_from(txn, SiteId{o}))
-                  << "hot set " << hot_set << " seed " << seed << " event "
-                  << events << " site " << s << " txn " << t << " origin "
-                  << o;
+              ASSERT_EQ(lm.queued_from(txn, SiteId{o}),
+                        queued_origins[t].contains(SiteId{o}))
+                  << where() << " origin " << o;
             }
+            std::vector<ResourceId> held;
+            for (std::uint32_t r = 0; r < hot_set; ++r) {
+              if (lm.holds(ResourceId{r}, txn)) held.push_back(ResourceId{r});
+            }
+            ASSERT_EQ(lm.held_by(txn), held) << where();
+            // Every request of a transaction comes from its home.
+            FlatSet<SiteId, 8> origins;
+            if (!held.empty()) origins.insert(db.home_of(txn));
+            ASSERT_EQ(lm.holding_origins(txn), origins) << where();
+            FlatSet<TransactionId, 8> run;
+            for (const auto& [w, b] : edges) {
+              if (w == txn) run.insert(b);
+            }
+            FlatSet<TransactionId, 8> waits;
+            lm.waits_of(txn, waits);
+            ASSERT_EQ(waits, run) << where();
             ASSERT_EQ(c.blocked(txn),
-                      in_table[t] > 0 || !c.pending_remote_sites(txn).empty());
-            queued_seen += in_table[t];
+                      queued[t] > 0 || !c.pending_remote_sites(txn).empty())
+                << where();
+            queued_seen += queued[t];
+            waits_seen += run.size();
+            origins_seen += origins.size();
           }
         }
       }
       EXPECT_EQ(workload.result().committed, kClients);
       EXPECT_GT(workload.result().aborted, 0u);
       EXPECT_GT(queued_seen, 0u);
+      EXPECT_GT(waits_seen, 0u);
+      EXPECT_GT(origins_seen, 0u);
     }
   }
 }
@@ -185,7 +211,7 @@ TEST(TxnWorkload, LockCountsAreFrozenWhereTransactionsWait) {
           counted += granted;
           for (std::uint32_t s = 0; s < db.n_sites(); ++s) {
             const Controller& c = db.controller(SiteId{s});
-            if (SiteId{s} == home || c.queued_count(txn) == 0) continue;
+            if (SiteId{s} == home || c.locks().queued(txn) == 0) continue;
             ASSERT_EQ(c.lock_count(txn), granted)
                 << "hot set " << hot_set << " seed " << seed << " txn " << t
                 << " site " << s;
