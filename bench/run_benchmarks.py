@@ -72,6 +72,17 @@ DEFAULT_HOT = [
 ]
 
 
+# google-benchmark reports each row's real_time and cpu_time in that row's
+# time_unit (a benchmark registered with ->Unit(benchmark::kMillisecond)
+# reports milliseconds); the reduced schema is nanoseconds throughout.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def raw_ns(entry: dict, key: str) -> float:
+    """`entry[key]` of a raw google-benchmark row, in nanoseconds."""
+    return float(entry[key]) * NS_PER_UNIT[entry.get("time_unit", "ns")]
+
+
 def run_suite(binary: pathlib.Path, min_time: float | None) -> list[dict]:
     cmd = [str(binary), "--benchmark_format=json"]
     if min_time is not None:
@@ -85,8 +96,8 @@ def run_suite(binary: pathlib.Path, min_time: float | None) -> list[dict]:
             continue
         reduced = {
             "name": entry["name"],
-            "time_ns": round(float(entry["real_time"]), 3),
-            "cpu_ns": round(float(entry["cpu_time"]), 3),
+            "time_ns": round(raw_ns(entry, "real_time"), 3),
+            "cpu_ns": round(raw_ns(entry, "cpu_time"), 3),
             "iterations": int(entry["iterations"]),
         }
         if "items_per_second" in entry:
@@ -113,8 +124,8 @@ def load_times(path: pathlib.Path) -> dict[str, float]:
         # Accept both this schema and raw google-benchmark output.
         if entry.get("run_type", "iteration") != "iteration":
             continue
-        times[entry["name"]] = float(
-            entry.get("time_ns", entry.get("real_time", 0.0)))
+        times[entry["name"]] = (float(entry["time_ns"]) if "time_ns" in entry
+                                else raw_ns(entry, "real_time"))
     return times
 
 

@@ -35,37 +35,43 @@ void DdbSystem::reset() {
   controllers_.clear();
   controllers_.reserve(scenario_.n_sites);
   for (std::uint32_t s = 0; s < scenario_.n_sites; ++s) {
-    const SiteId site{s};
-    auto controller = std::make_unique<ddb::Controller>(
-        site, scenario_.n_sites,
-        [this, site](SiteId to, BytesView payload) {
-          ++event_seq_;
-          channels_[{site, to}].emplace_back(payload.begin(), payload.end());
-        },
-        [this](ResourceId r) { return scenario_.resource_owner.at(r.value()); },
-        scenario_.options,
-        [](SimTime, std::function<void()>) {
-          throw std::logic_error(
-              "DdbSystem: a controller scheduled a timer in a timer-free "
-              "exploration");
-        });
-    controller->set_grant_callback([this](TransactionId txn, ResourceId r) {
-      txns_.at(txn).granted.insert(r);
-      awaiting_grant_.erase(txn);
-    });
-    controller->set_deadlock_callback(
-        [this](TransactionId victim, const ddb::DdbProbeTag&) {
-          declared_.insert(victim);
-          const auto oracle = oracle_deadlocked();
-          if (std::find(oracle.begin(), oracle.end(), victim) ==
-              oracle.end()) {
-            record(Axiom::kQRP2, victim,
-                   "controller declared " + victim.to_string() +
-                       " deadlocked, but the transaction-wait oracle has it "
-                       "on no cycle (false deadlock)");
-          }
-        });
-    controllers_.push_back(std::move(controller));
+    controllers_.push_back(std::make_unique<ddb::Controller>(
+        SiteId{s}, scenario_.n_sites, static_cast<ddb::SiteHost&>(*this),
+        scenario_.options));
+  }
+}
+
+void DdbSystem::send(SiteId from, SiteId to, BytesView payload) {
+  ++event_seq_;
+  channels_[{from, to}].emplace_back(payload.begin(), payload.end());
+}
+
+SiteId DdbSystem::owner_of(ResourceId resource) const {
+  return scenario_.resource_owner.at(resource.value());
+}
+
+void DdbSystem::schedule(SimTime, std::function<void()>) {
+  throw std::logic_error(
+      "DdbSystem: a controller scheduled a timer in a timer-free "
+      "exploration");
+}
+
+void DdbSystem::on_grant(SiteId, TransactionId txn, ResourceId resource) {
+  txns_.at(txn).granted.insert(resource);
+  awaiting_grant_.erase(txn);
+}
+
+void DdbSystem::on_abort(SiteId, TransactionId) {}
+
+void DdbSystem::on_deadlock(SiteId, TransactionId victim,
+                            const ddb::DdbProbeTag&) {
+  declared_.insert(victim);
+  const auto oracle = oracle_deadlocked();
+  if (std::find(oracle.begin(), oracle.end(), victim) == oracle.end()) {
+    record(Axiom::kQRP2, victim,
+           "controller declared " + victim.to_string() +
+               " deadlocked, but the transaction-wait oracle has it on no "
+               "cycle (false deadlock)");
   }
 }
 

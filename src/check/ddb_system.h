@@ -67,7 +67,7 @@ struct DdbScenario {
                           .abort_victim = false};
 };
 
-class DdbSystem final : public System {
+class DdbSystem final : public System, private ddb::SiteHost {
  public:
   explicit DdbSystem(DdbScenario scenario);
 
@@ -106,6 +106,16 @@ class DdbSystem final : public System {
   [[nodiscard]] bool script_op_enabled(std::uint32_t s) const;
   [[nodiscard]] std::vector<TransactionId> oracle_deadlocked() const;
   void record(Axiom axiom, TransactionId txn, std::string detail);
+
+  // ddb::SiteHost: every controller's channels are this harness's deques;
+  // schedule() throws, since exploration is timer-free.
+  void send(SiteId from, SiteId to, BytesView payload) override;
+  [[nodiscard]] SiteId owner_of(ResourceId resource) const override;
+  void schedule(SimTime delay, std::function<void()> fn) override;
+  void on_grant(SiteId site, TransactionId txn, ResourceId resource) override;
+  void on_abort(SiteId site, TransactionId txn) override;
+  void on_deadlock(SiteId site, TransactionId victim,
+                   const ddb::DdbProbeTag& tag) override;
 
   DdbScenario scenario_;
   std::vector<std::unique_ptr<ddb::Controller>> controllers_;

@@ -31,44 +31,10 @@ Cluster::Cluster(ClusterConfig config)
       controllers_(config.n_sites) {
   sim_.set_step_hook(this);
   sim_.reserve_nodes(config_.n_sites);
-  for (std::uint32_t i = 0; i < config_.n_sites; ++i) sim_.add_node({});
   for (std::uint32_t i = 0; i < config_.n_sites; ++i) {
-    const SiteId site{i};
-    Controller& controller = controllers_[i].emplace(
-        site, config_.n_sites,
-        [this, site](SiteId to, BytesView payload) {
-          outbox_.send(site, to, payload);
-        },
-        [this](ResourceId r) { return owner_of(r); }, config_.options,
-        [this](SimTime delay, std::function<void()> fn) {
-          sim_.schedule(delay, std::move(fn));
-        });
-    controller.set_grant_callback(
-        [this](TransactionId txn, ResourceId resource) {
-          if (txn.value() < txns_.size()) {
-            auto& locks = txns_[txn.value()].locks;
-            const auto it = find_lock(locks, resource);
-            if (it != locks.end()) it->granted = true;
-          }
-          if (grant_listener_) grant_listener_(txn, resource);
-        });
-    controller.set_abort_callback([this, site](TransactionId txn) {
-      if (txn.value() >= txns_.size()) return;
-      TxnState& state = txns_[txn.value()];
-      // Only a live transaction can become a victim.  A stale declaration
-      // may name one that has already committed (or was already aborted by
-      // another site's declaration); its purge must not rewrite history.
-      if (state.home != site || state.status != TxnStatus::kActive) return;
-      state.status = TxnStatus::kAborted;
-      if (abort_listener_) abort_listener_(txn);
-    });
-    controller.set_deadlock_callback(
-        [this, site](TransactionId victim, const DdbProbeTag& tag) {
-          const DdbDetection d{victim, tag, site, sim_.now()};
-          detections_.push_back(d);
-          if (detection_listener_) detection_listener_(d);
-        });
-    sim_.set_handler(i, [this, i](sim::NodeId from, BytesView payload) {
+    controllers_[i].emplace(SiteId{i}, config_.n_sites,
+                            static_cast<SiteHost&>(*this), config_.options);
+    sim_.add_node([this, i](sim::NodeId from, BytesView payload) {
       Controller& c = *controllers_[i];
       const Status st = for_each_frame(payload, [&c, from](BytesView frame) {
         return c.on_message(SiteId{from}, frame);
@@ -78,6 +44,33 @@ Cluster::Cluster(ClusterConfig config)
       }
     });
   }
+}
+
+void Cluster::on_grant(SiteId, TransactionId txn, ResourceId resource) {
+  if (txn.value() < txns_.size()) {
+    auto& locks = txns_[txn.value()].locks;
+    const auto it = find_lock(locks, resource);
+    if (it != locks.end()) it->granted = true;
+  }
+  if (grant_listener_) grant_listener_(txn, resource);
+}
+
+void Cluster::on_abort(SiteId site, TransactionId txn) {
+  if (txn.value() >= txns_.size()) return;
+  TxnState& state = txns_[txn.value()];
+  // Only a live transaction can become a victim.  A stale declaration may
+  // name one that has already committed (or was already aborted by another
+  // site's declaration); its purge must not rewrite history.
+  if (state.home != site || state.status != TxnStatus::kActive) return;
+  state.status = TxnStatus::kAborted;
+  if (abort_listener_) abort_listener_(txn);
+}
+
+void Cluster::on_deadlock(SiteId site, TransactionId victim,
+                          const DdbProbeTag& tag) {
+  const DdbDetection d{victim, tag, site, sim_.now()};
+  detections_.push_back(d);
+  if (detection_listener_) detection_listener_(d);
 }
 
 const Cluster::TxnState& Cluster::state(TransactionId txn) const {
@@ -127,8 +120,8 @@ void Cluster::finish(TransactionId txn) {
 void Cluster::abort(TransactionId txn) {
   const auto& s = state(txn);
   if (s.status != TxnStatus::kActive) return;
-  // The controller's abort broadcast triggers the home-site abort callback,
-  // which flips the status and notifies the listener.
+  // The home controller's abort reports to on_abort(), which flips the
+  // status and notifies the listener.
   const Outbox::Step step(outbox_);
   controller(s.home).abort(txn);
 }

@@ -40,12 +40,13 @@ struct DdbDetection {
   SimTime at;
 };
 
-// Every controller frame leaves through one Outbox: each simulator dispatch
-// (a message or a timer) and each lock()/finish()/abort() call is one step,
-// and a step's frames to one site travel as one simulator message
-// (outbox.h).  A controller driven directly from outside any step, such as
-// controller(s).check_all() under kManual, sends at once.
-class Cluster : private sim::StepHook {
+// The cluster is every controller's SiteHost: one object, no per-site
+// closures.  Every controller frame leaves through one Outbox: each
+// simulator dispatch (a message or a timer) and each lock()/finish()/abort()
+// call is one step, and a step's frames to one site travel as one
+// simulator message (outbox.h).  A controller driven directly from outside
+// any step, such as controller(s).check_all() under kManual, sends at once.
+class Cluster final : private SiteHost, private sim::StepHook {
  public:
   explicit Cluster(ClusterConfig config);
 
@@ -62,7 +63,7 @@ class Cluster : private sim::StepHook {
   }
 
   /// Static placement: resource r lives at site (r mod n_sites).
-  [[nodiscard]] SiteId owner_of(ResourceId r) const {
+  [[nodiscard]] SiteId owner_of(ResourceId r) const override {
     return SiteId{r.value() % config_.n_sites};
   }
 
@@ -149,6 +150,19 @@ class Cluster : private sim::StepHook {
 
   [[nodiscard]] const TxnState& state(TransactionId txn) const;
   [[nodiscard]] TxnState& state(TransactionId txn);
+
+  // SiteHost: what the controllers ask of the simulator and the client
+  // layer.
+  void send(SiteId from, SiteId to, BytesView payload) override {
+    outbox_.send(from, to, payload);
+  }
+  void schedule(SimTime delay, std::function<void()> fn) override {
+    sim_.schedule(delay, std::move(fn));
+  }
+  void on_grant(SiteId site, TransactionId txn, ResourceId resource) override;
+  void on_abort(SiteId site, TransactionId txn) override;
+  void on_deadlock(SiteId site, TransactionId victim,
+                   const DdbProbeTag& tag) override;
 
   void begin_step() override { outbox_.begin_step(); }
   void end_step() override { outbox_.end_step(); }

@@ -52,20 +52,9 @@ ControllerStats& ControllerStats::operator+=(const ControllerStats& o) {
   return *this;
 }
 
-Controller::Controller(SiteId id, std::uint32_t n_sites, Sender sender,
-                       ResourceMap resource_map, DdbOptions options,
-                       TimerFn timers)
-    : id_(id),
-      n_sites_(n_sites),
-      send_(std::move(sender)),
-      resource_map_(std::move(resource_map)),
-      options_(options),
-      timers_(std::move(timers)) {
-  if (options_.initiation == DdbInitiation::kDelayed &&
-      options_.initiation_delay > SimTime::zero() && !timers_) {
-    throw std::invalid_argument(
-        "Controller: kDelayed with a positive delay requires timers");
-  }
+Controller::Controller(SiteId id, std::uint32_t n_sites, SiteHost& host,
+                       DdbOptions options)
+    : id_(id), n_sites_(n_sites), host_(host), options_(options) {
   for (std::uint32_t s = 0; s < n_sites; ++s) floor_seen_.push_back(0);
 }
 
@@ -151,7 +140,7 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
     return false;
   }
   s.home = true;
-  const SiteId owner = resource_map_(resource);
+  const SiteId owner = host_.owner_of(resource);
   if (owner == id_) {
     ++stats_.local_requests;
     const bool upgrade =
@@ -161,7 +150,7 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
     if (r != AcquireResult::kQueued) {
       if (r == AcquireResult::kGranted && !upgrade) count_grant(s.held);
       rearm_after_grant(resource, mode, r);
-      if (on_grant_) on_grant_(txn, resource);
+      host_.on_grant(id_, txn, resource);
       return true;
     }
     follow_reaches(txn);
@@ -182,8 +171,9 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
     pending.insert(it, PendingRemote{owner, 1});
   }
   ++stats_.remote_requests_sent;
-  send_(owner,
-        encode_small(RemoteLockRequestMsg{txn, resource, s.held, mode}).view());
+  host_.send(
+      id_, owner,
+      encode_small(RemoteLockRequestMsg{txn, resource, s.held, mode}).view());
   // The follow-up probes travel behind the request on the same channel.
   follow_reaches(txn);
   schedule_block_check(txn);
@@ -219,7 +209,8 @@ void Controller::finish(TransactionId txn) {
   purge_local(txn);
   for (const SiteId site : participants) {
     ++stats_.purges_sent;
-    send_(site, encode_small(PurgeTxnMsg{txn, /*aborted=*/false}).view());
+    host_.send(id_, site,
+               encode_small(PurgeTxnMsg{txn, /*aborted=*/false}).view());
   }
 }
 
@@ -227,14 +218,15 @@ void Controller::abort(TransactionId txn) {
   ++stats_.aborts_executed;
   slot_for(txn).aborted = true;
   purge_local(txn);
-  if (on_abort_) on_abort_(txn);
+  host_.on_abort(id_, txn);
   // The victim may hold state at any site (it can be another site's home
   // transaction caught on our cycle, whose participants this site does not
   // know); broadcast the purge.
   for (std::uint32_t s = 0; s < n_sites_; ++s) {
     if (SiteId{s} == id_) continue;
     ++stats_.purges_sent;
-    send_(SiteId{s}, encode_small(PurgeTxnMsg{txn, /*aborted=*/true}).view());
+    host_.send(id_, SiteId{s},
+               encode_small(PurgeTxnMsg{txn, /*aborted=*/true}).view());
   }
 }
 
@@ -292,7 +284,7 @@ void Controller::handle_lock_request(SiteId from,
     // Granted at once: the edge whitens as the grant is sent (G5).
     ++stats_.grants_sent;
     const RemoteLockGrantMsg grant{msg.txn, msg.resource, adds_lock};
-    send_(from, encode_small(grant).view());
+    host_.send(id_, from, encode_small(grant).view());
     return;
   }
   // The forwarded request is queued: agent (txn, here) is now blocked on
@@ -317,13 +309,13 @@ void Controller::handle_grant(SiteId from, const RemoteLockGrantMsg& msg) {
       s.pending.begin(), s.pending.end(),
       [from](const PendingRemote& p) { return p.site == from; });
   if (it != s.pending.end() && --it->count == 0) s.pending.erase(it);
-  if (on_grant_) on_grant_(msg.txn, msg.resource);
+  host_.on_grant(id_, msg.txn, msg.resource);
 }
 
 void Controller::handle_purge(SiteId /*from*/, const PurgeTxnMsg& msg) {
   if (msg.aborted) slot_for(msg.txn).aborted = true;
   purge_local(msg.txn);
-  if (msg.aborted && on_abort_) on_abort_(msg.txn);
+  if (msg.aborted) host_.on_abort(id_, msg.txn);
 }
 
 void Controller::dispatch_grants(const GrantList& grants) {
@@ -336,11 +328,11 @@ void Controller::dispatch_grants(const GrantList& grants) {
   for (const Grant& g : grants) {
     const LockRequest& req = g.request;
     if (req.origin == id_) {
-      if (on_grant_) on_grant_(req.txn, g.resource);
+      host_.on_grant(id_, req.txn, g.resource);
     } else {
       ++stats_.grants_sent;
       const RemoteLockGrantMsg grant{req.txn, g.resource, !g.upgrade};
-      send_(req.origin, encode_small(grant).view());
+      host_.send(id_, req.origin, encode_small(grant).view());
     }
   }
   // A grant reshuffles the waits-for relation: transactions still queued on
@@ -559,10 +551,10 @@ void Controller::send_probes(
         ++stats_.probes_sent;
         CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " acq " << txn
                                << " to " << p.site;
-        send_(p.site, encode_small(DdbProbeMsg{tag, comp.floor, txn, false,
-                                               best.txn, best.held,
-                                               comp.target})
-                          .view());
+        host_.send(id_, p.site,
+                   encode_small(DdbProbeMsg{tag, comp.floor, txn, false,
+                                            best.txn, best.held, comp.target})
+                       .view());
       }
     }
     // Release-wait edges: (txn, here) holds resources acquired on behalf of
@@ -576,9 +568,10 @@ void Controller::send_probes(
       ++stats_.probes_sent;
       CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " rel " << txn
                              << " to " << origin;
-      send_(origin, encode_small(DdbProbeMsg{tag, comp.floor, txn, true,
-                                             best.txn, best.held, comp.target})
-                        .view());
+      host_.send(id_, origin,
+                 encode_small(DdbProbeMsg{tag, comp.floor, txn, true, best.txn,
+                                          best.held, comp.target})
+                     .view());
     }
   }
 }
@@ -746,7 +739,7 @@ void Controller::declare(TransactionId victim, const DdbProbeTag& tag) {
   ++stats_.deadlocks_declared;
   CMH_LOG(kInfo, "ddb") << id_ << " declares " << victim << " deadlocked ("
                         << tag << ")";
-  if (on_deadlock_) on_deadlock_(victim, tag);
+  host_.on_deadlock(id_, victim, tag);
   // A repeat declaration (another computation elected the same victim
   // before this site's purge reached it) must not abort twice.
   const TxnSlot* s = slot(victim);
@@ -782,7 +775,7 @@ void Controller::schedule_block_check(TransactionId txn) {
           return;
         }
       }
-      timers_(options_.initiation_delay, [this, txn] {
+      host_.schedule(options_.initiation_delay, [this, txn] {
         if (blocked(txn)) initiate_for(txn);
       });
       return;

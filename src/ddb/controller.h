@@ -29,9 +29,10 @@
 //     running at their home here (DESIGN.md section 4b, note 7).
 //
 // Like BasicProcess, the controller is a transport-agnostic state machine;
-// callers must serialize calls per instance (the paper's atomic-step note),
-// and the sender and timer hooks must queue rather than call back into the
-// controller synchronously.
+// callers must serialize calls per instance (the paper's atomic-step note).
+// It reaches the world only through its SiteHost, whose send() and
+// schedule() must queue rather than call back into the controller
+// synchronously.
 //
 // Local knowledge is exactly the DDB P3: intra-controller edges and incoming
 // *black* inter-controller edges are derived from the lock queues; outgoing
@@ -76,7 +77,7 @@ enum class DdbInitiation {
 
 struct DdbOptions {
   DdbInitiation initiation{DdbInitiation::kDelayed};
-  /// T; timers are required only when it is positive.
+  /// T; only a positive T schedules timers through the host.
   SimTime initiation_delay{SimTime::ms(5)};
 
   /// Section 6.7: when checking all constituent processes, initiate only Q
@@ -116,26 +117,39 @@ struct ControllerStats {
   ControllerStats& operator+=(const ControllerStats& o);
 };
 
+/// Everything a controller asks of the world: its channels, the data
+/// placement, a timer and three reports.  One host can serve every
+/// controller of a process, so each call names the calling site.  A
+/// controller borrows its host, which must outlive it.  send() and
+/// schedule() must queue, not call back into the controller; the reports
+/// may re-enter it.
+class SiteHost {
+ public:
+  /// Sends `payload` on channel (from, to).  The view is valid only for
+  /// the duration of the call.
+  virtual void send(SiteId from, SiteId to, BytesView payload) = 0;
+  /// The site managing `resource` (static data placement).
+  [[nodiscard]] virtual SiteId owner_of(ResourceId resource) const = 0;
+  /// Runs `fn` `delay` from now, as a step of its own.  A controller
+  /// calls it only under kDelayed with a positive T.
+  virtual void schedule(SimTime delay, std::function<void()> fn) = 0;
+  /// A lock requested through `site`'s controller was acquired.
+  virtual void on_grant(SiteId site, TransactionId txn,
+                        ResourceId resource) = 0;
+  /// `site` aborted `txn` (a deadlock victim, or a purge from its home).
+  virtual void on_abort(SiteId site, TransactionId txn) = 0;
+  /// `site` declared `victim` deadlocked.
+  virtual void on_deadlock(SiteId site, TransactionId victim,
+                           const DdbProbeTag& tag) = 0;
+
+ protected:
+  ~SiteHost() = default;
+};
+
 class Controller {
  public:
-  /// The payload view is only valid for the duration of the call.
-  using Sender = std::function<void(SiteId to, BytesView payload)>;
-  using TimerFn = cmh::TimerFn;
-
-  /// Maps a resource to its managing site (static data placement).
-  using ResourceMap = std::function<SiteId(ResourceId)>;
-
-  /// Invoked when a lock requested through this controller is acquired.
-  using GrantCallback =
-      std::function<void(TransactionId txn, ResourceId resource)>;
-  /// Invoked when a transaction is aborted (deadlock victim) at this site.
-  using AbortCallback = std::function<void(TransactionId txn)>;
-  /// Invoked when this controller declares `victim` deadlocked.
-  using DeadlockCallback =
-      std::function<void(TransactionId victim, const DdbProbeTag& tag)>;
-
-  Controller(SiteId id, std::uint32_t n_sites, Sender sender,
-             ResourceMap resource_map, DdbOptions options, TimerFn timers);
+  Controller(SiteId id, std::uint32_t n_sites, SiteHost& host,
+             DdbOptions options);
 
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
@@ -144,17 +158,11 @@ class Controller {
   [[nodiscard]] const ControllerStats& stats() const { return stats_; }
   [[nodiscard]] const LockManager& locks() const { return locks_; }
 
-  void set_grant_callback(GrantCallback cb) { on_grant_ = std::move(cb); }
-  void set_abort_callback(AbortCallback cb) { on_abort_ = std::move(cb); }
-  void set_deadlock_callback(DeadlockCallback cb) {
-    on_deadlock_ = std::move(cb);
-  }
-
   // ---- client API (called by the transaction layer at this site) ---------
 
   /// Transaction `txn` (home = this site) requests `mode` on `resource`.
   /// Returns true if granted synchronously; otherwise the grant (or an
-  /// abort) arrives via callback, and the live probe computations that
+  /// abort) reaches the host later, and the live probe computations that
   /// reached txn's agent here continue along the new request.
   bool lock(TransactionId txn, ResourceId resource, LockMode mode);
 
@@ -320,7 +328,7 @@ class Controller {
   void handle_purge(SiteId from, const PurgeTxnMsg& msg);
   void handle_probe(SiteId from, const DdbProbeMsg& msg);
 
-  /// Dispatches grants produced by the lock manager (local callback or
+  /// Dispatches grants produced by the lock manager (the host's on_grant() or
   /// RemoteLockGrantMsg to the origin site).
   void dispatch_grants(const GrantList& grants);
   /// Re-arms the block check of every transaction queued on `resource`:
@@ -441,10 +449,8 @@ class Controller {
 
   SiteId id_;
   std::uint32_t n_sites_;
-  Sender send_;
-  ResourceMap resource_map_;
+  SiteHost& host_;
   DdbOptions options_;
-  TimerFn timers_;
 
   LockManager locks_;
   // The tables below are pooled (common/block_pool.h): they grow past 1 KiB
@@ -474,9 +480,6 @@ class Controller {
   std::vector<TransactionId> processes_;   // check_all(): blocked, then Q
   TxnSet swept_;                           // check_all(): victims declared
 
-  GrantCallback on_grant_;
-  AbortCallback on_abort_;
-  DeadlockCallback on_deadlock_;
   ControllerStats stats_;
 };
 

@@ -14,10 +14,14 @@
 //     holds a handful of heap blocks whatever the ring size, so building
 //     and tearing one down leaves no trail of small frees for the
 //     allocator to consolidate.
-//   * Far future: an unsorted overflow list.  When the ring drains past its
-//     horizon, the ring re-anchors at the earliest overflow entry and the
-//     bucket width re-tunes to the overflow span, so far-out timers cost one
-//     extra move, not a per-event penalty.
+//   * Far future: an unsorted overflow list.  Each time the ring advances,
+//     the overflow entries its horizon now covers move into their buckets
+//     (the earliest overflow time is kept, so the check is one compare);
+//     without that, an entry inserted into the ring after a pending
+//     overflow entry's time would leave first.  When the ring drains, it
+//     re-anchors at the earliest overflow entry and the bucket width
+//     re-tunes to the overflow span, so far-out timers cost one extra move,
+//     not a per-event penalty.
 //   * Current bucket: entries landing at-or-before the bucket being consumed
 //     (zero-delay timers, cross-shard arrivals into an idle shard) go to a
 //     small binary heap that is merged entry-by-entry with the sorted bucket.
@@ -73,11 +77,8 @@ class EventQueue {
 
   /// `width_hint_us` seeds the bucket width (ideally ~delay-span / kBuckets);
   /// the queue re-tunes itself whenever it re-anchors from overflow.
-  explicit EventQueue(std::int64_t width_hint_us = 4) {
-    wlog_ = width_log2_for(width_hint_us);
-    head_.fill(kNil);
-    tail_.fill(kNil);
-  }
+  explicit EventQueue(std::int64_t width_hint_us = 4)
+      : wlog_(width_log2_for(width_hint_us)) {}
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -102,6 +103,7 @@ class EventQueue {
       append(idx, e);
     } else {
       overflow_.push_back(e);
+      overflow_min_ = std::min(overflow_min_, t);
     }
   }
 
@@ -205,9 +207,11 @@ class EventQueue {
   }
 
   /// Appends `e` to bucket `idx`, opening a chunk (a recycled one when the
-  /// free chain has any) when the bucket's last chunk is full.
+  /// free chain has any) when the bucket is empty or its last chunk full.
   void append(std::size_t idx, const Entry& e) {
-    std::uint32_t t = tail_[idx];
+    std::uint64_t& word = occupied_[idx >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+    std::uint32_t t = (word & bit) != 0 ? tail_[idx] : kNil;
     if (t == kNil || pool_[t].size == kChunkEntries) {
       std::uint32_t n = free_;
       if (n != kNil) {
@@ -227,7 +231,7 @@ class EventQueue {
     }
     Chunk& c = pool_[t];
     c.entries[c.size++] = e;
-    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+    word |= bit;
   }
 
   /// Ensures the next entry (if any) is reachable via active_/near_.
@@ -238,6 +242,9 @@ class EventQueue {
       if (d < kBuckets) {
         cur_ = (cur_ + d) & (kBuckets - 1);
         base_ += static_cast<std::int64_t>(d) * width();
+        if (!overflow_.empty() && overflow_min_ - base_ < ring_span()) {
+          pull_from_overflow();
+        }
         // Consume this bucket as the sorted active run (its chunk chain goes
         // back to the free chain whole).  Inserts landing in its time range
         // from now on go to near_ (insert() routes anything below base_ +
@@ -250,8 +257,6 @@ class EventQueue {
         }
         pool_[tail_[cur_]].next = free_;
         free_ = head_[cur_];
-        head_[cur_] = kNil;
-        tail_[cur_] = kNil;
         occupied_[cur_ >> 6] &= ~(std::uint64_t{1} << (cur_ & 63));
         active_pos_ = 0;
         // Handlers run in key order and their sends append in that same
@@ -276,6 +281,25 @@ class EventQueue {
     }
   }
 
+  /// Moves every overflow entry that the horizon now covers into its bucket
+  /// and recomputes overflow_min_.
+  void pull_from_overflow() {
+    overflow_keep_.clear();
+    overflow_min_ = kNever.micros;
+    for (const Entry& e : overflow_) {
+      const std::int64_t offset = e.time.micros - base_;
+      if (offset < ring_span()) {
+        append((cur_ + static_cast<std::size_t>(offset >> wlog_)) &
+                   (kBuckets - 1),
+               e);
+      } else {
+        overflow_keep_.push_back(e);
+        overflow_min_ = std::min(overflow_min_, e.time.micros);
+      }
+    }
+    overflow_.swap(overflow_keep_);
+  }
+
   /// Ring fully drained: re-anchor at the earliest overflow entry, re-tune
   /// the bucket width to the overflow span, and redistribute what fits.
   void reseed_from_overflow() {
@@ -290,23 +314,15 @@ class EventQueue {
                            1);
     base_ = lo & ~(width() - 1);
     cur_ = 0;
-    overflow_keep_.clear();
-    for (Entry& e : overflow_) {
-      if (e.time.micros - base_ < ring_span()) {
-        std::size_t idx =
-            static_cast<std::size_t>((e.time.micros - base_) >> wlog_) &
-            (kBuckets - 1);
-        append(idx, e);
-      } else {
-        overflow_keep_.push_back(e);
-      }
-    }
-    overflow_.swap(overflow_keep_);
+    pull_from_overflow();
   }
 
   PooledVector<Chunk> pool_;     // every bucket's chunks, one backing store
   std::uint32_t free_{kNil};     // free-chunk chain through Chunk::next
-  std::array<std::uint32_t, kBuckets> head_;  // per-bucket chain ends
+  // Per-bucket chain ends, valid only while the bucket's occupied_ bit is
+  // set: an empty bucket's entries are stale or never written, so building
+  // a queue does not fill 2 KiB of them.
+  std::array<std::uint32_t, kBuckets> head_;
   std::array<std::uint32_t, kBuckets> tail_;
   std::array<std::uint64_t, kBuckets / 64> occupied_{};  // non-empty buckets
   PooledVector<Entry> active_;  // sorted run of the bucket being consumed
@@ -314,6 +330,7 @@ class EventQueue {
   PooledVector<Entry> near_;    // min-heap: entries at/before the active bucket
   PooledVector<Entry> overflow_;  // beyond the ring horizon, unsorted
   PooledVector<Entry> overflow_keep_;
+  std::int64_t overflow_min_{kNever.micros};  // earliest time in overflow_
   std::size_t size_{0};
   std::size_t cur_{0};          // index of the bucket containing base_
   std::int64_t base_{0};        // start time of bucket cur_

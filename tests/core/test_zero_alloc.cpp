@@ -229,6 +229,31 @@ TEST(SimulatorPayload, RoundTripsAcrossTheInlineBoundary) {
 namespace cmh::ddb {
 namespace {
 
+// The host of a lone controller S0 of two sites (resources live at site
+// r % 2): counts the bytes sent, the grants reported and the declarations
+// naming `watched`, and drops every timer.
+class CountingHost final : public SiteHost {
+ public:
+  void send(SiteId, SiteId, BytesView payload) override {
+    frames += payload.size();
+  }
+  [[nodiscard]] SiteId owner_of(ResourceId r) const override {
+    return SiteId{r.value() % 2};
+  }
+  void schedule(SimTime, std::function<void()>) override {}
+  void on_grant(SiteId, TransactionId, ResourceId) override { ++grants; }
+  void on_abort(SiteId, TransactionId) override {}
+  void on_deadlock(SiteId, TransactionId victim,
+                   const DdbProbeTag&) override {
+    watched_declared += victim == watched ? 1 : 0;
+  }
+
+  std::uint64_t frames{0};
+  std::uint64_t grants{0};
+  TransactionId watched{};
+  std::uint64_t watched_declared{0};
+};
+
 // Controller S0 of two sites, with this local picture:
 //   t1 (home S0) holds rA@S0 and waits for rB@S1   (pending remote request)
 //   t2 from S1 is queued on rA behind t1           (incoming black edge)
@@ -255,12 +280,8 @@ TEST(ZeroAlloc, WarmDdbControllerProbesGrantsAndInitiation) {
   DdbOptions options;
   options.initiation = DdbInitiation::kManual;
   options.abort_victim = false;
-  std::uint64_t frames = 0;
-  std::uint64_t grants = 0;
-  Controller c(
-      s0, 2, [&frames](SiteId, BytesView b) { frames += b.size(); },
-      [](ResourceId r) { return SiteId{r.value() % 2}; }, options, nullptr);
-  c.set_grant_callback([&grants](TransactionId, ResourceId) { ++grants; });
+  CountingHost host;
+  Controller c(s0, 2, host, options);
 
   const auto deliver = [&c](SiteId from, const DdbMessage& m) {
     return c.on_message(from, encode_small(m).view()).ok();
@@ -313,8 +334,8 @@ TEST(ZeroAlloc, WarmDdbControllerProbesGrantsAndInitiation) {
   EXPECT_EQ(st.grants_received - warm.grants_received,
             std::uint64_t{kRounds});
   EXPECT_EQ(st.deadlocks_declared, 0u);
-  EXPECT_GT(frames, 0u);
-  EXPECT_EQ(grants, 64u + kRounds + 2);  // + the two local grants
+  EXPECT_GT(host.frames, 0u);
+  EXPECT_EQ(host.grants, 64u + kRounds + 2);  // + the two local grants
 }
 
 // The same controller picture plus a local cycle t5 <-> t6 at S0, swept by
@@ -344,10 +365,8 @@ TEST(ZeroAlloc, WarmDdbControllerCheckAll) {
   DdbOptions options;
   options.initiation = DdbInitiation::kManual;
   options.abort_victim = false;
-  std::uint64_t frames = 0;
-  Controller c(
-      s0, 2, [&frames](SiteId, BytesView b) { frames += b.size(); },
-      [](ResourceId r) { return SiteId{r.value() % 2}; }, options, nullptr);
+  CountingHost host;
+  Controller c(s0, 2, host, options);
 
   const auto deliver = [&c](SiteId from, const DdbMessage& m) {
     return c.on_message(from, encode_small(m).view()).ok();
@@ -401,7 +420,7 @@ TEST(ZeroAlloc, WarmDdbControllerCheckAll) {
   // Per round: t1's and t4's edges from the two initiations, t4's edge
   // again from the returning probe (a different computation).
   EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{3 * kRounds});
-  EXPECT_GT(frames, 0u);
+  EXPECT_GT(host.frames, 0u);
 }
 
 // A home agent that computations reach, re-blocking each round: t1 (home
@@ -412,7 +431,7 @@ TEST(ZeroAlloc, WarmDdbControllerCheckAll) {
 //     t1's edge to S1;
 //   * rB is granted and t1 asks S1 for it again: the request is a new
 //     instance of that edge, so the recorded computation follows it.
-// Delayed initiation, whose timer hook here drops the block checks: t1
+// Delayed initiation, whose host here drops the block-check timers: t1
 // waits on S1, which this site cannot see, so its own computation waits T.
 TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
   const SiteId s0{0};
@@ -425,11 +444,8 @@ TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
   DdbOptions options;
   options.initiation = DdbInitiation::kDelayed;
   options.abort_victim = false;
-  std::uint64_t frames = 0;
-  Controller c(
-      s0, 2, [&frames](SiteId, BytesView b) { frames += b.size(); },
-      [](ResourceId r) { return SiteId{r.value() % 2}; }, options,
-      [](SimTime, const std::function<void()>&) {});
+  CountingHost host;
+  Controller c(s0, 2, host, options);
 
   const auto deliver = [&c](SiteId from, const DdbMessage& m) {
     return c.on_message(from, encode_small(m).view()).ok();
@@ -472,7 +488,7 @@ TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
   EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{2 * kRounds});
   EXPECT_EQ(st.computations_initiated, 0u);
   EXPECT_EQ(st.deadlocks_declared, 0u);
-  EXPECT_GT(frames, 0u);
+  EXPECT_GT(host.frames, 0u);
 }
 
 // A reached home agent re-blocking each round starts its own computation
@@ -498,11 +514,8 @@ TEST(ZeroAlloc, WarmDdbControllerEagerInitiation) {
   options.initiation = DdbInitiation::kDelayed;
   options.initiation_delay = SimTime::zero();
   options.abort_victim = false;
-  std::uint64_t frames = 0;
-  Controller c(
-      s0, 2, [&frames](SiteId, BytesView b) { frames += b.size(); },
-      [](ResourceId r) { return SiteId{r.value() % 2}; }, options,
-      [](SimTime, const std::function<void()>&) {});
+  CountingHost host;
+  Controller c(s0, 2, host, options);
 
   const auto deliver = [&c](SiteId from, const DdbMessage& m) {
     return c.on_message(from, encode_small(m).view()).ok();
@@ -543,7 +556,7 @@ TEST(ZeroAlloc, WarmDdbControllerEagerInitiation) {
   EXPECT_EQ(st.meaningful_probes - warm.meaningful_probes,
             std::uint64_t{kRounds});
   EXPECT_EQ(st.deadlocks_declared, 0u);
-  EXPECT_GT(frames, 0u);
+  EXPECT_GT(host.frames, 0u);
 }
 
 // A walk that closes one hop early, each round: t1 (home S1) holds rA@S0
@@ -562,15 +575,9 @@ TEST(ZeroAlloc, WarmDdbControllerEarlyClosure) {
   DdbOptions options;
   options.initiation = DdbInitiation::kManual;
   options.abort_victim = false;
-  std::uint64_t frames = 0;
-  Controller c(
-      s0, 2, [&frames](SiteId, BytesView b) { frames += b.size(); },
-      [](ResourceId r) { return SiteId{r.value() % 2}; }, options, nullptr);
-  std::uint64_t declared_t2 = 0;
-  c.set_deadlock_callback(
-      [&declared_t2, t2](TransactionId victim, const DdbProbeTag&) {
-        declared_t2 += victim == t2 ? 1 : 0;
-      });
+  CountingHost host;
+  Controller c(s0, 2, host, options);
+  host.watched = t2;
 
   const auto deliver = [&c](SiteId from, const DdbMessage& m) {
     return c.on_message(from, encode_small(m).view()).ok();
@@ -602,11 +609,11 @@ TEST(ZeroAlloc, WarmDdbControllerEarlyClosure) {
   const ControllerStats& st = c.stats();
   EXPECT_EQ(st.early_closures - warm.early_closures, std::uint64_t{kRounds});
   EXPECT_EQ(st.deadlocks_declared, st.early_closures);
-  EXPECT_EQ(declared_t2, st.early_closures);
+  EXPECT_EQ(host.watched_declared, st.early_closures);
   // Per round: t1's release-wait edge, after the declaration.
   EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{kRounds});
   EXPECT_EQ(st.aborts_executed, 0u);
-  EXPECT_GT(frames, 0u);
+  EXPECT_GT(host.frames, 0u);
 }
 
 TEST(ZeroAlloc, ClusterConstructionTakesAFewBlocks) {

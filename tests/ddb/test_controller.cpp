@@ -27,32 +27,50 @@
 namespace cmh::ddb {
 namespace {
 
-/// Manual message fabric for controllers: sends queue per channel; tests
-/// deliver selectively (FIFO per channel, arbitrary interleaving across
-/// channels -- exactly the paper's network model).  Under kDelayed the
-/// block-check timers queue until fire_timers().
-class Rig {
+/// Manual message fabric for controllers, and their one SiteHost: sends
+/// queue per channel; tests deliver selectively (FIFO per channel,
+/// arbitrary interleaving across channels -- exactly the paper's network
+/// model).  Timers queue until fire_timers().
+class Rig final : public SiteHost {
  public:
-  explicit Rig(std::uint32_t n_sites, DdbOptions options = manual_options()) {
+  using GrantHook = std::function<void(TransactionId, ResourceId)>;
+  using AbortHook = std::function<void(TransactionId)>;
+
+  explicit Rig(std::uint32_t n_sites, DdbOptions options = manual_options())
+      : n_sites_(n_sites), grant_hooks_(n_sites), abort_hooks_(n_sites) {
     for (std::uint32_t i = 0; i < n_sites; ++i) {
-      const SiteId id{i};
-      controllers_.push_back(std::make_unique<Controller>(
-          id, n_sites,
-          [this, id](SiteId to, BytesView payload) {
-            wires_[{id, to}].emplace_back(payload.begin(), payload.end());
-          },
-          [n_sites](ResourceId r) { return SiteId{r.value() % n_sites}; },
-          options,
-          options.initiation == DdbInitiation::kDelayed
-              ? TimerFn{[this](SimTime, std::function<void()> fn) {
-                  timers_.push_back(std::move(fn));
-                }}
-              : TimerFn{}));
-      controllers_.back()->set_deadlock_callback(
-          [this, id](TransactionId victim, const DdbProbeTag& tag) {
-            declared_.emplace_back(id, victim, tag);
-          });
+      controllers_.push_back(
+          std::make_unique<Controller>(SiteId{i}, n_sites, *this, options));
     }
+  }
+
+  void send(SiteId from, SiteId to, BytesView payload) override {
+    wires_[{from, to}].emplace_back(payload.begin(), payload.end());
+  }
+  [[nodiscard]] SiteId owner_of(ResourceId r) const override {
+    return SiteId{r.value() % n_sites_};
+  }
+  void schedule(SimTime, std::function<void()> fn) override {
+    timers_.push_back(std::move(fn));
+  }
+  void on_grant(SiteId site, TransactionId txn, ResourceId r) override {
+    if (grant_hooks_.at(site.value())) grant_hooks_[site.value()](txn, r);
+  }
+  void on_abort(SiteId site, TransactionId txn) override {
+    if (abort_hooks_.at(site.value())) abort_hooks_[site.value()](txn);
+  }
+  void on_deadlock(SiteId site, TransactionId victim,
+                   const DdbProbeTag& tag) override {
+    declared_.emplace_back(site, victim, tag);
+  }
+
+  /// Runs `fn` on each grant reported by site `s`'s controller.
+  void on_grant_at(std::uint32_t s, GrantHook fn) {
+    grant_hooks_.at(s) = std::move(fn);
+  }
+  /// Runs `fn` on each abort reported by site `s`'s controller.
+  void on_abort_at(std::uint32_t s, AbortHook fn) {
+    abort_hooks_.at(s) = std::move(fn);
   }
 
   static DdbOptions manual_options() {
@@ -61,8 +79,6 @@ class Rig {
     o.abort_victim = false;
     return o;
   }
-
-  using TimerFn = Controller::TimerFn;
 
   Controller& c(std::uint32_t i) { return *controllers_.at(i); }
 
@@ -170,6 +186,9 @@ class Rig {
   const std::vector<Declared>& declared() const { return declared_; }
 
  private:
+  std::uint32_t n_sites_;
+  std::vector<GrantHook> grant_hooks_;
+  std::vector<AbortHook> abort_hooks_;
   std::vector<std::unique_ptr<Controller>> controllers_;
   std::map<std::pair<SiteId, SiteId>, std::deque<Bytes>> wires_;
   std::vector<Declared> declared_;
@@ -230,7 +249,7 @@ TEST(Controller, QueuedCountsAreSettledBeforeGrantCallbacks) {
   EXPECT_EQ(c.locks().queued(t1), 1u);
   EXPECT_EQ(c.locks().queued(t3), 1u);
   int grants = 0;
-  c.set_grant_callback([&](TransactionId txn, ResourceId resource) {
+  rig.on_grant_at(0, [&](TransactionId txn, ResourceId resource) {
     ++grants;
     EXPECT_EQ(txn, t3);
     EXPECT_EQ(resource, rA);
@@ -383,8 +402,9 @@ TEST(ControllerRegression, GrantCrossingHomeAbortIsDropped) {
   Rig rig(2);
   const ResourceId rB = res_at(1, 0, 2);
   std::vector<TransactionId> granted;
-  rig.c(0).set_grant_callback(
-      [&granted](TransactionId txn, ResourceId) { granted.push_back(txn); });
+  rig.on_grant_at(0, [&granted](TransactionId txn, ResourceId) {
+    granted.push_back(txn);
+  });
   rig.c(0).lock(t1, rB, LockMode::kWrite);  // request S0 -> S1
   rig.deliver_one(0, 1);                    // granted at S1; grant in flight
   ASSERT_TRUE(rig.c(1).locks().holds(rB, t1));
@@ -442,8 +462,7 @@ TEST(ControllerProbe, CycleInitiatedFromBothSidesAbortsOnlyTheYoungest) {
   Rig rig(2, o);
   std::vector<TransactionId> aborted;
   for (const std::uint32_t s : {0u, 1u}) {
-    rig.c(s).set_abort_callback(
-        [&aborted](TransactionId t) { aborted.push_back(t); });
+    rig.on_abort_at(s, [&aborted](TransactionId t) { aborted.push_back(t); });
   }
   ResourceId rA, rB;
   build_cross_deadlock(rig, rA, rB);
@@ -594,8 +613,7 @@ TEST(ControllerElection, BothSidesAbortOnlyTheMemberHoldingFewerLocks) {
   Rig rig(2, o);
   std::vector<TransactionId> aborted;
   for (const std::uint32_t s : {0u, 1u}) {
-    rig.c(s).set_abort_callback(
-        [&aborted](TransactionId t) { aborted.push_back(t); });
+    rig.on_abort_at(s, [&aborted](TransactionId t) { aborted.push_back(t); });
   }
   ResourceId rA, rB;
   build_weighted_cross_deadlock(rig, 0, 1, rA, rB);
