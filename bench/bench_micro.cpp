@@ -49,14 +49,24 @@ void BM_EncodeWfgd(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeWfgd)->Range(1, 1 << 10)->Complexity(benchmark::oN);
 
+// The host of a lone basic-model process: counts the bytes it sends.
+class ByteSinkHost final : public core::ProcessHost {
+ public:
+  void send(ProcessId, ProcessId, BytesView payload) override {
+    bytes += payload.size();
+  }
+  void schedule(ProcessId, SimTime, std::function<void()>) override {}
+  void on_deadlock(ProcessId, const ProbeTag&) override {}
+
+  std::uint64_t bytes{0};
+};
+
 void BM_ProbeHandling(benchmark::State& state) {
   // One meaningful-probe delivery at a non-initiator with an out edge.
   core::Options options;
   options.initiation = core::InitiationMode::kManual;
-  std::uint64_t sink = 0;
-  core::BasicProcess p(
-      ProcessId{1},
-      [&sink](ProcessId, BytesView b) { sink += b.size(); }, options);
+  ByteSinkHost host;
+  core::BasicProcess p(ProcessId{1}, host, options);
   p.send_request(ProcessId{2});
   if (!p.on_message(ProcessId{0},
                     core::encode(core::Message{core::RequestMsg{}}))
@@ -70,7 +80,7 @@ void BM_ProbeHandling(benchmark::State& state) {
         core::Message{core::ProbeMsg{ProbeTag{ProcessId{0}, ++seq}}});
     benchmark::DoNotOptimize(p.on_message(ProcessId{0}, probe));
   }
-  benchmark::DoNotOptimize(sink);
+  benchmark::DoNotOptimize(host.bytes);
 }
 BENCHMARK(BM_ProbeHandling);
 

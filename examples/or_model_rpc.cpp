@@ -21,7 +21,7 @@ void banner(const char* text) { std::printf("\n--- %s ---\n", text); }
 
 int main() {
   runtime::OrCluster cluster(/*n=*/6, /*seed=*/3);
-  cluster.set_detection_callback([&](const runtime::OrDetection& d) {
+  cluster.set_detection_callback([&](const runtime::DeadlockEvent& d) {
     std::printf("[%6lld us] %s declares OR-model deadlock (computation "
                 "#%llu)\n",
                 static_cast<long long>(d.at.micros),
@@ -60,7 +60,7 @@ int main() {
 
   banner("same shape with one live escape is NOT deadlock");
   runtime::OrCluster second(/*n=*/6, /*seed=*/5);
-  second.set_detection_callback([](const runtime::OrDetection&) {
+  second.set_detection_callback([](const runtime::DeadlockEvent&) {
     std::printf("UNEXPECTED declaration!\n");
   });
   second.block(w1, {r0});

@@ -12,6 +12,12 @@ BasicSystem::BasicSystem(BasicScenario scenario)
   if (scenario_.scripts.size() > scenario_.n) {
     throw std::invalid_argument("BasicSystem: more scripts than processes");
   }
+  if (scenario_.options.initiation == core::InitiationMode::kDelayed &&
+      scenario_.options.initiation_delay > SimTime::zero()) {
+    throw std::invalid_argument(
+        "BasicSystem: a positive initiation delay needs timers; exploration "
+        "is timer-free (use T = 0 or kManual)");
+  }
   scenario_.scripts.resize(scenario_.n);
   reset();
 }
@@ -30,21 +36,22 @@ void BasicSystem::reset() {
   processes_.clear();
   processes_.reserve(scenario_.n);
   for (std::uint32_t i = 0; i < scenario_.n; ++i) {
-    const ProcessId id{i};
-    auto process = std::make_unique<core::BasicProcess>(
-        id,
-        [this, id](ProcessId to, BytesView payload) {
-          send_frame(id, to, payload);
-        },
-        scenario_.options);
-    process->set_deadlock_callback([this, id](const ProbeTag&) {
-      auditor_->on_declare(id, now());
-    });
-    processes_.push_back(std::move(process));
+    processes_.push_back(std::make_unique<core::BasicProcess>(
+        ProcessId{i}, static_cast<core::ProcessHost&>(*this),
+        scenario_.options));
   }
 }
 
-void BasicSystem::send_frame(ProcessId from, ProcessId to, BytesView payload) {
+void BasicSystem::schedule(ProcessId, SimTime, std::function<void()>) {
+  throw std::logic_error(
+      "BasicSystem: a process scheduled a timer in a timer-free exploration");
+}
+
+void BasicSystem::on_deadlock(ProcessId who, const ProbeTag&) {
+  auditor_->on_declare(who, now());
+}
+
+void BasicSystem::send(ProcessId from, ProcessId to, BytesView payload) {
   if (scenario_.faults.swallow_probes_from == from && !payload.empty() &&
       payload[0] == core::wire::kProbe) {
     return;  // vanishes before any bookkeeping -- not even the auditor knows
@@ -124,7 +131,7 @@ void BasicSystem::execute(const Transition& t) {
       processes_[t.a]->send_reply(op.peer);
       break;
     case ScriptOp::Kind::kInject:
-      send_frame(ProcessId{t.a}, op.peer, op.payload);
+      send(ProcessId{t.a}, op.peer, op.payload);
       break;
   }
 }

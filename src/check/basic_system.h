@@ -59,14 +59,15 @@ struct FaultPlan {
 struct BasicScenario {
   std::string name;
   std::uint32_t n{0};
-  /// Exploration is timer-free: kDelayed at T = 0 (the default) or kManual.
+  /// Exploration is timer-free: kDelayed at T = 0 (the default) or kManual;
+  /// BasicSystem rejects a positive T at construction.
   core::Options options{};
   /// scripts[i] = ordered ops of process i (may be shorter than n entries).
   std::vector<std::vector<ScriptOp>> scripts;
   FaultPlan faults{};
 };
 
-class BasicSystem final : public System {
+class BasicSystem final : public System, private core::ProcessHost {
  public:
   explicit BasicSystem(BasicScenario scenario);
 
@@ -84,7 +85,13 @@ class BasicSystem final : public System {
 
  private:
   [[nodiscard]] SimTime now() const { return SimTime::us(steps_); }
-  void send_frame(ProcessId from, ProcessId to, BytesView payload);
+  // The processes' host: send() applies the FaultPlan and queues the frame
+  // on its channel; schedule() throws; on_deadlock() tells the auditor.
+  void send(ProcessId from, ProcessId to, BytesView payload) override;
+  void schedule(ProcessId who, SimTime delay,
+                std::function<void()> fn) override;
+  void on_deadlock(ProcessId who, const ProbeTag& tag) override;
+
   [[nodiscard]] bool script_op_enabled(std::uint32_t p) const;
 
   BasicScenario scenario_;

@@ -1,10 +1,8 @@
 // Time representation shared by the simulator (virtual time) and the
-// threaded runtimes (wall-clock mapped onto the same type), and the timer
-// hook both back.
+// threaded runtimes (wall-clock mapped onto the same type).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 
 namespace cmh {
@@ -36,11 +34,5 @@ struct SimTime {
     return os << t.micros << "us";
   }
 };
-
-/// Runs a callback `delay` from now.  The one timer hook of the detectors
-/// (the section-4.3 initiation delay T): the simulator backs it with virtual
-/// time, the threaded runtime with a scheduler thread.  Only a positive T
-/// needs one; at T = 0 a computation starts synchronously.
-using TimerFn = std::function<void(SimTime delay, std::function<void()>)>;
 
 }  // namespace cmh

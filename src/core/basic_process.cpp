@@ -6,18 +6,8 @@
 
 namespace cmh::core {
 
-BasicProcess::BasicProcess(ProcessId id, Sender sender, Options options,
-                           TimerFn timers)
-    : id_(id),
-      sender_(std::move(sender)),
-      options_(options),
-      timers_(std::move(timers)) {
-  if (options_.initiation == InitiationMode::kDelayed &&
-      options_.initiation_delay > SimTime::zero() && !timers_) {
-    throw std::invalid_argument(
-        "BasicProcess: kDelayed with a positive delay requires timers");
-  }
-}
+BasicProcess::BasicProcess(ProcessId id, ProcessHost& host, Options options)
+    : id_(id), host_(host), options_(options) {}
 
 // ---- underlying computation -------------------------------------------------
 
@@ -29,7 +19,7 @@ void BasicProcess::send_request(ProcessId to) {
   out_edges_.insert(to);
   const std::uint64_t epoch = ++out_edge_epoch_[to];
   ++stats_.requests_sent;
-  sender_(to, encode_small(RequestMsg{}).view());
+  host_.send(id_, to, encode_small(RequestMsg{}).view());
   CMH_LOG(kDebug, "basic") << id_ << " requests " << to;
 
   if (options_.initiation == InitiationMode::kManual) return;
@@ -40,7 +30,7 @@ void BasicProcess::send_request(ProcessId to) {
   // Section 4.3: initiate only if this edge still exists, and has existed
   // *continuously*, T time units from now.  The epoch check rejects
   // delete-then-recreate within the window.
-  timers_(options_.initiation_delay, [this, to, epoch] {
+  host_.schedule(id_, options_.initiation_delay, [this, to, epoch] {
     if (out_edges_.contains(to) && out_edge_epoch_[to] == epoch) {
       initiate();
     }
@@ -58,7 +48,7 @@ void BasicProcess::send_reply(ProcessId to) {
   }
   in_black_.erase(to);
   ++stats_.replies_sent;
-  sender_(to, encode_small(ReplyMsg{}).view());
+  host_.send(id_, to, encode_small(ReplyMsg{}).view());
   CMH_LOG(kDebug, "basic") << id_ << " replies to " << to;
 }
 
@@ -113,7 +103,7 @@ void BasicProcess::send_probes_on_outgoing(const ProbeTag& tag) {
   const SmallFrame frame = encode_small(ProbeMsg{tag});
   for (const ProcessId to : out_edges_) {
     ++stats_.probes_sent;
-    sender_(to, frame.view());
+    host_.send(id_, to, frame.view());
   }
 }
 
@@ -154,7 +144,7 @@ void BasicProcess::declare_deadlock(const ProbeTag& tag) {
   deadlocked_ = true;
   ++stats_.deadlocks_declared;
   CMH_LOG(kInfo, "probe") << id_ << " declares deadlock via " << tag;
-  if (on_deadlock_) on_deadlock_(tag);
+  host_.on_deadlock(id_, tag);
   if (options_.propagate_wfgd) start_wfgd();
 }
 
@@ -163,7 +153,7 @@ void BasicProcess::declare_deadlock(const ProbeTag& tag) {
 void BasicProcess::send_wfgd_set(ProcessId to, const WfgdEdgeSet& edges) {
   ++stats_.wfgd_messages_sent;
   encode_into(Message{WfgdMsg{{edges.begin(), edges.end()}}}, scratch_);
-  sender_(to, scratch_);
+  host_.send(id_, to, scratch_);
 }
 
 void BasicProcess::start_wfgd() {

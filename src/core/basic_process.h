@@ -1,12 +1,13 @@
 // BasicProcess -- a basic-model vertex with the Chandy-Misra probe
 // computation (paper sections 2-5) built in.
 //
-// The class is a pure message-driven state machine: it consumes decoded
-// messages via on_message() and emits sends through an injected Sender.  It
-// is transport-agnostic; the simulator, the in-memory threaded transport and
-// the TCP transport all host it unchanged.  Callers must serialize calls per
-// instance (the transports' per-node delivery threads already do), which
-// realizes the paper's atomic-step note under A0-A2.
+// The class is a pure message-driven state machine: it consumes messages
+// via on_message() and reaches the world only through a borrowed
+// ProcessHost (sends, the section-4.3 timer, declarations), so the
+// simulator, the threaded transports and the exhaustive checker all host
+// it unchanged.  Callers must serialize calls per instance (the
+// transports' per-node delivery threads already do), which realizes the
+// paper's atomic-step note under A0-A2.
 //
 // Local knowledge is exactly what P3 allows:
 //   * the set of outgoing wait-for edges (it created them; colors unknown),
@@ -18,7 +19,7 @@
 // steady-state probe traffic performs zero heap allocations.
 #pragma once
 
-#include <functional>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -27,14 +28,9 @@
 #include "common/time.h"
 #include "core/messages.h"
 #include "core/options.h"
+#include "core/process_host.h"
 
 namespace cmh::core {
-
-/// Emits one message toward a peer process.  Harnesses map ProcessId to a
-/// transport node id (usually the identity).  The payload view is only
-/// valid for the duration of the call; transports that defer delivery must
-/// copy it.
-using Sender = std::function<void(ProcessId to, BytesView payload)>;
 
 /// Raised on misuse of the model (e.g. a blocked process trying to reply).
 class ModelViolation : public std::logic_error {
@@ -52,28 +48,33 @@ struct ProcessStats {
   std::uint64_t deadlocks_declared{0};
   std::uint64_t wfgd_messages_sent{0};
   std::uint64_t wfgd_messages_received{0};
+
+  ProcessStats& operator+=(const ProcessStats& o) {
+    requests_sent += o.requests_sent;
+    replies_sent += o.replies_sent;
+    probes_sent += o.probes_sent;
+    probes_received += o.probes_received;
+    meaningful_probes += o.meaningful_probes;
+    computations_initiated += o.computations_initiated;
+    deadlocks_declared += o.deadlocks_declared;
+    wfgd_messages_sent += o.wfgd_messages_sent;
+    wfgd_messages_received += o.wfgd_messages_received;
+    return *this;
+  }
 };
 
 class BasicProcess {
  public:
-  /// Invoked when this process declares "I am on a black cycle" (step A1).
-  using DeadlockCallback = std::function<void(const ProbeTag& tag)>;
-
   using EdgeSet = FlatSet<ProcessId, 8>;
   using WfgdEdgeSet = FlatSet<graph::Edge, 8>;
 
-  /// `timers` is required only for kDelayed with a positive T.
-  BasicProcess(ProcessId id, Sender sender, Options options = {},
-               TimerFn timers = {});
+  /// Borrows `host`, which must outlive it.
+  BasicProcess(ProcessId id, ProcessHost& host, Options options = {});
 
   BasicProcess(const BasicProcess&) = delete;
   BasicProcess& operator=(const BasicProcess&) = delete;
 
   [[nodiscard]] ProcessId id() const { return id_; }
-
-  void set_deadlock_callback(DeadlockCallback cb) {
-    on_deadlock_ = std::move(cb);
-  }
 
   // ---- underlying computation --------------------------------------------
 
@@ -148,10 +149,8 @@ class BasicProcess {
   void send_wfgd_set(ProcessId to, const WfgdEdgeSet& edges);
 
   ProcessId id_;
-  Sender sender_;
+  ProcessHost& host_;
   Options options_;
-  TimerFn timers_;
-  DeadlockCallback on_deadlock_;
 
   EdgeSet out_edges_;
   EdgeSet in_black_;

@@ -8,8 +8,9 @@ namespace cmh::core {
 
 enum class InitiationMode {
   /// Section 4.3: initiate only if the outgoing edge has existed
-  /// continuously for T time units.  At T = 0 this is section 4.2's rule:
-  /// the computation starts inside send_request(), with no timer.
+  /// continuously for T time units (a timer on the host's schedule()).  At
+  /// T = 0 this is section 4.2's rule: the computation starts inside
+  /// send_request(), with no timer.
   kDelayed,
   /// The application calls initiate() explicitly (tests, examples).
   kManual,
@@ -18,8 +19,9 @@ enum class InitiationMode {
 struct Options {
   InitiationMode initiation{InitiationMode::kDelayed};
 
-  /// The T of section 4.3 (only used with kDelayed).  A positive T needs a
-  /// timer hook; the default 0 initiates on every request.
+  /// The T of section 4.3 (only used with kDelayed).  A positive T calls
+  /// ProcessHost::schedule() once per request, which the timer-free
+  /// exploration host rejects; the default 0 initiates on every request.
   SimTime initiation_delay{SimTime::zero()};
 
   /// Run the section-5 WFGD computation after declaring deadlock.

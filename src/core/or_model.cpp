@@ -56,8 +56,8 @@ Result<OrMessage> or_decode(BytesView payload) {
   }
 }
 
-OrProcess::OrProcess(ProcessId id, Sender sender)
-    : id_(id), sender_(std::move(sender)) {}
+OrProcess::OrProcess(ProcessId id, ProcessHost& host)
+    : id_(id), host_(host) {}
 
 void OrProcess::block_on(const std::set<ProcessId>& dependents) {
   if (blocked()) {
@@ -79,7 +79,7 @@ void OrProcess::signal(ProcessId to) {
     throw std::logic_error("OrProcess::signal: blocked processes cannot act");
   }
   ++stats_.signals_sent;
-  sender_(to, or_encode_small(OrMessage{OrSignalMsg{}}).view());
+  host_.send(id_, to, or_encode_small(OrMessage{OrSignalMsg{}}).view());
 }
 
 std::optional<ProbeTag> OrProcess::initiate() {
@@ -102,7 +102,7 @@ void OrProcess::send_wave(const ProbeTag& tag, Engagement& e) {
   const OrFrame frame = or_encode_small(OrMessage{OrQueryMsg{tag}});
   for (const ProcessId to : *dependent_set_) {
     ++stats_.queries_sent;
-    sender_(to, frame.view());
+    host_.send(id_, to, frame.view());
   }
 }
 
@@ -147,7 +147,8 @@ void OrProcess::handle_query(ProcessId from, const OrQueryMsg& msg) {
       }
       // Later query of an engagement we already serve: reply immediately.
       ++stats_.replies_sent;
-      sender_(from, or_encode_small(OrMessage{OrReplyMsg{msg.tag}}).view());
+      host_.send(id_, from,
+                 or_encode_small(OrMessage{OrReplyMsg{msg.tag}}).view());
       return;
     }
   }
@@ -182,11 +183,12 @@ void OrProcess::complete_wave(const ProbeTag& tag, Engagement& e) {
     declared_ = true;
     ++stats_.deadlocks_declared;
     CMH_LOG(kInfo, "or") << id_ << " declares OR-model deadlock via " << tag;
-    if (on_deadlock_) on_deadlock_(tag);
+    host_.on_deadlock(id_, tag);
     return;
   }
   ++stats_.replies_sent;
-  sender_(e.engager, or_encode_small(OrMessage{OrReplyMsg{tag}}).view());
+  host_.send(id_, e.engager,
+             or_encode_small(OrMessage{OrReplyMsg{tag}}).view());
 }
 
 }  // namespace cmh::core

@@ -27,7 +27,6 @@
 //     since engagement (checked with a local wait-epoch counter).
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -36,6 +35,7 @@
 #include "common/ids.h"
 #include "common/serialize.h"
 #include "common/status.h"
+#include "core/process_host.h"
 
 namespace cmh::core {
 
@@ -68,14 +68,23 @@ struct OrStats {
   std::uint64_t signals_sent{0};
   std::uint64_t computations_initiated{0};
   std::uint64_t deadlocks_declared{0};
+
+  OrStats& operator+=(const OrStats& o) {
+    queries_sent += o.queries_sent;
+    queries_received += o.queries_received;
+    replies_sent += o.replies_sent;
+    replies_received += o.replies_received;
+    signals_sent += o.signals_sent;
+    computations_initiated += o.computations_initiated;
+    deadlocks_declared += o.deadlocks_declared;
+    return *this;
+  }
 };
 
 class OrProcess {
  public:
-  using Sender = std::function<void(ProcessId to, BytesView payload)>;
-  using DeadlockCallback = std::function<void(const ProbeTag& tag)>;
-
-  OrProcess(ProcessId id, Sender sender);
+  /// Borrows `host`, which must outlive it; never calls host.schedule().
+  OrProcess(ProcessId id, ProcessHost& host);
 
   OrProcess(const OrProcess&) = delete;
   OrProcess& operator=(const OrProcess&) = delete;
@@ -89,10 +98,6 @@ class OrProcess {
   }
   [[nodiscard]] const OrStats& stats() const { return stats_; }
   [[nodiscard]] bool declared_deadlock() const { return declared_; }
-
-  void set_deadlock_callback(DeadlockCallback cb) {
-    on_deadlock_ = std::move(cb);
-  }
 
   /// Blocks on `dependents` (OR semantics: any signal releases) and
   /// initiates a detection computation.  Must be active.
@@ -122,8 +127,7 @@ class OrProcess {
   void complete_wave(const ProbeTag& tag, Engagement& e);
 
   ProcessId id_;
-  Sender sender_;
-  DeadlockCallback on_deadlock_;
+  ProcessHost& host_;
 
   std::optional<std::set<ProcessId>> dependent_set_;
   // Bumped on every block/unblock; replies/engagements from an older epoch

@@ -11,7 +11,7 @@ SimCluster::SimCluster(std::uint32_t n, core::Options options,
 
 SimCluster::SimCluster(std::uint32_t n, core::Options options,
                        const SimClusterConfig& config)
-    : sim_(config.seed, config.delays, config.shards),
+    : SimHost(n, config.seed, config.delays, config.shards, options),
       track_oracle_(config.track_oracle) {
   if (track_oracle_ && config.shards > 1) {
     throw std::invalid_argument(
@@ -33,51 +33,23 @@ SimCluster::SimCluster(std::uint32_t n, core::Options options,
         .abort_on_violation = config.abort_on_violation,
         .check_qrp1 = options.initiation != core::InitiationMode::kManual});
     audit_adapter_ = std::make_unique<AuditAdapter>(*auditor_);
-    sim_.set_observer(audit_adapter_.get());
-  }
-  processes_.reserve(n);
-  // Node ids equal process ids by construction.
-  for (std::uint32_t i = 0; i < n; ++i) sim_.add_node({});
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const ProcessId id{i};
-    auto process = std::make_unique<core::BasicProcess>(
-        id,
-        [this, id](ProcessId to, BytesView payload) {
-          sim_.send(id.value(), to.value(), payload);
-        },
-        options,
-        [this](SimTime delay, std::function<void()> fn) {
-          sim_.schedule(delay, std::move(fn));
-        });
-    process->set_deadlock_callback([this, id](const ProbeTag& tag) {
-      const DeadlockEvent event{tag, id, sim_.now()};
-      // QRP2 is checked at this exact instant: the shadow graph still
-      // reflects the moment of declaration.
-      if (auditor_) auditor_->on_declare(id, event.at);
-      {
-        const MutexLock lock(detections_mutex_);
-        detections_.push_back(event);
-        detection_count_.store(detections_.size(), std::memory_order_release);
-      }
-      if (on_detection_) on_detection_(event);
-    });
-    processes_.push_back(std::move(process));
-    sim_.set_handler(i, [this, id](sim::NodeId from, BytesView payload) {
-      on_delivery(id, ProcessId{from}, payload);
-    });
+    simulator().set_observer(audit_adapter_.get());
   }
 }
 
-void SimCluster::on_delivery(ProcessId to, ProcessId from,
-                             BytesView payload) {
+void SimCluster::on_deadlock(ProcessId who, const ProbeTag& tag) {
+  // QRP2 is checked at this exact instant: the shadow graph still reflects
+  // the moment of declaration.
+  if (auditor_) auditor_->on_declare(who, simulator().now());
+  SimHost::on_deadlock(who, tag);
+}
+
+void SimCluster::deliver(ProcessId to, ProcessId from, BytesView payload) {
   if (!track_oracle_) {
     // Perf path (and the only shard-safe path): no decode, no global graph,
     // no hooks -- just the process.  Runs concurrently across shards.
-    const auto st = processes_[to.value()]->on_message(from, payload);
-    if (!st.ok()) throw std::logic_error("on_message: " + st.to_string());
-    if (auditor_) {
-      auditor_->check_local_view(*processes_[to.value()], sim_.now());
-    }
+    SimHost::deliver(to, from, payload);
+    if (auditor_) auditor_->check_local_view(process(to), simulator().now());
     return;
   }
   // Oracle transitions happen at delivery instants (G2, G4); decode first to
@@ -94,13 +66,10 @@ void SimCluster::on_delivery(ProcessId to, ProcessId from,
     const auto st = oracle_.remove(to, from);
     if (!st.ok()) throw std::logic_error("oracle remove: " + st.to_string());
   }
-  const auto st = processes_.at(to.value())->on_message(from, payload);
-  if (!st.ok()) throw std::logic_error("on_message: " + st.to_string());
+  SimHost::deliver(to, from, payload);
   // P3: the receiver's local view must equal the shadow graph's projection
   // now that it has folded in this delivery.
-  if (auditor_) {
-    auditor_->check_local_view(*processes_[to.value()], sim_.now());
-  }
+  if (auditor_) auditor_->check_local_view(process(to), simulator().now());
   for (const DeliveryHook& hook : hooks_) hook(to, from, *decoded);
 }
 
@@ -130,35 +99,18 @@ void SimCluster::add_delivery_hook(DeliveryHook hook) {
   hooks_.push_back(std::move(hook));
 }
 
-core::ProcessStats SimCluster::total_stats() const {
-  core::ProcessStats total;
-  for (const auto& p : processes_) {
-    const auto& s = p->stats();
-    total.requests_sent += s.requests_sent;
-    total.replies_sent += s.replies_sent;
-    total.probes_sent += s.probes_sent;
-    total.probes_received += s.probes_received;
-    total.meaningful_probes += s.meaningful_probes;
-    total.computations_initiated += s.computations_initiated;
-    total.deadlocks_declared += s.deadlocks_declared;
-    total.wfgd_messages_sent += s.wfgd_messages_sent;
-    total.wfgd_messages_received += s.wfgd_messages_received;
-  }
-  return total;
-}
-
 SimTime SimCluster::run() {
-  const SimTime t = sim_.run();
+  const SimTime t = SimHost::run();
   if (auditor_) auditor_->finalize(t);
   return t;
 }
 
 bool SimCluster::run_until_detection() {
   const bool found =
-      sim_.run_while_pending([this] { return detection_count() > 0; });
+      simulator().run_while_pending([this] { return detection_count() > 0; });
   // An early stop leaves frames legitimately in flight; only a drained
   // transport is quiescent enough for the P4/QRP1 oracles.
-  if (auditor_ && sim_.idle()) auditor_->finalize(sim_.now());
+  if (auditor_ && simulator().idle()) auditor_->finalize(simulator().now());
   return found;
 }
 

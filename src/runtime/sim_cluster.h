@@ -1,5 +1,5 @@
-// SimCluster -- hosts N BasicProcess instances on the discrete-event
-// simulator and maintains a ground-truth colored wait-for graph alongside.
+// SimCluster -- a SimHost of N BasicProcess instances that maintains a
+// ground-truth colored wait-for graph alongside.
 //
 // The oracle graph is updated at the *true* instants of the model:
 //   create  -- when a request is sent        (G1)
@@ -16,16 +16,15 @@
 // under a mutex).
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "check/invariant_auditor.h"
-#include "common/sync.h"
 #include "core/basic_process.h"
 #include "graph/wait_for_graph.h"
-#include "sim/simulator.h"
+#include "runtime/sim_host.h"
 
 namespace cmh::runtime {
 
@@ -37,12 +36,6 @@ inline constexpr bool kAuditDefault = false;
 #else
 inline constexpr bool kAuditDefault = true;
 #endif
-
-struct DeadlockEvent {
-  ProbeTag tag;       // which computation detected
-  ProcessId process;  // who declared (== tag.initiator)
-  SimTime at;         // virtual time of declaration
-};
 
 /// Construction knobs beyond the per-process Options.
 struct SimClusterConfig {
@@ -64,20 +57,13 @@ struct SimClusterConfig {
   bool abort_on_violation{true};
 };
 
-class SimCluster {
+class SimCluster final : public SimHost<core::BasicProcess> {
  public:
   SimCluster(std::uint32_t n, core::Options options, std::uint64_t seed = 1,
              sim::DelayModel delays = {});
   SimCluster(std::uint32_t n, core::Options options,
              const SimClusterConfig& config);
 
-  [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(processes_.size());
-  }
-  [[nodiscard]] core::BasicProcess& process(ProcessId id) {
-    return *processes_.at(id.value());
-  }
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] const graph::WaitForGraph& oracle() const { return oracle_; }
 
   /// p_from sends a request to p_to (kicks the initiation policy).
@@ -85,31 +71,6 @@ class SimCluster {
 
   /// p_from replies to p_to's pending request.
   void reply(ProcessId from, ProcessId to);
-
-  /// Deadlock declarations observed so far (chronological).  Returns a
-  /// snapshot by value: in sharded runs declarations land from shard worker
-  /// threads, so handing out a reference to the live vector would let the
-  /// caller read it unguarded.
-  [[nodiscard]] std::vector<DeadlockEvent> detections() const {
-    const MutexLock lock(detections_mutex_);
-    return detections_;
-  }
-
-  /// Number of declarations so far (lock-free; safe from any thread).
-  [[nodiscard]] std::size_t detection_count() const {
-    return detection_count_.load(std::memory_order_acquire);
-  }
-
-  /// Invoked synchronously at the instant a process declares deadlock --
-  /// the oracle still reflects that exact moment, so QRP2 can be asserted
-  /// literally ("on a black cycle at the time the probe is received").
-  using DetectionCallback = std::function<void(const DeadlockEvent&)>;
-  void set_detection_callback(DetectionCallback cb) {
-    on_detection_ = std::move(cb);
-  }
-
-  /// Sum of a per-process counter across the cluster.
-  [[nodiscard]] core::ProcessStats total_stats() const;
 
   /// Per-delivery hooks (run after the process handled the message).  Used
   /// by workloads and baseline detectors to react to request/reply arrivals.
@@ -128,9 +89,7 @@ class SimCluster {
   bool run_until_detection();
 
   /// The attached auditor, or nullptr when SimClusterConfig::audit is off.
-  [[nodiscard]] check::InvariantAuditor* auditor() {
-    return auditor_ ? auditor_.get() : nullptr;
-  }
+  [[nodiscard]] check::InvariantAuditor* auditor() { return auditor_.get(); }
 
   /// Violations accumulated so far (empty string when clean or audit off).
   [[nodiscard]] std::string audit_report() const {
@@ -157,22 +116,14 @@ class SimCluster {
     check::InvariantAuditor& auditor_;
   };
 
-  void on_delivery(ProcessId to, ProcessId from, BytesView payload);
+  void deliver(ProcessId to, ProcessId from, BytesView payload) override;
+  void on_deadlock(ProcessId who, const ProbeTag& tag) override;
 
-  sim::Simulator sim_;
   bool track_oracle_;
   std::unique_ptr<check::InvariantAuditor> auditor_;
   std::unique_ptr<AuditAdapter> audit_adapter_;
   graph::WaitForGraph oracle_;
-  std::vector<std::unique_ptr<core::BasicProcess>> processes_;
-  // Declarations may come from shard workers; the atomic count lets the
-  // sequential run-until-detection predicate poll without taking the lock
-  // on every event.
-  mutable Mutex detections_mutex_;
-  std::vector<DeadlockEvent> detections_ CMH_GUARDED_BY(detections_mutex_);
-  std::atomic<std::size_t> detection_count_{0};
   std::vector<DeliveryHook> hooks_;
-  DetectionCallback on_detection_;
 };
 
 }  // namespace cmh::runtime

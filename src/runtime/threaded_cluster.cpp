@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "common/logging.h"
+
 namespace cmh::runtime {
 
 // ---- ThreadTimerService -----------------------------------------------------
@@ -76,43 +78,20 @@ ThreadedCluster::ThreadedCluster(net::Transport& transport, std::uint32_t n,
     : transport_(transport) {
   cells_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
+    // Built while still thread-local; the process is only ever touched
+    // under its cell's mutex once the transport starts.
     cells_.push_back(std::make_unique<Cell>());
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const ProcessId id{i};
-    Cell& cell = *cells_[i];
-    // Built and wired while still thread-local, then published into the
-    // cell; the pointee is only ever dereferenced under cell.mutex once the
-    // transport starts.
-    auto process = std::make_unique<core::BasicProcess>(
-        id,
-        [this, id](ProcessId to, BytesView payload) {
-          transport_.send(id.value(), to.value(), payload);
-        },
-        options,
-        // The kDelayed timer calls back into the process, so it runs under
-        // the cell's mutex like every other touch of the process.
-        [this, &cell](SimTime delay, std::function<void()> fn) {
-          timers_.schedule(delay, [&cell, f = std::move(fn)] {
-            const MutexLock lock(cell.mutex);
-            f();
-          });
-        });
-    process->set_deadlock_callback([this, id](const ProbeTag&) {
-      {
-        const MutexLock lock(detect_mutex_);
-        detections_.push_back(id);
-      }
-      detect_cv_.notify_all();
-    });
-    cell.process = std::move(process);
+    cells_.back()->process = std::make_unique<core::BasicProcess>(
+        ProcessId{i}, static_cast<core::ProcessHost&>(*this), options);
     const auto node = transport_.add_node(
         [this, i](net::NodeId from, BytesView payload) {
           Cell& c = *cells_[i];
           const MutexLock lock(c.mutex);
           const auto st = c.process->on_message(ProcessId{from}, payload);
-          if (!st.ok()) {
-            // Malformed frame from a peer: drop (logged by caller layers).
+          if (!st.ok()) {  // dropped; the process state is untouched
+            CMH_LOG(kWarn, "threaded")
+                << ProcessId{i} << " drops an undecodable frame from "
+                << ProcessId{from} << ": " << st.to_string();
           }
         });
     if (node != i) {
@@ -123,6 +102,28 @@ ThreadedCluster::ThreadedCluster(net::Transport& transport, std::uint32_t n,
 }
 
 ThreadedCluster::~ThreadedCluster() { stop(); }
+
+void ThreadedCluster::send(ProcessId from, ProcessId to, BytesView payload) {
+  transport_.send(from.value(), to.value(), payload);
+}
+
+void ThreadedCluster::schedule(ProcessId who, SimTime delay,
+                               std::function<void()> fn) {
+  // The kDelayed timer calls back into the process, so it runs under the
+  // cell's mutex like every other touch of the process.
+  timers_.schedule(delay, [this, who, f = std::move(fn)] {
+    const MutexLock lock(cells_[who.value()]->mutex);
+    f();
+  });
+}
+
+void ThreadedCluster::on_deadlock(ProcessId who, const ProbeTag&) {
+  {
+    const MutexLock lock(detect_mutex_);
+    detections_.push_back(who);
+  }
+  detect_cv_.notify_all();
+}
 
 void ThreadedCluster::stop() {
   {

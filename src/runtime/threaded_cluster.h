@@ -9,9 +9,9 @@
 // Capability model (DESIGN.md section 7.2): Cell::mutex guards the hosted
 // BasicProcess (every touch of the process happens under it, whether from
 // the application thread, a transport deliverer, or a timer callback --
-// each process's timer hook re-takes it around the callback); detect_mutex_
-// guards the detection log.  Lock order where they nest: Cell::mutex before
-// detect_mutex_ (the deadlock callback runs inside on_message).
+// schedule(who, ...) re-takes who's mutex around the callback);
+// detect_mutex_ guards the detection log.  Lock order where they nest:
+// Cell::mutex before detect_mutex_ (on_deadlock runs inside on_message).
 #pragma once
 
 #include <map>
@@ -50,7 +50,7 @@ class ThreadTimerService {
   std::thread worker_;
 };
 
-class ThreadedCluster {
+class ThreadedCluster final : private core::ProcessHost {
  public:
   /// The transport must be freshly constructed (no nodes yet) and outlive
   /// the cluster.  The cluster registers n nodes and starts the transport.
@@ -91,6 +91,11 @@ class ThreadedCluster {
     // pointee is the per-process critical state.
     std::unique_ptr<core::BasicProcess> process CMH_PT_GUARDED_BY(mutex);
   };
+
+  void send(ProcessId from, ProcessId to, BytesView payload) override;
+  void schedule(ProcessId who, SimTime delay,
+                std::function<void()> fn) override;
+  void on_deadlock(ProcessId who, const ProbeTag& tag) override;
 
   net::Transport& transport_;
   ThreadTimerService timers_;

@@ -237,6 +237,18 @@ TEST(Exhaustive, DdbRejectsTimerBasedInitiation) {
   EXPECT_THROW(DdbSystem{scenario}, std::invalid_argument);
 }
 
+TEST(Exhaustive, BasicRejectsTimerBasedInitiation) {
+  BasicScenario scenario = ring_of_three();
+  scenario.options.initiation_delay = SimTime::ms(2);
+  try {
+    BasicSystem sys(scenario);
+    FAIL() << "a positive T must be rejected at construction";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("timer-free"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- seeded bugs: one planted defect per axiom ----------------------------
 
 Bytes request_frame() { return core::encode(core::Message{core::RequestMsg{}}); }

@@ -35,6 +35,14 @@ AuditorConfig accumulate() {
   return {.abort_on_violation = false, .check_qrp1 = true};
 }
 
+/// The host of a process whose sends and declarations nobody reads.
+class NullHost final : public core::ProcessHost {
+ public:
+  void send(ProcessId, ProcessId, BytesView) override {}
+  void schedule(ProcessId, SimTime, std::function<void()>) override {}
+  void on_deadlock(ProcessId, const ProbeTag&) override {}
+};
+
 TEST(InvariantAuditor, CleanLifecycleIsSilent) {
   InvariantAuditor a(accumulate());
   a.on_send(p0, p1, request_frame(), at(0));
@@ -204,7 +212,8 @@ TEST(InvariantAuditor, LocalViewProjectionP3) {
   InvariantAuditor a(accumulate());
   core::Options options;
   options.initiation = core::InitiationMode::kManual;
-  core::BasicProcess process{p1, [](ProcessId, BytesView) {}, options};
+  NullHost host;
+  core::BasicProcess process{p1, host, options};
 
   const Bytes req = request_frame();
   a.on_send(p0, p1, req, at(0));

@@ -12,22 +12,31 @@
 namespace cmh::core {
 namespace {
 
-/// Manual message fabric: sends queue up; tests deliver selectively.
-class Rig {
+/// Manual message fabric, the host of its processes: sends queue up; tests
+/// deliver selectively.  Timer-free: the rigs run kManual or T = 0.
+class Rig final : public ProcessHost {
  public:
-  explicit Rig(std::uint32_t n, Options options = {}) {
+  explicit Rig(std::uint32_t n, Options options = {}) : declarations_(n) {
     for (std::uint32_t i = 0; i < n; ++i) {
-      const ProcessId id{i};
-      procs_.push_back(std::make_unique<BasicProcess>(
-          id,
-          [this, id](ProcessId to, BytesView payload) {
-            wires_[{id, to}].emplace_back(payload.begin(), payload.end());
-          },
-          options));
+      procs_.push_back(
+          std::make_unique<BasicProcess>(ProcessId{i}, *this, options));
     }
   }
 
+  void send(ProcessId from, ProcessId to, BytesView payload) override {
+    wires_[{from, to}].emplace_back(payload.begin(), payload.end());
+  }
+  void schedule(ProcessId, SimTime, std::function<void()>) override {
+    ADD_FAILURE() << "the rig's processes run without timers";
+  }
+  void on_deadlock(ProcessId who, const ProbeTag&) override {
+    ++declarations_.at(who.value());
+  }
+
   BasicProcess& p(std::uint32_t i) { return *procs_.at(i); }
+
+  /// Declarations process i reported to its host.
+  int declarations(std::uint32_t i) const { return declarations_.at(i); }
 
   std::size_t pending(std::uint32_t from, std::uint32_t to) {
     return wires_[{ProcessId{from}, ProcessId{to}}].size();
@@ -69,6 +78,22 @@ class Rig {
  private:
   std::vector<std::unique_ptr<BasicProcess>> procs_;
   std::map<std::pair<ProcessId, ProcessId>, std::deque<Bytes>> wires_;
+  std::vector<int> declarations_;
+};
+
+/// The host of one process: records its sends and fails the test on any
+/// timer.
+class RecordingHost final : public ProcessHost {
+ public:
+  void send(ProcessId, ProcessId, BytesView payload) override {
+    sent.emplace_back(payload.begin(), payload.end());
+  }
+  void schedule(ProcessId, SimTime, std::function<void()>) override {
+    ADD_FAILURE() << "schedule() called";
+  }
+  void on_deadlock(ProcessId, const ProbeTag&) override {}
+
+  std::vector<Bytes> sent;
 };
 
 Options manual() {
@@ -274,11 +299,9 @@ TEST(Probe, InitiatorDeclaresOnlyOncePerComputation) {
   rig.p(1).send_request(ProcessId{0});
   rig.p(2).send_request(ProcessId{0});
   rig.deliver_all();
-  int declarations = 0;
-  rig.p(0).set_deadlock_callback([&](const ProbeTag&) { ++declarations; });
   ASSERT_TRUE(rig.p(0).initiate().has_value());
   rig.deliver_all();
-  EXPECT_EQ(declarations, 1);
+  EXPECT_EQ(rig.declarations(0), 1);
   EXPECT_EQ(rig.p(0).stats().deadlocks_declared, 1u);
 }
 
@@ -316,12 +339,12 @@ TEST(Probe, OnRequestModeInitiatesAutomatically) {
 }
 
 TEST(Probe, DefaultOptionsInitiateInsideSendRequestWithoutTimer) {
-  // T = 0 needs no timer hook: the request and the computation's probe
-  // leave inside the one send_request() call.
-  std::vector<Bytes> sent;
-  BasicProcess p(ProcessId{0}, [&sent](ProcessId, BytesView payload) {
-    sent.emplace_back(payload.begin(), payload.end());
-  });
+  // T = 0 needs no timer: the request and the computation's probe leave
+  // inside the one send_request() call, and the host's schedule() is never
+  // called.
+  RecordingHost host;
+  const std::vector<Bytes>& sent = host.sent;
+  BasicProcess p(ProcessId{0}, host);
   p.send_request(ProcessId{1});
   EXPECT_EQ(p.stats().computations_initiated, 1u);
   ASSERT_EQ(sent.size(), 2u);
@@ -329,14 +352,6 @@ TEST(Probe, DefaultOptionsInitiateInsideSendRequestWithoutTimer) {
   ASSERT_TRUE(probe.ok());
   ASSERT_TRUE(std::holds_alternative<ProbeMsg>(*probe));
   EXPECT_EQ(std::get<ProbeMsg>(*probe).tag, (ProbeTag{ProcessId{0}, 1}));
-}
-
-TEST(Probe, DelayedModeRequiresTimerService) {
-  Options o;
-  o.initiation = InitiationMode::kDelayed;
-  o.initiation_delay = SimTime::ms(10);
-  EXPECT_THROW(BasicProcess(ProcessId{0}, [](ProcessId, BytesView) {}, o),
-               std::invalid_argument);
 }
 
 // ---- stats ------------------------------------------------------------------------

@@ -168,7 +168,7 @@ TEST(OrDetection, SignalRaceDoesNotProducePhantom) {
   // p2 blocks on p0 and is then signalled free by p3; queries of stale
   // engagements must not certify p2 as permanently blocked.
   OrCluster cluster(4, 7);
-  cluster.set_detection_callback([&](const runtime::OrDetection& d) {
+  cluster.set_detection_callback([&](const runtime::DeadlockEvent& d) {
     EXPECT_TRUE(cluster.oracle_deadlocked(d.process))
         << d.process << " declared but oracle disagrees";
   });
@@ -186,7 +186,7 @@ TEST(OrDetection, ReblockedProcessDoesNotSatisfyOldWave) {
   // p2 is released and re-blocks; replies tied to its old wait epoch must
   // be void (the "continuously blocked" condition).
   OrCluster cluster(4, 9);
-  cluster.set_detection_callback([&](const runtime::OrDetection& d) {
+  cluster.set_detection_callback([&](const runtime::DeadlockEvent& d) {
     EXPECT_TRUE(cluster.oracle_deadlocked(d.process));
   });
   cluster.block(p0, {p1});
@@ -209,7 +209,7 @@ class OrProperties : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(OrProperties, SoundAndCompleteOnRandomWaitStructures) {
   Rng rng(GetParam());
   OrCluster cluster(10, GetParam() * 3 + 1);
-  cluster.set_detection_callback([&](const runtime::OrDetection& d) {
+  cluster.set_detection_callback([&](const runtime::DeadlockEvent& d) {
     EXPECT_TRUE(cluster.oracle_deadlocked(d.process))
         << d.process << " declared; oracle disagrees (seed " << GetParam()
         << ")";

@@ -76,13 +76,24 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace cmh::core {
 namespace {
 
+// The host of a lone process: counts the bytes it sends.
+class ByteSinkHost final : public ProcessHost {
+ public:
+  void send(ProcessId, ProcessId, BytesView payload) override {
+    bytes += payload.size();
+  }
+  void schedule(ProcessId, SimTime, std::function<void()>) override {}
+  void on_deadlock(ProcessId, const ProbeTag&) override {}
+
+  std::uint64_t bytes{0};
+};
+
 TEST(ZeroAlloc, SteadyStateProbeEncodeHandleForward) {
   Options options;
   options.initiation = InitiationMode::kManual;
-  std::uint64_t sink = 0;
-  BasicProcess p(
-      ProcessId{1}, [&sink](ProcessId, BytesView b) { sink += b.size(); },
-      options);
+  ByteSinkHost host;
+  const std::uint64_t& sink = host.bytes;
+  BasicProcess p(ProcessId{1}, host, options);
   p.send_request(ProcessId{2});  // outgoing edge: probes will forward
   ASSERT_TRUE(
       p.on_message(ProcessId{0}, encode(Message{RequestMsg{}})).ok());

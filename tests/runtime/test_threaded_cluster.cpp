@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "net/inmemory_transport.h"
 #include "net/tcp_transport.h"
 
@@ -127,6 +128,29 @@ TEST(ThreadedCluster, DelayedInitiationOverThreads) {
   const auto declarer = cluster.wait_for_detection(5000ms);
   ASSERT_TRUE(declarer.has_value());
   cluster.stop();
+}
+
+TEST(ThreadedCluster, UndecodablePeerFrameIsLoggedAndDropped) {
+  net::InMemoryTransport transport;
+  ThreadedCluster cluster(transport, 4, core::Options{});
+  set_log_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  // A frame no codec accepts, on the channel the ring's first request and
+  // probes use next (FIFO): it is delivered and dropped before them.
+  const Bytes garbage{0xFF, 0x00, 0x13};
+  transport.send(0, 1, garbage);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    cluster.request(ProcessId{i}, ProcessId{(i + 1) % 4});
+  }
+  const auto declarer = cluster.wait_for_detection(5000ms);
+  cluster.stop();
+  const std::string log = testing::internal::GetCapturedStderr();
+  set_log_level(LogLevel::kOff);
+  ASSERT_TRUE(declarer.has_value());
+  EXPECT_TRUE(cluster.declared(*declarer));
+  EXPECT_NE(log.find("p1 drops an undecodable frame from p0"),
+            std::string::npos)
+      << log;
 }
 
 TEST(ThreadedCluster, StopIsIdempotentAndJoins) {
