@@ -179,20 +179,12 @@ class ClosureObserver final : public ddb::TxnObserver {
 Row run(std::uint32_t hot_set, SimTime delay, std::uint64_t first_seed,
         std::uint64_t seeds, std::uint64_t episodes) {
   Row row;
-  ddb::TxnScriptConfig script;
-  script.locks_per_txn = 3;
-  script.write_fraction = 0.8;
-  script.hold_time = SimTime::ms(2);
-  script.retry_backoff = SimTime::ms(1);
-  script.max_retries = 25;
-  script.hot_set = hot_set;
+  const ddb::TxnScriptConfig script = ddb::t5_script(hot_set);
   for (std::uint64_t seed = first_seed; seed < first_seed + seeds; ++seed) {
     for (std::uint64_t episode = 0; episode < episodes; ++episode) {
       const std::uint64_t eseed = ddb::episode_seed(seed, episode);
-      ddb::DdbOptions options;
-      options.initiation = ddb::DdbInitiation::kDelayed;
+      ddb::DdbOptions options = ddb::t5_options();
       options.initiation_delay = delay;
-      options.abort_victim = true;
       ddb::Cluster db({.n_sites = kSites,
                        .n_resources = hot_set,
                        .options = options,

@@ -171,22 +171,13 @@ void BM_DdbHandleProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_DdbHandleProbe);
 
-// T5's controller options: delayed initiation T = 2 ms, victim abort.
-ddb::DdbOptions t5_options() {
-  ddb::DdbOptions options;
-  options.initiation = ddb::DdbInitiation::kDelayed;
-  options.initiation_delay = SimTime::ms(2);
-  options.abort_victim = true;
-  return options;
-}
-
 void BM_ClusterConstruct(benchmark::State& state) {
   // Building and tearing down the 4-site T5 cluster (hot set 16): the
   // set-up cost perfbench/ reports as setup_s, without the episode.
   for (auto _ : state) {
     ddb::Cluster db({.n_sites = 4,
                      .n_resources = 16,
-                     .options = t5_options(),
+                     .options = ddb::t5_options(),
                      .seed = 1});
     benchmark::DoNotOptimize(&db);
   }
@@ -214,7 +205,7 @@ void BM_ClusterConstructAfterTeardown(benchmark::State& state) {
     state.ResumeTiming();
     db.emplace(ddb::ClusterConfig{.n_sites = 4,
                                   .n_resources = 16,
-                                  .options = t5_options(),
+                                  .options = ddb::t5_options(),
                                   .seed = 1});
     benchmark::DoNotOptimize(&*db);
   }
@@ -227,13 +218,8 @@ void BM_DdbT5Episode(benchmark::State& state) {
   // abort and retry), construction and teardown included: the unit of work
   // of the end-to-end benchmark in perfbench/: its ddb_hot16 episode 0 of
   // seed 1.
-  const ddb::DdbOptions options = t5_options();
-  ddb::TxnScriptConfig cfg;
-  cfg.locks_per_txn = 3;
-  cfg.write_fraction = 0.8;
-  cfg.hot_set = 16;
-  cfg.hold_time = SimTime::ms(2);
-  cfg.max_retries = 25;
+  const ddb::DdbOptions options = ddb::t5_options();
+  const ddb::TxnScriptConfig cfg = ddb::t5_script(16);
   const std::uint64_t seed = ddb::episode_seed(1, 0);
   std::uint64_t events = 0;
   for (auto _ : state) {

@@ -194,16 +194,8 @@ BENCHMARK(BM_WorkloadChurn);
 /// neighbourhood rather than the size of a site's lock table.
 void BM_DdbScaleEpisode(benchmark::State& state) {
   const auto txns = static_cast<std::uint32_t>(state.range(0));
-  ddb::DdbOptions options;
-  options.initiation = ddb::DdbInitiation::kDelayed;
-  options.initiation_delay = SimTime::ms(2);
-  options.abort_victim = true;
-  ddb::TxnScriptConfig cfg;
-  cfg.locks_per_txn = 3;
-  cfg.write_fraction = 0.8;
-  cfg.hot_set = txns;
-  cfg.hold_time = SimTime::ms(2);
-  cfg.max_retries = 25;
+  const ddb::DdbOptions options = ddb::t5_options();
+  const ddb::TxnScriptConfig cfg = ddb::t5_script(txns);
   std::uint64_t events = 0;
   for (auto _ : state) {
     ddb::Cluster db(

@@ -32,12 +32,8 @@ struct Outcome {
 Outcome run_once(std::uint32_t hot_set, bool use_cmh,
                  std::uint64_t episode) {
   const std::uint64_t seed = episode_seed(1, episode);
-  DdbOptions options;
-  if (use_cmh) {
-    options.initiation = DdbInitiation::kDelayed;
-    options.initiation_delay = SimTime::ms(2);
-    options.abort_victim = true;
-  } else {
+  DdbOptions options = t5_options();
+  if (!use_cmh) {
     options.initiation = DdbInitiation::kManual;  // no probes at all
     options.abort_victim = false;
   }
@@ -45,12 +41,7 @@ Outcome run_once(std::uint32_t hot_set, bool use_cmh,
               .n_resources = hot_set,
               .options = options,
               .seed = seed});
-  TxnScriptConfig cfg;
-  cfg.locks_per_txn = 3;
-  cfg.write_fraction = 0.8;
-  cfg.hot_set = hot_set;
-  cfg.hold_time = SimTime::ms(2);
-  cfg.max_retries = 25;
+  TxnScriptConfig cfg = t5_script(hot_set);
   if (!use_cmh) cfg.lock_wait_timeout = SimTime::ms(12);
   TxnWorkload workload(db, cfg, seed ^ kWorkloadSeedSalt);
   workload.start(24);

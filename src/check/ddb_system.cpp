@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ddb/cycle_finder.h"
-
 namespace cmh::check {
 
 DdbSystem::DdbSystem(DdbScenario scenario) : scenario_(std::move(scenario)) {
@@ -28,8 +26,6 @@ void DdbSystem::reset() {
   script_pos_.assign(scenario_.n_sites, 0);
   steps_ = 0;
   event_seq_ = 0;
-  txns_.clear();
-  awaiting_grant_.clear();
   declared_.clear();
   violations_.clear();
   controllers_.clear();
@@ -38,6 +34,16 @@ void DdbSystem::reset() {
     controllers_.push_back(std::make_unique<ddb::Controller>(
         SiteId{s}, scenario_.n_sites, static_cast<ddb::SiteHost&>(*this),
         scenario_.options));
+  }
+  // Each transaction is homed where its script runs.  Ledger ids are
+  // dense: an id no script names is begun too, and never acts.
+  std::map<TransactionId, SiteId> homes;
+  for (std::uint32_t s = 0; s < scenario_.n_sites; ++s) {
+    for (const DdbOp& op : scenario_.scripts[s]) homes[op.txn] = SiteId{s};
+  }
+  ledger_ = {};
+  for (const auto& [txn, home] : homes) {
+    while (ledger_.size() <= txn.value()) (void)ledger_.begin(home);
   }
 }
 
@@ -57,8 +63,7 @@ void DdbSystem::schedule(SimTime, std::function<void()>) {
 }
 
 void DdbSystem::on_grant(SiteId, TransactionId txn, ResourceId resource) {
-  txns_.at(txn).granted.insert(resource);
-  awaiting_grant_.erase(txn);
+  ledger_.grant(txn, resource);
 }
 
 void DdbSystem::on_abort(SiteId, TransactionId) {}
@@ -66,7 +71,8 @@ void DdbSystem::on_abort(SiteId, TransactionId) {}
 void DdbSystem::on_deadlock(SiteId, TransactionId victim,
                             const ddb::DdbProbeTag&) {
   declared_.insert(victim);
-  const auto oracle = oracle_deadlocked();
+  const auto oracle = ledger_.deadlocked(
+      controllers_, static_cast<const ddb::SiteHost&>(*this));
   if (std::find(oracle.begin(), oracle.end(), victim) == oracle.end()) {
     record(Axiom::kQRP2, victim,
            "controller declared " + victim.to_string() +
@@ -89,14 +95,10 @@ bool DdbSystem::script_op_enabled(std::uint32_t s) const {
   if (script_pos_[s] >= script.size()) return false;
   const DdbOp& op = script[script_pos_[s]];
   // The transaction's agent acts sequentially: no new step while a lock of
-  // its is outstanding, and none ever again once it was declared deadlocked
-  // (a deadlocked agent never proceeds).
-  if (awaiting_grant_.contains(op.txn) || declared_.contains(op.txn)) {
-    return false;
-  }
-  const auto it = txns_.find(op.txn);
-  if (it != txns_.end() && it->second.finished) return false;
-  return true;
+  // its is outstanding, none once it ended, and none ever again once it was
+  // declared deadlocked (a deadlocked agent never proceeds).
+  return ledger_.status(op.txn) == ddb::TxnStatus::kActive &&
+         ledger_.all_granted(op.txn) && !declared_.contains(op.txn);
 }
 
 std::vector<Transition> DdbSystem::enabled() {
@@ -133,49 +135,17 @@ void DdbSystem::execute(const Transition& t) {
   const DdbOp& op = scenario_.scripts[t.a][script_pos_[t.a]++];
   ddb::Controller& home = *controllers_[t.a];
   if (op.kind == DdbOp::Kind::kLock) {
-    TxnState& txn = txns_[op.txn];
-    txn.home = SiteId{t.a};
-    txn.requested[op.resource] = {op.mode, home.lock_count(op.txn)};
-    if (home.lock(op.txn, op.resource, op.mode)) {
-      txn.granted.insert(op.resource);
-    } else {
-      awaiting_grant_.insert(op.txn);
-    }
+    ledger_.request(op.txn, op.resource, op.mode, home.lock_count(op.txn));
+    home.lock(op.txn, op.resource, op.mode);  // a grant reaches on_grant()
   } else {
-    txns_[op.txn].finished = true;
+    ledger_.end(op.txn, ddb::TxnStatus::kCommitted);
     home.finish(op.txn);
   }
 }
 
-std::vector<TransactionId> DdbSystem::oracle_deadlocked() const {
-  // Every site's intra-controller wait edges, plus the waits implied by
-  // in-flight (grey) requests (ddb::append_grey_waits()).
-  std::vector<ddb::WaitEdge> edges;
-  std::vector<ddb::WaitEdge> site_edges;
-  for (const auto& c : controllers_) {
-    c->intra_edges(site_edges);
-    edges.insert(edges.end(), site_edges.begin(), site_edges.end());
-  }
-  for (const auto& [txn, state] : txns_) {
-    if (state.finished) continue;
-    for (const auto& [resource, request] : state.requested) {
-      if (state.granted.contains(resource)) continue;
-      const auto& owner =
-          *controllers_.at(scenario_.resource_owner.at(resource.value()).value());
-      ddb::append_grey_waits(owner.locks(), txn, resource, request.mode,
-                             request.held, edges);
-    }
-  }
-  ddb::CycleFinder finder;
-  const auto on_cycle = finder.on_cycle(edges);
-  return {on_cycle.begin(), on_cycle.end()};
-}
-
 std::uint64_t DdbSystem::fingerprint() {
   std::uint64_t h = 0x13198A2E03707344ULL;  // pi again, distinct seed
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { hash_mix(h, v); };
   for (std::uint32_t s = 0; s < scenario_.n_sites; ++s) {
     mix(script_pos_[s]);
     controllers_[s]->mix_state_hash(h);
@@ -190,23 +160,7 @@ std::uint64_t DdbSystem::fingerprint() {
     }
     mix(0xF2);
   }
-  std::vector<TransactionId> ids;
-  ids.reserve(txns_.size());
-  for (const auto& [txn, unused] : txns_) ids.push_back(txn);
-  std::sort(ids.begin(), ids.end());
-  for (const TransactionId t : ids) {
-    const TxnState& state = txns_.at(t);
-    mix(t.value());
-    mix(state.home.value());
-    for (const auto& [r, request] : state.requested) {
-      mix(r.value());
-      mix(static_cast<std::uint64_t>(request.mode));
-      mix(state.granted.contains(r));
-    }
-    mix(state.finished);
-    mix(0xF3);
-  }
-  for (const TransactionId t : awaiting_grant_) mix(t.value());
+  ledger_.mix_state_hash(h);
   mix(0xF4);
   for (const TransactionId t : declared_) mix(t.value());
   return h;
@@ -226,7 +180,8 @@ void DdbSystem::check_final() {
   }
   tally_.early_closures += early_closures;
   if (early_closures > 0) ++tally_.with_early_closure;
-  const auto oracle = oracle_deadlocked();
+  const auto oracle = ledger_.deadlocked(
+      controllers_, static_cast<const ddb::SiteHost&>(*this));
   if (oracle.empty()) return;
   ++tally_.deadlocked;
   for (const TransactionId t : oracle) {

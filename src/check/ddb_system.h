@@ -9,10 +9,10 @@
 //
 // Checked properties (reported in the shared Axiom vocabulary):
 //   QRP2  a controller declares `victim` only while the victim is truly
-//         deadlocked per the transaction-level oracle (intra-controller wait
-//         edges from every lock manager, plus the waits implied by in-flight
-//         grey requests -- ddb::append_grey_waits(), the rule ddb::Cluster's
-//         oracle applies, fed here from harness bookkeeping),
+//         deadlocked per ddb::TxnLedger::deadlocked(), the one DDB ground
+//         truth (ddb::Cluster's too), fed every script step.  An upgrade
+//         clears its lock's granted flag until the write lock is held, so
+//         an upgrade on the wire waits on the other readers,
 //   QRP1  at quiescence, if any transaction is oracle-deadlocked, some
 //         deadlocked transaction was declared.  (The paper promises one
 //         declaration per cycle -- the last closer's computation -- not one
@@ -28,12 +28,12 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "check/explore.h"
 #include "ddb/controller.h"
+#include "ddb/cycle_finder.h"
 
 namespace cmh::check {
 
@@ -104,7 +104,6 @@ class DdbSystem final : public System, private ddb::SiteHost {
  private:
   [[nodiscard]] SimTime now() const { return SimTime::us(steps_); }
   [[nodiscard]] bool script_op_enabled(std::uint32_t s) const;
-  [[nodiscard]] std::vector<TransactionId> oracle_deadlocked() const;
   void record(Axiom axiom, TransactionId txn, std::string detail);
 
   // ddb::SiteHost: every controller's channels are this harness's deques;
@@ -124,23 +123,7 @@ class DdbSystem final : public System, private ddb::SiteHost {
   std::int64_t steps_{0};
   std::uint64_t event_seq_{0};
 
-  // Harness-side transaction bookkeeping for the oracle (what ddb::Cluster
-  // tracks in txns_): requested resources with modes and the lock count
-  // each request carried, granted set, home.
-  struct Request {
-    ddb::LockMode mode;
-    ddb::LockCount held;
-  };
-  struct TxnState {
-    SiteId home{};
-    std::map<ResourceId, Request> requested;
-    std::set<ResourceId> granted;
-    bool finished{false};
-  };
-  std::unordered_map<TransactionId, TxnState> txns_;
-  /// Transactions with an issued-but-ungranted lock (their agent is blocked
-  /// and may not issue further steps).
-  std::set<TransactionId> awaiting_grant_;
+  ddb::TxnLedger ledger_;  // every script step: the oracle's client half
   std::set<TransactionId> declared_;
   std::vector<Violation> violations_;
   LeafTally tally_;

@@ -14,6 +14,12 @@
 
 namespace cmh {
 
+/// Folds `v` into `h` (boost's hash_combine): the step of every state
+/// fingerprint the exhaustive checker takes.
+constexpr void hash_mix(std::uint64_t& h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+}
+
 // CRTP base for an integer-backed strong id.  Provides ordering, hashing
 // support and streaming; arithmetic is deliberately omitted.
 template <typename Tag, typename Rep = std::uint32_t>

@@ -55,30 +55,21 @@ void BasicProcess::send_reply(ProcessId to) {
 Status BasicProcess::on_message(ProcessId from, BytesView payload) {
   auto decoded = decode(payload);
   if (!decoded.ok()) return decoded.status();
-  std::visit(
-      [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, RequestMsg>) {
-          handle_request(from);
-        } else if constexpr (std::is_same_v<T, ReplyMsg>) {
-          handle_reply(from);
-        } else if constexpr (std::is_same_v<T, ProbeMsg>) {
-          handle_probe(from, m);
-        } else if constexpr (std::is_same_v<T, WfgdMsg>) {
-          handle_wfgd(from, m);
-        }
-      },
-      *decoded);
+  handle(from, *decoded);
   return Status::Ok();
 }
 
-void BasicProcess::handle_request(ProcessId from) {
+void BasicProcess::handle(ProcessId from, const Message& message) {
+  std::visit([this, from](const auto& m) { receive(from, m); }, message);
+}
+
+void BasicProcess::receive(ProcessId from, const RequestMsg& /*request*/) {
   // Edge (from, this) blackens on receipt (G2); per P3 we know our incoming
   // black edges.
   in_black_.insert(from);
 }
 
-void BasicProcess::handle_reply(ProcessId from) {
+void BasicProcess::receive(ProcessId from, const ReplyMsg& /*reply*/) {
   // Edge (this, from) disappears on receipt (G4).
   out_edges_.erase(from);
 }
@@ -107,7 +98,7 @@ void BasicProcess::send_probes_on_outgoing(const ProbeTag& tag) {
   }
 }
 
-void BasicProcess::handle_probe(ProcessId from, const ProbeMsg& probe) {
+void BasicProcess::receive(ProcessId from, const ProbeMsg& probe) {
   ++stats_.probes_received;
 
   // Meaningful iff edge (from, this) exists and is black at receipt
@@ -169,7 +160,7 @@ void BasicProcess::start_wfgd() {
   }
 }
 
-void BasicProcess::handle_wfgd(ProcessId /*from*/, const WfgdMsg& msg) {
+void BasicProcess::receive(ProcessId /*from*/, const WfgdMsg& msg) {
   ++stats_.wfgd_messages_received;
   // Receiving M means every edge in M lies on a permanent black path leading
   // from us -- so we are permanently blocked, i.e. deadlocked.
@@ -190,9 +181,7 @@ void BasicProcess::propagate_wfgd() {
 }
 
 void BasicProcess::mix_state_hash(std::uint64_t& h) const {
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { hash_mix(h, v); };
   mix(id_.value());
   for (const ProcessId p : out_edges_) mix(p.value());
   mix(0xE1);  // domain separators between variable-length runs

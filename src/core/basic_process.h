@@ -88,9 +88,13 @@ class BasicProcess {
   /// outgoing edges.
   void send_reply(ProcessId to);
 
-  /// Feeds one raw message from the transport.  Returns non-OK only for
-  /// undecodable payloads.
+  /// Feeds one raw message from the transport: decodes it and handles it.
+  /// Returns non-OK only for undecodable payloads.
   Status on_message(ProcessId from, BytesView payload);
+
+  /// Handles one decoded message from `from`.  A host that decodes each
+  /// frame to watch the traffic hands it over here, decoded once.
+  void handle(ProcessId from, const Message& message);
 
   // ---- detection ----------------------------------------------------------
 
@@ -137,10 +141,10 @@ class BasicProcess {
     bool engaged{false};  // reacted to a meaningful probe of this computation
   };
 
-  void handle_request(ProcessId from);
-  void handle_reply(ProcessId from);
-  void handle_probe(ProcessId from, const ProbeMsg& probe);
-  void handle_wfgd(ProcessId from, const WfgdMsg& msg);
+  void receive(ProcessId from, const RequestMsg& request);
+  void receive(ProcessId from, const ReplyMsg& reply);
+  void receive(ProcessId from, const ProbeMsg& probe);
+  void receive(ProcessId from, const WfgdMsg& msg);
 
   void send_probes_on_outgoing(const ProbeTag& tag);
   void declare_deadlock(const ProbeTag& tag);

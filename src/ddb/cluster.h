@@ -7,15 +7,13 @@
 //   auto t = db.begin(SiteId{0});
 //   db.lock(t, ResourceId{7}, LockMode::kWrite);
 //   db.simulator().run();
-//   if (db.aborted(t)) { /* deadlock victim */ }
+//   if (db.status(t) == TxnStatus::kAborted) { /* deadlock victim */ }
 #pragma once
 
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "common/block_pool.h"
-#include "common/small_vector.h"
 #include "ddb/controller.h"
 #include "ddb/cycle_finder.h"
 #include "ddb/outbox.h"
@@ -30,8 +28,6 @@ struct ClusterConfig {
   std::uint64_t seed{1};
   sim::DelayModel delays{};
 };
-
-enum class TxnStatus : std::uint8_t { kActive, kCommitted, kAborted };
 
 struct DdbDetection {
   TransactionId victim;
@@ -84,13 +80,21 @@ class Cluster final : private SiteHost, private sim::StepHook {
   /// everywhere; the abort listener fires as for a deadlock victim.
   void abort(TransactionId txn);
 
-  [[nodiscard]] TxnStatus status(TransactionId txn) const;
-  [[nodiscard]] bool granted(TransactionId txn, ResourceId resource) const;
-  [[nodiscard]] bool all_granted(TransactionId txn) const;
-  [[nodiscard]] SiteId home_of(TransactionId txn) const;
+  [[nodiscard]] TxnStatus status(TransactionId txn) const {
+    return ledger_.status(txn);
+  }
+  [[nodiscard]] bool granted(TransactionId txn, ResourceId resource) const {
+    return ledger_.granted(txn, resource);
+  }
+  [[nodiscard]] bool all_granted(TransactionId txn) const {
+    return ledger_.all_granted(txn);
+  }
+  [[nodiscard]] SiteId home_of(TransactionId txn) const {
+    return ledger_.home_of(txn);
+  }
   /// Transactions begun so far; their ids are 0 up to this count.
   [[nodiscard]] std::uint32_t transactions_begun() const {
-    return static_cast<std::uint32_t>(txns_.size());
+    return ledger_.size();
   }
 
   /// Observer invoked when a lock is granted to a transaction (after the
@@ -117,40 +121,17 @@ class Cluster final : private SiteHost, private sim::StepHook {
 
   // ---- oracle (global knowledge; valid whenever the simulator is idle) ----
 
-  /// Transactions on a cycle of the global transaction-wait-for graph
-  /// (union of all sites' local wait edges), ascending.  At simulator idle
-  /// this is exactly the set of genuinely deadlocked transactions.  The view
-  /// is into a buffer the cluster reuses: it is valid until the next call.
-  [[nodiscard]] std::span<const TransactionId> oracle_deadlocked() const;
+  /// TxnLedger::deadlocked() over every site: at simulator idle exactly the
+  /// genuinely deadlocked transactions, ascending.  The view is into a
+  /// buffer the cluster reuses: it is valid until the next call.
+  [[nodiscard]] std::span<const TransactionId> oracle_deadlocked() const {
+    return ledger_.deadlocked(controllers_, *this);
+  }
 
   /// Sum of controller stats across sites.
   [[nodiscard]] ControllerStats total_stats() const;
 
  private:
-  // Per the paper's section 6.2, a transaction's computation stays at the
-  // agent that issued the request ("(Ti,Sj) may now proceed with its
-  // computation"): remote agents acquire on its behalf.  All lock requests
-  // therefore originate from the home agent; the holding agents' dependence
-  // on the home is the release-wait edge (see controller.h).
-  // No default member initializers: SmallVector needs the type to be
-  // default-constructible while Cluster is still incomplete.
-  struct TxnLock {
-    ResourceId resource;
-    LockMode mode;
-    bool granted;
-    // The home's lock count when the request left: the count a forwarded
-    // request carries, which places it in the owner's queue.
-    LockCount held;
-  };
-  struct TxnState {
-    SiteId home;
-    TxnStatus status{TxnStatus::kActive};
-    SmallVector<TxnLock, 4> locks;  // requested locks, ascending by resource
-  };
-
-  [[nodiscard]] const TxnState& state(TransactionId txn) const;
-  [[nodiscard]] TxnState& state(TransactionId txn);
-
   // SiteHost: what the controllers ask of the simulator and the client
   // layer.
   void send(SiteId from, SiteId to, BytesView payload) override {
@@ -175,17 +156,12 @@ class Cluster final : private SiteHost, private sim::StepHook {
   // These tables and detections_ are pooled (common/block_pool.h): the
   // next Cluster built on this thread reuses their blocks.
   PooledVector<std::optional<Controller>> controllers_;
-  // Indexed by transaction id: ids are handed out densely by begin().
-  PooledVector<TxnState> txns_;
+  // The client transaction layer and the oracle's ground truth.
+  TxnLedger ledger_;
   PooledVector<DdbDetection> detections_;
   GrantListener grant_listener_;
   AbortListener abort_listener_;
   DetectionListener detection_listener_;
-
-  // Oracle scratch (see oracle_deadlocked()): reused across calls.
-  mutable std::vector<WaitEdge> oracle_edges_;
-  mutable std::vector<WaitEdge> oracle_site_edges_;
-  mutable CycleFinder oracle_;
 };
 
 }  // namespace cmh::ddb

@@ -783,9 +783,7 @@ void Controller::schedule_block_check(TransactionId txn) {
 }
 
 void Controller::mix_state_hash(std::uint64_t& h) const {
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { hash_mix(h, v); };
   const auto mix_agent = [&](const AgentId& a) {
     mix(a.transaction.value());
     mix(a.site.value());

@@ -204,10 +204,6 @@ class Controller {
   /// count its latest queued forwarded request carried.
   [[nodiscard]] LockCount lock_count(TransactionId txn) const;
 
-  /// Intra-controller wait edges between local agents, sorted (replaces
-  /// `out`; see LockManager::wait_edges).
-  void intra_edges(std::vector<WaitEdge>& out) const { locks_.wait_edges(out); }
-
   /// Transactions with an incoming black inter-controller edge here (the Q
   /// of section 6.7), i.e. with a queued forwarded request or a remote
   /// holding while blocked.  Replaces `out` with them, ascending.

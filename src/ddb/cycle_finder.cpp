@@ -5,6 +5,16 @@
 
 namespace cmh::ddb {
 
+namespace {
+// A transaction's lock list is sorted by resource.
+template <typename Locks>
+auto lower_lock(Locks& locks, ResourceId resource) {
+  return std::lower_bound(
+      locks.begin(), locks.end(), resource,
+      [](const auto& l, ResourceId r) { return l.resource < r; });
+}
+}  // namespace
+
 std::span<const TransactionId> CycleFinder::on_cycle(
     std::vector<WaitEdge>& edges) {
   std::sort(edges.begin(), edges.end());
@@ -55,10 +65,77 @@ void append_grey_waits(const LockManager& owner, TransactionId txn,
                        ResourceId resource, LockMode mode, LockCount held,
                        std::vector<WaitEdge>& edges) {
   if (owner.waiting(resource, txn)) return;  // already queued
-  if (owner.holds(resource, txn)) return;    // grant in flight
+  // A grant in flight only if the holding covers the requested mode.
+  const std::optional<LockMode> held_mode = owner.held_mode(resource, txn);
+  if (held_mode.has_value() &&
+      (*held_mode == LockMode::kWrite || mode == LockMode::kRead)) {
+    return;
+  }
   for (const TransactionId blocker :
        owner.blockers(resource, txn, mode, held)) {
     edges.emplace_back(txn, blocker);
+  }
+}
+
+TransactionId TxnLedger::begin(SiteId home) {
+  const TransactionId txn{size()};
+  txns_.push_back(Txn{home, TxnStatus::kActive, {}});
+  return txn;
+}
+
+void TxnLedger::request(TransactionId txn, ResourceId resource, LockMode mode,
+                        LockCount held) {
+  auto& locks = txns_.at(txn.value()).locks;
+  const auto it = lower_lock(locks, resource);
+  if (it == locks.end() || it->resource != resource) {
+    locks.insert(it, Lock{resource, mode, false, held});
+  } else if (mode == LockMode::kWrite && it->mode == LockMode::kRead) {
+    // Upgrade: not granted again until the write lock is actually held.
+    it->mode = mode;
+    it->granted = false;
+    it->held = held;
+  }
+}
+
+void TxnLedger::grant(TransactionId txn, ResourceId resource) {
+  if (txn.value() >= txns_.size()) return;
+  auto& locks = txns_[txn.value()].locks;
+  const auto it = lower_lock(locks, resource);
+  if (it != locks.end() && it->resource == resource) it->granted = true;
+}
+
+bool TxnLedger::end(TransactionId txn, TxnStatus outcome) {
+  TxnStatus& status = txns_.at(txn.value()).status;
+  if (status != TxnStatus::kActive) return false;
+  status = outcome;
+  return true;
+}
+
+bool TxnLedger::granted(TransactionId txn, ResourceId resource) const {
+  const auto& locks = txns_.at(txn.value()).locks;
+  const auto it = lower_lock(locks, resource);
+  return it != locks.end() && it->resource == resource && it->granted;
+}
+
+bool TxnLedger::all_granted(TransactionId txn) const {
+  const auto& locks = txns_.at(txn.value()).locks;
+  return std::all_of(locks.begin(), locks.end(),
+                     [](const Lock& l) { return l.granted; });
+}
+
+void TxnLedger::mix_state_hash(std::uint64_t& h) const {
+  const auto mix = [&h](std::uint64_t v) { hash_mix(h, v); };
+  for (std::uint32_t t = 0; t < txns_.size(); ++t) {
+    const Txn& s = txns_[t];
+    mix(t);
+    mix(s.home.value());
+    for (const Lock& l : s.locks) {
+      mix(l.resource.value());
+      mix(static_cast<std::uint64_t>(l.mode));
+      mix(l.granted);
+    }
+    mix(static_cast<std::uint64_t>(s.status));
+    mix(0xF3);
   }
 }
 

@@ -304,9 +304,7 @@ TxnList LockManager::waiters_behind(ResourceId resource,
 }
 
 void LockManager::mix_state_hash(std::uint64_t& h) const {
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { hash_mix(h, v); };
   for (const ResourceState& rs : table_) {
     // Idle rows (everything released) are behaviorally identical to absent
     // ones; skip them so equivalent states hash equal.

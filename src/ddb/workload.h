@@ -35,6 +35,20 @@ struct TxnScriptConfig {
   std::uint32_t hot_set{16};
 };
 
+/// The T5 shape (EXPERIMENTS.md T5, and perfbench's workloads).  Clients:
+/// 3 locks per transaction drawn from `hot_set` resources, 80% of them
+/// writes, held 2 ms, an abort retried after 1 ms at most 25 times.
+[[nodiscard]] inline TxnScriptConfig t5_script(std::uint32_t hot_set) {
+  return {.locks_per_txn = 3, .write_fraction = 0.8,
+          .hold_time = SimTime::ms(2), .retry_backoff = SimTime::ms(1),
+          .max_retries = 25, .hot_set = hot_set};
+}
+/// Detection: delayed initiation at T = 2 ms, victim abort.
+[[nodiscard]] inline DdbOptions t5_options() {
+  return {.initiation = DdbInitiation::kDelayed,
+          .initiation_delay = SimTime::ms(2), .abort_victim = true};
+}
+
 struct WorkloadResult {
   std::uint64_t committed{0};
   std::uint64_t aborted{0};

@@ -52,8 +52,8 @@ void SimCluster::deliver(ProcessId to, ProcessId from, BytesView payload) {
     if (auditor_) auditor_->check_local_view(process(to), simulator().now());
     return;
   }
-  // Oracle transitions happen at delivery instants (G2, G4); decode first to
-  // classify, then hand the same bytes to the process.
+  // Oracle transitions happen at delivery instants (G2, G4); decode once to
+  // classify, then hand the decoded message to the process.
   auto decoded = core::decode(payload);
   if (!decoded.ok()) {
     throw std::logic_error("SimCluster: undecodable payload: " +
@@ -66,7 +66,7 @@ void SimCluster::deliver(ProcessId to, ProcessId from, BytesView payload) {
     const auto st = oracle_.remove(to, from);
     if (!st.ok()) throw std::logic_error("oracle remove: " + st.to_string());
   }
-  SimHost::deliver(to, from, payload);
+  process(to).handle(from, *decoded);
   // P3: the receiver's local view must equal the shadow graph's projection
   // now that it has folded in this delivery.
   if (auditor_) auditor_->check_local_view(process(to), simulator().now());

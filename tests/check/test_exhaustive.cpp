@@ -146,6 +146,26 @@ DdbScenario ddb_overtake() {
                    DdbOp::finish(t1)}}};
 }
 
+/// The classic upgrade deadlock across sites, and the first DDB scenario
+/// with read locks: t0 (home S0) and t1 (home S1) each take a read lock on
+/// r1 at S1, then each upgrades it to write.  Schedules in which both reads
+/// are held before either upgrade lands deadlock at S1, each upgrade
+/// waiting on the other's read lock; in the others an upgrade is granted in
+/// place and the late read waits behind it (no script finishes).
+DdbScenario ddb_upgrade() {
+  const TransactionId t0{0};
+  const TransactionId t1{1};
+  const ResourceId r1{1};
+  return DdbScenario{
+      .name = "ddb-upgrade",
+      .n_sites = 2,
+      .resource_owner = {SiteId{0}, SiteId{1}},
+      .scripts = {{DdbOp::lock(t0, r1, ddb::LockMode::kRead),
+                   DdbOp::lock(t0, r1, ddb::LockMode::kWrite)},
+                  {DdbOp::lock(t1, r1, ddb::LockMode::kRead),
+                   DdbOp::lock(t1, r1, ddb::LockMode::kWrite)}}};
+}
+
 TEST(Exhaustive, RingOfThreeEverySchedule) {
   BasicSystem sys(ring_of_three());
   const ExploreResult res = explore(sys);
@@ -229,6 +249,15 @@ TEST(Exhaustive, DdbOvertakeEverySchedule) {
   // closes runs through t1, whose own check covers it) but the count reads
   // 295.
   EXPECT_EQ(res.states_visited, 315u) << diagnose(res);
+}
+
+TEST(Exhaustive, DdbUpgradeEverySchedule) {
+  DdbSystem sys(ddb_upgrade());
+  const ExploreResult res = explore(sys);
+  EXPECT_TRUE(res.ok()) << diagnose(res);
+  EXPECT_TRUE(res.complete) << diagnose(res);
+  EXPECT_GE(sys.leaf_tally().deadlocked, 1u);
+  EXPECT_EQ(res.states_visited, 59u) << diagnose(res);
 }
 
 TEST(Exhaustive, DdbRejectsTimerBasedInitiation) {

@@ -650,15 +650,8 @@ TEST(ZeroAlloc, ClusterConstructionTakesAFewBlocks) {
 // of seed 1) on a Cluster built and torn down on this thread; returns the
 // allocations the Cluster's construction made.
 std::size_t run_t5_episode() {
-  DdbOptions options;
-  options.initiation = DdbInitiation::kDelayed;
-  options.initiation_delay = SimTime::ms(2);
-  options.abort_victim = true;
-  TxnScriptConfig script;
-  script.locks_per_txn = 3;
-  script.write_fraction = 0.8;
-  script.hot_set = 16;
-  script.max_retries = 25;
+  const DdbOptions options = t5_options();
+  const TxnScriptConfig script = t5_script(16);
   const std::uint64_t seed = episode_seed(1, 0);
   const std::size_t before = g_alloc_count;
   Cluster db({.n_sites = 4, .n_resources = script.hot_set,

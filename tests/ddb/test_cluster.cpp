@@ -19,14 +19,6 @@ DdbOptions manual_opts(bool abort_victim = false) {
   return o;
 }
 
-DdbOptions delayed_opts(bool abort_victim = true) {
-  DdbOptions o;
-  o.initiation = DdbInitiation::kDelayed;
-  o.initiation_delay = SimTime::ms(2);
-  o.abort_victim = abort_victim;
-  return o;
-}
-
 // Resources are placed round-robin: resource r lives at site r % n_sites.
 ResourceId at_site(std::uint32_t site, std::uint32_t k, std::uint32_t n_sites) {
   return ResourceId{site + k * n_sites};
@@ -232,7 +224,7 @@ TEST(DdbCluster, WaitChainWithoutCycleNotDeclared) {
 }
 
 TEST(DdbCluster, DelayedInitiationDetectsAutomatically) {
-  Cluster db({.n_sites = 2, .n_resources = 8, .options = delayed_opts()});
+  Cluster db({.n_sites = 2, .n_resources = 8, .options = t5_options()});
   const auto r0 = at_site(0, 0, 2);
   const auto r1 = at_site(1, 0, 2);
   const auto t1 = db.begin(SiteId{0});
@@ -285,8 +277,7 @@ TEST(DdbCluster, GrantCrossingAbortIsNotReported) {
 }
 
 TEST(DdbCluster, VictimAbortUnblocksLocalCycleToo) {
-  DdbOptions o = delayed_opts(true);
-  Cluster db({.n_sites = 1, .n_resources = 4, .options = o});
+  Cluster db({.n_sites = 1, .n_resources = 4, .options = t5_options()});
   const auto t1 = db.begin(SiteId{0});
   const auto t2 = db.begin(SiteId{0});
   db.lock(t1, ResourceId{0}, LockMode::kWrite);
@@ -346,7 +337,7 @@ TEST(DdbCluster, QOptimizationInitiatesFewerComputations) {
 }
 
 TEST(DdbCluster, ReadSharingAcrossSitesNoDeadlock) {
-  Cluster db({.n_sites = 2, .n_resources = 8, .options = delayed_opts()});
+  Cluster db({.n_sites = 2, .n_resources = 8, .options = t5_options()});
   const auto r = ResourceId{1};  // site 1
   const auto t1 = db.begin(SiteId{0});
   const auto t2 = db.begin(SiteId{0});
@@ -361,7 +352,7 @@ TEST(DdbCluster, ReadSharingAcrossSitesNoDeadlock) {
 TEST(DdbCluster, UpgradeDeadlockAcrossSitesDetected) {
   // Both read r (remote), then both upgrade to write: cross-wait at the
   // owning site (intra-controller cycle there).
-  Cluster db({.n_sites = 2, .n_resources = 8, .options = delayed_opts()});
+  Cluster db({.n_sites = 2, .n_resources = 8, .options = t5_options()});
   const auto r = ResourceId{1};  // site 1
   const auto t1 = db.begin(SiteId{0});
   const auto t2 = db.begin(SiteId{0});
@@ -378,8 +369,44 @@ TEST(DdbCluster, UpgradeDeadlockAcrossSitesDetected) {
   EXPECT_TRUE(db.granted(survivor, r));
 }
 
+// The oracle counts a request still on the wire (grey) as the wait it makes
+// when it lands, an upgrade included: t0 holds a read lock on r1 already,
+// but its write request waits on t1's read lock there, and t1 waits on t0
+// for r0.  The cycle exists from the moment the request leaves, as it does
+// for a fresh write request in the same position.
+TEST(DdbCluster, OracleCountsAnUpgradeInFlight) {
+  for (const bool upgrade : {true, false}) {
+    SCOPED_TRACE(upgrade ? "upgrade" : "fresh write request");
+    Cluster db({.n_sites = 2, .n_resources = 8, .options = manual_opts()});
+    const auto r0 = at_site(0, 0, 2);
+    const auto r1 = at_site(1, 0, 2);
+    const auto t0 = db.begin(SiteId{0});
+    const auto t1 = db.begin(SiteId{1});
+    db.lock(t0, r0, LockMode::kWrite);
+    if (upgrade) db.lock(t0, r1, LockMode::kRead);
+    db.lock(t1, r1, LockMode::kRead);
+    db.lock(t1, r0, LockMode::kWrite);
+    db.simulator().run();
+    ASSERT_TRUE(db.granted(t0, r0));
+    ASSERT_EQ(db.granted(t0, r1), upgrade);
+    ASSERT_TRUE(db.granted(t1, r1));
+    ASSERT_FALSE(db.granted(t1, r0));  // queued behind t0 at site 0
+    EXPECT_TRUE(db.oracle_deadlocked().empty());
+
+    db.lock(t0, r1, LockMode::kWrite);
+    EXPECT_FALSE(db.granted(t0, r1));  // in flight to site 1
+    const std::vector<TransactionId> both{t0, t1};
+    const auto in_flight = db.oracle_deadlocked();
+    EXPECT_EQ(std::vector<TransactionId>(in_flight.begin(), in_flight.end()),
+              both);
+    db.simulator().run();
+    const auto landed = db.oracle_deadlocked();
+    EXPECT_EQ(std::vector<TransactionId>(landed.begin(), landed.end()), both);
+  }
+}
+
 TEST(DdbCluster, DetectionListenerFiresAtDeclaration) {
-  Cluster db({.n_sites = 2, .n_resources = 8, .options = delayed_opts()});
+  Cluster db({.n_sites = 2, .n_resources = 8, .options = t5_options()});
   std::vector<DdbDetection> seen;
   db.set_detection_listener(
       [&](const DdbDetection& d) { seen.push_back(d); });
@@ -407,7 +434,7 @@ TEST(DdbCluster, TotalStatsSumsEveryCounterOfEverySite) {
   // two sites at least.  48 transactions of 4 locks on a hot set of 8:
   // with 24 of 3, lock queues ordered by count leave too few local cycles
   // for local_cycle_detections to fire at two sites.
-  Cluster db({.n_sites = 4, .n_resources = 8, .options = delayed_opts(),
+  Cluster db({.n_sites = 4, .n_resources = 8, .options = t5_options(),
               .seed = 3});
   TxnScriptConfig cfg;
   cfg.locks_per_txn = 4;

@@ -155,16 +155,11 @@ class Rig final : public SiteHost {
   void drop_timers() { timers_.clear(); }
 
   /// Transactions on a cycle of the union of every site's wait edges (the
-  /// global waits-for graph once no request is in flight).
+  /// global waits-for graph once no request is in flight).  The rig keeps
+  /// no client ledger, so the ledger asked is empty: no grey waits.
   std::vector<TransactionId> oracle_deadlocked() {
-    std::vector<WaitEdge> all;
-    std::vector<WaitEdge> site;
-    for (const auto& controller : controllers_) {
-      controller->intra_edges(site);
-      all.insert(all.end(), site.begin(), site.end());
-    }
-    CycleFinder finder;
-    const auto on_cycle = finder.on_cycle(all);
+    const TxnLedger no_clients;
+    const auto on_cycle = no_clients.deadlocked(controllers_, *this);
     return {on_cycle.begin(), on_cycle.end()};
   }
 

@@ -121,23 +121,13 @@ constexpr std::uint64_t kWorkloadSeed = 1 * 7 + 3;
 
 GoldenDdb run_t5_episode(std::uint32_t hot_set,
                          std::uint64_t workload_seed = kWorkloadSeed) {
-  DdbOptions options;
-  options.initiation = DdbInitiation::kDelayed;
-  options.initiation_delay = SimTime::ms(2);
-  options.abort_victim = true;
   Cluster db({.n_sites = 4,
               .n_resources = hot_set,
-              .options = options,
+              .options = t5_options(),
               .seed = 1});
   FrameTrace frames;
   db.simulator().set_observer(&frames);
-  TxnScriptConfig cfg;
-  cfg.locks_per_txn = 3;
-  cfg.write_fraction = 0.8;
-  cfg.hot_set = hot_set;
-  cfg.hold_time = SimTime::ms(2);
-  cfg.max_retries = 25;
-  TxnWorkload workload(db, cfg, workload_seed);
+  TxnWorkload workload(db, t5_script(hot_set), workload_seed);
   DetectionTrace detections;
   workload.set_observer(&detections);
   workload.start(24);

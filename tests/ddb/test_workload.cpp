@@ -13,17 +13,8 @@
 namespace cmh::ddb {
 namespace {
 
-DdbOptions detecting(bool q_opt = true) {
-  DdbOptions o;
-  o.initiation = DdbInitiation::kDelayed;
-  o.initiation_delay = SimTime::ms(2);
-  o.abort_victim = true;
-  o.q_optimization = q_opt;
-  return o;
-}
-
 TEST(TxnWorkload, AllCommitWithoutContention) {
-  Cluster db({.n_sites = 2, .n_resources = 64, .options = detecting()});
+  Cluster db({.n_sites = 2, .n_resources = 64, .options = t5_options()});
   TxnScriptConfig cfg;
   cfg.locks_per_txn = 2;
   cfg.hot_set = 64;  // plenty of room: conflicts unlikely
@@ -36,7 +27,7 @@ TEST(TxnWorkload, AllCommitWithoutContention) {
 }
 
 TEST(TxnWorkload, VictimsRetryAndEventuallyCommit) {
-  Cluster db({.n_sites = 2, .n_resources = 4, .options = detecting()});
+  Cluster db({.n_sites = 2, .n_resources = 4, .options = t5_options()});
   TxnScriptConfig cfg;
   // Three write locks each on 4 hot resources: deadlocks form.  (With two,
   // a transaction holding one lock goes ahead of those holding none, and
@@ -55,7 +46,7 @@ TEST(TxnWorkload, VictimsRetryAndEventuallyCommit) {
 }
 
 TEST(TxnWorkload, ZeroRetriesStopsAfterFirstAbort) {
-  Cluster db({.n_sites = 2, .n_resources = 2, .options = detecting()});
+  Cluster db({.n_sites = 2, .n_resources = 2, .options = t5_options()});
   TxnScriptConfig cfg;
   cfg.locks_per_txn = 2;
   cfg.hot_set = 2;
@@ -102,14 +93,9 @@ TEST(TxnWorkload, LockIndexMatchesTheLockTablesAfterEveryEvent) {
     for (const std::uint64_t seed : {1u, 2u}) {
       Cluster db({.n_sites = 4,
                   .n_resources = hot_set,
-                  .options = detecting(),
+                  .options = t5_options(),
                   .seed = seed});
-      TxnScriptConfig cfg;
-      cfg.locks_per_txn = 3;
-      cfg.write_fraction = 0.8;
-      cfg.hot_set = hot_set;
-      cfg.max_retries = 25;
-      TxnWorkload workload(db, cfg, seed * 7 + 3);
+      TxnWorkload workload(db, t5_script(hot_set), seed * 7 + 3);
       workload.start(kClients);
       std::uint64_t events = 0;
       std::uint64_t queued_seen = 0;
@@ -186,14 +172,9 @@ TEST(TxnWorkload, LockCountsAreFrozenWhereTransactionsWait) {
     for (const std::uint64_t seed : {1u, 2u}) {
       Cluster db({.n_sites = 4,
                   .n_resources = hot_set,
-                  .options = detecting(),
+                  .options = t5_options(),
                   .seed = seed});
-      TxnScriptConfig cfg;
-      cfg.locks_per_txn = 3;
-      cfg.write_fraction = 0.8;
-      cfg.hot_set = hot_set;
-      cfg.max_retries = 25;
-      TxnWorkload workload(db, cfg, seed * 7 + 3);
+      TxnWorkload workload(db, t5_script(hot_set), seed * 7 + 3);
       workload.start(kClients);
       std::uint64_t queued_remote_seen = 0;
       std::uint64_t counted = 0;
@@ -236,15 +217,9 @@ void expect_no_give_ups(std::uint32_t hot_set, std::uint64_t first,
   for (std::uint64_t seed = first; seed <= last; ++seed) {
     Cluster db({.n_sites = 4,
                 .n_resources = hot_set,
-                .options = detecting(),
+                .options = t5_options(),
                 .seed = seed});
-    TxnScriptConfig cfg;
-    cfg.locks_per_txn = 3;
-    cfg.write_fraction = 0.8;
-    cfg.hot_set = hot_set;
-    cfg.hold_time = SimTime::ms(2);
-    cfg.max_retries = 25;
-    TxnWorkload workload(db, cfg, seed * 7 + 3);
+    TxnWorkload workload(db, t5_script(hot_set), seed * 7 + 3);
     workload.start(kClients);
     db.simulator().run();
     EXPECT_EQ(workload.result().given_up, 0u) << "seed " << seed;
@@ -281,20 +256,10 @@ struct T5Episode {
                      std::uint64_t index)
       : db({.n_sites = 4,
             .n_resources = hot_set,
-            .options = detecting(),
+            .options = t5_options(),
             .seed = episode_seed(seed, index)}),
-        workload(db, script(hot_set),
+        workload(db, t5_script(hot_set),
                  episode_seed(seed, index) ^ kWorkloadSeedSalt) {}
-
-  static TxnScriptConfig script(std::uint32_t hot_set) {
-    TxnScriptConfig cfg;
-    cfg.locks_per_txn = 3;
-    cfg.write_fraction = 0.8;
-    cfg.hot_set = hot_set;
-    cfg.hold_time = SimTime::ms(2);
-    cfg.max_retries = 25;
-    return cfg;
-  }
 
   Cluster db;
   TxnWorkload workload;
@@ -415,12 +380,7 @@ TEST_P(QOptEquivalence, SameLivenessWithAndWithoutQOptimization) {
         }
       });
     }
-    TxnScriptConfig cfg;
-    cfg.locks_per_txn = 3;
-    cfg.hot_set = 6;
-    cfg.write_fraction = 0.8;
-    cfg.max_retries = 25;
-    TxnWorkload workload(db, cfg, GetParam() * 3 + 2);
+    TxnWorkload workload(db, t5_script(6), GetParam() * 3 + 2);
     workload.start(10);
     db.simulator().run();
     const auto& r = workload.result();
