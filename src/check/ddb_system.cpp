@@ -18,6 +18,14 @@ DdbSystem::DdbSystem(DdbScenario scenario) : scenario_(std::move(scenario)) {
         "DdbSystem: a positive delay needs timers; exploration is timer-free "
         "(use kDelayed at T = 0, or kManual)");
   }
+  if (scenario_.options.abort_victim) {
+    // The ledger does not model victim aborts (on_abort keeps no state): a
+    // purged victim would stay active in it, and the repeat declarations
+    // that later walks make of it read as false deadlocks under QRP2.
+    throw std::invalid_argument(
+        "DdbSystem: victim aborts are not modelled; a declared deadlock "
+        "stays in place (use abort_victim = false)");
+  }
   reset();
 }
 
@@ -66,6 +74,8 @@ void DdbSystem::on_grant(SiteId, TransactionId txn, ResourceId resource) {
   ledger_.grant(txn, resource);
 }
 
+// Scripts never abort and victim aborts are rejected at construction, so
+// no controller aborts a transaction here.
 void DdbSystem::on_abort(SiteId, TransactionId) {}
 
 void DdbSystem::on_deadlock(SiteId, TransactionId victim,

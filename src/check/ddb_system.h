@@ -19,7 +19,8 @@
 //         per member; "some declared" equals that guarantee for the
 //         single-cycle canonical scenarios.)
 // Scenarios run with abort_victim = false so a detected deadlock stays
-// observable instead of being resolved mid-exploration.
+// observable instead of being resolved mid-exploration; the constructor
+// rejects abort_victim = true, as it rejects a positive T.
 #pragma once
 
 #include <cstdint>

@@ -42,7 +42,6 @@ ControllerStats& ControllerStats::operator+=(const ControllerStats& o) {
   probes_received += o.probes_received;
   meaningful_probes += o.meaningful_probes;
   computations_initiated += o.computations_initiated;
-  reaches_followed += o.reaches_followed;
   eager_initiations += o.eager_initiations;
   early_closures += o.early_closures;
   local_cycle_detections += o.local_cycle_detections;
@@ -153,7 +152,6 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
       host_.on_grant(id_, txn, resource);
       return true;
     }
-    follow_reaches(txn);
     schedule_block_check(txn);
     rearm_overtaken(resource, held);
     return false;
@@ -174,8 +172,6 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
   host_.send(
       id_, owner,
       encode_small(RemoteLockRequestMsg{txn, resource, s.held, mode}).view());
-  // The follow-up probes travel behind the request on the same channel.
-  follow_reaches(txn);
   schedule_block_check(txn);
   return false;
 }
@@ -186,7 +182,6 @@ void Controller::purge_local(TransactionId txn) {
     TxnSlot& s = txns_[txn.value()];
     s.pending.clear();
     s.remote_holdings.clear();
-    s.reaches.clear();
     // txn has ended here: its own computations' walks are over.
     retire_own(s.own_latest);
     retire_own(s.own_previous);
@@ -450,7 +445,7 @@ void Controller::bfs_visit(TransactionId txn, const VictimKey& before) {
   if (s.visit == bfs_epoch_) return;
   s.visit = bfs_epoch_;
   s.path = static_cast<std::uint32_t>(paths_.size());
-  paths_.push_back({txn, before, extend(before, txn)});
+  paths_.push_back({txn, extend(before, txn)});
 }
 
 const Controller::PathBest* Controller::reached(TransactionId txn) const {
@@ -505,7 +500,6 @@ std::optional<DdbProbeTag> Controller::initiate_for(TransactionId txn) {
   // The target's own release-wait edges are suppressed here for the same
   // reason as in handle_probe; cycles genuinely passing through the
   // target's holdings are entered via another transaction's intra wait.
-  record_reaches(tag, comp);
   send_probes(tag, comp, paths_, txn);
   return tag;
 }
@@ -657,7 +651,6 @@ void Controller::advance(const DdbProbeTag& tag, Computation& comp,
       intra_reachable(txn, candidate);
     }
   }
-  record_reaches(tag, *c);
 
   // Forward along every un-probed outgoing inter edge of the freshly
   // reachable set.  The initiating controller forwards too: a cycle may
@@ -668,61 +661,6 @@ void Controller::advance(const DdbProbeTag& tag, Computation& comp,
   // own agents without any deadlock (acquisition and holding concern
   // different resources).
   send_probes(tag, *c, paths_, txn);
-}
-
-void Controller::record_reaches(const DdbProbeTag& tag,
-                                const Computation& comp) {
-  // Under kManual the harness owns every detection step, and a re-block
-  // continues nothing (follow_reaches), so there is nothing to record.
-  if (options_.initiation == DdbInitiation::kManual) return;
-  for (const PathBest& path : paths_) {
-    const TransactionId txn = path.txn;
-    // The target's own walk is empty: following it from the target would
-    // "close" at once.  At every site: elsewhere the walk reaches the
-    // target's agent either through an intra edge, and has closed there,
-    // or along the target's own inter edge, which is no wait on it.
-    if (comp.target == txn) continue;
-    if (txn.value() >= txns_.size() || !txns_[txn.value()].home) continue;
-    auto& reaches = txns_[txn.value()].reaches;
-    const auto same = std::find_if(
-        reaches.begin(), reaches.end(),
-        [&tag](const Reach& r) { return r.tag.initiator == tag.initiator; });
-    if (same != reaches.end()) {
-      if (same->tag.sequence > tag.sequence) continue;  // keep the newest
-      reaches.erase(same);
-    } else if (reaches.size() == kReachesPerTxn) {
-      reaches.erase(reaches.begin());  // the oldest recorded
-    }
-    reaches.push_back(Reach{tag, path.before});
-  }
-}
-
-void Controller::follow_reaches(TransactionId txn) {
-  if (options_.initiation == DdbInitiation::kManual) return;
-  // A copy (inline, no heap): a follow that closes a walk may abort txn,
-  // which clears the list, or grow the table.
-  const SmallVector<Reach, kReachesPerTxn> reaches = txns_[txn.value()].reaches;
-  for (const Reach& r : reaches) {
-    // An earlier follow may have elected txn and aborted it.
-    if (!blocked(txn)) return;
-    // Live: its record is still here (not pruned below its initiator's
-    // floor, and not an own walk that has closed), and an own computation's
-    // target still waits.  A release-wait reach's holding needs no check:
-    // the probe arrived behind the grant on the same FIFO channel, and only
-    // purge_local() drops the holding, with the reaches.
-    Computation* comp = find_computation(r.tag);
-    if (comp == nullptr) continue;
-    if (r.tag.initiator == id_ && !blocked(comp->target)) continue;
-    // The new request is a new edge instance: a site txn asked before is
-    // probed again.
-    for (const PendingRemote& p : txns_[txn.value()].pending) {
-      comp->probes_sent.erase(AgentId{txn, p.site});
-    }
-    ++stats_.reaches_followed;
-    // The walk resumes from the candidate it had before txn: advance()
-    // keys txn afresh, with the locks it was granted before blocking again.
-    advance(r.tag, *comp, txn, r.before);
-  }
 }
 
 void Controller::close_walk(TransactionId victim, TransactionId target,
@@ -824,15 +762,7 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
   mix(0xC4);
 
   for (std::uint32_t t = 0; t < txns_.size(); ++t) {
-    if (!txns_[t].home && txns_[t].reaches.empty()) continue;
-    mix(t);
-    mix(static_cast<std::uint64_t>(txns_[t].home));
-    for (const Reach& r : txns_[t].reaches) {
-      mix(r.tag.initiator.value());
-      mix(r.tag.sequence);
-      mix(r.before.txn.value());
-      mix(r.before.held);
-    }
+    if (txns_[t].home) mix(t);
   }
   mix(0xC8);
 

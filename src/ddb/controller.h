@@ -19,14 +19,12 @@
 //     one hop or more before the walk returns to the initiator; the walk
 //     goes on, so the initiator still closes it (DESIGN.md section 4b,
 //     note 6).
-//   * continue the computations that reached a transaction's home agent
-//     along its next request the moment it blocks again (DESIGN.md section
-//     4b, note 4).
-//   * start a blocked agent's computation at once, too, when its wait
-//     reaches a transaction blocked at this site, or one homed at another
-//     site, whose wait this site cannot see: only such a wait can close a
-//     cycle, so the initiation delay T gates only waits on transactions
-//     running at their home here (DESIGN.md section 4b, note 7).
+//   * start a blocked agent's computation at once when its wait reaches a
+//     transaction blocked at this site, or one homed at another site,
+//     whose wait this site cannot see: only such a wait can close a cycle,
+//     so the initiation delay T gates only waits on transactions running
+//     at their home here (DESIGN.md section 4b, note 7).  Each blocked
+//     agent is checked by its own computation alone (note 4).
 //
 // Like BasicProcess, the controller is a transport-agnostic state machine;
 // callers must serialize calls per instance (the paper's atomic-step note).
@@ -100,8 +98,6 @@ struct ControllerStats {
   std::uint64_t probes_received{0};
   std::uint64_t meaningful_probes{0};
   std::uint64_t computations_initiated{0};
-  /// Computations continued along a re-blocked transaction's new request.
-  std::uint64_t reaches_followed{0};
   /// kDelayed computations started at block time, without waiting T,
   /// because the blocked agent waits on a transaction blocked here or
   /// homed at another site.
@@ -162,8 +158,7 @@ class Controller {
 
   /// Transaction `txn` (home = this site) requests `mode` on `resource`.
   /// Returns true if granted synchronously; otherwise the grant (or an
-  /// abort) reaches the host later, and the live probe computations that
-  /// reached txn's agent here continue along the new request.
+  /// abort) reaches the host later.
   bool lock(TransactionId txn, ResourceId resource, LockMode mode);
 
   /// Commit/finish: release all of txn's locks everywhere.
@@ -229,20 +224,6 @@ class Controller {
     std::uint32_t count;  // outstanding (unanswered) requests, > 0
   };
 
-  /// A live probe computation that reached (txn, here), txn's home agent:
-  /// `tag`, and `before`, the best victim on its walk up to txn's home
-  /// agent, txn excluded.  A follow keys txn afresh: txn is the only member
-  /// of the walk whose count can have grown since.  Everything else the
-  /// follow needs is in the computation's record.
-  struct Reach {
-    DdbProbeTag tag;
-    VictimKey before;
-  };
-  static_assert(sizeof(Reach) == 24);
-  /// Reaches kept per home agent, newest per initiator; beyond this the
-  /// oldest is dropped, so the list never leaves its inline storage.
-  static constexpr std::size_t kReachesPerTxn = 4;
-
   // The controller's per-transaction state lives in one table indexed by
   // transaction id (ids are dense and never reused), so every lookup on the
   // request, grant and probe paths is an index, and the table is one heap
@@ -254,10 +235,6 @@ class Controller {
     // i.e. this site's agent has *incoming* release-wait edges from those
     // holdings.  Feeds the section-6.7 Q set.
     FlatSet<SiteId, 2> remote_holdings;
-    // Computations that reached this home agent; lock() continues them
-    // along txn's next request (see follow_reaches).  Dropped at commit and
-    // abort.
-    SmallVector<Reach, kReachesPerTxn> reaches;
     // This controller's computations for txn as target: the sequences of
     // the latest and of the one before it (0: none), whose probes may still
     // close the cycle.  Older ones are retired, so each target keeps at
@@ -309,13 +286,11 @@ class Controller {
     bool closed_early{false};
   };
 
-  /// A transaction intra-reachable from a BFS root, with the best victim
-  /// among the transactions waiting here on its BFS-tree path (root and the
-  /// path before the root included): `before` up to its agent, `best` with
-  /// it.
+  /// A transaction intra-reachable from a BFS root, with `best`, the best
+  /// victim among the transactions waiting here on its BFS-tree path up to
+  /// and including its agent (root and the path before the root included).
   struct PathBest {
     TransactionId txn;
-    VictimKey before;
     VictimKey best;
   };
 
@@ -354,8 +329,8 @@ class Controller {
   /// is the better victim.
   [[nodiscard]] VictimKey extend(const VictimKey& best,
                                  TransactionId txn) const;
-  /// Appends `txn` to paths_, `before` the best victim on the path that led
-  /// to it, unless this BFS has reached it already.
+  /// Appends `txn` to paths_, keyed from `before`, the best victim on the
+  /// path that led to it, unless this BFS has reached it already.
   void bfs_visit(TransactionId txn, const VictimKey& before);
   /// The entry of `txn` in paths_, or null if the last BFS missed it.
   [[nodiscard]] const PathBest* reached(TransactionId txn) const;
@@ -363,20 +338,14 @@ class Controller {
   /// Steps A1/A2 of `comp` at agent (txn, here), entered with `candidate`
   /// as the best victim on the walk so far: labels the freshly
   /// intra-reachable set, then closes the walk (retiring the record) if it
-  /// reached the computation's target, or records the home agents it
-  /// reached and probes their un-probed outgoing inter edges.  At another
-  /// site than the initiator, reaching an agent of the target through an
-  /// intra edge declares the walk's candidate first (once per site), and
-  /// the walk goes on.  `comp` may be gone once this returns (a declaration
-  /// can re-enter the controller and grow the pool).
+  /// reached the computation's target, or probes the un-probed outgoing
+  /// inter edges of the set.  At another site than the initiator, reaching
+  /// an agent of the target through an intra edge declares the walk's
+  /// candidate first (once per site), and the walk goes on.  `comp` may be
+  /// gone once this returns (a declaration can re-enter the controller and
+  /// grow the pool).
   void advance(const DdbProbeTag& tag, Computation& comp, TransactionId txn,
                VictimKey candidate);
-  /// Records `tag` at every home agent in paths_ but `comp`'s own target.
-  void record_reaches(const DdbProbeTag& tag, const Computation& comp);
-  /// txn (home here) has just blocked on a new request: continues each
-  /// live computation that reached its home agent along the new edge, as
-  /// a probe arriving at this instant would.
-  void follow_reaches(TransactionId txn);
 
   /// Step A0 for (txn, here): if txn is on an intra-controller cycle,
   /// declares the cycle's best victim and returns true.  With a

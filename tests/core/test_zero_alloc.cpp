@@ -434,23 +434,20 @@ TEST(ZeroAlloc, WarmDdbControllerCheckAll) {
   EXPECT_GT(host.frames, 0u);
 }
 
-// A home agent that computations reach, re-blocking each round: t1 (home
-// S0) holds rA@S0, t2 (home S1) waits for rA, t1 waits for rB@S1.  Each
-// round
-//   * a new S1 computation arrives on t2's edge (its floor prunes the last
-//     round's record), reaches t1's home agent, records there and probes
-//     t1's edge to S1;
-//   * rB is granted and t1 asks S1 for it again: the request is a new
-//     instance of that edge, so the recorded computation follows it.
-// Delayed initiation, whose host here drops the block-check timers: t1
-// waits on S1, which this site cannot see, so its own computation waits T.
+// A home agent re-blocking each round starts its own computation at once
+// under a positive T: t2 (home S1) holds rC@S0.  Each round
+//   * t1 (home S0) asks for rC and queues behind t2, whose wait this site
+//     cannot see, so t1's computation starts at once (DESIGN.md
+//     section 4b, note 7) and probes t2's release-wait edge to S1;
+//   * S1 commits t2, rC is granted to t1, and t1 commits;
+//   * t2's next request for rC, forwarded from S1, is granted at once.
+// Delayed initiation, whose host here drops the block-check timers.
 TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
   const SiteId s0{0};
   const SiteId s1{1};
   const TransactionId t1{1};
   const TransactionId t2{2};
-  const ResourceId rA{0};  // resources live at site r % 2
-  const ResourceId rB{1};
+  const ResourceId rC{2};  // resources live at site r % 2
 
   DdbOptions options;
   options.initiation = DdbInitiation::kDelayed;
@@ -461,17 +458,15 @@ TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
   const auto deliver = [&c](SiteId from, const DdbMessage& m) {
     return c.on_message(from, encode_small(m).view()).ok();
   };
-  ASSERT_TRUE(c.lock(t1, rA, LockMode::kWrite));
-  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rA, 0, LockMode::kWrite}));
-  ASSERT_FALSE(c.lock(t1, rB, LockMode::kWrite));
+  ASSERT_TRUE(deliver(s1, RemoteLockRequestMsg{t2, rC, 0, LockMode::kWrite}));
+  ASSERT_TRUE(c.locks().holds(rC, t2));
 
-  std::uint64_t seq = 0;
   const auto round = [&]() {
-    ++seq;
-    bool ok = deliver(
-        s1, DdbProbeMsg{DdbProbeTag{s1, seq}, seq, t2, false, t2, 0, t2});
-    ok &= deliver(s1, RemoteLockGrantMsg{t1, rB});
-    ok &= !c.lock(t1, rB, LockMode::kWrite);
+    bool ok = !c.lock(t1, rC, LockMode::kWrite);
+    ok &= deliver(s1, PurgeTxnMsg{t2, /*aborted=*/false});
+    ok &= c.locks().holds(rC, t1);
+    c.finish(t1);
+    ok &= deliver(s1, RemoteLockRequestMsg{t2, rC, 0, LockMode::kWrite});
     return ok;
   };
 
@@ -490,14 +485,12 @@ TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
   EXPECT_TRUE(all_ok);
   EXPECT_EQ(allocations, 0u);
   const ControllerStats& st = c.stats();
-  EXPECT_EQ(st.meaningful_probes - warm.meaningful_probes,
+  EXPECT_EQ(st.eager_initiations - warm.eager_initiations,
             std::uint64_t{kRounds});
-  EXPECT_EQ(st.reaches_followed - warm.reaches_followed,
+  EXPECT_EQ(st.computations_initiated - warm.computations_initiated,
             std::uint64_t{kRounds});
-  // Per round: t1's edge from the arriving probe, and again from the
-  // follow.
-  EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{2 * kRounds});
-  EXPECT_EQ(st.computations_initiated, 0u);
+  // Per round: t2's release-wait edge, from t1's computation.
+  EXPECT_EQ(st.probes_sent - warm.probes_sent, std::uint64_t{kRounds});
   EXPECT_EQ(st.deadlocks_declared, 0u);
   EXPECT_GT(host.frames, 0u);
 }
@@ -507,10 +500,10 @@ TEST(ZeroAlloc, WarmDdbControllerFollowsAReBlockedTransaction) {
 // so no floor prunes their records: t1 (home S0) holds rB@S1 and waits for
 // rD@S1.  Each round
 //   * a new S1 computation arrives on t1's release-wait edge from S1 (its
-//     floor prunes the last round's record), records at t1's home agent
-//     and probes t1's edge to S1;
-//   * rD is granted and t1 asks S1 for it again: the recorded computation
-//     follows, and t1 starts its own computation at once.
+//     floor prunes the last round's record), reaches t1's home agent and
+//     probes t1's edge to S1;
+//   * rD is granted and t1 asks S1 for it again, and t1 starts its own
+//     computation at once.
 // Only the latest two own computations of t1 keep a record, so the pool
 // stops growing.
 TEST(ZeroAlloc, WarmDdbControllerEagerInitiation) {
@@ -561,8 +554,6 @@ TEST(ZeroAlloc, WarmDdbControllerEagerInitiation) {
   EXPECT_EQ(allocations, 0u);
   const ControllerStats& st = c.stats();
   EXPECT_EQ(st.computations_initiated - warm.computations_initiated,
-            std::uint64_t{kRounds});
-  EXPECT_EQ(st.reaches_followed - warm.reaches_followed,
             std::uint64_t{kRounds});
   EXPECT_EQ(st.meaningful_probes - warm.meaningful_probes,
             std::uint64_t{kRounds});
